@@ -40,8 +40,6 @@ from repro.algorithms.base import (
     masked_min_max,
     masked_reduction_chunks,
     masked_reduction_impl,
-    set_masked_reduction_chunks,
-    set_masked_reduction_impl,
 )
 from repro.algorithms.exact import FloodingExactConsensus, FloodingState, flooding_horizon_sufficient
 from repro.algorithms.hegselmann_krause import HegselmannKrauseAlgorithm
@@ -58,10 +56,8 @@ __all__ = [
     "masked_max",
     "masked_min_max",
     "masked_extreme_pair",
-    "set_masked_reduction_chunks",
     "get_masked_reduction_chunks",
     "masked_reduction_chunks",
-    "set_masked_reduction_impl",
     "get_masked_reduction_impl",
     "masked_reduction_impl",
     "MidpointAlgorithm",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -70,21 +69,6 @@ _REDUCTION_SETTINGS = _ReductionSettings()
 #: intermediate stays below this limit.
 _AUTO_DENSE_ELEMENT_LIMIT = 1 << 20
 
-#: Names whose deprecation warning has already fired (once per process).
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_deprecated_once(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def _validate_chunk_setting(key: str, value: ChunkSetting) -> None:
     if isinstance(value, str):
         if value not in ("auto", "dense"):
@@ -104,7 +88,7 @@ def _validate_chunk_setting(key: str, value: ChunkSetting) -> None:
 def _apply_masked_reduction_chunks(
     batch: ChunkSetting = "auto", receivers: ChunkSetting = "auto"
 ) -> None:
-    """Validate and install a chunk configuration (no deprecation warning)."""
+    """Validate and install a chunk configuration."""
     for key, value in (("batch", batch), ("receivers", receivers)):
         _validate_chunk_setting(key, value)
     _REDUCTION_SETTINGS.chunks["batch"] = batch
@@ -112,7 +96,7 @@ def _apply_masked_reduction_chunks(
 
 
 def _apply_masked_reduction_impl(general: str = "auto") -> None:
-    """Validate and install a reduction-impl selector (no deprecation warning)."""
+    """Validate and install a reduction-impl selector."""
     if general not in ("auto", "dense", "packed"):
         raise AlgorithmError(
             f"reduction impl must be 'auto', 'dense' or 'packed', got {general!r}"
@@ -120,58 +104,9 @@ def _apply_masked_reduction_impl(general: str = "auto") -> None:
     _REDUCTION_SETTINGS.impl = general
 
 
-def set_masked_reduction_chunks(
-    batch: ChunkSetting = "auto", receivers: ChunkSetting = "auto"
-) -> None:
-    """Configure how :func:`masked_min`/:func:`masked_max` block their work.
-
-    .. deprecated::
-        Mutating the configuration in place is deprecated; use the
-        exception-safe :func:`masked_reduction_chunks` context manager or a
-        :class:`repro.config.EngineConfig` scope instead.
-
-    Each axis accepts ``"auto"`` (chunk only when the dense ``(B, n, n, d)``
-    intermediate would be large), ``"dense"`` (never chunk this axis), or a
-    positive integer block size.  Chunked and dense evaluations are bit-for-bit
-    identical; chunking only bounds peak memory to ``O(chunk · n · d)``.
-    The configuration is thread-local.
-    """
-    _warn_deprecated_once(
-        "set_masked_reduction_chunks",
-        "the masked_reduction_chunks(...) context manager or repro.config.EngineConfig "
-        "(note: the configuration is thread-local — this call only affects the "
-        "calling thread)",
-    )
-    _apply_masked_reduction_chunks(batch=batch, receivers=receivers)
-
-
 def get_masked_reduction_chunks() -> Dict[str, ChunkSetting]:
     """The current thread's chunk configuration (a copy)."""
     return dict(_REDUCTION_SETTINGS.chunks)
-
-
-def set_masked_reduction_impl(general: str = "auto") -> None:
-    """Choose the implementation of the general masked-reduction case.
-
-    .. deprecated::
-        Mutating the selector in place is deprecated; use the exception-safe
-        :func:`masked_reduction_impl` context manager or a
-        :class:`repro.config.EngineConfig` scope instead.
-
-    ``"auto"`` (default) routes large ``(B, n, n)`` reductions with small
-    ``d`` through the packed-bit scan of :func:`repro.types.pack_bool_rows`;
-    ``"dense"`` forces the dense/chunked ``np.where`` path; ``"packed"``
-    forces the packed path whenever it is applicable (float values without
-    NaNs).  All implementations are bit-for-bit identical.  The selector is
-    thread-local.
-    """
-    _warn_deprecated_once(
-        "set_masked_reduction_impl",
-        "the masked_reduction_impl(...) context manager or repro.config.EngineConfig "
-        "(note: the selector is thread-local — this call only affects the "
-        "calling thread)",
-    )
-    _apply_masked_reduction_impl(general)
 
 
 def get_masked_reduction_impl() -> str:
@@ -228,7 +163,7 @@ def masked_min(adjacency: np.ndarray, values: np.ndarray) -> np.ndarray:
     values of ``j``'s in-neighbors.  This is the one authoritative masked
     reduction shared by the fast-path algorithms and the convexity validator.
     Large inputs are reduced in blocks (see
-    :func:`set_masked_reduction_chunks`) so peak memory stays bounded by the
+    :func:`masked_reduction_chunks`) so peak memory stays bounded by the
     chunk size instead of the full ``(B, n, n, d)`` dense intermediate.
     """
     lo, _hi = _masked_extremes_pair(adjacency, values, None)

@@ -50,7 +50,12 @@ from repro.config import (
 )
 from repro.core.contraction import fit_trace_rate
 from repro.core.valency import ValencyEstimate, ValencyEstimator
-from repro.exceptions import ConfigError, EnsembleShapeError, ExecutionError
+from repro.exceptions import (
+    ConfigError,
+    EnsembleShapeError,
+    ExecutionError,
+    NonFiniteValueError,
+)
 from repro.execution.batch import (
     AdversarialEnsembleExecution,
     EnsembleExecution,
@@ -346,6 +351,29 @@ class StudyResult:
         )
 
 
+def _check_finite(initial_values) -> None:
+    """Reject NaN/inf initial values, naming the first (scenario, agent, coordinate)."""
+    try:
+        values = np.asarray(initial_values, dtype=float)
+    except (TypeError, ValueError):
+        return  # ragged or non-numeric: the shape checks report it
+    if values.ndim not in (1, 2, 3) or np.isfinite(values).all():
+        return
+    index = [int(i) for i in np.argwhere(~np.isfinite(values))[0]]
+    if values.ndim == 1:
+        index.append(0)
+    scenario = index[0] if values.ndim == 3 else None
+    agent, coordinate = index[-2:]
+    where = "" if scenario is None else f"scenario {scenario}, "
+    raise NonFiniteValueError(
+        f"initial values must be finite: {where}agent {agent}, coordinate "
+        f"{coordinate} is {values[tuple(index[: values.ndim])]}",
+        scenario=scenario,
+        agent=agent,
+        coordinate=coordinate,
+    )
+
+
 class Study:
     """Declarative builder compiling to the batched execution engines.
 
@@ -440,6 +468,7 @@ class Study:
                 record_every=record_every,
                 scenario_labels=scenario_labels,
             )
+        _check_finite(self._spec.initial_values)
         self._algorithm = algorithm
         self._model = model
         if certify is True:

@@ -77,6 +77,40 @@ class ConfigError(ReproError):
     """
 
 
+class NonFiniteValueError(ConfigError):
+    """Raised when a :class:`~repro.api.Study` gets NaN or infinite initial values.
+
+    One non-finite agent would spread to every output within a few rounds,
+    so the facade rejects it at the boundary.
+
+    Attributes
+    ----------
+    scenario / agent / coordinate:
+        Where the first non-finite value sits (``scenario`` is ``None`` for
+        a single-scenario study).  Preserved across process boundaries.
+    """
+
+    def __init__(
+        self, message: str, *, scenario=None, agent=None, coordinate=None
+    ) -> None:
+        super().__init__(message)
+        self.scenario = scenario
+        self.agent = agent
+        self.coordinate = coordinate
+
+    def __reduce__(self):
+        return (
+            _rebuild_non_finite_value_error,
+            (self.args[0], self.scenario, self.agent, self.coordinate),
+        )
+
+
+def _rebuild_non_finite_value_error(message, scenario, agent, coordinate):
+    return NonFiniteValueError(
+        message, scenario=scenario, agent=agent, coordinate=coordinate
+    )
+
+
 class AlgorithmError(ReproError):
     """Raised when an algorithm is configured or driven incorrectly.
 
@@ -296,8 +330,10 @@ class ShardTimeoutError(ServiceError):
     elapsed:
         Seconds the shard had been running when it was killed.
     kind:
-        ``"timeout"`` for a hard per-shard budget, ``"heartbeat"`` for a
-        worker that stopped sending liveness beats.
+        ``"timeout"`` for a hard per-shard budget, ``"lease"`` for a
+        worker whose heartbeats stopped long enough for the job queue to
+        revoke its lease (local ``heartbeat_timeout`` or remote
+        ``lease_timeout``).
     """
 
     def __init__(self, message: str, *, elapsed=None, kind="timeout") -> None:

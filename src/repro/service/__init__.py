@@ -12,6 +12,10 @@ The :class:`~repro.api.Study` facade is declarative — this package makes it
 * :mod:`repro.service.retry` — bounded retries with exponential backoff
   and deterministic jitter, distinguishing transient failures (killed
   worker, timeout) from deterministic ones (fail fast);
+* :mod:`repro.service.queue` — the :class:`~repro.service.queue.JobQueue`
+  core owning every shard job's lifecycle (leases, heartbeats, expiry,
+  retry triage, first-result-wins, result cache, telemetry) for both the
+  local and the remote route;
 * :mod:`repro.service.worker` — the shard worker process entry point,
   with liveness heartbeats and structured error reporting;
 * :mod:`repro.service.orchestrator` — :func:`run_study_service` and
@@ -20,8 +24,8 @@ The :class:`~repro.api.Study` facade is declarative — this package makes it
   merge the results deterministically: the orchestrated result is
   bit-for-bit identical to the single-process run regardless of worker
   count, completion order, or crash/resume cycles;
-* :mod:`repro.service.remote` — the distributed route: an HTTP job-queue
-  server with leases and streamed telemetry, the remote worker agent
+* :mod:`repro.service.remote` — the distributed route: an HTTP server
+  over the same job queue with streamed telemetry, the remote worker agent
   (``python -m repro.service.worker --url ...``), a shared content-keyed
   result cache, and the ``remote=RemoteConfig(...)`` coordinator side of
   :func:`run_study_service`.

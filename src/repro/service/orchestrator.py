@@ -12,9 +12,13 @@ but executes the study as *shard jobs* across a pool of worker processes:
    journal first — a killed orchestrator resumes by re-running only the
    missing shards, and identical shards (within or across studies)
    deduplicate;
-3. workers prove liveness through heartbeats; a worker killed by a signal,
-   or one that exceeds its wall-clock or heartbeat budget, is classified as
-   a *transient* failure and retried with exponential backoff, while
+3. the remaining jobs go through one :class:`~repro.service.queue.JobQueue`
+   — in process, with forked worker processes as the pipe transport, or
+   behind a :class:`~repro.service.remote.server.JobQueueServer` with
+   ``remote=`` — which owns every attempt: workers prove liveness through
+   heartbeats on their lease; a worker killed by a signal, or one that
+   exceeds its wall-clock or heartbeat budget, is classified as a
+   *transient* failure and retried with exponential backoff, while
    deterministic engine failures (:class:`~repro.exceptions.FaultModelError`
    and friends) fail fast on the first attempt;
 4. completed shards are journaled immediately (crash-durable) and streamed
@@ -33,10 +37,11 @@ to the certification sweep's grid rows.
 from __future__ import annotations
 
 import multiprocessing
+import queue as queue_module
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,7 +53,14 @@ from repro.exceptions import (
 )
 from repro.service.checkpoint import CheckpointJournal, content_key
 from repro.service.retry import RetryPolicy
-from repro.service.worker import error_from_descriptor, shard_worker_main
+from repro.service.worker import (
+    describe_error,
+    error_from_descriptor,
+    shard_worker_main,
+)
+
+if TYPE_CHECKING:
+    from repro.service.remote.protocol import JobRecord, LeaseRecord
 
 
 @dataclass(frozen=True)
@@ -109,7 +121,7 @@ class PartialStudyResult:
 
 
 # --------------------------------------------------------------------- #
-# Internal job scheduler
+# The coordinator book and the pipe transport
 # --------------------------------------------------------------------- #
 
 
@@ -117,15 +129,148 @@ class PartialStudyResult:
 class _Job:
     """One content-keyed unit of work (possibly covering several shards)."""
 
-    key: str
-    payload: Dict[str, Any]
+    record: "JobRecord"
+    start: int
+    stop: int
     shards: List[int]
-    attempts: int = 0
-    retry_at: float = 0.0
+
+    @property
+    def key(self) -> str:
+        return self.record.key
 
 
-class _Scheduler:
-    """Dispatch jobs to worker processes; retry, time out, journal, stream."""
+def _make_jobs(entries) -> List[_Job]:
+    """Key ``(kind, body, start, stop)`` shard entries by content.
+
+    Entry ``i`` is shard ``i``; identical bodies fold into one job covering
+    every shard index that shares it.
+    """
+    from repro.service.remote.protocol import JobRecord
+
+    jobs: Dict[str, _Job] = {}
+    for index, (kind, body, start, stop) in enumerate(entries):
+        key = content_key(body)
+        if key in jobs:
+            jobs[key].shards.append(index)
+        else:
+            record = JobRecord(key=key, kind=kind, body=body)
+            jobs[key] = _Job(record=record, start=start, stop=stop, shards=[index])
+    return list(jobs.values())
+
+
+class _ShardBook:
+    """The coordinator's ledger, shared by the pipe and HTTP transports.
+
+    It replays the journal, then settles every other job exactly once from
+    its outcome in the job queue: a completed job is journaled, recorded
+    and streamed to ``on_shard``; a failed one becomes a
+    :class:`ShardFailure`.  A transport implements ``run(on_shard)`` and
+    the ``_fetch_result(key)`` / ``_fetch_error(key)`` readers of its queue.
+    """
+
+    def __init__(
+        self, jobs: List[_Job], *, journal: Optional[CheckpointJournal]
+    ) -> None:
+        self._jobs = {job.key: job for job in jobs}
+        self._journal = journal
+        self._on_shard: Optional[Callable[[ShardRecord], None]] = None
+        self.pending: Dict[str, _Job] = {}
+        self.results: Dict[str, Any] = {}
+        self.records: Dict[str, ShardRecord] = {}
+        self.failures: Dict[str, ShardFailure] = {}
+
+    def _replay(self, on_shard: Optional[Callable[[ShardRecord], None]]) -> None:
+        self._on_shard = on_shard
+        for key, job in self._jobs.items():
+            cached = None if self._journal is None else self._journal.get(key)
+            if cached is None:
+                self.pending[key] = job
+            else:
+                self.results[key] = cached
+                self._record(job, "journal", attempts=0, elapsed=0.0)
+
+    def _record(self, job: _Job, source: str, *, attempts: int, elapsed: float) -> None:
+        record = ShardRecord(
+            shard=job.shards[0],
+            key=job.key,
+            start=job.start,
+            stop=job.stop,
+            attempts=attempts,
+            source=source,
+            elapsed=elapsed,
+        )
+        self.records[job.key] = record
+        if self._on_shard is not None:
+            self._on_shard(record)
+
+    def _settle(
+        self,
+        key: str,
+        status: Optional[str],
+        *,
+        source: str = "worker",
+        attempts: int = 0,
+        elapsed: float = 0.0,
+    ) -> None:
+        """Settle a pending job whose queue status is completed or failed."""
+        job = self.pending.get(key)
+        if job is None or status not in ("completed", "failed"):
+            return
+        del self.pending[key]
+        if status == "failed":
+            descriptor = self._fetch_error(key) or {}
+            error = error_from_descriptor(descriptor)
+            self.failures[key] = ShardFailure(
+                shard=job.shards[0],
+                key=key,
+                attempts=attempts,
+                error=error,
+                error_type=descriptor.get("type", type(error).__name__),
+                message=descriptor.get("message", str(error)),
+                traceback=descriptor.get("traceback"),
+            )
+            return
+        result = self._fetch_result(key)
+        self.results[key] = result
+        if self._journal is not None:
+            self._journal.put(key, result, kind=job.record.kind)
+        self._record(job, source, attempts=attempts, elapsed=elapsed)
+
+    def _observe(self, event) -> None:
+        """Settle a job from one of the queue's telemetry records."""
+        if event.event == "cache-hit":
+            self._settle(event.key, "completed", source="cache")
+        elif event.event in ("completed", "failed"):
+            self._settle(
+                event.key,
+                event.event,
+                attempts=event.attempt or 1,
+                elapsed=event.elapsed or 0.0,
+            )
+
+
+@dataclass
+class _Attempt:
+    """One forked worker process and the lease it holds."""
+
+    lease: "LeaseRecord"
+    process: Any
+    started: float
+
+
+class _Scheduler(_ShardBook):
+    """Pipe transport: one forked shard worker per lease of an in-process queue.
+
+    It leases up to ``workers`` jobs from a
+    :class:`~repro.service.queue.JobQueue`, forks :func:`shard_worker_main`
+    for each lease, forwards the workers' heartbeat/result/error messages to
+    the queue, and kills a worker whose lease was revoked or whose
+    ``shard_timeout`` ran out.  Attempts, heartbeat expiry (the queue's
+    lease timeout is ``heartbeat_timeout``) and retries are the queue's.
+    The worker message queue is the transport's clock: it blocks on the next
+    message, for at most 50 ms while workers run, or until the next retry
+    is due while none do.
+    """
 
     def __init__(
         self,
@@ -133,7 +278,7 @@ class _Scheduler:
         *,
         workers: int,
         journal: Optional[CheckpointJournal],
-        retry: RetryPolicy,
+        retry: Optional[RetryPolicy],
         shard_timeout: Optional[float],
         heartbeat_interval: float,
         heartbeat_timeout: Optional[float],
@@ -142,14 +287,11 @@ class _Scheduler:
     ) -> None:
         if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
             raise ConfigError(f"workers must be a positive int, got {workers!r}")
-        self._jobs = {job.key: job for job in jobs}
-        self._order = [job.key for job in jobs]
+        from repro.service.queue import JobQueue
+
+        super().__init__(jobs, journal=journal)
         self._workers = workers
-        self._journal = journal
-        self._retry = retry
         self._shard_timeout = shard_timeout
-        self._heartbeat_interval = heartbeat_interval
-        self._heartbeat_timeout = heartbeat_timeout
         self._fault_markers = fault_markers or {}
         if start_method is None:
             start_method = (
@@ -158,218 +300,132 @@ class _Scheduler:
                 else "spawn"
             )
         self._context = multiprocessing.get_context(start_method)
-        self.results: Dict[str, Any] = {}
-        self.failures: Dict[str, ShardFailure] = {}
-        self.records: Dict[str, ShardRecord] = {}
-        self._waiting: Dict[str, _Job] = {}
-        self._running: Dict[str, Dict[str, Any]] = {}
-        self._on_shard: Optional[Callable[[ShardRecord], None]] = None
+        self._queue = JobQueue(
+            retry=retry,
+            lease_timeout=heartbeat_timeout,
+            heartbeat_interval=heartbeat_interval,
+        )
 
-    # -- journal replay ------------------------------------------------- #
+    def _fetch_result(self, key: str) -> dict:
+        return self._queue.result(key)
 
-    def _replay_journal(self) -> None:
-        if self._journal is None:
+    def _fetch_error(self, key: str) -> Optional[dict]:
+        return self._queue.error(key)
+
+    def run(self, on_shard: Optional[Callable[[ShardRecord], None]] = None) -> None:
+        self._replay(on_shard)
+        if not self.pending:
             return
-        for key in self._order:
-            cached = self._journal.get(key)
-            if cached is not None:
-                job = self._jobs[key]
-                self.results[key] = cached
-                self.records[key] = ShardRecord(
-                    shard=job.shards[0],
-                    key=key,
-                    start=job.payload["service"]["start"],
-                    stop=job.payload["service"]["stop"],
-                    attempts=0,
-                    source="journal",
-                    elapsed=0.0,
+        queue = self._queue
+        for job in self.pending.values():
+            queue.enqueue(job.record)
+        messages = self._context.Queue()
+        running: Dict[str, _Attempt] = {}
+        seen = 0
+        try:
+            while self.pending:
+                while len(running) < self._workers:
+                    leased = queue.lease("local")
+                    if leased is None:
+                        break
+                    running[leased[0].lease_id] = self._spawn(leased[0], messages)
+                self._drain(
+                    messages, running, 0.05 if running else queue.until_ready() or 0.0
                 )
+                self._police(messages, running)
+                for event in queue.telemetry.since(seen):
+                    seen = event.seq
+                    self._observe(event)
+        finally:
+            for attempt in running.values():
+                if attempt.process.is_alive():
+                    attempt.process.kill()
+                attempt.process.join()
+            messages.close()
+            messages.join_thread()
 
-    # -- worker lifecycle ----------------------------------------------- #
-
-    def _spawn(self, job: _Job, queue) -> Dict[str, Any]:
-        job.attempts += 1
-        payload = dict(job.payload)
-        service = dict(payload["service"])
-        service["attempt"] = job.attempts
-        service["heartbeat_interval"] = self._heartbeat_interval
+    def _spawn(self, lease, messages) -> _Attempt:
+        job = self._jobs[lease.key]
+        service = {
+            "key": job.key,
+            "lease_id": lease.lease_id,
+            "heartbeat_interval": lease.heartbeat_interval,
+        }
         markers = self._fault_markers.get(job.shards[0])
         if markers:
             service["markers"] = markers
-        payload["service"] = service
+        payload = {"kind": job.record.kind, "body": job.record.body, "service": service}
         process = self._context.Process(
-            target=shard_worker_main, args=(payload, queue), daemon=True
+            target=shard_worker_main, args=(payload, messages), daemon=True
         )
         process.start()
-        now = time.monotonic()
-        return {
-            "job": job,
-            "process": process,
-            "attempt": job.attempts,
-            "started": now,
-            "last_beat": now,
-        }
+        return _Attempt(lease, process, time.monotonic())
 
-    def _complete(self, job: _Job, result: Any, elapsed: float) -> None:
-        self.results[job.key] = result
-        if self._journal is not None:
-            self._journal.put(job.key, result, kind=job.payload["kind"])
-        self.records[job.key] = ShardRecord(
-            shard=job.shards[0],
-            key=job.key,
-            start=job.payload["service"]["start"],
-            stop=job.payload["service"]["stop"],
-            attempts=job.attempts,
-            source="worker",
-            elapsed=elapsed,
-        )
+    def _drain(self, messages, running: Dict[str, _Attempt], timeout) -> None:
+        """Forward every queued worker message to the job queue.
 
-    def _fail(self, job: _Job, error: BaseException, trace: Optional[str]) -> None:
-        if self._retry.should_retry(error, job.attempts):
-            delay = self._retry.delay_before(job.attempts + 1, job.key)
-            job.retry_at = time.monotonic() + delay
-            return
-        self.failures[job.key] = ShardFailure(
-            shard=job.shards[0],
-            key=job.key,
-            attempts=job.attempts,
-            error=error,
-            error_type=type(error).__name__,
-            message=str(error),
-            traceback=trace,
-        )
-
-    # -- main loop ------------------------------------------------------ #
-
-    def run(self, on_shard: Optional[Callable[[ShardRecord], None]] = None) -> None:
-        self._replay_journal()
-        if on_shard is not None:
-            for key in self._order:
-                if key in self.records:
-                    on_shard(self.records[key])
-        self._waiting = {
-            key: self._jobs[key]
-            for key in self._order
-            if key not in self.results and key not in self.failures
-        }
-        if not self._waiting:
-            return
-        queue = self._context.Queue()
-        running: Dict[str, Dict[str, Any]] = {}
-        self._running = running
-        self._on_shard = on_shard
-        try:
-            while self._waiting or running:
-                now = time.monotonic()
-                # Launch every ready job for which a worker slot is free.
-                for key in list(self._waiting):
-                    if len(running) >= self._workers:
-                        break
-                    job = self._waiting[key]
-                    if job.retry_at > now:
-                        continue
-                    del self._waiting[key]
-                    running[key] = self._spawn(job, queue)
-                if not running:
-                    # Every remaining job is parked in its retry backoff.
-                    time.sleep(0.01)
-                    continue
-                # Drain every queued message, blocking briefly on the first.
-                self._drain(queue, block=True)
-                now = time.monotonic()
-                for key, info in list(running.items()):
-                    process = info["process"]
-                    if process.exitcode is not None:
-                        # One final drain: the worker may have flushed its
-                        # result between our last drain and its exit.
-                        self._drain(queue, block=False)
-                        if key not in running:
-                            continue
-                        del running[key]
-                        process.join()
-                        job = info["job"]
-                        error = WorkerCrashError(
-                            f"worker for shard {job.shards[0]} "
-                            f"(attempt {job.attempts}) exited with code "
-                            f"{process.exitcode} without reporting a result",
-                            exitcode=process.exitcode,
-                        )
-                        self._fail_or_retry(job, error, None)
-                        continue
-                    timed_out = (
-                        self._shard_timeout is not None
-                        and now - info["started"] > self._shard_timeout
-                    )
-                    hung = (
-                        self._heartbeat_timeout is not None
-                        and now - info["last_beat"] > self._heartbeat_timeout
-                    )
-                    if timed_out or hung:
-                        process.kill()
-                        process.join()
-                        del running[key]
-                        job = info["job"]
-                        kind = "timeout" if timed_out else "heartbeat"
-                        budget = (
-                            self._shard_timeout if timed_out else self._heartbeat_timeout
-                        )
-                        error = ShardTimeoutError(
-                            f"worker for shard {job.shards[0]} "
-                            f"(attempt {job.attempts}) exceeded its "
-                            f"{kind} budget of {budget}s",
-                            elapsed=now - info["started"],
-                            kind=kind,
-                        )
-                        self._fail_or_retry(job, error, None)
-        finally:
-            for info in running.values():
-                if info["process"].is_alive():
-                    info["process"].kill()
-                info["process"].join()
-            queue.close()
-            queue.join_thread()
-
-    def _fail_or_retry(self, job: _Job, error: BaseException, trace) -> None:
-        """Record a terminal failure, or park the job for a delayed retry."""
-        self._fail(job, error, trace)
-        if job.key not in self.failures:
-            self._waiting[job.key] = job
-
-    def _drain(self, queue, *, block: bool) -> None:
-        import queue as queue_module
-
-        running = self._running
-        first = block
+        Blocks up to ``timeout`` seconds for the first message (``None``:
+        does not block).
+        """
         while True:
             try:
-                message = queue.get(timeout=0.05) if first else queue.get_nowait()
+                if timeout is None:
+                    message = messages.get_nowait()
+                else:
+                    message = messages.get(timeout=timeout)
             except queue_module.Empty:
                 return
-            first = False
-            tag, key = message[0], message[1]
-            info = running.get(key)
-            if info is None:
-                continue  # a late message from a killed attempt
+            timeout = None
+            tag, key, lease_id = message[:3]
             if tag == "heartbeat":
-                info["last_beat"] = time.monotonic()
+                self._queue.heartbeat(key, lease_id)
                 continue
-            attempt = message[2]
-            if attempt != info["attempt"]:
-                continue  # stale message from a retried attempt
-            job = info["job"]
-            del running[key]
-            info["process"].join()
+            attempt = running.pop(lease_id, None)
+            if attempt is not None:
+                attempt.process.join()
             if tag == "result":
-                self._complete(job, message[3], time.monotonic() - info["started"])
-                if self._on_shard is not None:
-                    self._on_shard(self.records[job.key])
-            elif tag == "error":
-                descriptor = message[3]
-                self._fail_or_retry(
-                    job,
-                    error_from_descriptor(descriptor),
-                    descriptor.get("traceback"),
+                self._queue.complete(key, lease_id, message[3])
+            else:
+                self._queue.fail(key, lease_id, message[3])
+
+    def _police(self, messages, running: Dict[str, _Attempt]) -> None:
+        """Reap workers that exited silently; kill revoked or overdue ones."""
+        now = time.monotonic()
+        for lease_id, attempt in list(running.items()):
+            process, lease = attempt.process, attempt.lease
+            label = f"worker for shard {self._jobs[lease.key].shards[0]}"
+            if process.exitcode is not None:
+                # One final drain: the worker may have flushed its result
+                # between our last drain and its exit.
+                self._drain(messages, running, None)
+                if lease_id not in running:
+                    continue
+                error = WorkerCrashError(
+                    f"{label} (attempt {lease.attempt}) exited with code "
+                    f"{process.exitcode} without reporting a result",
+                    exitcode=process.exitcode,
                 )
+            elif not self._queue.holds(lease.key, lease_id):
+                # Revoked: its heartbeats stopped, or another attempt's
+                # result already won.  The queue has triaged it.
+                error = None
+            elif (
+                self._shard_timeout is not None
+                and now - attempt.started > self._shard_timeout
+            ):
+                error = ShardTimeoutError(
+                    f"{label} (attempt {lease.attempt}) exceeded its timeout "
+                    f"budget of {self._shard_timeout}s",
+                    elapsed=now - attempt.started,
+                    kind="timeout",
+                )
+            else:
+                continue
+            del running[lease_id]
+            process.kill()  # a no-op once it has exited
+            process.join()
+            if error is not None:
+                self._queue.fail(lease.key, lease_id, describe_error(error))
 
 
 # --------------------------------------------------------------------- #
@@ -393,77 +449,68 @@ def _shard_bounds(batch: int, workers: int, shard_size: Optional[int]) -> List[t
     return [(start, min(start + shard_size, batch)) for start in range(0, batch, shard_size)]
 
 
-def _run_scheduler(
+def _serve(
     jobs: List[_Job],
+    merge,
     *,
-    workers: int,
-    journal: Optional[CheckpointJournal],
-    retry: RetryPolicy,
-    shard_timeout: Optional[float],
-    heartbeat_interval: float,
-    heartbeat_timeout: Optional[float],
-    start_method: Optional[str],
-    fault_markers: Optional[Dict[int, Dict[str, str]]],
-    on_shard: Optional[Callable[[ShardRecord], None]],
-) -> _Scheduler:
-    scheduler = _Scheduler(
-        jobs,
-        workers=workers,
-        journal=journal,
-        retry=retry,
-        shard_timeout=shard_timeout,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        start_method=start_method,
-        fault_markers=fault_markers,
-    )
-    scheduler.run(on_shard)
-    return scheduler
-
-
-def _dispatch(
-    jobs: List[_Job],
-    *,
+    journal,
+    strict: bool,
     remote,
-    workers: int,
-    journal: Optional[CheckpointJournal],
-    retry: Optional[RetryPolicy],
-    shard_timeout: Optional[float],
-    heartbeat_interval: float,
-    heartbeat_timeout: Optional[float],
-    start_method: Optional[str],
     fault_markers: Optional[Dict[int, Dict[str, str]]],
     on_shard: Optional[Callable[[ShardRecord], None]],
+    **pool,
 ):
-    """Route jobs to the local pool or, with ``remote=``, the queue server."""
-    if remote is not None:
-        from repro.service.remote.client import run_remote
-        from repro.service.remote.protocol import as_remote_config
+    """Dispatch ``jobs``, then merge their results or degrade gracefully.
 
-        if fault_markers:
-            raise ConfigError(
-                "_fault_markers drive the local worker pool and cannot be "
-                "combined with remote=; arm the remote worker's --kill-marker "
-                "/ --hang-marker flags instead"
-            )
-        return run_remote(
-            jobs,
-            remote=as_remote_config(remote),
-            journal=journal,
-            on_shard=on_shard,
+    Jobs go to the local pool or, with ``remote=``, the queue server (the
+    ``pool`` knobs are then ignored).  ``merge`` maps the book's
+    ``results`` (by job key) to the merged result.
+    """
+    if remote is not None and fault_markers:
+        raise ConfigError(
+            "_fault_markers drive the local worker pool and cannot be "
+            "combined with remote=; arm the remote worker's --kill-marker "
+            "/ --hang-marker flags instead"
         )
-    return _run_scheduler(
-        jobs,
-        workers=workers,
-        journal=journal,
-        retry=retry if retry is not None else RetryPolicy(),
-        shard_timeout=shard_timeout,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        start_method=start_method,
-        fault_markers=fault_markers,
-        on_shard=on_shard,
-    )
+    opened_journal, owns_journal = _open_journal(journal)
+    try:
+        if remote is None:
+            book = _Scheduler(
+                jobs, journal=opened_journal, fault_markers=fault_markers, **pool
+            )
+            book.run(on_shard)
+        else:
+            from repro.service.remote.client import run_remote
+            from repro.service.remote.protocol import as_remote_config
+
+            book = run_remote(
+                jobs,
+                remote=as_remote_config(remote),
+                journal=opened_journal,
+                on_shard=on_shard,
+            )
+    finally:
+        if owns_journal and opened_journal is not None:
+            opened_journal.close()
+    records, failures = _collect(book, jobs)
+    if failures:
+        if strict:
+            raise failures[0].error
+        return PartialStudyResult(result=None, shards=records, failures=failures)
+    merged = merge(book.results)
+    if strict:
+        return merged
+    return PartialStudyResult(result=merged, shards=records, failures=[])
+
+
+def _by_shard(jobs: List[_Job], results: Dict[str, Any], decode) -> List[Any]:
+    """Decode each job's result once, then expand it to every shard it covers."""
+    by_shard: Dict[int, Any] = {}
+    for job in jobs:
+        decoded = decode(results[job.key])
+        for shard_index in job.shards:
+            by_shard[shard_index] = decoded
+    return [by_shard[index] for index in sorted(by_shard)]
 
 
 def run_study_service(
@@ -519,7 +566,10 @@ def run_study_service(
         :class:`PartialStudyResult`.
     ``shard_timeout`` / ``heartbeat_interval`` / ``heartbeat_timeout``
         Per-attempt wall-clock budget and worker-liveness policing; a shard
-        that exceeds either is killed and classified transient.
+        that exceeds either is killed and classified transient
+        (:class:`~repro.exceptions.ShardTimeoutError` of kind ``"timeout"``
+        or, once the job queue revokes the silent worker's lease,
+        ``"lease"``).
     ``on_shard``
         Streaming callback, invoked with each completed
         :class:`ShardRecord` as soon as the shard's result is journaled.
@@ -544,7 +594,7 @@ def run_study_service(
     result.  Size ``workers * threads`` to the machine's core count to avoid
     oversubscription.
     """
-    from repro.api import Study
+    from repro.api import Study, StudyResult
     from repro.config import EngineConfig, current_engine_config
     from repro.faults import as_fault_plan
     from repro.service.serialization import (
@@ -593,10 +643,8 @@ def run_study_service(
         batch = int(np.asarray(spec.initial_values, dtype=float).shape[0])
         bounds = _shard_bounds(batch, workers, shard_size)
 
-    jobs: List[_Job] = []
-    jobs_by_key: Dict[str, _Job] = {}
-    for index, (start, stop) in enumerate(bounds):
-        shard_spec = _slice_scenario(spec, start, stop)
+    entries = []
+    for start, stop in bounds:
         shard_plan = resolved_plan
         if shard_plan is not None and spec.is_ensemble():
             shard_plan = replace(
@@ -605,62 +653,33 @@ def run_study_service(
         body = {
             "kind": "study_shard",
             "algorithm": algorithm_payload,
-            "scenario": encode_scenario_spec(shard_spec),
+            "scenario": encode_scenario_spec(_slice_scenario(spec, start, stop)),
             "model": model_payload,
             "certify": certify_payload,
             "faults": None if shard_plan is None else shard_plan.to_dict(),
             "config": config_payload,
         }
-        key = content_key(body)
-        existing = jobs_by_key.get(key)
-        if existing is not None:
-            existing.shards.append(index)
-            continue
-        job = _Job(
-            key=key,
-            payload={
-                "kind": "study_shard",
-                "body": body,
-                "service": {"key": key, "start": start, "stop": stop},
-            },
-            shards=[index],
-        )
-        jobs.append(job)
-        jobs_by_key[key] = job
-
-    opened_journal, owns_journal = _open_journal(journal)
-    try:
-        scheduler = _dispatch(
-            jobs,
-            remote=remote,
-            workers=workers,
-            journal=opened_journal,
-            retry=retry,
-            shard_timeout=shard_timeout,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            start_method=start_method,
-            fault_markers=_fault_markers,
-            on_shard=on_shard,
-        )
-    finally:
-        if owns_journal and opened_journal is not None:
-            opened_journal.close()
-
-    records, failures = _collect(scheduler, jobs, jobs_by_key)
-    if failures:
-        if strict:
-            raise failures[0].error
-        return PartialStudyResult(result=None, shards=records, failures=failures)
-    merged = _merge_study_shards(
-        [scheduler.results[job.key] for job in jobs],
+        entries.append(("study_shard", body, start, stop))
+    jobs = _make_jobs(entries)
+    return _serve(
         jobs,
-        resolved_plan,
-        ensemble=spec.is_ensemble(),
+        lambda results: _merge_study_shards(
+            _by_shard(jobs, results, StudyResult.from_dict),
+            resolved_plan,
+            ensemble=spec.is_ensemble(),
+        ),
+        journal=journal,
+        strict=strict,
+        remote=remote,
+        workers=workers,
+        retry=retry,
+        shard_timeout=shard_timeout,
+        heartbeat_interval=heartbeat_interval,
+        heartbeat_timeout=heartbeat_timeout,
+        start_method=start_method,
+        fault_markers=_fault_markers,
+        on_shard=on_shard,
     )
-    if strict:
-        return merged
-    return PartialStudyResult(result=merged, shards=records, failures=[])
 
 
 def _slice_scenario(spec, start: int, stop: int):
@@ -701,13 +720,13 @@ def _is_shared_round(entry) -> bool:
     return isinstance(entry, CommunicationGraph)
 
 
-def _collect(scheduler: _Scheduler, jobs, jobs_by_key):
+def _collect(book: _ShardBook, jobs: List[_Job]):
     """Per-shard records/failures in scenario order from the job-level maps."""
     records: List[ShardRecord] = []
     failures: List[ShardFailure] = []
     for job in jobs:
-        record = scheduler.records.get(job.key)
-        failure = scheduler.failures.get(job.key)
+        record = book.records.get(job.key)
+        failure = book.failures.get(job.key)
         for shard_index in job.shards:
             if record is not None:
                 source = record.source if shard_index == job.shards[0] else "journal"
@@ -719,18 +738,11 @@ def _collect(scheduler: _Scheduler, jobs, jobs_by_key):
     return records, failures
 
 
-def _merge_study_shards(result_payloads, jobs, resolved_plan, *, ensemble: bool):
-    """Decode journaled shard payloads and merge them in scenario order."""
+def _merge_study_shards(ordered, resolved_plan, *, ensemble: bool):
+    """Merge decoded shard results (in scenario order) into one result."""
     from repro.api import StudyResult
     from repro.execution.batch import merge_ensemble_executions
 
-    # Expand deduplicated jobs back to one decoded result per shard index.
-    by_shard: Dict[int, Any] = {}
-    for job, payload in zip(jobs, result_payloads):
-        decoded = StudyResult.from_dict(payload)
-        for shard_index in job.shards:
-            by_shard[shard_index] = decoded
-    ordered = [by_shard[index] for index in sorted(by_shard)]
     if not ensemble:
         if len(ordered) != 1:
             raise ServiceError(
@@ -806,60 +818,30 @@ def run_certification_sweep_service(
         )
     config_payload = merged_config.to_dict()
 
-    jobs: List[_Job] = []
-    jobs_by_key: Dict[str, _Job] = {}
-    for index, descriptor in enumerate(descriptors):
-        body = {"kind": "sweep_row", "row": descriptor, "config": config_payload}
-        key = content_key(body)
-        existing = jobs_by_key.get(key)
-        if existing is not None:
-            existing.shards.append(index)
-            continue
-        job = _Job(
-            key=key,
-            payload={
-                "kind": "sweep_row",
-                "body": body,
-                "service": {"key": key, "start": index, "stop": index + 1},
-            },
-            shards=[index],
+    jobs = _make_jobs(
+        (
+            "sweep_row",
+            {"kind": "sweep_row", "row": descriptor, "config": config_payload},
+            index,
+            index + 1,
         )
-        jobs.append(job)
-        jobs_by_key[key] = job
-
-    opened_journal, owns_journal = _open_journal(journal)
-    try:
-        scheduler = _dispatch(
-            jobs,
-            remote=remote,
-            workers=workers,
-            journal=opened_journal,
-            retry=retry,
-            shard_timeout=shard_timeout,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            start_method=start_method,
-            fault_markers=_fault_markers,
-            on_shard=on_shard,
-        )
-    finally:
-        if owns_journal and opened_journal is not None:
-            opened_journal.close()
-
-    records, failures = _collect(scheduler, jobs, jobs_by_key)
-    if failures:
-        if strict:
-            raise failures[0].error
-        return PartialStudyResult(result=None, shards=records, failures=failures)
-    by_row: Dict[int, Any] = {}
-    for job in jobs:
-        row = scheduler.results[job.key]["row"]
-        for shard_index in job.shards:
-            by_row[shard_index] = row
-    rows = [by_row[index] for index in sorted(by_row)]
-    if strict:
-        return rows
-    return PartialStudyResult(result=rows, shards=records, failures=[])
+        for index, descriptor in enumerate(descriptors)
+    )
+    return _serve(
+        jobs,
+        lambda results: _by_shard(jobs, results, lambda payload: payload["row"]),
+        journal=journal,
+        strict=strict,
+        remote=remote,
+        workers=workers,
+        retry=retry,
+        shard_timeout=shard_timeout,
+        heartbeat_interval=heartbeat_interval,
+        heartbeat_timeout=heartbeat_timeout,
+        start_method=start_method,
+        fault_markers=_fault_markers,
+        on_shard=on_shard,
+    )
 
 
 __all__ = [

@@ -3,10 +3,10 @@
 The remote layer distributes the crash-safe orchestrator across machines
 with nothing but the standard library:
 
-* :class:`~repro.service.remote.server.JobQueueServer` — a threaded HTTP
-  job queue (enqueue / lease / heartbeat / complete / fail) with lease
-  expiry, :class:`~repro.service.retry.RetryPolicy` triage, an SSE
-  telemetry stream, and a shared content-keyed result cache
+* :class:`~repro.service.remote.server.JobQueueServer` — the HTTP
+  transport of the :class:`~repro.service.queue.JobQueue` core (enqueue /
+  lease / heartbeat / complete / fail, one queue call per endpoint) plus
+  an SSE telemetry stream, with a shared content-keyed result cache
   (:class:`~repro.service.remote.cache.ResultCache`) in front of the
   checkpoint journal;
 * :func:`~repro.service.remote.worker.run_worker` — the worker agent

@@ -1,12 +1,14 @@
 """Coordinator-side dispatch of shard jobs to a remote queue server.
 
-:class:`RemoteDispatch` is the drop-in counterpart of the orchestrator's
-in-process ``_Scheduler``: it takes the same content-keyed job list, fills
-the same ``results`` / ``records`` / ``failures`` maps, and streams the
-same :class:`~repro.service.orchestrator.ShardRecord` objects through
-``on_shard`` — so ``run_study_service(remote=...)`` reuses journal replay,
-``_collect`` and ``merge_ensemble_executions`` unchanged, and the merged
-result stays bit-for-bit identical to the single-process run.
+:class:`RemoteDispatch` is the HTTP counterpart of the orchestrator's local
+pipe transport: both are the same coordinator book
+(``repro.service.orchestrator._ShardBook`` — journal replay, the
+``results`` / ``records`` / ``failures`` maps and the ``on_shard`` stream)
+over a :class:`~repro.service.queue.JobQueue`, here the one behind a
+:class:`~repro.service.remote.server.JobQueueServer`.  So
+``run_study_service(remote=...)`` reuses ``_collect`` and
+``merge_ensemble_executions`` unchanged, and the merged result stays
+bit-for-bit identical to the single-process run.
 
 The dispatch is event-driven with a polling safety net: a daemon thread
 subscribes to the server's SSE telemetry stream (``/events?after=seq``,
@@ -26,24 +28,19 @@ import socket
 import threading
 import time
 import urllib.request
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.exceptions import RemoteServiceError
 from repro.service.checkpoint import CheckpointJournal
-from repro.service.remote.protocol import (
-    JobRecord,
-    RemoteConfig,
-    TelemetryRecord,
-    http_json,
-)
+from repro.service.orchestrator import _ShardBook
+from repro.service.remote.protocol import RemoteConfig, TelemetryRecord, http_json
 from repro.service.remote.telemetry import iter_sse_events
-from repro.service.worker import error_from_descriptor
 
 _SSE_CLOSED = object()
 
 
-class RemoteDispatch:
-    """Run a job list against a remote queue server; mirror ``_Scheduler``."""
+class RemoteDispatch(_ShardBook):
+    """Run a job list against a remote queue server (the HTTP transport)."""
 
     def __init__(
         self,
@@ -52,71 +49,10 @@ class RemoteDispatch:
         remote: RemoteConfig,
         journal: Optional[CheckpointJournal],
     ) -> None:
-        self._jobs = list(jobs)
+        super().__init__(jobs, journal=journal)
         self._remote = remote
-        self._journal = journal
-        self.results: Dict[str, Any] = {}
-        self.failures: Dict[str, Any] = {}
-        self.records: Dict[str, Any] = {}
         self._events: "queue_module.Queue" = queue_module.Queue()
         self._sse_response = None
-        self._on_shard: Optional[Callable[[Any], None]] = None
-
-    # ------------------------------------------------------------------ #
-    # Book-keeping shared with the local scheduler
-    # ------------------------------------------------------------------ #
-
-    def _record(self, job, *, source: str, attempts: int, elapsed: float):
-        from repro.service.orchestrator import ShardRecord
-
-        record = ShardRecord(
-            shard=job.shards[0],
-            key=job.key,
-            start=job.payload["service"]["start"],
-            stop=job.payload["service"]["stop"],
-            attempts=attempts,
-            source=source,
-            elapsed=elapsed,
-        )
-        self.records[job.key] = record
-        return record
-
-    def _replay_journal(self) -> None:
-        if self._journal is None:
-            return
-        for job in self._jobs:
-            cached = self._journal.get(job.key)
-            if cached is None:
-                continue
-            self.results[job.key] = cached
-            record = self._record(job, source="journal", attempts=0, elapsed=0.0)
-            if self._on_shard is not None:
-                self._on_shard(record)
-
-    def _finish(
-        self, job, payload: dict, *, source: str, attempts: int, elapsed: float
-    ) -> None:
-        self.results[job.key] = payload
-        if self._journal is not None:
-            self._journal.put(job.key, payload, kind=job.payload["kind"])
-        record = self._record(job, source=source, attempts=attempts, elapsed=elapsed)
-        if self._on_shard is not None:
-            self._on_shard(record)
-
-    def _fail(self, job, descriptor: Optional[dict], attempts: int) -> None:
-        from repro.service.orchestrator import ShardFailure
-
-        descriptor = descriptor or {}
-        error = error_from_descriptor(descriptor)
-        self.failures[job.key] = ShardFailure(
-            shard=job.shards[0],
-            key=job.key,
-            attempts=attempts,
-            error=error,
-            error_type=descriptor.get("type", type(error).__name__),
-            message=descriptor.get("message", str(error)),
-            traceback=descriptor.get("traceback"),
-        )
 
     # ------------------------------------------------------------------ #
     # Server round-trips
@@ -129,18 +65,19 @@ class RemoteDispatch:
             timeout=self._remote.request_timeout,
         )
 
-    def _fetch_result(self, job, *, source: str, attempts: int, elapsed: float) -> None:
-        answer = self._call(f"/result?key={job.key}")
-        payload = answer.get("result")
+    def _fetch_result(self, key: str) -> dict:
+        payload = self._call(f"/result?key={key}").get("result")
         if payload is None:
             raise RemoteServiceError(
-                f"server reported job {job.key[:12]} completed but has no result"
+                f"server reported job {key[:12]} completed but has no result"
             )
-        self._finish(job, payload, source=source, attempts=attempts, elapsed=elapsed)
+        return payload
 
-    def _fetch_error(self, job, attempts: int) -> None:
-        answer = self._call(f"/error?key={job.key}")
-        self._fail(job, answer.get("error"), attempts)
+    def _fetch_error(self, key: str) -> Optional[dict]:
+        return self._call(f"/error?key={key}").get("error")
+
+    def _enqueue(self, job) -> Optional[str]:
+        return self._call("/enqueue", job.record.to_dict()).get("status")
 
     # ------------------------------------------------------------------ #
     # Telemetry subscription
@@ -192,110 +129,60 @@ class RemoteDispatch:
     # ------------------------------------------------------------------ #
 
     def run(self, on_shard: Optional[Callable[[Any], None]] = None) -> None:
-        self._on_shard = on_shard
-        self._replay_journal()
-        pending: Dict[str, Any] = {
-            job.key: job
-            for job in self._jobs
-            if job.key not in self.results and job.key not in self.failures
-        }
-        if not pending:
+        self._replay(on_shard)
+        if not self.pending:
             return
         # Sample the telemetry cursor BEFORE enqueueing: every event about
         # our jobs lands strictly after it, so the stream cannot miss one.
         seq0 = int(self._call("/status").get("telemetry_seq", 0))
         self._subscribe(seq0)
         try:
-            for job in list(pending.values()):
-                record = JobRecord(
-                    key=job.key, kind=job.payload["kind"], body=job.payload["body"]
-                )
-                answer = self._call("/enqueue", record.to_dict())
-                status = answer.get("status")
+            for job in list(self.pending.values()):
+                # Cached, or enqueued by an earlier run (or another study)
+                # and already settled there.
+                status = self._enqueue(job)
                 if status == "cached":
-                    self._fetch_result(job, source="cache", attempts=0, elapsed=0.0)
-                    del pending[job.key]
-                elif status == "completed":
-                    # Enqueued by an earlier run (or another study) and done.
-                    self._fetch_result(job, source="cache", attempts=0, elapsed=0.0)
-                    del pending[job.key]
-                elif status == "failed":
-                    self._fetch_error(job, attempts=0)
-                    del pending[job.key]
+                    status = "completed"
+                self._settle(job.key, status, source="cache")
             deadline = (
                 None
                 if self._remote.job_timeout is None
                 else time.monotonic() + self._remote.job_timeout
             )
-            last_poll = time.monotonic()
-            while pending:
+            while self.pending:
                 if deadline is not None and time.monotonic() > deadline:
                     raise RemoteServiceError(
                         f"remote dispatch exceeded job_timeout="
-                        f"{self._remote.job_timeout}s with {len(pending)} "
+                        f"{self._remote.job_timeout}s with {len(self.pending)} "
                         f"job(s) still pending (are any workers running?)"
                     )
                 try:
                     event = self._events.get(timeout=self._remote.poll_interval)
                 except queue_module.Empty:
-                    event = None
-                if event is not None and event is not _SSE_CLOSED:
-                    self._handle_event(event, pending)
+                    event = _SSE_CLOSED
+                if event is _SSE_CLOSED:
+                    # Stream quiet for a poll interval (or gone): poll the
+                    # pending keys directly.
+                    self._poll_pending()
                     continue
-                # Stream quiet (or gone): poll the pending keys directly.
-                now = time.monotonic()
-                if event is _SSE_CLOSED or now - last_poll >= self._remote.poll_interval:
-                    last_poll = now
-                    self._poll_pending(pending)
-                    if event is _SSE_CLOSED:
-                        time.sleep(self._remote.poll_interval)
+                try:
+                    record = TelemetryRecord.from_dict(event)
+                except Exception:
+                    continue  # not a telemetry record; ignore
+                self._observe(record)
         finally:
             self._close_stream()
 
-    def _handle_event(self, payload: dict, pending: Dict[str, Any]) -> None:
-        try:
-            event = TelemetryRecord.from_dict(payload)
-        except Exception:
-            return  # not a telemetry record; ignore
-        job = pending.get(event.key)
-        if job is None:
-            return
-        if event.event == "completed":
-            self._fetch_result(
-                job,
-                source="worker",
-                attempts=event.attempt if event.attempt is not None else 1,
-                elapsed=event.elapsed if event.elapsed is not None else 0.0,
-            )
-            del pending[event.key]
-        elif event.event == "failed":
-            self._fetch_error(
-                job, attempts=event.attempt if event.attempt is not None else 1
-            )
-            del pending[event.key]
-        elif event.event == "cache-hit":
-            self._fetch_result(job, source="cache", attempts=0, elapsed=0.0)
-            del pending[event.key]
-
-    def _poll_pending(self, pending: Dict[str, Any]) -> None:
-        for key, job in list(pending.items()):
+    def _poll_pending(self) -> None:
+        for key, job in list(self.pending.items()):
             answer = self._call(f"/job?key={key}")
             status = answer.get("status")
-            attempts = int(answer.get("attempts") or 0)
-            if status == "completed":
-                self._fetch_result(
-                    job, source="worker", attempts=max(attempts, 1), elapsed=0.0
-                )
-                del pending[key]
-            elif status == "failed":
-                self._fetch_error(job, attempts=max(attempts, 1))
-                del pending[key]
-            elif status is None:
+            if status is None:
                 # The server forgot the job (restarted queue): re-enqueue.
-                record = JobRecord(
-                    key=job.key, kind=job.payload["kind"], body=job.payload["body"]
-                )
-                self._call("/enqueue", record.to_dict())
+                self._enqueue(job)
+            else:
+                attempts = max(int(answer.get("attempts") or 0), 1)
+                self._settle(key, status, attempts=attempts)
 
 
 def run_remote(
@@ -305,7 +192,7 @@ def run_remote(
     journal: Optional[CheckpointJournal],
     on_shard: Optional[Callable[[Any], None]],
 ) -> RemoteDispatch:
-    """Dispatch ``jobs`` remotely and return the filled scheduler-alike."""
+    """Dispatch ``jobs`` remotely and return the filled book."""
     dispatch = RemoteDispatch(jobs, remote=remote, journal=journal)
     dispatch.run(on_shard)
     return dispatch

@@ -32,8 +32,8 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, ClassVar, Dict, Optional
 
 from repro.exceptions import ConfigError, RemoteServiceError
 from repro.service.serialization import _check_header
@@ -54,33 +54,49 @@ TELEMETRY_EVENTS = (
 )
 
 
-@dataclass(frozen=True)
-class JobRecord:
-    """One content-keyed job as it travels to (and from) the queue server."""
+class _WireRecord:
+    """The codec every wire record shares.
 
-    key: str
-    kind: str
-    body: Dict[str, Any]
+    ``to_dict`` writes the ``__type__``/``version`` headers, then the
+    dataclass fields in declaration order; ``from_dict`` checks the headers
+    and requires every field without a default.
+    """
+
+    TYPE: ClassVar[str]
 
     def to_dict(self) -> dict:
-        return {
-            "__type__": JOB_TYPE,
-            "version": 1,
-            "key": self.key,
-            "kind": self.kind,
-            "body": self.body,
-        }
+        payload = {"__type__": self.TYPE, "version": 1}
+        for field in fields(self):
+            payload[field.name] = getattr(self, field.name)
+        return payload
 
-    @staticmethod
-    def from_dict(payload: dict) -> "JobRecord":
-        _check_header(payload, JOB_TYPE)
-        return JobRecord(
-            key=payload["key"], kind=payload["kind"], body=payload["body"]
+    @classmethod
+    def from_dict(cls, payload: dict):
+        _check_header(payload, cls.TYPE)
+        return cls(
+            **{
+                field.name: (
+                    payload[field.name]
+                    if field.default is MISSING
+                    else payload.get(field.name, field.default)
+                )
+                for field in fields(cls)
+            }
         )
 
 
 @dataclass(frozen=True)
-class LeaseRecord:
+class JobRecord(_WireRecord):
+    """One content-keyed job as it travels to (and from) the queue server."""
+
+    TYPE: ClassVar[str] = JOB_TYPE
+    key: str
+    kind: str
+    body: Dict[str, Any]
+
+
+@dataclass(frozen=True)
+class LeaseRecord(_WireRecord):
     """A worker's bounded claim on one job.
 
     ``lease_id`` authenticates heartbeats and completions for this attempt;
@@ -89,6 +105,7 @@ class LeaseRecord:
     :func:`~repro.service.retry.is_transient_failure` semantics).
     """
 
+    TYPE: ClassVar[str] = LEASE_TYPE
     key: str
     lease_id: str
     worker: str
@@ -96,35 +113,12 @@ class LeaseRecord:
     heartbeat_interval: float
     expires_in: float
 
-    def to_dict(self) -> dict:
-        return {
-            "__type__": LEASE_TYPE,
-            "version": 1,
-            "key": self.key,
-            "lease_id": self.lease_id,
-            "worker": self.worker,
-            "attempt": self.attempt,
-            "heartbeat_interval": self.heartbeat_interval,
-            "expires_in": self.expires_in,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "LeaseRecord":
-        _check_header(payload, LEASE_TYPE)
-        return LeaseRecord(
-            key=payload["key"],
-            lease_id=payload["lease_id"],
-            worker=payload["worker"],
-            attempt=payload["attempt"],
-            heartbeat_interval=payload["heartbeat_interval"],
-            expires_in=payload["expires_in"],
-        )
-
 
 @dataclass(frozen=True)
-class TelemetryRecord:
+class TelemetryRecord(_WireRecord):
     """One shard lifecycle event in the server's telemetry stream."""
 
+    TYPE: ClassVar[str] = TELEMETRY_TYPE
     seq: int
     event: str
     key: str
@@ -136,62 +130,15 @@ class TelemetryRecord:
     message: Optional[str] = None
     timestamp: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "__type__": TELEMETRY_TYPE,
-            "version": 1,
-            "seq": self.seq,
-            "event": self.event,
-            "key": self.key,
-            "kind": self.kind,
-            "worker": self.worker,
-            "attempt": self.attempt,
-            "elapsed": self.elapsed,
-            "error_type": self.error_type,
-            "message": self.message,
-            "timestamp": self.timestamp,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "TelemetryRecord":
-        _check_header(payload, TELEMETRY_TYPE)
-        return TelemetryRecord(
-            seq=payload["seq"],
-            event=payload["event"],
-            key=payload["key"],
-            kind=payload.get("kind"),
-            worker=payload.get("worker"),
-            attempt=payload.get("attempt"),
-            elapsed=payload.get("elapsed"),
-            error_type=payload.get("error_type"),
-            message=payload.get("message"),
-            timestamp=payload.get("timestamp"),
-        )
-
 
 @dataclass(frozen=True)
-class CacheHitRecord:
+class CacheHitRecord(_WireRecord):
     """The server's answer when an enqueued job is already in the cache."""
 
+    TYPE: ClassVar[str] = CACHE_HIT_TYPE
     key: str
     kind: str
     source: str  # "memory" or "journal"
-
-    def to_dict(self) -> dict:
-        return {
-            "__type__": CACHE_HIT_TYPE,
-            "version": 1,
-            "key": self.key,
-            "kind": self.kind,
-            "source": self.source,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "CacheHitRecord":
-        _check_header(payload, CACHE_HIT_TYPE)
-        return CacheHitRecord(
-            key=payload["key"], kind=payload["kind"], source=payload["source"]
-        )
 
 
 @dataclass(frozen=True)

@@ -27,57 +27,38 @@ Endpoints (JSON bodies unless noted):
                        (or ``Last-Event-ID``) replays missed records first
 =====================  ======================================================
 
-Failure semantics reuse the local orchestrator's triage verbatim: a lease
-that expires without heartbeats is a :class:`~repro.exceptions.ShardTimeoutError`
-(kind ``"lease"``) — *transient*, so the job is re-queued with the policy's
-deterministic backoff and a ``retried`` telemetry record — while a worker
-that reports a deterministic :class:`~repro.exceptions.ReproError` fails
-the job fast.  Completions are accepted first-writer-wins even from an
-expired lease: results are content-keyed and deterministic, so a late
-result is the *same* result.
+The server owns no lifecycle logic of its own: each endpoint is one call
+on a :class:`~repro.service.queue.JobQueue`, the same core the local pipe
+transport drives.  Lease expiry, :class:`~repro.service.retry.RetryPolicy`
+triage (an expired lease is a transient
+:class:`~repro.exceptions.ShardTimeoutError` of kind ``"lease"``; a worker
+reporting a deterministic :class:`~repro.exceptions.ReproError` fails the
+job fast), first-result-wins completion, the result cache and telemetry all
+live there.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import secrets
 import threading
 import time
-from dataclasses import dataclass, field
+from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Callable, Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.exceptions import ShardTimeoutError
 from repro.service.checkpoint import content_key
-from repro.service.remote.cache import ResultCache
-from repro.service.remote.protocol import CacheHitRecord, JobRecord, LeaseRecord
-from repro.service.remote.telemetry import TelemetryLog, sse_encode
+from repro.service.queue import JobQueue
+from repro.service.remote.protocol import JobRecord
+from repro.service.remote.telemetry import sse_encode
 from repro.service.retry import RetryPolicy
-from repro.service.worker import describe_error, error_from_descriptor
 
 _KEEPALIVE = b": keep-alive\n\n"
 
 
-@dataclass
-class _JobState:
-    """Server-side lifecycle of one enqueued job."""
-
-    record: JobRecord
-    order: int
-    status: str = "pending"  # pending | leased | completed | failed
-    attempts: int = 0
-    ready_at: float = 0.0
-    lease_id: Optional[str] = None
-    worker: Optional[str] = None
-    leased_at: float = 0.0
-    lease_expires: float = 0.0
-    error: Optional[Dict[str, Any]] = field(default=None)
-
-
 class JobQueueServer:
-    """A threaded HTTP job queue with leases, retries, telemetry and a cache.
+    """A threaded HTTP transport over one :class:`~repro.service.queue.JobQueue`.
 
     Parameters
     ----------
@@ -107,14 +88,14 @@ class JobQueueServer:
         lease_timeout: float = 30.0,
         heartbeat_interval: float = 0.2,
     ) -> None:
-        self.cache = cache if isinstance(cache, ResultCache) else ResultCache(cache)
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.lease_timeout = float(lease_timeout)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.telemetry = TelemetryLog()
-        self._jobs: Dict[str, _JobState] = {}
-        self._order = 0
-        self._lock = threading.Lock()
+        self.queue = JobQueue(
+            retry=retry,
+            cache=cache,
+            lease_timeout=float(lease_timeout),
+            heartbeat_interval=heartbeat_interval,
+        )
+        self.cache = self.queue.cache
+        self.telemetry = self.queue.telemetry
         self._running = False
         self._thread: Optional[threading.Thread] = None
 
@@ -143,53 +124,36 @@ class JobQueueServer:
                     return {}
                 return payload if isinstance(payload, dict) else {}
 
-            def do_POST(self) -> None:
-                path = urlparse(self.path).path
-                handler = {
-                    "/enqueue": server._handle_enqueue,
-                    "/lease": server._handle_lease,
-                    "/heartbeat": server._handle_heartbeat,
-                    "/complete": server._handle_complete,
-                    "/fail": server._handle_fail,
-                }.get(path)
-                if handler is None:
-                    self._json({"error": f"unknown endpoint {path}"}, status=404)
-                    return
-                try:
-                    payload = self._read_body()
-                    result, status = handler(payload)
-                except Exception as exc:  # surface, don't kill the thread
-                    self._json({"error": f"{type(exc).__name__}: {exc}"}, status=500)
-                    return
-                self._json(result, status=status)
-
-            def do_GET(self) -> None:
+            def _route(self, method: str) -> None:
                 parsed = urlparse(self.path)
-                if parsed.path == "/events":
-                    self._stream_events(parse_qs(parsed.query))
+                query = {k: v[0] for k, v in parse_qs(parsed.query).items()}
+                if method == "GET" and parsed.path == "/events":
+                    self._stream_events(query)
                     return
-                handler = {
-                    "/result": server._handle_result,
-                    "/error": server._handle_error,
-                    "/job": server._handle_job,
-                    "/status": server._handle_status,
-                }.get(parsed.path)
-                if handler is None:
+                route = server._routes.get((method, parsed.path))
+                if route is None:
                     self._json({"error": f"unknown endpoint {parsed.path}"}, status=404)
                     return
+                request = self._read_body() if method == "POST" else query
                 try:
-                    result, status = handler(parse_qs(parsed.query))
-                except Exception as exc:
-                    self._json({"error": f"{type(exc).__name__}: {exc}"}, status=500)
-                    return
-                self._json(result, status=status)
+                    answer, status = route(request), 200
+                except _BadRequest as exc:
+                    answer, status = exc.args[0], 400
+                except Exception as exc:  # surface, don't kill the thread
+                    answer, status = {"error": f"{type(exc).__name__}: {exc}"}, 500
+                if answer is None:
+                    key = request.get("key")
+                    answer, status = {"ok": False, "error": f"unknown job {key!r}"}, 404
+                self._json(answer, status=status)
 
-            def _stream_events(self, query: Dict[str, List[str]]) -> None:
-                after = 0
-                if "after" in query:
-                    after = int(query["after"][0])
-                elif self.headers.get("Last-Event-ID"):
-                    after = int(self.headers["Last-Event-ID"])
+            def do_POST(self) -> None:
+                self._route("POST")
+
+            def do_GET(self) -> None:
+                self._route("GET")
+
+            def _stream_events(self, query: Dict[str, str]) -> None:
+                after = int(query.get("after") or self.headers.get("Last-Event-ID") or 0)
                 self.send_response(200)
                 self.send_header("Content-Type", "text/event-stream")
                 self.send_header("Cache-Control", "no-cache")
@@ -200,7 +164,7 @@ class JobQueueServer:
                         records = server.telemetry.wait(after, timeout=0.5)
                         # The stream doubles as the server's clock: expire
                         # leases even when no worker is polling /lease.
-                        server._expire_leases()
+                        server.queue.expire()
                         if not records:
                             idle_loops += 1
                             if idle_loops >= 10:
@@ -257,239 +221,60 @@ class JobQueueServer:
         return False
 
     # ------------------------------------------------------------------ #
-    # Lease expiry: the transient path of the retry policy
+    # Endpoints: one queue call each.  A route maps the request (POST body
+    # or GET query) to its JSON answer; ``None`` answers 404 (unknown job).
     # ------------------------------------------------------------------ #
 
-    def _expire_leases(self) -> None:
-        now = time.monotonic()
-        with self._lock:
-            for job in self._jobs.values():
-                if job.status != "leased" or now <= job.lease_expires:
-                    continue
-                error = ShardTimeoutError(
-                    f"lease {job.lease_id} on job {job.record.key[:12]} "
-                    f"(worker {job.worker}, attempt {job.attempts}) expired "
-                    f"after {self.lease_timeout}s without a heartbeat",
-                    elapsed=now - job.leased_at,
-                    kind="lease",
-                )
-                worker = job.worker
-                job.lease_id = None
-                job.worker = None
-                if self.retry.should_retry(error, job.attempts):
-                    job.status = "pending"
-                    job.ready_at = now + self.retry.delay_before(
-                        job.attempts + 1, job.record.key
-                    )
-                    self.telemetry.append(
-                        "retried",
-                        job.record.key,
-                        kind=job.record.kind,
-                        worker=worker,
-                        attempt=job.attempts,
-                        error_type="ShardTimeoutError",
-                        message=str(error),
-                    )
-                else:
-                    job.status = "failed"
-                    job.error = describe_error(error)
-                    self.telemetry.append(
-                        "failed",
-                        job.record.key,
-                        kind=job.record.kind,
-                        worker=worker,
-                        attempt=job.attempts,
-                        error_type="ShardTimeoutError",
-                        message=str(error),
-                    )
-
-    # ------------------------------------------------------------------ #
-    # Endpoint implementations (each returns (payload, http status))
-    # ------------------------------------------------------------------ #
-
-    def _handle_enqueue(self, payload: dict):
-        record = JobRecord.from_dict(payload)
-        if content_key(record.body) != record.key:
-            return (
-                {"error": "job key does not hash its body", "key": record.key},
-                400,
-            )
-        cached, layer = self.cache.lookup(record.key)
-        with self._lock:
-            existing = self._jobs.get(record.key)
-            if existing is not None:
-                return {"status": existing.status, "key": record.key}, 200
-            if cached is not None:
-                # Served from the shared cache: the job is born completed.
-                self._jobs[record.key] = _JobState(
-                    record=record, order=self._order, status="completed"
-                )
-                self._order += 1
-            else:
-                self._jobs[record.key] = _JobState(record=record, order=self._order)
-                self._order += 1
-        if cached is not None:
-            hit = CacheHitRecord(key=record.key, kind=record.kind, source=layer)
-            self.telemetry.append("cache-hit", record.key, kind=record.kind)
-            return {"status": "cached", "cache_hit": hit.to_dict()}, 200
-        self.telemetry.append("enqueued", record.key, kind=record.kind)
-        return {"status": "enqueued", "key": record.key}, 200
-
-    def _handle_lease(self, payload: dict):
-        self._expire_leases()
-        worker = str(payload.get("worker") or "anonymous")
-        now = time.monotonic()
-        with self._lock:
-            pending = [j for j in self._jobs.values() if j.status == "pending"]
-            leased = sum(1 for j in self._jobs.values() if j.status == "leased")
-            ready = [j for j in pending if j.ready_at <= now]
-            ready.sort(key=lambda j: j.order)
-            if not ready:
-                return {"lease": None, "pending": len(pending), "leased": leased}, 200
-            job = ready[0]
-            job.status = "leased"
-            job.attempts += 1
-            job.lease_id = secrets.token_hex(8)
-            job.worker = worker
-            job.leased_at = now
-            job.lease_expires = now + self.lease_timeout
-            lease = LeaseRecord(
-                key=job.record.key,
-                lease_id=job.lease_id,
-                worker=worker,
-                attempt=job.attempts,
-                heartbeat_interval=self.heartbeat_interval,
-                expires_in=self.lease_timeout,
-            )
-            job_payload = job.record.to_dict()
-            attempt = job.attempts
-        self.telemetry.append(
-            "leased", lease.key, kind=job.record.kind, worker=worker, attempt=attempt
-        )
-        return {"lease": lease.to_dict(), "job": job_payload}, 200
-
-    def _handle_heartbeat(self, payload: dict):
-        key = payload.get("key")
-        lease_id = payload.get("lease_id")
-        with self._lock:
-            job = self._jobs.get(key)
-            if job is None or job.status != "leased" or job.lease_id != lease_id:
-                return {"ok": False}, 200
-            job.lease_expires = time.monotonic() + self.lease_timeout
-            return {"ok": True}, 200
-
-    def _handle_complete(self, payload: dict):
-        key = payload.get("key")
-        with self._lock:
-            job = self._jobs.get(key)
-            if job is None:
-                return {"ok": False, "error": f"unknown job {key!r}"}, 404
-            if job.status == "completed":
-                return {"ok": True, "duplicate": True}, 200
-            # First result wins, even from an expired lease: the job body is
-            # content-keyed and the engines deterministic, so a late result
-            # is bit-for-bit the result.
-            stale = job.lease_id != payload.get("lease_id")
-            elapsed = time.monotonic() - job.leased_at if job.leased_at else None
-            attempt = job.attempts
-            worker = payload.get("worker") or job.worker
-            job.status = "completed"
-            job.lease_id = None
-        self.cache.put(key, payload["result"], kind=job.record.kind)
-        self.telemetry.append(
-            "completed",
-            key,
-            kind=job.record.kind,
-            worker=worker,
-            attempt=attempt,
-            elapsed=elapsed,
-        )
-        return {"ok": True, "stale_lease": stale}, 200
-
-    def _handle_fail(self, payload: dict):
-        key = payload.get("key")
-        descriptor = payload.get("error") or {}
-        error = error_from_descriptor(descriptor)
-        now = time.monotonic()
-        with self._lock:
-            job = self._jobs.get(key)
-            if job is None:
-                return {"ok": False, "error": f"unknown job {key!r}"}, 404
-            if job.status in ("completed", "failed"):
-                return {"ok": True, "duplicate": True}, 200
-            worker = payload.get("worker") or job.worker
-            attempt = job.attempts
-            job.lease_id = None
-            job.worker = None
-            if self.retry.should_retry(error, job.attempts):
-                job.status = "pending"
-                job.ready_at = now + self.retry.delay_before(
-                    job.attempts + 1, job.record.key
-                )
-                event = "retried"
-            else:
-                job.status = "failed"
-                job.error = descriptor
-                event = "failed"
-        self.telemetry.append(
-            event,
-            key,
-            kind=job.record.kind,
-            worker=worker,
-            attempt=attempt,
-            error_type=descriptor.get("type"),
-            message=descriptor.get("message"),
-        )
-        return {"ok": True, "retried": event == "retried"}, 200
-
-    def _handle_result(self, query: Dict[str, List[str]]):
-        key = query.get("key", [None])[0]
-        result, _layer = self.cache.lookup(key) if key else (None, None)
-        return {"key": key, "result": result}, 200
-
-    def _handle_error(self, query: Dict[str, List[str]]):
-        key = query.get("key", [None])[0]
-        with self._lock:
-            job = self._jobs.get(key)
-            descriptor = job.error if job is not None else None
-        return {"key": key, "error": descriptor}, 200
-
-    def _handle_job(self, query: Dict[str, List[str]]):
-        self._expire_leases()
-        key = query.get("key", [None])[0]
-        with self._lock:
-            job = self._jobs.get(key)
-            if job is None:
-                return {"key": key, "status": None}, 200
-            return (
-                {
-                    "key": key,
-                    "status": job.status,
-                    "attempts": job.attempts,
-                    "worker": job.worker,
-                },
-                200,
-            )
-
-    def _handle_status(self, query: Dict[str, List[str]]):
-        self._expire_leases()
-        with self._lock:
-            counts: Dict[str, int] = {}
-            for job in self._jobs.values():
-                counts[job.status] = counts.get(job.status, 0) + 1
-        return (
-            {
-                "telemetry_seq": self.telemetry.last_seq,
-                "jobs": counts,
-                "cache": {
-                    "entries": len(self.cache),
-                    "hits": self.cache.hits,
-                    "misses": self.cache.misses,
-                },
-                "lease_timeout": self.lease_timeout,
+    @cached_property
+    def _routes(self) -> Dict[tuple, Callable[[dict], Optional[dict]]]:
+        queue = self.queue
+        return {
+            ("POST", "/enqueue"): self._enqueue,
+            ("POST", "/lease"): self._lease,
+            ("POST", "/heartbeat"): lambda r: {
+                "ok": queue.heartbeat(r.get("key"), r.get("lease_id"))
             },
-            200,
-        )
+            ("POST", "/complete"): lambda r: queue.complete(
+                r.get("key"), r.get("lease_id"), r["result"], r.get("worker")
+            ),
+            ("POST", "/fail"): lambda r: queue.fail(
+                r.get("key"), r.get("lease_id"), r.get("error") or {}, r.get("worker")
+            ),
+            ("GET", "/result"): lambda r: {
+                "key": r.get("key"),
+                "result": queue.result(r.get("key")),
+            },
+            ("GET", "/error"): lambda r: {
+                "key": r.get("key"),
+                "error": queue.error(r.get("key")),
+            },
+            ("GET", "/job"): lambda r: queue.job(r.get("key")),
+            ("GET", "/status"): lambda r: queue.status(),
+        }
+
+    def _enqueue(self, request: dict) -> dict:
+        record = JobRecord.from_dict(request)
+        if content_key(record.body) != record.key:
+            raise _BadRequest(
+                {"error": "job key does not hash its body", "key": record.key}
+            )
+        return self.queue.enqueue(record)
+
+    def _lease(self, request: dict) -> dict:
+        leased = self.queue.lease(str(request.get("worker") or "anonymous"))
+        if leased is None:
+            counts = self.queue.counts()
+            return {
+                "lease": None,
+                "pending": counts.get("pending", 0),
+                "leased": counts.get("leased", 0),
+            }
+        lease, record = leased
+        return {"lease": lease.to_dict(), "job": record.to_dict()}
+
+
+class _BadRequest(Exception):
+    """A request the queue refuses; its argument is the HTTP 400 answer."""
 
 
 def main(argv=None) -> int:

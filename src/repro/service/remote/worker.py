@@ -26,31 +26,7 @@ from typing import Optional
 
 from repro.exceptions import RemoteServiceError
 from repro.service.remote.protocol import JobRecord, LeaseRecord, http_json
-from repro.service.worker import (
-    _RUNNERS,
-    _maybe_trigger_markers,
-    describe_error,
-)
-
-
-def _heartbeat_loop(
-    url: str,
-    lease: LeaseRecord,
-    stop: threading.Event,
-    request_timeout: float,
-) -> None:
-    interval = max(float(lease.heartbeat_interval), 0.05)
-    while not stop.wait(interval):
-        try:
-            answer = http_json(
-                f"{url}/heartbeat",
-                {"key": lease.key, "lease_id": lease.lease_id},
-                timeout=request_timeout,
-            )
-        except RemoteServiceError:
-            continue  # transient; the next beat may get through
-        if not answer.get("ok"):
-            return  # lease revoked: the job is someone else's now
+from repro.service.worker import _maybe_trigger_markers, _run_job
 
 
 def run_worker(
@@ -94,45 +70,34 @@ def run_worker(
         # any heartbeat: the server sees a worker that leased a shard and
         # went silent, which is exactly the failure being simulated.
         _maybe_trigger_markers(markers)
-        stop_beats = threading.Event()
-        beats = threading.Thread(
-            target=_heartbeat_loop,
-            args=(url, lease, stop_beats, request_timeout),
-            daemon=True,
+
+        def _beat() -> bool:
+            try:
+                reply = http_json(
+                    f"{url}/heartbeat",
+                    {"key": lease.key, "lease_id": lease.lease_id},
+                    timeout=request_timeout,
+                )
+            except RemoteServiceError:
+                return True  # transient; the next beat may get through
+            return bool(reply.get("ok"))  # revoked: the job is someone else's
+
+        tag, outcome = _run_job(
+            job.kind,
+            job.body,
+            max(float(lease.heartbeat_interval), 0.05),
+            _beat,
         )
-        beats.start()
-        try:
-            runner = _RUNNERS.get(job.kind)
-            if runner is None:
-                raise RemoteServiceError(f"unknown job kind {job.kind!r}")
-            result = runner(job.body)
-        except BaseException as error:
-            stop_beats.set()
-            http_json(
-                f"{url}/fail",
-                {
-                    "key": lease.key,
-                    "lease_id": lease.lease_id,
-                    "worker": worker,
-                    "error": describe_error(error),
-                },
-                timeout=request_timeout,
-            )
-        else:
-            stop_beats.set()
-            http_json(
-                f"{url}/complete",
-                {
-                    "key": lease.key,
-                    "lease_id": lease.lease_id,
-                    "worker": worker,
-                    "result": result,
-                },
-                timeout=request_timeout,
-            )
-            completed += 1
-            if max_jobs is not None and completed >= max_jobs:
-                return completed
+        report = {"key": lease.key, "lease_id": lease.lease_id, "worker": worker}
+        if tag == "error":
+            report["error"] = outcome
+            http_json(f"{url}/fail", report, timeout=request_timeout)
+            continue
+        report["result"] = outcome
+        http_json(f"{url}/complete", report, timeout=request_timeout)
+        completed += 1
+        if max_jobs is not None and completed >= max_jobs:
+            return completed
     return completed
 
 

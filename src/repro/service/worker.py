@@ -2,17 +2,18 @@
 
 A worker receives one *job payload* — ``{"kind", "body", "service"}`` where
 ``body`` is the content-hashed job description and ``service`` carries the
-orchestration envelope (job key, attempt number, heartbeat interval) — and
+orchestration envelope (job key, lease id, heartbeat interval) — and
 communicates with the orchestrator exclusively through a multiprocessing
-queue:
+queue.  Every message quotes the worker's lease, so the job queue can tell
+a live attempt from a revoked one:
 
-* ``("heartbeat", key, attempt)`` every ``heartbeat_interval`` seconds from
+* ``("heartbeat", key, lease_id)`` every ``heartbeat_interval`` seconds from
   a daemon thread, so the orchestrator can distinguish a *slow* shard from a
   *hung* one;
-* ``("result", key, attempt, result_payload)`` on success — the payload is
+* ``("result", key, lease_id, result_payload)`` on success — the payload is
   the JSON-safe encoding of the shard's :class:`~repro.api.StudyResult` (or
   sweep row), ready for the checkpoint journal;
-* ``("error", key, attempt, descriptor)`` on failure — the descriptor
+* ``("error", key, lease_id, descriptor)`` on failure — the descriptor
   carries the pickled exception (the structured exception types round-trip
   with their diagnostic fields intact) plus plain-text type/message/
   traceback fallbacks for exceptions that refuse to pickle.
@@ -37,9 +38,9 @@ import signal
 import threading
 import time
 import traceback
-from typing import Any, Dict
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.exceptions import ServiceError
+from repro.exceptions import RemoteServiceError, ServiceError
 
 
 def _maybe_trigger_markers(markers: Dict[str, Any]) -> None:
@@ -124,36 +125,61 @@ _RUNNERS = {
 }
 
 
+def _run_job(
+    kind: Optional[str],
+    body: Dict[str, Any],
+    interval: float,
+    beat: Callable[[], bool],
+) -> Tuple[str, Any]:
+    """Run one job while a daemon thread calls ``beat()`` every ``interval`` s.
+
+    The beats stop when the job ends or ``beat()`` returns ``False`` (the
+    lease is gone).  Returns ``("result", payload)`` or ``("error",
+    descriptor)``.  Only a remote queue server can hand out a ``kind`` this
+    worker does not know, so that fails the job with a
+    :class:`~repro.exceptions.RemoteServiceError`.
+    Both the local shard worker and the remote worker agent run jobs here.
+    """
+    stop = threading.Event()
+
+    def _beat() -> None:
+        while not stop.wait(interval) and beat():
+            pass
+
+    threading.Thread(target=_beat, daemon=True).start()
+    try:
+        runner = _RUNNERS.get(kind)
+        if runner is None:
+            raise RemoteServiceError(f"unknown job kind {kind!r}")
+        return "result", runner(body)
+    except BaseException as error:
+        return "error", describe_error(error)
+    finally:
+        stop.set()
+
+
 def shard_worker_main(payload: Dict[str, Any], queue) -> None:
     """Process entry point: run one job payload, report through ``queue``."""
     service = payload.get("service", {})
     key = service["key"]
-    attempt = service["attempt"]
+    lease_id = service["lease_id"]
     _maybe_trigger_markers(service.get("markers") or {})
 
-    stop = threading.Event()
-    interval = float(service.get("heartbeat_interval", 0.2))
+    def _beat() -> bool:
+        try:
+            queue.put(("heartbeat", key, lease_id))
+        except Exception:  # queue torn down: the orchestrator is gone
+            return False
+        return True
 
-    def _beat() -> None:
-        while not stop.wait(interval):
-            try:
-                queue.put(("heartbeat", key, attempt))
-            except Exception:  # queue torn down: the orchestrator is gone
-                return
-
-    heartbeats = threading.Thread(target=_beat, daemon=True)
-    heartbeats.start()
     try:
-        runner = _RUNNERS.get(payload.get("kind"))
-        if runner is None:
-            raise ServiceError(f"unknown job kind {payload.get('kind')!r}")
-        result = runner(payload["body"])
-    except BaseException as error:
-        stop.set()
-        queue.put(("error", key, attempt, describe_error(error)))
-    else:
-        stop.set()
-        queue.put(("result", key, attempt, result))
+        tag, outcome = _run_job(
+            payload.get("kind"),
+            payload["body"],
+            float(service.get("heartbeat_interval", 0.2)),
+            _beat,
+        )
+        queue.put((tag, key, lease_id, outcome))
     finally:
         # Make sure the feeder thread has flushed the pipe before exit.
         queue.close()

@@ -27,7 +27,6 @@ from repro.algorithms.base import (
     masked_min,
     masked_min_max,
     masked_reduction_chunks,
-    set_masked_reduction_chunks,
 )
 from repro.core.adversary import (
     GreedyDiameterAdversary,
@@ -412,9 +411,11 @@ class TestChunkedReductions:
 
     def test_configuration_validation_and_restore(self):
         with pytest.raises(AlgorithmError):
-            set_masked_reduction_chunks(batch=0)
+            with masked_reduction_chunks(batch=0):
+                pass
         with pytest.raises(AlgorithmError):
-            set_masked_reduction_chunks(receivers="sometimes")
+            with masked_reduction_chunks(receivers="sometimes"):
+                pass
         before = get_masked_reduction_chunks()
         with masked_reduction_chunks(batch=2, receivers=3):
             assert get_masked_reduction_chunks() == {"batch": 2, "receivers": 3}

@@ -6,12 +6,13 @@ Three contracts are enforced:
   reduction impl × chunking × batch on/off) is bit-for-bit identical to the
   direct engine call it compiles to, executed under the same `EngineConfig`.
 * **EngineConfig semantics** — exception-safe restore, nesting (innermost
-  wins), thread-local isolation, and validation errors; the deprecated
-  module-level setters warn exactly once.
+  wins), thread-local isolation, and validation errors; the reduction
+  context managers never warn.
 * **Shape validation** — mismatched `(B, n, d)` / `(C, n, n)` inputs raise
   `EnsembleShapeError` with named shapes instead of NumPy broadcast errors.
 """
 
+import pickle
 import threading
 
 import numpy as np
@@ -32,7 +33,12 @@ from repro.api import CertifySpec, EngineConfig, ScenarioSpec, Study, StudyResul
 from repro.config import current_engine_config
 from repro.core.adversary import GreedyDiameterAdversary, PsiBlockAdversary
 from repro.core.valency import ValencyEstimator
-from repro.exceptions import ConfigError, EnsembleShapeError, ExecutionError
+from repro.exceptions import (
+    ConfigError,
+    EnsembleShapeError,
+    ExecutionError,
+    NonFiniteValueError,
+)
 from repro.execution import (
     run_adversarial_ensemble,
     run_ensemble,
@@ -164,10 +170,6 @@ class TestEngineConfig:
 
 
 class TestDeprecationShims:
-    def _reset(self, *names):
-        for name in names:
-            algorithms_base._DEPRECATION_WARNED.discard(name)
-
     @staticmethod
     def _deprecations_emitted(callable_):
         import warnings
@@ -177,38 +179,8 @@ class TestDeprecationShims:
             callable_()
         return [w for w in record if issubclass(w.category, DeprecationWarning)]
 
-    def test_set_chunks_warns_exactly_once(self):
-        self._reset("set_masked_reduction_chunks")
-        try:
-            first = self._deprecations_emitted(
-                lambda: algorithms_base.set_masked_reduction_chunks(batch=4)
-            )
-            assert len(first) == 1
-            second = self._deprecations_emitted(
-                lambda: algorithms_base.set_masked_reduction_chunks(batch=8)
-            )
-            assert second == []
-        finally:
-            algorithms_base._apply_masked_reduction_chunks()
-
-    def test_set_impl_warns_exactly_once(self):
-        self._reset("set_masked_reduction_impl")
-        try:
-            first = self._deprecations_emitted(
-                lambda: algorithms_base.set_masked_reduction_impl("dense")
-            )
-            assert len(first) == 1
-            second = self._deprecations_emitted(
-                lambda: algorithms_base.set_masked_reduction_impl("auto")
-            )
-            assert second == []
-        finally:
-            algorithms_base._apply_masked_reduction_impl()
-
     def test_context_managers_do_not_warn(self):
         from repro.algorithms.base import masked_reduction_chunks, masked_reduction_impl
-
-        self._reset("set_masked_reduction_chunks", "set_masked_reduction_impl")
 
         def exercise():
             with masked_reduction_chunks(batch=4):
@@ -551,3 +523,68 @@ class TestShapeValidation:
     def test_error_is_execution_error_subclass(self):
         # Backwards compatibility: callers catching ExecutionError keep working.
         assert issubclass(EnsembleShapeError, ExecutionError)
+
+
+# --------------------------------------------------------------------------- #
+# Boundary validation of initial values
+# --------------------------------------------------------------------------- #
+
+
+class TestNonFiniteInitialValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ensemble_names_first_offending_scenario_agent_coordinate(self, bad):
+        values = _ensemble_values(4, 5, d=2)
+        values[3, 0, 0] = bad  # later in scan order than the first one
+        values[1, 2, 1] = bad
+        with pytest.raises(NonFiniteValueError) as excinfo:
+            Study(
+                algorithm=MidpointAlgorithm(),
+                initial_values=values,
+                rounds=3,
+                pattern=_pattern(5),
+            )
+        error = excinfo.value
+        assert isinstance(error, ConfigError)
+        assert (error.scenario, error.agent, error.coordinate) == (1, 2, 1)
+        assert "scenario 1, agent 2, coordinate 1" in str(error)
+        back = pickle.loads(pickle.dumps(error))
+        assert (back.scenario, back.agent, back.coordinate) == (1, 2, 1)
+
+    def test_single_scenario_and_prebuilt_spec(self):
+        with pytest.raises(NonFiniteValueError) as excinfo:
+            Study(
+                algorithm=MidpointAlgorithm(),
+                initial_values=[0.0, 1.0, np.nan],
+                rounds=2,
+                pattern=_pattern(3),
+            )
+        error = excinfo.value
+        assert (error.scenario, error.agent, error.coordinate) == (None, 2, 0)
+        spec = ScenarioSpec(
+            initial_values=np.full((2, 3, 1), np.inf), rounds=2, pattern=_pattern(3)
+        )
+        with pytest.raises(NonFiniteValueError) as excinfo:
+            Study(algorithm=MidpointAlgorithm(), scenario=spec)
+        assert excinfo.value.scenario == 0
+
+    def test_service_rejects_before_spawning_a_worker(self, monkeypatch, tmp_path):
+        from repro.service import orchestrator, run_study_service
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a worker was spawned for invalid input")
+
+        monkeypatch.setattr(orchestrator._Scheduler, "_spawn", no_spawn)
+        values = _ensemble_values(4, 5)
+        values[2, 4, 0] = np.nan
+        journal = tmp_path / "journal.jsonl"
+        with pytest.raises(NonFiniteValueError) as excinfo:
+            run_study_service(
+                MidpointAlgorithm(),
+                initial_values=values,
+                rounds=3,
+                pattern=_pattern(5),
+                workers=2,
+                journal=journal,
+            )
+        assert (excinfo.value.scenario, excinfo.value.agent) == (2, 4)
+        assert not journal.exists()

@@ -4,8 +4,7 @@
 previous values are restored on exit even when the body raises, and the
 active stack plus the masked-reduction settings are *thread-local* — two
 threads running under different configurations never observe each other's
-overrides.  The module-level reduction setters are deprecated shims whose
-``DeprecationWarning`` fires exactly once per process.
+overrides.
 
 The ``threads`` field adds a lifecycle promise on top: the parallel
 backend's worker pool is created lazily on the thread-local stack entry,
@@ -15,16 +14,13 @@ between concurrent activations — 100 enter/exit cycles leave no stray
 """
 
 import threading
-import warnings
 
 import pytest
 
 from repro.algorithms.base import (
-    _DEPRECATION_WARNED,
     get_masked_reduction_chunks,
     get_masked_reduction_impl,
-    set_masked_reduction_chunks,
-    set_masked_reduction_impl,
+    masked_reduction_impl,
 )
 from repro.config import (
     EngineConfig,
@@ -140,24 +136,26 @@ class TestThreadLocality:
         assert results["a"] == results["b"] == "packed"
         assert results["a-after"] == results["b-after"] == "auto"
 
-    def test_deprecated_setters_are_thread_local_too(self):
-        done = threading.Event()
+    def test_reduction_override_in_another_thread_never_leaks(self):
+        entered, release = threading.Event(), threading.Event()
         observed = {}
 
         def worker():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                set_masked_reduction_impl("dense")
-            observed["inner"] = get_masked_reduction_impl()
-            done.set()
+            with masked_reduction_impl("dense"):
+                observed["inner"] = get_masked_reduction_impl()
+                entered.set()
+                release.wait(timeout=30)
 
         thread = threading.Thread(target=worker)
         thread.start()
-        thread.join(timeout=30)
-        assert done.is_set()
-        assert observed["inner"] == "dense"
-        # The mutation never leaks into this thread.
-        assert get_masked_reduction_impl() == "auto"
+        try:
+            assert entered.wait(timeout=30)
+            assert observed["inner"] == "dense"
+            # The other thread's open scope never leaks into this one.
+            assert get_masked_reduction_impl() == "auto"
+        finally:
+            release.set()
+            thread.join(timeout=30)
 
 
 class TestWorkerPoolLifecycle:
@@ -291,54 +289,3 @@ class TestWorkerPoolLifecycle:
                 self._run_sharded()
             assert resolve_threads(None) == 2
         assert resolve_threads(None) == ambient
-
-
-class TestOneTimeDeprecationWarnings:
-    @pytest.fixture(autouse=True)
-    def _isolate_warned_registry(self):
-        saved = set(_DEPRECATION_WARNED)
-        _DEPRECATION_WARNED.clear()
-        try:
-            yield
-        finally:
-            _DEPRECATION_WARNED.clear()
-            _DEPRECATION_WARNED.update(saved)
-            # Restore library defaults the setters may have touched.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                set_masked_reduction_impl("auto")
-                set_masked_reduction_chunks()
-
-    def test_impl_setter_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            set_masked_reduction_impl("dense")
-            set_masked_reduction_impl("auto")
-            set_masked_reduction_impl("packed")
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "set_masked_reduction_impl" in str(deprecations[0].message)
-        assert "EngineConfig" in str(deprecations[0].message)
-
-    def test_chunks_setter_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            set_masked_reduction_chunks(batch=4)
-            set_masked_reduction_chunks(batch=8, receivers=16)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "set_masked_reduction_chunks" in str(deprecations[0].message)
-
-    def test_setters_warn_independently(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            set_masked_reduction_impl("dense")
-            set_masked_reduction_chunks(batch=4)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 2
-
-    def test_setter_still_applies_after_warning_suppressed(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            set_masked_reduction_impl("dense")
-        assert get_masked_reduction_impl() == "dense"

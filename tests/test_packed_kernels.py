@@ -16,7 +16,6 @@ from repro.algorithms.base import (
     masked_min,
     masked_min_max,
     masked_reduction_impl,
-    set_masked_reduction_impl,
 )
 from repro.exceptions import AlgorithmError, GraphError
 from repro.graphs.digraph import CommunicationGraph
@@ -294,7 +293,8 @@ def test_packed_masked_reduction_auto_fires_on_large_stacks():
 
 def test_masked_reduction_impl_validation_and_restore():
     with pytest.raises(AlgorithmError):
-        set_masked_reduction_impl("bogus")
+        with masked_reduction_impl("bogus"):
+            pass
     with masked_reduction_impl("packed"):
         pass  # restored on exit
     values = np.zeros((2, 3, 1))

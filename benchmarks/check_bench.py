@@ -1,10 +1,12 @@
 """Guard a benchmark JSON against fast-path regressions.
 
 Reads a ``BENCH_engine.json``-style file and fails (exit code 1) when any
-entry that compares an old/new or loop/batched pair reports the new path more
-than ``--max-slowdown`` times slower than the old one.  CI runs this on the
-smoke benchmark so a fast-path regression cannot merge silently; the smoke
-grids are tiny, so the threshold is a slack 2x rather than a tight bound.
+gate of the ``_GATES`` table fails — e.g. an entry that compares an old/new
+or loop/batched pair reports the new path more than ``--max-slowdown`` times
+slower than the old one — or a required benchmark family is missing.  CI
+runs this on the smoke benchmark so a fast-path regression cannot merge
+silently; the smoke grids are tiny, so the threshold is a slack 2x rather
+than a tight bound.
 
 Usage::
 
@@ -19,78 +21,62 @@ import json
 import sys
 from pathlib import Path
 
-#: (old-timing key, new-timing key) pairs an entry may carry.  The
-#: dense/chunked/packed reduction timings are deliberately NOT gated:
-#: chunking and packing are memory-for-time tradeoffs measured at millisecond
-#: scale, so a 2x wall-clock bound on a noisy CI runner would flake without
-#: any code regression.
-_TIMING_PAIRS = (
-    ("old_s", "new_s"),
-    ("loop_s", "batched_s"),
+#: Every gate, one row each: (family, baseline key, candidate key, kind,
+#: limit, allowance, min CPUs).  A row applies to each entry of ``family``
+#: (``None`` = any family) that carries both keys, in table order.  Kinds:
+#:
+#: * ``slowdown`` — ``candidate <= baseline * limit``;
+#: * ``overhead`` — the same bound, reported as a dispatch overhead;
+#: * ``speedup`` — ``baseline / candidate >= limit``, enforced only where the
+#:   entry's ``cpu_count`` and ``threads`` reach ``min CPUs``; below that, a
+#:   speedup above ``--max-slowdown`` is flagged as implausible;
+#: * ``budget`` — ``candidate <= baseline * limit + allowance`` seconds.
+#:
+#: A string limit names the command-line option that sets it.
+#:
+#: Why these rows and bounds:
+#:
+#: * Fast paths (``old_s``/``new_s``, ``loop_s``/``batched_s``) and the fused
+#:   masked-extreme kernel (which saves a mask resolution over two separate
+#:   reductions) must not lose by more than the slack ``--max-slowdown``.
+#:   The dense/chunked/packed reduction timings are deliberately NOT gated:
+#:   chunking and packing are memory-for-time tradeoffs measured at
+#:   millisecond scale, so a 2x wall-clock bound on a noisy CI runner would
+#:   flake without any code regression.
+#: * Ensemble-scale certification stacks all B scenarios' sampled futures
+#:   into single passes, and the faulted ensemble applies its (B, n, n) fault
+#:   masks to the whole stacked adjacency per round; silently degrading to the
+#:   per-scenario loop would survive the slack check, so both must beat their
+#:   loop by a minimum factor.
+#: * The parallel backend must scale: at 4 workers on a B=256 workload the
+#:   sharded run must beat the serial run by 2x.  A 1-core container
+#:   physically cannot parallelize, and fabricating its numbers would be worse
+#:   than skipping the gate, so dev boxes record honest ~1x entries while CI's
+#:   multi-core runners enforce the bound.
+#: * The sharded study service pays worker spawn + IPC + journal fsyncs that
+#:   a single-process Study never does; the remote route pays HTTP
+#:   round-trips, lease bookkeeping and SSE telemetry (its worker threads also
+#:   share the GIL); the campaign loop pays planning, novelty scoring,
+#:   content-keyed corpus writes and one fsync-ed journal append per round.
+#:   Their allowance absorbs the constant cost that dominates a tiny smoke
+#:   workload, while the relative limit still catches a merge, dispatch or
+#:   campaign loop that starts recomputing shards or cases.
+#: * The repro.api facade must compile to a direct engine call plus
+#:   negligible dispatch, so it gets a tight 5% bound by default.
+_GATES = (
+    (None, "old_s", "new_s", "slowdown", "--max-slowdown", 0.0, 0),
+    (None, "loop_s", "batched_s", "slowdown", "--max-slowdown", 0.0, 0),
+    ("certify_ensemble", "loop_s", "batched_s", "speedup", 5.0, 0.0, 0),
+    ("faulted_ensemble", "loop_s", "batched_s", "speedup", 3.0, 0.0, 0),
+    ("parallel_ensemble", "serial_s", "parallel_s", "speedup", 2.0, 0.0, 4),
+    ("fused_reduction", "separate_s", "fused_s", "slowdown", "--max-slowdown", 0.0, 0),
+    ("service_overhead", "direct_s", "service_s", "budget", 4.0, 5.0, 0),
+    ("remote_service", "mp_service_s", "remote_s", "budget", 4.0, 5.0, 0),
+    ("campaign_round", "harness_s", "campaign_s", "budget", 3.0, 1.0, 0),
+    ("facade_overhead", "direct_s", "facade_s", "overhead", "--facade-max-slowdown", 0.0, 0),
 )
 
-#: The repro.api facade must compile to a direct engine call plus negligible
-#: dispatch; its entries are gated against a tight 5% bound instead of the
-#: slack fast-path threshold.
-_FACADE_PAIR = ("direct_s", "facade_s")
 _FACADE_MAX_SLOWDOWN = 1.05
-
-#: The sharded study service pays worker spawn + IPC + journal fsyncs that a
-#: single-process Study never does, so its gate is a relative limit *plus* a
-#: fixed allowance: ``service_s <= direct_s * limit + allowance``.  The
-#: allowance absorbs the constant process-pool cost that dominates the tiny
-#: smoke workload; the relative limit still catches a merge or serialization
-#: path that starts recomputing shards.
-_SERVICE_PAIR = ("direct_s", "service_s")
-_SERVICE_MAX_SLOWDOWN = 4.0
-_SERVICE_FIXED_ALLOWANCE_S = 5.0
-
-#: The remote route pays HTTP round-trips, lease bookkeeping and SSE
-#: telemetry instead of pipes; its worker threads also share the GIL where
-#: the multiprocessing route gets real processes.  Same gate shape as the
-#: service pair: ``remote_s <= mp_service_s * limit + allowance``, where
-#: the allowance absorbs the constant server/poll costs that dominate a
-#: smoke workload and the relative limit catches a dispatch loop that
-#: starts stalling on its own stream or re-running cached shards.
-_REMOTE_PAIR = ("mp_service_s", "remote_s")
-_REMOTE_MAX_SLOWDOWN = 4.0
-_REMOTE_FIXED_ALLOWANCE_S = 5.0
-
-#: The campaign loop pays planning, novelty scoring, content-keyed corpus
-#: writes and one fsync-ed journal append per round on top of executing the
-#: same differential cases as a raw harness loop.  Like the service gate,
-#: the bound is relative plus a fixed allowance: the allowance absorbs the
-#: constant persistence cost that dominates a tiny smoke budget, while the
-#: relative limit catches a campaign loop that starts re-executing or
-#: re-minimizing cases it should not.
-_CAMPAIGN_PAIR = ("harness_s", "campaign_s")
-_CAMPAIGN_MAX_SLOWDOWN = 3.0
-_CAMPAIGN_FIXED_ALLOWANCE_S = 1.0
-
-#: Benchmark families whose batched path must *beat* its loop baseline by at
-#: least this factor (a minimum speedup, not just an absence of slowdown).
-#: Ensemble-scale certification stacks all B scenarios' sampled futures into
-#: single passes; losing the stacking would silently degrade to the
-#: per-scenario loop while still passing the slack slowdown check.  The
-#: faulted ensemble applies its (B, n, n) fault masks to the whole stacked
-#: adjacency per round; silently falling back to masking one scenario at a
-#: time would likewise survive the slack check.
-_MIN_SPEEDUPS = {"certify_ensemble": 5.0, "faulted_ensemble": 3.0}
-
-#: The parallel backend must scale: at 4 workers on a B=256 workload the
-#: sharded run must beat the serial run by at least this factor.  The gate
-#: applies only where the entry's recorded ``cpu_count`` >= this many cores —
-#: a 1-core container physically cannot parallelize, and fabricating its
-#: numbers would be worse than skipping the gate — so dev boxes record honest
-#: ~1x entries while CI's multi-core runners enforce the bound.
-_PARALLEL_PAIR = ("serial_s", "parallel_s")
-_PARALLEL_MIN_SPEEDUP = 2.0
-_PARALLEL_MIN_CPUS = 4
-
-#: The fused masked-extreme kernel saves a mask resolution; at minimum it
-#: must never lose to two separate reductions by more than the slack
-#: fast-path factor (the ``--max-slowdown`` bound applied to this pair).
-_FUSED_PAIR = ("separate_s", "fused_s")
 
 #: Benchmarks every payload must contain: the fast-path gate is meaningless
 #: if a regression silently removes an entry, so missing families fail too.
@@ -130,6 +116,66 @@ def _entry_detail(entry: dict) -> str:
     )
 
 
+def _applies(gate: tuple, entry: dict) -> bool:
+    family, baseline_key, candidate_key = gate[:3]
+    if family is not None and entry.get("benchmark") != family:
+        return False
+    # An entry may opt out of gating (e.g. a microsecond-scale point).
+    return entry.get("gated", True) and baseline_key in entry and candidate_key in entry
+
+
+def _violation(gate: tuple, entry: dict, limits: dict, max_slowdown: float):
+    """The violation message of one gate on one entry, or ``None``."""
+    _family, baseline_key, candidate_key, kind, limit, allowance, min_cpus = gate
+    limit = limits.get(limit, limit)
+    baseline, candidate = entry[baseline_key], entry[candidate_key]
+    head = f"{entry.get('benchmark', '?')} ({_entry_detail(entry)}): {candidate_key}={candidate:.6f}s"
+    if kind in ("slowdown", "overhead"):
+        if baseline <= 0 or candidate / baseline <= limit:
+            return None
+        ratio = candidate / baseline
+        if kind == "overhead":
+            return (
+                f"{head} is {ratio:.3f}x the direct engine call "
+                f"{baseline_key}={baseline:.6f}s (limit {limit:.2f}x)"
+            )
+        return (
+            f"{head} is {ratio:.2f}x slower than {baseline_key}={baseline:.6f}s "
+            f"(limit {limit:.2f}x)"
+        )
+    if kind == "budget":
+        budget = baseline * limit + allowance
+        if candidate <= budget:
+            return None
+        return (
+            f"{head} exceeds {baseline_key}={baseline:.6f}s * {limit:.1f} "
+            f"+ {allowance:.1f}s allowance (= {budget:.6f}s)"
+        )
+    speedup = baseline / candidate if candidate > 0 else float("inf")
+    if not min_cpus:
+        if speedup >= limit:
+            return None
+        return (
+            f"{head} is only {speedup:.2f}x faster than {baseline_key}={baseline:.6f}s "
+            f"(required >= {limit:.1f}x)"
+        )
+    cpu_count = entry.get("cpu_count", 0)
+    threads = entry.get("threads", 1)
+    if cpu_count >= min_cpus and threads >= min_cpus and speedup < limit:
+        return (
+            f"{head} is only {speedup:.2f}x faster than {baseline_key}={baseline:.6f}s "
+            f"at threads={threads} on a {cpu_count}-core machine (required >= {limit:.1f}x)"
+        )
+    if cpu_count < min_cpus and speedup > max_slowdown:
+        # A machine too small to parallelize cannot legitimately report
+        # scaling; a large "speedup" there means the serial side mismeasured.
+        return (
+            f"{entry.get('benchmark', '?')} ({_entry_detail(entry)}): implausible "
+            f"{speedup:.2f}x speedup recorded on a {cpu_count}-core machine"
+        )
+    return None
+
+
 def check(payload: dict, max_slowdown: float, facade_max_slowdown: float = _FACADE_MAX_SLOWDOWN) -> list:
     """Return a list of human-readable violations found in ``payload``."""
     violations = []
@@ -137,113 +183,13 @@ def check(payload: dict, max_slowdown: float, facade_max_slowdown: float = _FACA
     for name in _REQUIRED_BENCHMARKS:
         if name not in present:
             violations.append(f"required benchmark family {name!r} is missing")
+    limits = {"--max-slowdown": max_slowdown, "--facade-max-slowdown": facade_max_slowdown}
     for entry in payload.get("results", []):
-        for old_key, new_key in _TIMING_PAIRS:
-            if old_key not in entry or new_key not in entry:
-                continue
-            old_s, new_s = entry[old_key], entry[new_key]
-            if old_s <= 0:
-                continue
-            slowdown = new_s / old_s
-            if slowdown > max_slowdown:
-                label = entry.get("benchmark", "?")
-                violations.append(
-                    f"{label} ({_entry_detail(entry)}): {new_key}={new_s:.6f}s is "
-                    f"{slowdown:.2f}x slower than {old_key}={old_s:.6f}s "
-                    f"(limit {max_slowdown:.2f}x)"
-                )
-        family = entry.get("benchmark")
-        min_speedup = _MIN_SPEEDUPS.get(family)
-        if min_speedup is not None and "loop_s" in entry and "batched_s" in entry:
-            loop_s, batched_s = entry["loop_s"], entry["batched_s"]
-            speedup = loop_s / batched_s if batched_s > 0 else float("inf")
-            if speedup < min_speedup:
-                violations.append(
-                    f"{family} ({_entry_detail(entry)}): batched_s={batched_s:.6f}s is "
-                    f"only {speedup:.2f}x faster than loop_s={loop_s:.6f}s "
-                    f"(required >= {min_speedup:.1f}x)"
-                )
-        serial_key, parallel_key = _PARALLEL_PAIR
-        if serial_key in entry and parallel_key in entry:
-            serial_s, parallel_s = entry[serial_key], entry[parallel_key]
-            cpu_count = entry.get("cpu_count", 0)
-            threads = entry.get("threads", 1)
-            speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-            if (
-                cpu_count >= _PARALLEL_MIN_CPUS
-                and threads >= _PARALLEL_MIN_CPUS
-                and speedup < _PARALLEL_MIN_SPEEDUP
-            ):
-                violations.append(
-                    f"parallel_ensemble ({_entry_detail(entry)}): "
-                    f"{parallel_key}={parallel_s:.6f}s is only {speedup:.2f}x faster "
-                    f"than {serial_key}={serial_s:.6f}s at threads={threads} on a "
-                    f"{cpu_count}-core machine (required >= {_PARALLEL_MIN_SPEEDUP:.1f}x)"
-                )
-            elif cpu_count < _PARALLEL_MIN_CPUS and speedup > max_slowdown:
-                # A 1-core box cannot legitimately report parallel scaling;
-                # a large "speedup" there means the serial side mismeasured.
-                violations.append(
-                    f"parallel_ensemble ({_entry_detail(entry)}): implausible "
-                    f"{speedup:.2f}x speedup recorded on a {cpu_count}-core machine"
-                )
-        separate_key, fused_key = _FUSED_PAIR
-        if separate_key in entry and fused_key in entry:
-            separate_s, fused_s = entry[separate_key], entry[fused_key]
-            if separate_s > 0 and fused_s / separate_s > max_slowdown:
-                violations.append(
-                    f"fused_reduction ({_entry_detail(entry)}): "
-                    f"{fused_key}={fused_s:.6f}s is {fused_s / separate_s:.2f}x slower "
-                    f"than {separate_key}={separate_s:.6f}s (limit {max_slowdown:.2f}x)"
-                )
-        direct_key, service_key = _SERVICE_PAIR
-        if direct_key in entry and service_key in entry:
-            direct_s, service_s = entry[direct_key], entry[service_key]
-            budget = direct_s * _SERVICE_MAX_SLOWDOWN + _SERVICE_FIXED_ALLOWANCE_S
-            if service_s > budget:
-                violations.append(
-                    f"service_overhead ({_entry_detail(entry)}): "
-                    f"{service_key}={service_s:.6f}s exceeds "
-                    f"{direct_key}={direct_s:.6f}s * {_SERVICE_MAX_SLOWDOWN:.1f} "
-                    f"+ {_SERVICE_FIXED_ALLOWANCE_S:.1f}s allowance "
-                    f"(= {budget:.6f}s)"
-                )
-        mp_key, remote_key = _REMOTE_PAIR
-        if mp_key in entry and remote_key in entry:
-            mp_s, remote_s = entry[mp_key], entry[remote_key]
-            budget = mp_s * _REMOTE_MAX_SLOWDOWN + _REMOTE_FIXED_ALLOWANCE_S
-            if remote_s > budget:
-                violations.append(
-                    f"remote_service ({_entry_detail(entry)}): "
-                    f"{remote_key}={remote_s:.6f}s exceeds "
-                    f"{mp_key}={mp_s:.6f}s * {_REMOTE_MAX_SLOWDOWN:.1f} "
-                    f"+ {_REMOTE_FIXED_ALLOWANCE_S:.1f}s allowance "
-                    f"(= {budget:.6f}s)"
-                )
-        harness_key, campaign_key = _CAMPAIGN_PAIR
-        if harness_key in entry and campaign_key in entry:
-            harness_s, campaign_s = entry[harness_key], entry[campaign_key]
-            budget = harness_s * _CAMPAIGN_MAX_SLOWDOWN + _CAMPAIGN_FIXED_ALLOWANCE_S
-            if campaign_s > budget:
-                violations.append(
-                    f"campaign_round ({_entry_detail(entry)}): "
-                    f"{campaign_key}={campaign_s:.6f}s exceeds "
-                    f"{harness_key}={harness_s:.6f}s * {_CAMPAIGN_MAX_SLOWDOWN:.1f} "
-                    f"+ {_CAMPAIGN_FIXED_ALLOWANCE_S:.1f}s allowance "
-                    f"(= {budget:.6f}s)"
-                )
-        direct_key, facade_key = _FACADE_PAIR
-        if direct_key in entry and facade_key in entry:
-            direct_s, facade_s = entry[direct_key], entry[facade_key]
-            if direct_s > 0:
-                slowdown = facade_s / direct_s
-                if slowdown > facade_max_slowdown:
-                    violations.append(
-                        f"facade_overhead ({_entry_detail(entry)}): "
-                        f"{facade_key}={facade_s:.6f}s is {slowdown:.3f}x the direct "
-                        f"engine call {direct_key}={direct_s:.6f}s "
-                        f"(limit {facade_max_slowdown:.2f}x)"
-                    )
+        for gate in _GATES:
+            if _applies(gate, entry):
+                violation = _violation(gate, entry, limits, max_slowdown)
+                if violation is not None:
+                    violations.append(violation)
     return violations
 
 
@@ -269,12 +215,7 @@ def main() -> int:
     checked = sum(
         1
         for entry in payload.get("results", [])
-        if any(
-            old in entry and new in entry
-            for old, new in _TIMING_PAIRS
-            + (_FACADE_PAIR, _SERVICE_PAIR, _REMOTE_PAIR, _CAMPAIGN_PAIR)
-            + (_PARALLEL_PAIR, _FUSED_PAIR)
-        )
+        if any(_applies(gate, entry) for gate in _GATES)
     )
     if violations:
         print(f"FAIL: {len(violations)} fast-path slowdown(s) in {args.path}:")

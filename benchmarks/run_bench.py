@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -37,12 +38,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import MeanAlgorithm, MidpointAlgorithm
 from repro.algorithms.base import (
+    _masked_extremes_chunked,
+    _masked_extremes_dense,
+    _masked_extremes_packed,
+    _masked_extremes_scan,
+    _reduction_operands,
+    _resolve_chunks,
     masked_extreme_pair,
     masked_max,
     masked_min,
-    masked_min_max,
-    masked_reduction_chunks,
-    masked_reduction_impl,
 )
 from repro.api import Study
 from repro.asynchrony import AsynchronousSimulator, RoundBasedAsyncAlgorithm
@@ -308,28 +312,60 @@ def bench_parallel_ensemble(grid, d: int, repeats: int) -> list:
     return results
 
 
+def _kernel_call(impl: str, adjacency, min_values, max_values):
+    """One masked reduction through the named kernel on validated operands.
+
+    ``"auto"`` is the public dispatcher (the kernel the input selects); the
+    other names call that private kernel directly, whatever the input size.
+    """
+    if impl == "auto":
+        if min_values is None:
+            return masked_max(adjacency, max_values)
+        if max_values is None:
+            return masked_min(adjacency, min_values)
+        return masked_extreme_pair(adjacency, min_values, max_values)
+    mask, min_arr, max_arr, lead = _reduction_operands(adjacency, min_values, max_values)
+    if impl == "dense":
+        return _masked_extremes_dense(mask, min_arr, max_arr)
+    if impl == "chunked":
+        # The automatic block sizes; one block when the input fits densely.
+        d = (min_arr if min_arr is not None else max_arr).shape[-1]
+        first = lead[0] if lead else 1
+        n_receivers, n = mask.shape[-2:]
+        chunks = _resolve_chunks(math.prod(lead), first, n_receivers, n, d)
+        return _masked_extremes_chunked(
+            mask, min_arr, max_arr, lead, *(chunks or (first, n_receivers))
+        )
+    kernel = {"packed": _masked_extremes_packed, "scan": _masked_extremes_scan}[impl]
+    return kernel(mask, min_arr, max_arr, lead)
+
+
 def bench_fused_reduction(grid, repeats: int) -> list:
     """Fused ``masked_extreme_pair`` vs two independent masked reductions.
 
-    The fused kernel resolves the receive mask once for min-on-A /
-    max-on-B (the amortized midpoint's per-round pattern); the separate
-    timing pays two resolutions.  Both sides are measured on the dense and
-    packed implementations.
+    The fused call resolves the receive mask once for min-on-A / max-on-B
+    (the amortized midpoint's per-round pattern) and shares each mask block;
+    the separate timing pays two resolutions.  Each grid point names the
+    kernels it measures (see :func:`_kernel_call`) and whether its entries
+    are gated: the small ``auto`` point is microsecond-scale, recorded to
+    show where the fused call wins but too noisy to gate.
     """
     results = []
-    for batch_size, n, d in grid:
+    for batch_size, n, d, impls, gated in grid:
         rng = np.random.default_rng(5)
         mins = rng.uniform(-1.0, 1.0, size=(batch_size, n, d))
         maxs = rng.uniform(-1.0, 1.0, size=(batch_size, n, d))
         adjacency = rng.random((batch_size, n, n)) < 0.3
         adjacency[..., np.arange(n), np.arange(n)] = True
-        for impl in ("dense", "packed"):
-            with masked_reduction_impl(impl):
-                separate_s, fused_s = _best_of_pair(
-                    lambda: (masked_min(adjacency, mins), masked_max(adjacency, maxs)),
-                    lambda: masked_extreme_pair(adjacency, mins, maxs),
-                    repeats,
-                )
+        for impl in impls:
+            separate_s, fused_s = _best_of_pair(
+                lambda: (
+                    _kernel_call(impl, adjacency, mins, None),
+                    _kernel_call(impl, adjacency, None, maxs),
+                ),
+                lambda: _kernel_call(impl, adjacency, mins, maxs),
+                repeats,
+            )
             entry = {
                 "benchmark": "fused_reduction",
                 "impl": impl,
@@ -340,6 +376,8 @@ def bench_fused_reduction(grid, repeats: int) -> list:
                 "fused_s": fused_s,
                 "speedup": separate_s / fused_s if fused_s > 0 else float("inf"),
             }
+            if not gated:
+                entry["gated"] = False
             results.append(entry)
             print(
                 f"fused-reduce  {impl:10s} B={batch_size:4d} n={n:4d} d={d} "
@@ -534,29 +572,30 @@ def bench_adversarial_ensemble(grid, repeats: int) -> list:
 
 
 def bench_reduction_memory(batch_size: int, n: int, d: int) -> list:
-    """Peak memory of one batched midpoint round: dense vs chunked reductions."""
-    algorithm = MidpointAlgorithm()
+    """Peak memory of one midpoint round's masked min/max: dense vs chunked kernels.
+
+    Both kernels are called directly, so the entry isolates the effect of
+    chunking, not of the packed-bit path (benchmarked separately).
+    """
     values = np.stack([_initial_values(n, d, seed=b) for b in range(batch_size)])
     base = complete_graph(n)
     adjacency = np.stack(
         [deaf_variant(base, b % n).adjacency for b in range(batch_size)]
     )
 
-    def one_round():
-        # Pin the np.where implementation: this entry isolates the effect of
-        # chunking, not of the packed-bit path (benchmarked separately).
-        with masked_reduction_impl("dense"):
-            algorithm.batch_transition(values, adjacency, 1)
+    def dense_round():
+        _kernel_call("dense", adjacency, values, values)
 
-    with masked_reduction_chunks(batch="dense", receivers="dense"):
-        dense_peak = _peak_bytes(one_round)
-        dense_s = _best_of(one_round, 3)
-    with masked_reduction_chunks(batch="auto", receivers="auto"):
-        chunked_peak = _peak_bytes(one_round)
-        chunked_s = _best_of(one_round, 3)
+    def chunked_round():
+        _kernel_call("chunked", adjacency, values, values)
+
+    dense_peak = _peak_bytes(dense_round)
+    dense_s = _best_of(dense_round, 3)
+    chunked_peak = _peak_bytes(chunked_round)
+    chunked_s = _best_of(chunked_round, 3)
     entry = {
         "benchmark": "masked_reduction_memory",
-        "algorithm": algorithm.name,
+        "algorithm": MidpointAlgorithm().name,
         "B": batch_size,
         "n": n,
         "d": d,
@@ -799,10 +838,11 @@ def bench_alpha_classes(grid, repeats: int) -> list:
 
 
 def bench_packed_reduction(batch_size: int, n: int, d: int, repeats: int) -> list:
-    """Packed-bit masked reductions vs dense/chunked and vs the sort-and-scan path.
+    """Packed-bit masked reductions vs dense and vs the sort-and-scan kernel.
 
     ``packed_s``/``dense_s`` time the general case (per-scenario values),
-    ``scan_s`` the shared-values case the existing sort-and-scan covers.
+    ``scan_s`` the shared-values case the sort-and-scan kernel covers; each
+    kernel is called directly.
     tracemalloc peaks are recorded; the timings are deliberately not gated
     (memory-for-time tradeoffs at millisecond scale flake on CI).
     """
@@ -815,12 +855,10 @@ def bench_packed_reduction(batch_size: int, n: int, d: int, repeats: int) -> lis
     shared_values = values[:1]
 
     def general(impl):
-        with masked_reduction_impl(impl):
-            masked_min_max(adjacency, values)
+        _kernel_call(impl, adjacency, values, values)
 
     def scan():
-        with masked_reduction_impl("dense"):
-            masked_min_max(adjacency, shared_values)
+        _kernel_call("scan", adjacency, shared_values, shared_values)
 
     dense_s = _best_of(lambda: general("dense"), repeats)
     packed_s = _best_of(lambda: general("packed"), repeats)
@@ -1202,7 +1240,9 @@ def main() -> int:
         # The ISSUE acceptance workload shape: B=256 split over 4 workers.
         # Rounds are few so the whole smoke family stays ~ms-scale.
         parallel_grid = [(256, 16, 10, 4)]
-        fused_grid = [(24, 256, 1)]
+        # (B, n, d, kernels, gated); the small point is the rooted ensemble's
+        # per-round shape, where the dispatcher runs the dense kernel.
+        fused_grid = [(24, 256, 1, ("dense", "packed"), True), (24, 12, 1, ("auto",), False)]
         repeats = 1
     else:
         engine_grid = [(16, 100), (64, 100), (64, 500), (256, 100)]
@@ -1231,7 +1271,7 @@ def main() -> int:
         remote_grid = [(32, 64, 100, 4, 8)]
         campaign_grid = [(0, 16), (1, 32)]
         parallel_grid = [(256, 32, 50, 4), (256, 64, 20, 4)]
-        fused_grid = [(64, 256, 1)]
+        fused_grid = [(64, 256, 1, ("dense", "packed"), True), (24, 12, 1, ("auto",), False)]
         repeats = 3
 
     results = []

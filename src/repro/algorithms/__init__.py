@@ -32,14 +32,10 @@ from repro.algorithms.approximate import (
 from repro.algorithms.base import (
     Algorithm,
     ConvexCombinationAlgorithm,
-    get_masked_reduction_chunks,
-    get_masked_reduction_impl,
     masked_extreme_pair,
     masked_max,
     masked_min,
     masked_min_max,
-    masked_reduction_chunks,
-    masked_reduction_impl,
 )
 from repro.algorithms.exact import FloodingExactConsensus, FloodingState, flooding_horizon_sufficient
 from repro.algorithms.hegselmann_krause import HegselmannKrauseAlgorithm
@@ -56,10 +52,6 @@ __all__ = [
     "masked_max",
     "masked_min_max",
     "masked_extreme_pair",
-    "get_masked_reduction_chunks",
-    "masked_reduction_chunks",
-    "get_masked_reduction_impl",
-    "masked_reduction_impl",
     "MidpointAlgorithm",
     "AmortizedMidpointAlgorithm",
     "AmortizedMidpointState",

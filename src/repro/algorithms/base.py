@@ -21,10 +21,8 @@ Two levels of generality are provided:
 from __future__ import annotations
 
 import math
-import threading
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,111 +35,10 @@ from repro.types import (
     packed_last_true,
 )
 
-#: A chunk setting: "auto" (heuristic), "dense" (never chunk this axis), or a
-#: positive block size.
-ChunkSetting = Union[str, int]
-
-
-class _ReductionSettings(threading.local):
-    """Per-thread masked-reduction configuration.
-
-    Each thread starts from the defaults; overrides applied in one thread
-    (via the context managers or :class:`repro.config.EngineConfig`) never
-    leak into another, so concurrent studies can run under different
-    configurations.
-    """
-
-    def __init__(self) -> None:
-        #: Chunking of the masked reductions, keyed by axis: "batch" chunks
-        #: the leading (scenario) axis, "receivers" the receiver axis.
-        self.chunks: Dict[str, ChunkSetting] = {"batch": "auto", "receivers": "auto"}
-        #: Implementation selector for the *general* masked-reduction case
-        #: (per-lead value tensors, where the shared-values sort-and-scan
-        #: cannot fire): "auto" picks the packed-bit path for large d<=2
-        #: stacks, "dense" never packs, "packed" always packs when applicable.
-        self.impl: str = "auto"
-
-
-_REDUCTION_SETTINGS = _ReductionSettings()
-
-#: In "auto" mode, dense intermediates up to this many elements skip chunking
+#: Dense intermediates up to this many elements are reduced in one pass
 #: (1M float64 elements = 8 MiB); anything larger is computed in blocks whose
-#: intermediate stays below this limit.
+#: intermediate stays below this limit, or by the packed-bit kernel.
 _AUTO_DENSE_ELEMENT_LIMIT = 1 << 20
-
-def _validate_chunk_setting(key: str, value: ChunkSetting) -> None:
-    if isinstance(value, str):
-        if value not in ("auto", "dense"):
-            raise AlgorithmError(
-                f"chunk setting for {key!r} must be 'auto', 'dense' or a positive int, got {value!r}"
-            )
-    elif (
-        isinstance(value, bool)
-        or not isinstance(value, (int, np.integer))
-        or value < 1
-    ):
-        raise AlgorithmError(
-            f"chunk setting for {key!r} must be 'auto', 'dense' or a positive int, got {value!r}"
-        )
-
-
-def _apply_masked_reduction_chunks(
-    batch: ChunkSetting = "auto", receivers: ChunkSetting = "auto"
-) -> None:
-    """Validate and install a chunk configuration."""
-    for key, value in (("batch", batch), ("receivers", receivers)):
-        _validate_chunk_setting(key, value)
-    _REDUCTION_SETTINGS.chunks["batch"] = batch
-    _REDUCTION_SETTINGS.chunks["receivers"] = receivers
-
-
-def _apply_masked_reduction_impl(general: str = "auto") -> None:
-    """Validate and install a reduction-impl selector."""
-    if general not in ("auto", "dense", "packed"):
-        raise AlgorithmError(
-            f"reduction impl must be 'auto', 'dense' or 'packed', got {general!r}"
-        )
-    _REDUCTION_SETTINGS.impl = general
-
-
-def get_masked_reduction_chunks() -> Dict[str, ChunkSetting]:
-    """The current thread's chunk configuration (a copy)."""
-    return dict(_REDUCTION_SETTINGS.chunks)
-
-
-def get_masked_reduction_impl() -> str:
-    """The current thread's general masked-reduction implementation selector."""
-    return _REDUCTION_SETTINGS.impl
-
-
-@contextmanager
-def masked_reduction_impl(general: str = "auto") -> Iterator[None]:
-    """Temporarily override the general masked-reduction implementation.
-
-    The previous value is restored even when the body raises.
-    """
-    previous = _REDUCTION_SETTINGS.impl
-    _apply_masked_reduction_impl(general)
-    try:
-        yield
-    finally:
-        _REDUCTION_SETTINGS.impl = previous
-
-
-@contextmanager
-def masked_reduction_chunks(
-    batch: ChunkSetting = "auto", receivers: ChunkSetting = "auto"
-) -> Iterator[None]:
-    """Temporarily override the masked-reduction chunk configuration.
-
-    The previous configuration is restored even when the body raises.
-    """
-    previous = get_masked_reduction_chunks()
-    _apply_masked_reduction_chunks(batch=batch, receivers=receivers)
-    try:
-        yield
-    finally:
-        _REDUCTION_SETTINGS.chunks.update(previous)
 
 
 def receive_mask(adjacency: np.ndarray) -> np.ndarray:
@@ -162,9 +59,9 @@ def masked_min(adjacency: np.ndarray, values: np.ndarray) -> np.ndarray:
     ``(..., n, d)`` tensor; row ``j`` of the result is the minimum over the
     values of ``j``'s in-neighbors.  This is the one authoritative masked
     reduction shared by the fast-path algorithms and the convexity validator.
-    Large inputs are reduced in blocks (see
-    :func:`masked_reduction_chunks`) so peak memory stays bounded by the
-    chunk size instead of the full ``(B, n, n, d)`` dense intermediate.
+    Large inputs are reduced in blocks (or by the packed-bit kernel) so peak
+    memory stays bounded by ``_AUTO_DENSE_ELEMENT_LIMIT`` instead of the full
+    ``(B, n, n, d)`` dense intermediate.
     """
     lo, _hi = _masked_extremes_pair(adjacency, values, None)
     return lo
@@ -212,71 +109,123 @@ def masked_extreme_pair(
 
 
 def _resolve_chunks(lead_count: int, lead0: int, n_receivers: int, n: int, d: int):
-    """Resolve the chunk configuration to concrete block sizes.
+    """Block sizes of the chunked path, or ``None`` for the dense path.
 
-    Returns ``None`` for the dense path, else a ``(batch_chunk,
-    receiver_chunk)`` pair of block sizes over the leading axis and the
-    receiver axis.  An ``"auto"`` axis shrinks until the per-block
-    intermediate fits ``_AUTO_DENSE_ELEMENT_LIMIT`` given the other axis's
-    setting (receivers shrink first, then the leading axis), so the memory
-    bound holds for mixed configurations too; explicit integer settings
-    always take the chunked path.
+    The dense path runs when the full ``lead_count · n_receivers · n · d``
+    intermediate fits ``_AUTO_DENSE_ELEMENT_LIMIT``.  Otherwise the receiver
+    axis shrinks first, then the leading axis, until one block's intermediate
+    fits (or both blocks are down to one row); the result is a
+    ``(batch_chunk, receiver_chunk)`` pair of block sizes over the first
+    leading axis and the receiver axis.
     """
-    batch_cfg = _REDUCTION_SETTINGS.chunks["batch"]
-    recv_cfg = _REDUCTION_SETTINGS.chunks["receivers"]
-    if batch_cfg == "dense" and recv_cfg == "dense":
-        return None
     limit = _AUTO_DENSE_ELEMENT_LIMIT
     # Elements contributed per unit of the first leading axis per receiver row.
-    per_batch_unit = max((lead_count // max(lead0, 1)) * n * d, 1)
-    explicit = isinstance(batch_cfg, (int, np.integer)) or isinstance(
-        recv_cfg, (int, np.integer)
-    )
-
-    if isinstance(batch_cfg, (int, np.integer)):
-        batch_chunk: Optional[int] = min(int(batch_cfg), lead0)
-    else:
-        batch_chunk = lead0 if batch_cfg == "dense" else None  # None = auto
-    if isinstance(recv_cfg, (int, np.integer)):
-        receiver_chunk: Optional[int] = min(int(recv_cfg), n_receivers)
-    else:
-        receiver_chunk = n_receivers if recv_cfg == "dense" else None
-
-    if receiver_chunk is None:
-        batch_estimate = batch_chunk if batch_chunk is not None else lead0
-        if batch_estimate * per_batch_unit * n_receivers <= limit:
-            receiver_chunk = n_receivers
-        else:
-            receiver_chunk = min(
-                n_receivers, max(1, limit // (batch_estimate * per_batch_unit))
-            )
-    if batch_chunk is None:
-        if lead0 * per_batch_unit * receiver_chunk <= limit or lead0 <= 1:
-            batch_chunk = lead0
-        else:
-            batch_chunk = min(lead0, max(1, limit // (per_batch_unit * receiver_chunk)))
-
-    batch_chunk = max(batch_chunk, 1)
-    receiver_chunk = max(receiver_chunk, 1)
-    if (
-        not explicit
-        and batch_chunk >= lead0
-        and receiver_chunk >= n_receivers
-        and lead0 * per_batch_unit * n_receivers <= limit
-    ):
+    per_lead = max((lead_count // max(lead0, 1)) * n * d, 1)
+    if lead0 * per_lead * n_receivers <= limit:
         return None
-    return (batch_chunk, receiver_chunk)
+    receiver_chunk = min(n_receivers, max(1, limit // (lead0 * per_lead)))
+    if lead0 <= 1 or lead0 * per_lead * receiver_chunk <= limit:
+        batch_chunk = lead0
+    else:
+        batch_chunk = min(lead0, max(1, limit // (per_lead * receiver_chunk)))
+    return (max(batch_chunk, 1), receiver_chunk)
+
+
+def _output_dtype(values: np.ndarray) -> np.dtype:
+    """The dense path's promotion: ``np.where(mask, values, inf)`` keeps a
+    floating values dtype and promotes anything else to float64."""
+    if np.issubdtype(values.dtype, np.floating):
+        return values.dtype
+    return np.result_type(values.dtype, float)
+
+
+def _masked_extremes_dense(
+    mask: np.ndarray,
+    min_values: Optional[np.ndarray],
+    max_values: Optional[np.ndarray],
+):
+    """Reference kernel: one ``np.where`` over the full dense intermediate.
+
+    Reduces the ``(..., n_receivers, n, d)`` tensor of masked values in a
+    single pass; the scan, packed and chunked kernels must equal it bit for
+    bit, and the tests compare them against it directly.
+    """
+    expanded_mask = mask[..., None]
+    lo = (
+        np.where(expanded_mask, min_values[..., None, :, :], np.inf).min(axis=-2)
+        if min_values is not None
+        else None
+    )
+    hi = (
+        np.where(expanded_mask, max_values[..., None, :, :], -np.inf).max(axis=-2)
+        if max_values is not None
+        else None
+    )
+    return lo, hi
+
+
+def _masked_extremes_chunked(
+    mask: np.ndarray,
+    min_values: Optional[np.ndarray],
+    max_values: Optional[np.ndarray],
+    lead: tuple,
+    batch_chunk: int,
+    receiver_chunk: int,
+):
+    """The dense kernel computed in ``(batch_chunk, receiver_chunk)`` blocks.
+
+    Blocks run over the first leading axis and the receiver axis, so peak
+    memory is one block's intermediate instead of the full dense tensor;
+    either block size may exceed its axis.  Each expanded mask block is
+    shared by the two sides.
+    """
+    n_receivers = mask.shape[-2]
+    mask_full = np.broadcast_to(mask, lead + mask.shape[-2:])
+
+    def _full(values):
+        if values is None:
+            return None, None
+        full = np.broadcast_to(values, lead + values.shape[-2:])
+        out = np.empty(lead + (n_receivers, values.shape[-1]), dtype=_output_dtype(values))
+        return full, out
+
+    min_full, lo = _full(min_values)
+    max_full, hi = _full(max_values)
+    if lead:
+        batch_slices = [
+            slice(start, start + batch_chunk) for start in range(0, lead[0], batch_chunk)
+        ]
+    else:
+        batch_slices = [slice(None)]
+    for batch_slice in batch_slices:
+        mask_block = mask_full[batch_slice]
+        min_block = min_full[batch_slice] if min_full is not None else None
+        max_block = max_full[batch_slice] if max_full is not None else None
+        for start in range(0, n_receivers, receiver_chunk):
+            stop = start + receiver_chunk
+            sub = mask_block[..., start:stop, :, None]
+            if lo is not None:
+                lo[batch_slice][..., start:stop, :] = np.where(
+                    sub, min_block[..., None, :, :], np.inf
+                ).min(axis=-2)
+            if hi is not None:
+                hi[batch_slice][..., start:stop, :] = np.where(
+                    sub, max_block[..., None, :, :], -np.inf
+                ).max(axis=-2)
+    return lo, hi
 
 
 def _masked_extremes_scan(
     mask: np.ndarray,
     min_values: Optional[np.ndarray],
     max_values: Optional[np.ndarray],
+    lead: tuple,
 ):
     """Sort-and-scan masked extremes for values shared across the mask's batch.
 
-    With the ``(n, d)`` values fixed, the masked minimum of receiver ``j`` is
-    the *first* of ``j``'s in-neighbors in ascending value order and the
+    The value tensors carry only size-1 leading axes.  With the ``(n, d)``
+    values fixed, the masked minimum of receiver ``j`` is the *first* of
+    ``j``'s in-neighbors in ascending value order and the
     masked maximum the *last*, so one boolean gather plus an ``argmax`` per
     coordinate replaces the ``O(lead · n² · d)`` float64 ``np.where``
     intermediate with a byte-sized one — both faster and leaner when many
@@ -286,11 +235,13 @@ def _masked_extremes_scan(
     the boolean gather are shared; distinct tensors still share the
     has-neighbor vector (and the caller's single mask resolution).
     """
-    last_axis = mask.shape[-1]
+    n_receivers, last_axis = mask.shape[-2], mask.shape[-1]
     has_neighbor = mask.any(axis=-1)  # (..., n_receivers)
 
     def _one_side(values: np.ndarray, want_min: bool, want_max: bool):
-        _n, d = values.shape
+        values = values.reshape(values.shape[-2:])
+        d = values.shape[-1]
+        out_shape = lead + (n_receivers, d)
         lo_columns, hi_columns = [], []
         for coord in range(d):
             column = values[:, coord]
@@ -303,8 +254,8 @@ def _masked_extremes_scan(
             if want_max:
                 last_hit = last_axis - 1 - sorted_mask[..., ::-1].argmax(axis=-1)
                 hi_columns.append(np.where(has_neighbor, sorted_column[last_hit], -np.inf))
-        lo = np.stack(lo_columns, axis=-1) if want_min else None
-        hi = np.stack(hi_columns, axis=-1) if want_max else None
+        lo = np.stack(lo_columns, axis=-1).reshape(out_shape) if want_min else None
+        hi = np.stack(hi_columns, axis=-1).reshape(out_shape) if want_max else None
         return lo, hi
 
     if min_values is not None and min_values is max_values:
@@ -357,11 +308,7 @@ def _masked_extremes_packed(
     def _one_side(values: np.ndarray, want_min: bool, want_max: bool):
         d = values.shape[-1]
         values_flat = np.broadcast_to(values, lead + (n, d)).reshape(lead_count, n, d)
-        out_dtype = (
-            values.dtype
-            if np.issubdtype(values.dtype, np.floating)
-            else np.result_type(values.dtype, float)
-        )
+        out_dtype = _output_dtype(values)
         lo = np.empty((lead_count, n_receivers, d), dtype=out_dtype) if want_min else None
         hi = np.empty((lead_count, n_receivers, d), dtype=out_dtype) if want_max else None
         order = np.argsort(values_flat, axis=-2, kind="stable")  # (L, n, d)
@@ -396,20 +343,16 @@ def _masked_extremes_packed(
     return lo, hi
 
 
-def _masked_extremes_pair(
+def _reduction_operands(
     adjacency: np.ndarray,
     min_values: Optional[np.ndarray],
     max_values: Optional[np.ndarray],
 ):
-    """Dispatch core of all masked extremes: one mask resolution per call.
+    """Validate a masked reduction's inputs: ``(mask, min_arr, max_arr, lead)``.
 
-    ``min_values`` feeds the minimum and ``max_values`` the maximum; either
-    may be ``None`` (that side is skipped) and passing the same object for
-    both recovers the shared-sort single-tensor behaviour of
-    :func:`masked_min_max`.  Every implementation path — sort-and-scan,
-    packed-bit, chunked/dense — receives the one mask produced here, so a
-    caller needing both extremes pays for exactly one
-    :func:`receive_mask` resolution regardless of path.
+    ``mask`` is the one :func:`receive_mask` resolution of the call, ``lead``
+    the broadcast leading (scenario/candidate) shape, and ``min_arr is
+    max_arr`` when the caller passed the same object for both sides.
     """
     adjacency_arr = np.asarray(adjacency)
     if adjacency_arr.ndim < 2 or adjacency_arr.shape[-1] != adjacency_arr.shape[-2]:
@@ -424,8 +367,7 @@ def _masked_extremes_pair(
         max_arr = min_arr
     else:
         max_arr = np.asarray(max_values) if max_values is not None else None
-    # The distinct sides of a fused pair (one asarray each when shared).
-    sides = [min_arr] if shared else [arr for arr in (min_arr, max_arr) if arr is not None]
+    sides = _distinct_sides(min_arr, max_arr)
     for values in sides:
         if values.ndim < 2:
             raise EnsembleShapeError(
@@ -442,127 +384,75 @@ def _masked_extremes_pair(
             f"disagree on the coordinate dimension: {sides[0].shape[-1]} vs {sides[1].shape[-1]}"
         )
     mask = receive_mask(adjacency_arr)
-    mask_lead = mask.shape[:-2]
-    value_leads = [values.shape[:-2] for values in sides]
     try:
-        lead = np.broadcast_shapes(mask_lead, *value_leads)
+        lead = np.broadcast_shapes(mask.shape[:-2], *(values.shape[:-2] for values in sides))
     except ValueError as exc:
         raise EnsembleShapeError(
             f"adjacency tensor {adjacency_arr.shape} and value tensor(s) "
             f"{[tuple(v.shape) for v in sides]} have incompatible leading "
             "(scenario/candidate) axes"
         ) from exc
+    return mask, min_arr, max_arr, lead
+
+
+def _distinct_sides(min_arr, max_arr) -> list:
+    """The distinct value tensors of a fused pair (one when both are the same)."""
+    if min_arr is not None and min_arr is max_arr:
+        return [min_arr]
+    return [values for values in (min_arr, max_arr) if values is not None]
+
+
+def _masked_extremes_pair(
+    adjacency: np.ndarray,
+    min_values: Optional[np.ndarray],
+    max_values: Optional[np.ndarray],
+):
+    """Dispatch core of all masked extremes: one mask resolution per call.
+
+    ``min_values`` feeds the minimum and ``max_values`` the maximum; either
+    may be ``None`` (that side is skipped) and passing the same object for
+    both recovers the shared-sort single-tensor behaviour of
+    :func:`masked_min_max`.  The kernel is chosen from the input alone:
+
+    * sort-and-scan when one value matrix (``d <= 8``) is shared by a stack
+      of masks;
+    * packed-bit when per-lead values with ``d <= 2`` and ``n >= 32``
+      overflow ``_AUTO_DENSE_ELEMENT_LIMIT``;
+    * dense when the full intermediate fits that limit, else chunked.
+
+    NaN values skip the scan and packed kernels (they need the dense
+    propagation semantics).  Every kernel receives the one mask produced
+    here, so a caller needing both extremes pays for exactly one
+    :func:`receive_mask` resolution regardless of path.
+    """
+    mask, min_arr, max_arr, lead = _reduction_operands(adjacency, min_values, max_values)
+    sides = _distinct_sides(min_arr, max_arr)
     n_receivers, n = mask.shape[-2], mask.shape[-1]
     d = sides[0].shape[-1]
     lead_count = math.prod(lead) if lead else 1
-    lead0 = lead[0] if lead else 1
 
-    # Sparse-aware fast path: one value matrix shared by a whole stack of
-    # masks (the adversaries' candidate evaluation) reduces via sort-and-scan
-    # instead of a dense float64 intermediate.
+    def nan_free() -> bool:
+        return not any(np.isnan(values).any() for values in sides)
+
     if (
         lead_count > 1
         and d <= 8
-        and all(size == 1 for values_lead in value_leads for size in values_lead)
-        and not any(np.isnan(values).any() for values in sides)
+        and all(size == 1 for values in sides for size in values.shape[:-2])
+        and nan_free()
     ):
-        min_flat = min_arr.reshape(n, d) if min_arr is not None else None
-        if shared:
-            max_flat = min_flat
-        else:
-            max_flat = max_arr.reshape(n, d) if max_arr is not None else None
-        lo, hi = _masked_extremes_scan(mask, min_flat, max_flat)
-        out_shape = lead + (n_receivers, d)
-        return (
-            lo.reshape(out_shape) if lo is not None else None,
-            hi.reshape(out_shape) if hi is not None else None,
-        )
-
-    # Packed-bit path for the general case (per-lead value tensors).  In
-    # "auto" mode it fires where the dense intermediate would be chunked
-    # anyway and the coordinate count is small; "packed" forces it whenever
-    # the values are NaN-free (NaNs need the dense propagation semantics).
-    impl = _REDUCTION_SETTINGS.impl
-    if impl != "dense":
-        auto_fire = (
-            impl == "packed"
-            or (
-                lead_count > 1
-                and d <= 2
-                and n >= 32
-                and lead_count * n_receivers * n * d > _AUTO_DENSE_ELEMENT_LIMIT
-            )
-        )
-        if auto_fire and all(
-            not np.issubdtype(values.dtype, np.floating) or not np.isnan(values).any()
-            for values in sides
-        ):
-            return _masked_extremes_packed(mask, min_arr, max_arr, lead)
-
-    chunks = _resolve_chunks(lead_count, lead0, n_receivers, n, d)
-
+        return _masked_extremes_scan(mask, min_arr, max_arr, lead)
+    if (
+        lead_count > 1
+        and d <= 2
+        and n >= 32
+        and lead_count * n_receivers * n * d > _AUTO_DENSE_ELEMENT_LIMIT
+        and nan_free()
+    ):
+        return _masked_extremes_packed(mask, min_arr, max_arr, lead)
+    chunks = _resolve_chunks(lead_count, lead[0] if lead else 1, n_receivers, n, d)
     if chunks is None:
-        expanded_mask = mask[..., None]
-        lo = (
-            np.where(expanded_mask, min_arr[..., None, :, :], np.inf).min(axis=-2)
-            if min_arr is not None
-            else None
-        )
-        hi = (
-            np.where(expanded_mask, max_arr[..., None, :, :], -np.inf).max(axis=-2)
-            if max_arr is not None
-            else None
-        )
-        return lo, hi
-
-    batch_chunk, receiver_chunk = chunks
-    mask_full = np.broadcast_to(mask, lead + mask.shape[-2:])
-
-    # Match the dense path's promotion: np.where(mask, values, inf) keeps a
-    # floating values dtype and promotes anything else to float64.
-    def _output_for(values: np.ndarray) -> np.ndarray:
-        out_dtype = (
-            values.dtype
-            if np.issubdtype(values.dtype, np.floating)
-            else np.result_type(values.dtype, float)
-        )
-        return np.empty(lead + (n_receivers, d), dtype=out_dtype)
-
-    min_full = (
-        np.broadcast_to(min_arr, lead + min_arr.shape[-2:]) if min_arr is not None else None
-    )
-    if shared:
-        max_full = min_full
-    else:
-        max_full = (
-            np.broadcast_to(max_arr, lead + max_arr.shape[-2:])
-            if max_arr is not None
-            else None
-        )
-    lo = _output_for(min_arr) if min_arr is not None else None
-    hi = _output_for(max_arr) if max_arr is not None else None
-    if lead:
-        batch_slices = [
-            slice(start, start + batch_chunk) for start in range(0, lead0, batch_chunk)
-        ]
-    else:
-        batch_slices = [slice(None)]
-    for batch_slice in batch_slices:
-        mask_block = mask_full[batch_slice]
-        min_block = min_full[batch_slice] if min_full is not None else None
-        max_block = max_full[batch_slice] if max_full is not None else None
-        for start in range(0, n_receivers, receiver_chunk):
-            stop = start + receiver_chunk
-            sub = mask_block[..., start:stop, :, None]
-            if lo is not None:
-                lo[batch_slice][..., start:stop, :] = np.where(
-                    sub, min_block[..., None, :, :], np.inf
-                ).min(axis=-2)
-            if hi is not None:
-                hi[batch_slice][..., start:stop, :] = np.where(
-                    sub, max_block[..., None, :, :], -np.inf
-                ).max(axis=-2)
-    return lo, hi
+        return _masked_extremes_dense(mask, min_arr, max_arr)
+    return _masked_extremes_chunked(mask, min_arr, max_arr, lead, *chunks)
 
 
 class Algorithm(ABC):

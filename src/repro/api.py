@@ -413,7 +413,7 @@ class Study:
         per-scenario certificates for the faulted trajectories.
     config:
         An :class:`~repro.config.EngineConfig`; the study runs inside it, so
-        every knob (fast path, batching, packed kernels, reductions) applies
+        every knob (fast path, batching, packed kernels, threads) applies
         to exactly the code the study executes.  ``None`` inherits the
         ambient configuration.
     """

@@ -5,8 +5,6 @@ bit-for-bit (or last-ulp) identical results for the same scenario:
 
 * ``fast_vs_reference`` — ``run_execution`` with ``use_fast_path`` on/off,
 * ``batch_vs_loop`` — ``run_ensemble`` with ``use_batch`` on/off,
-* ``packed_vs_dense`` — the batched ensemble under the packed vs the dense
-  masked-reduction kernels,
 * ``facade_vs_direct`` — ``Study`` vs the engine call it compiles to,
 * ``faulted_batch_vs_loop`` — the vectorized fault-mask path vs the
   per-scenario reference loop under a :class:`~repro.faults.FaultPlan`,
@@ -31,7 +29,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, masked_reduction_impl
+from repro.algorithms.base import Algorithm
 from repro.campaign.registry import (
     FuzzEntry,
     ORDERED_ENTRIES,
@@ -390,25 +388,17 @@ def _side_ensemble(
     algorithm: Algorithm,
     use_batch: Optional[bool],
     fault_plan: Optional[FaultPlan] = None,
-    impl: Optional[str] = None,
 ):
     from repro.execution import run_ensemble
 
-    def run():
-        return run_ensemble(
-            algorithm,
-            spec.values,
-            ensemble_graphs(spec),
-            record_every=spec.record_every,
-            use_batch=use_batch,
-            fault_plan=fault_plan,
-        )
-
-    if impl is not None:
-        with masked_reduction_impl(impl):
-            execution = run()
-    else:
-        execution = run()
+    execution = run_ensemble(
+        algorithm,
+        spec.values,
+        ensemble_graphs(spec),
+        record_every=spec.record_every,
+        use_batch=use_batch,
+        fault_plan=fault_plan,
+    )
     return _ensemble_payload(execution)
 
 
@@ -472,12 +462,6 @@ TARGETS: Dict[str, Target] = {
             key="batch_vs_loop",
             left=lambda spec, a: _side_ensemble(spec, a, use_batch=True),
             right=lambda spec, a: _side_ensemble(spec, a, use_batch=False),
-            requires_batch=True,
-        ),
-        Target(
-            key="packed_vs_dense",
-            left=lambda spec, a: _side_ensemble(spec, a, use_batch=True, impl="packed"),
-            right=lambda spec, a: _side_ensemble(spec, a, use_batch=True, impl="dense"),
             requires_batch=True,
         ),
         Target(

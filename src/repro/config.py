@@ -1,29 +1,28 @@
 """Unified engine configuration: every execution knob in one declarative object.
 
-The engines grew their tuning knobs one PR at a time: ``use_fast_path`` on
+The engines grew their tuning knobs one at a time: ``use_fast_path`` on
 :func:`repro.execution.run_execution`, ``use_batch`` on the adversaries and
 the :class:`~repro.core.valency.ValencyEstimator`, ``use_packed`` on the
-α-relation kernels, and the module-level masked-reduction setters of
-:mod:`repro.algorithms.base`.  :class:`EngineConfig` consolidates all of them
-into a single dataclass that doubles as an exception-safe, *thread-local*
-context manager:
+α-relation kernels, and so on.  :class:`EngineConfig` consolidates all of
+them into a single dataclass that doubles as an exception-safe,
+*thread-local* context manager:
 
 >>> from repro.config import EngineConfig
->>> with EngineConfig(use_fast_path=False, reduction_impl="dense"):
+>>> with EngineConfig(use_fast_path=False, use_batch=False):
 ...     ...  # every engine entry point inside the block sees the overrides
 
 Every field defaults to ``None``, meaning "inherit": from an enclosing
 ``EngineConfig`` block if one is active, else from the library default
-(auto-select fast path, batched evaluation on, packed kernels on, ``"auto"``
-reductions, 4096-scenario valency chunks).  Entering a config applies the
-masked-reduction fields immediately (and restores the previous values on
-exit, even when the body raises); the tri-state fields are consulted lazily
-by the engine entry points through the ``resolve_*`` helpers below.
+(auto-select fast path, batched evaluation on, packed kernels on,
+4096-scenario valency chunks).  The fields are consulted lazily by the engine
+entry points through the ``resolve_*`` helpers below; leaving a block drops
+its overrides, even when the body raises.  The masked reductions have no
+setting: they choose their kernel from the input shape alone (see
+:mod:`repro.algorithms.base`).
 
 Configs nest: the innermost block wins field-by-field.  The active stack is
 thread-local, so concurrent studies can run under different configurations
-without racing each other — the masked-reduction settings themselves are
-thread-local too (see :mod:`repro.algorithms.base`).
+without racing each other.
 """
 
 from __future__ import annotations
@@ -32,17 +31,9 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.algorithms.base import (
-    ChunkSetting,
-    _apply_masked_reduction_chunks,
-    _apply_masked_reduction_impl,
-    _validate_chunk_setting,
-    get_masked_reduction_chunks,
-    get_masked_reduction_impl,
-)
-from repro.exceptions import AlgorithmError, ConfigError
+from repro.exceptions import ConfigError
 
 #: Library defaults the ``resolve_*`` helpers fall back to when neither an
 #: explicit argument nor an active config sets a field.
@@ -75,9 +66,6 @@ _CONFIG_FIELDS = (
     "use_fast_path",
     "use_batch",
     "use_packed",
-    "reduction_impl",
-    "reduction_batch_chunk",
-    "reduction_receiver_chunk",
     "scenario_chunk",
     "seed",
     "threads",
@@ -102,13 +90,6 @@ class EngineConfig:
     use_packed:
         Whether the α/β-relation analyses use the packed witness-tensor
         kernels (default ``True``) or the per-pair reference loops.
-    reduction_impl:
-        Implementation of the general masked-reduction case: ``"auto"``,
-        ``"dense"`` or ``"packed"`` (see
-        :func:`repro.algorithms.base.masked_reduction_impl`).
-    reduction_batch_chunk / reduction_receiver_chunk:
-        Chunk settings of the masked reductions over the leading (scenario)
-        and receiver axes: ``"auto"``, ``"dense"`` or a positive block size.
     scenario_chunk:
         Upper bound on the number of stacked scenarios per batched valency
         pass (default 4096).
@@ -132,9 +113,6 @@ class EngineConfig:
     use_fast_path: Optional[bool] = None
     use_batch: Optional[bool] = None
     use_packed: Optional[bool] = None
-    reduction_impl: Optional[str] = None
-    reduction_batch_chunk: Optional[ChunkSetting] = None
-    reduction_receiver_chunk: Optional[ChunkSetting] = None
     scenario_chunk: Optional[int] = None
     seed: Optional[int] = None
     threads: Optional[int] = None
@@ -144,22 +122,6 @@ class EngineConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, bool):
                 raise ConfigError(f"{name} must be True, False or None, got {value!r}")
-        if self.reduction_impl is not None and self.reduction_impl not in (
-            "auto",
-            "dense",
-            "packed",
-        ):
-            raise ConfigError(
-                f"reduction_impl must be 'auto', 'dense', 'packed' or None, "
-                f"got {self.reduction_impl!r}"
-            )
-        for name in ("reduction_batch_chunk", "reduction_receiver_chunk"):
-            value = getattr(self, name)
-            if value is not None:
-                try:
-                    _validate_chunk_setting(name, value)
-                except AlgorithmError as exc:
-                    raise ConfigError(str(exc)) from exc
         if self.scenario_chunk is not None and (
             isinstance(self.scenario_chunk, bool)
             or not isinstance(self.scenario_chunk, int)
@@ -192,7 +154,7 @@ class EngineConfig:
         encoding is the field dict plus a type/version header — canonical
         for a given config, which lets the service layer content-hash it.
         """
-        payload = {"__type__": "EngineConfig", "version": 1}
+        payload = {"__type__": "EngineConfig", "version": 2}
         for name in _CONFIG_FIELDS:
             payload[name] = getattr(self, name)
         return payload
@@ -207,10 +169,10 @@ class EngineConfig:
                 f"__type__={payload.get('__type__') if isinstance(payload, dict) else payload!r}"
             )
         version = payload.get("version")
-        if version != 1:
+        if version != 2:
             raise SerializationError(
                 f"EngineConfig payload version {version!r} is not supported "
-                "(this library reads version 1)"
+                "(this library reads version 2)"
             )
         return cls(**{name: payload.get(name) for name in _CONFIG_FIELDS})
 
@@ -219,67 +181,32 @@ class EngineConfig:
     # ------------------------------------------------------------------ #
 
     def __enter__(self) -> "EngineConfig":
-        # The saved reduction snapshot lives in the *thread-local* stack
-        # entry, never on this (possibly shared) instance: one EngineConfig
-        # object entered concurrently from several threads must not pop
-        # another thread's snapshot.
-        saved = (get_masked_reduction_chunks(), get_masked_reduction_impl())
-        _ACTIVE_CONFIGS.stack.append(_StackEntry(self, saved))
-        try:
-            if (
-                self.reduction_batch_chunk is not None
-                or self.reduction_receiver_chunk is not None
-            ):
-                current = saved[0]
-                _apply_masked_reduction_chunks(
-                    batch=(
-                        self.reduction_batch_chunk
-                        if self.reduction_batch_chunk is not None
-                        else current["batch"]
-                    ),
-                    receivers=(
-                        self.reduction_receiver_chunk
-                        if self.reduction_receiver_chunk is not None
-                        else current["receivers"]
-                    ),
-                )
-            if self.reduction_impl is not None:
-                _apply_masked_reduction_impl(self.reduction_impl)
-        except BaseException:
-            _pop_entry_for(self)
-            raise
+        _ACTIVE_CONFIGS.stack.append(_StackEntry(self))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         entry = _pop_entry_for(self)
-        if entry is not None:
-            chunks, impl = entry.saved
-            _apply_masked_reduction_chunks(
-                batch=chunks["batch"], receivers=chunks["receivers"]
-            )
-            _apply_masked_reduction_impl(impl)
-            if entry.pool is not None:
-                entry.pool.shutdown(wait=True)
-                entry.pool = None
+        if entry is not None and entry.pool is not None:
+            entry.pool.shutdown(wait=True)
+            entry.pool = None
         return False
 
 
 class _StackEntry:
     """One thread-local activation of a config block.
 
-    Carries the entered config, the thread's reduction snapshot to restore on
-    exit, and — when the parallel backend runs inside the block — the block's
-    lazily-created worker pool.  The pool lives on the stack entry rather
-    than on the (possibly shared) :class:`EngineConfig` instance so that one
-    config object entered concurrently from several threads gets one pool
-    per activation, each torn down by its own ``__exit__``.
+    Carries the entered config and — when the parallel backend runs inside
+    the block — the block's lazily-created worker pool.  The pool lives on
+    the stack entry rather than on the (possibly shared)
+    :class:`EngineConfig` instance so that one config object entered
+    concurrently from several threads gets one pool per activation, each
+    torn down by its own ``__exit__``.
     """
 
-    __slots__ = ("config", "saved", "pool", "pool_size")
+    __slots__ = ("config", "pool", "pool_size")
 
-    def __init__(self, config: EngineConfig, saved: Tuple[dict, str]) -> None:
+    def __init__(self, config: EngineConfig) -> None:
         self.config = config
-        self.saved = saved
         self.pool: Optional[ThreadPoolExecutor] = None
         self.pool_size = 0
 

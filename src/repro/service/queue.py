@@ -98,7 +98,9 @@ class JobQueue:
         """Admit one job; answers ``enqueued``, ``cached`` or the known status.
 
         A key already in the cache is born completed (``cache-hit``
-        telemetry, and a ``remote-cache-hit`` record rides along).
+        telemetry, and a ``remote-cache-hit`` record rides along).  Every
+        admission the cache decides counts once in the cache's hit/miss
+        counters; a key the queue already knows counts neither.
         """
         key = record.key
         cached, layer = self.cache.lookup(key)
@@ -106,6 +108,7 @@ class JobQueue:
             existing = self._jobs.get(key)
             if existing is not None:
                 return {"status": existing.status, "key": key}
+            self.cache.count(hit=cached is not None)
             if cached is not None:
                 self._jobs[key] = _Entry(record, status="completed")
                 self.telemetry.append("cache-hit", key, kind=record.kind)

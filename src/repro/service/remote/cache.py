@@ -57,7 +57,8 @@ class ResultCache:
 
     def lookup(self, key: str) -> Tuple[Optional[dict], Optional[str]]:
         """``(result payload, layer)`` for ``key`` — layer is ``"memory"``,
-        ``"journal"``, or ``None`` on a miss.  Does not touch the counters."""
+        ``"journal"``, or ``None`` on a miss.  Does not touch the counters:
+        the job queue counts each admission the cache decides (:meth:`count`)."""
         with self._lock:
             result = self._memory.get(key)
             if result is not None:
@@ -70,15 +71,13 @@ class ResultCache:
                     return result, "journal"
             return None, None
 
-    def get(self, key: str) -> Optional[dict]:
-        """The cached result payload of ``key`` (counts a hit or miss)."""
-        result, layer = self.lookup(key)
+    def count(self, hit: bool) -> None:
+        """Count one admission the cache decided: a hit or a miss."""
         with self._lock:
-            if layer is None:
-                self.misses += 1
-            else:
+            if hit:
                 self.hits += 1
-        return result
+            else:
+                self.misses += 1
 
     def put(self, key: str, result: dict, kind: str = "shard") -> None:
         """Store one completed result (durably first, when journal-backed)."""

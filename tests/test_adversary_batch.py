@@ -8,11 +8,14 @@ Three properties are enforced:
 * :func:`repro.execution.run_adversarial_ensemble` commits the same graph
   sequences and outputs as independent per-scenario runs;
 * the chunked masked reductions are bit-for-bit equal to the dense ones for
-  every chunk configuration, including chunk=1 and chunk > B.
+  every block size, including chunk=1 and chunk > B, and the automatic block
+  sizes keep every block's intermediate under the dense element limit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     AmortizedMidpointAlgorithm,
@@ -21,12 +24,15 @@ from repro.algorithms import (
     TwoAgentThirdsAlgorithm,
 )
 from repro.algorithms.base import (
+    _AUTO_DENSE_ELEMENT_LIMIT,
     ConvexCombinationAlgorithm,
-    get_masked_reduction_chunks,
+    _masked_extremes_chunked,
+    _masked_extremes_dense,
+    _reduction_operands,
+    _resolve_chunks,
     masked_max,
     masked_min,
     masked_min_max,
-    masked_reduction_chunks,
 )
 from repro.core.adversary import (
     GreedyDiameterAdversary,
@@ -34,7 +40,7 @@ from repro.core.adversary import (
     PsiBlockAdversary,
     TwoAgentAdversary,
 )
-from repro.exceptions import AlgorithmError, ExecutionError
+from repro.exceptions import ExecutionError
 from repro.execution import run_adversarial_ensemble, run_execution
 from repro.execution.batch import _batch_diameters, _round_adjacency
 from repro.execution.engine import _AdjacencyCache
@@ -365,6 +371,24 @@ def _dense_masked_min(adjacency, values):
     return np.where(mask, values[..., None, :, :], np.inf).min(axis=-2)
 
 
+def _chunked_min_max(adjacency, values, batch_chunk, receiver_chunk):
+    """The chunked kernel with explicit block sizes (min-only, max-only, both)."""
+    mask, lo_values, hi_values, lead = _reduction_operands(adjacency, values, values)
+    blocks = (lead, batch_chunk, receiver_chunk)
+    lo = _masked_extremes_chunked(mask, lo_values, None, *blocks)[0]
+    hi = _masked_extremes_chunked(mask, None, hi_values, *blocks)[1]
+    return lo, hi, _masked_extremes_chunked(mask, lo_values, hi_values, *blocks)
+
+
+def _block_size(setting, axis_length, automatic):
+    """A test block setting: an int, the whole axis, or the automatic choice."""
+    if setting == "dense":
+        return axis_length
+    if setting == "auto":
+        return automatic
+    return setting
+
+
 class TestChunkedReductions:
     SHAPES = [
         ((6, 6), (6, 2)),          # single graph, single scenario
@@ -385,12 +409,25 @@ class TestChunkedReductions:
             values = rng.normal(size=values_shape)
             expected_lo = _dense_masked_min(adjacency, values)
             expected_hi = -_dense_masked_min(adjacency, -values)
-            with masked_reduction_chunks(batch=batch_chunk, receivers=receiver_chunk):
-                np.testing.assert_array_equal(masked_min(adjacency, values), expected_lo)
-                np.testing.assert_array_equal(masked_max(adjacency, values), expected_hi)
-                lo, hi = masked_min_max(adjacency, values)
+            np.testing.assert_array_equal(masked_min(adjacency, values), expected_lo)
+            np.testing.assert_array_equal(masked_max(adjacency, values), expected_hi)
+            lo, hi = masked_min_max(adjacency, values)
             np.testing.assert_array_equal(lo, expected_lo)
             np.testing.assert_array_equal(hi, expected_hi)
+
+            lead = expected_lo.shape[:-2]
+            lead0 = lead[0] if lead else 1
+            automatic = _resolve_chunks(
+                int(np.prod(lead)), lead0, n, n, values_shape[-1]
+            ) or (lead0, n)
+            blocks = (
+                _block_size(batch_chunk, lead0, automatic[0]),
+                _block_size(receiver_chunk, n, automatic[1]),
+            )
+            lo, hi, (pair_lo, pair_hi) = _chunked_min_max(adjacency, values, *blocks)
+            for got, want in ((lo, expected_lo), (pair_lo, expected_lo),
+                              (hi, expected_hi), (pair_hi, expected_hi)):
+                np.testing.assert_array_equal(got, want)
 
     def test_chunk_one_and_chunk_larger_than_batch(self):
         rng = np.random.default_rng(1)
@@ -400,8 +437,8 @@ class TestChunkedReductions:
         values = rng.normal(size=(batch, 5, 4))
         expected = _dense_masked_min(adjacency, values)
         for chunk in (1, batch + 10):
-            with masked_reduction_chunks(batch=chunk, receivers=chunk):
-                np.testing.assert_array_equal(masked_min(adjacency, values), expected)
+            lo, _hi, _pair = _chunked_min_max(adjacency, values, chunk, chunk)
+            np.testing.assert_array_equal(lo, expected)
 
     def test_rows_without_neighbors_fill(self):
         adjacency = np.zeros((2, 3, 3), dtype=bool)  # not even self-loops
@@ -409,33 +446,85 @@ class TestChunkedReductions:
         assert np.all(masked_min(adjacency, values) == np.inf)
         assert np.all(masked_max(adjacency, values) == -np.inf)
 
-    def test_configuration_validation_and_restore(self):
-        with pytest.raises(AlgorithmError):
-            with masked_reduction_chunks(batch=0):
-                pass
-        with pytest.raises(AlgorithmError):
-            with masked_reduction_chunks(receivers="sometimes"):
-                pass
-        before = get_masked_reduction_chunks()
-        with masked_reduction_chunks(batch=2, receivers=3):
-            assert get_masked_reduction_chunks() == {"batch": 2, "receivers": 3}
-        assert get_masked_reduction_chunks() == before
-
     def test_executions_identical_across_chunkings(self):
-        values = _values(4, 6, seed=9)
-        pattern_graphs = [complete_graph(6), cycle_graph(6)]
+        # Above the dense limit with d = 3 the ensemble's reductions take the
+        # chunked kernel; halves of the ensemble fit and take the dense one.
+        batch, n, d = 256, 40, 3
+        assert _resolve_chunks(batch, batch, n, n, d) is not None
+        assert _resolve_chunks(batch // 2, batch // 2, n, n, d) is None
+        values = _values(batch, n, d, seed=9)
+        pattern_graphs = [complete_graph(n), cycle_graph(n)]
         from repro.execution import run_pattern_ensemble
         from repro.models.patterns import PeriodicPattern
 
-        with masked_reduction_chunks(batch="dense", receivers="dense"):
-            dense = run_pattern_ensemble(
-                MidpointAlgorithm(), values, PeriodicPattern(pattern_graphs), 9
-            )
-        with masked_reduction_chunks(batch=1, receivers=2):
-            chunked = run_pattern_ensemble(
-                MidpointAlgorithm(), values, PeriodicPattern(pattern_graphs), 9
-            )
-        np.testing.assert_array_equal(dense.recorded_outputs, chunked.recorded_outputs)
+        def run(part):
+            return run_pattern_ensemble(
+                MidpointAlgorithm(), part, PeriodicPattern(pattern_graphs), 9
+            ).recorded_outputs
+
+        chunked = run(values)
+        halves = np.concatenate(
+            [run(values[: batch // 2]), run(values[batch // 2 :])], axis=1
+        )
+        np.testing.assert_array_equal(chunked, halves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead0=st.integers(0, 4096),
+    rest=st.integers(1, 64),
+    n_receivers=st.integers(1, 512),
+    n=st.integers(1, 512),
+    d=st.integers(1, 8),
+)
+def test_automatic_blocks_fit_the_dense_limit(lead0, rest, n_receivers, n, d):
+    lead_count = lead0 * rest
+    chunks = _resolve_chunks(lead_count, lead0, n_receivers, n, d)
+    full = lead_count * n_receivers * n * d
+    assert (chunks is None) == (full <= _AUTO_DENSE_ELEMENT_LIMIT)
+    if chunks is None:
+        return
+    block_lead, block_receivers = chunks
+    assert 1 <= block_lead <= lead0 and 1 <= block_receivers <= n_receivers
+    per_lead = rest * n * d
+    assert (
+        block_lead * per_lead * block_receivers <= _AUTO_DENSE_ELEMENT_LIMIT
+        or (block_lead, block_receivers) == (1, 1)
+    )
+    # Receivers shrink first: the leading axis is only split at one receiver.
+    assert block_lead == lead0 or block_receivers == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    shared_graph=st.booleans(),
+    n=st.integers(1, 7),
+    d=st.integers(1, 4),
+    batch_chunk=st.integers(1, 9),
+    receiver_chunk=st.integers(1, 9),
+    density=st.floats(0.0, 1.0),
+)
+@example(seed=1, lead=(3,), shared_graph=False, n=5, d=4,
+         batch_chunk=1, receiver_chunk=1, density=0.5)  # chunk = 1
+@example(seed=1, lead=(3,), shared_graph=False, n=5, d=4,
+         batch_chunk=13, receiver_chunk=13, density=0.5)  # chunk > B
+@example(seed=2, lead=(2,), shared_graph=False, n=3, d=2,
+         batch_chunk=1, receiver_chunk=2, density=0.0)  # empty in-neighborhoods
+def test_chunked_kernel_equals_dense(
+    seed, lead, shared_graph, n, d, batch_chunk, receiver_chunk, density
+):
+    rng = np.random.default_rng(seed)
+    adjacency = rng.random((n, n) if shared_graph else lead + (n, n)) < density
+    values = rng.normal(size=lead + (n, d))
+    mask, lo_values, hi_values, lead_shape = _reduction_operands(adjacency, values, values)
+    want_lo, want_hi = _masked_extremes_dense(mask, lo_values, hi_values)
+    got_lo, got_hi = _masked_extremes_chunked(
+        mask, lo_values, hi_values, lead_shape, batch_chunk, receiver_chunk
+    )
+    np.testing.assert_array_equal(got_lo, want_lo)
+    np.testing.assert_array_equal(got_hi, want_hi)
 
 
 # --------------------------------------------------------------------------- #

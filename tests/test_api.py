@@ -3,15 +3,17 @@
 Three contracts are enforced:
 
 * **Config-route equivalence** — every `Study` configuration (fast path ×
-  reduction impl × chunking × batch on/off) is bit-for-bit identical to the
-  direct engine call it compiles to, executed under the same `EngineConfig`.
+  packed kernels × seed × threads × batch on/off) is bit-for-bit identical
+  to the direct engine call it compiles to, executed under the same
+  `EngineConfig`.
 * **EngineConfig semantics** — exception-safe restore, nesting (innermost
-  wins), thread-local isolation, and validation errors; the reduction
-  context managers never warn.
+  wins), thread-local isolation, and validation errors; entering a config
+  never warns.
 * **Shape validation** — mismatched `(B, n, d)` / `(C, n, n)` inputs raise
   `EnsembleShapeError` with named shapes instead of NumPy broadcast errors.
 """
 
+import dataclasses
 import pickle
 import threading
 
@@ -22,15 +24,12 @@ from repro.algorithms import (
     AmortizedMidpointAlgorithm,
     MidpointAlgorithm,
 )
-from repro.algorithms import base as algorithms_base
 from repro.algorithms.base import (
-    get_masked_reduction_chunks,
-    get_masked_reduction_impl,
     masked_min,
     masked_min_max,
 )
 from repro.api import CertifySpec, EngineConfig, ScenarioSpec, Study, StudyResult
-from repro.config import current_engine_config
+from repro.config import current_engine_config, resolve_seed, resolve_use_batch
 from repro.core.adversary import GreedyDiameterAdversary, PsiBlockAdversary
 from repro.core.valency import ValencyEstimator
 from repro.exceptions import (
@@ -68,26 +67,14 @@ def _ensemble_values(batch, n, d=1, seed=0):
 
 
 class TestEngineConfig:
-    def test_applies_and_restores_reduction_settings(self):
-        before_chunks = get_masked_reduction_chunks()
-        before_impl = get_masked_reduction_impl()
-        with EngineConfig(
-            reduction_impl="dense", reduction_batch_chunk=7, reduction_receiver_chunk=3
-        ):
-            assert get_masked_reduction_impl() == "dense"
-            assert get_masked_reduction_chunks() == {"batch": 7, "receivers": 3}
-        assert get_masked_reduction_chunks() == before_chunks
-        assert get_masked_reduction_impl() == before_impl
-
     def test_restores_on_exception(self):
-        before_chunks = get_masked_reduction_chunks()
-        before_impl = get_masked_reduction_impl()
         with pytest.raises(RuntimeError):
-            with EngineConfig(reduction_impl="packed", reduction_batch_chunk=2):
-                assert get_masked_reduction_impl() == "packed"
+            with EngineConfig(use_batch=False, seed=2):
+                assert resolve_use_batch() is False
+                assert resolve_seed() == 2
                 raise RuntimeError("boom")
-        assert get_masked_reduction_chunks() == before_chunks
-        assert get_masked_reduction_impl() == before_impl
+        assert resolve_use_batch() is True
+        assert resolve_seed() == 0
 
     def test_nesting_innermost_wins(self):
         with EngineConfig(use_fast_path=False, use_batch=False):
@@ -101,9 +88,9 @@ class TestEngineConfig:
 
     def test_shared_instance_across_threads_restores_correctly(self):
         # One EngineConfig object entered concurrently from two threads must
-        # restore each thread's own reduction snapshot (the saved state lives
-        # in the thread-local stack, not on the shared instance).
-        shared = EngineConfig(reduction_batch_chunk=5)
+        # pop each thread's own activation (the stack is thread-local, not
+        # state on the shared instance).
+        shared = EngineConfig(seed=5)
         inside = threading.Event()
         release = threading.Event()
         observed = {}
@@ -112,21 +99,21 @@ class TestEngineConfig:
             with shared:
                 inside.set()
                 release.wait(timeout=5)
-            observed["holder_after"] = get_masked_reduction_chunks()["batch"]
+            observed["holder_after"] = resolve_seed()
 
         thread = threading.Thread(target=holder)
         thread.start()
         inside.wait(timeout=5)
-        with EngineConfig(reduction_batch_chunk=3):
+        with EngineConfig(seed=3):
             with shared:
-                assert get_masked_reduction_chunks()["batch"] == 5
+                assert resolve_seed() == 5
             # Exiting the shared instance here must restore THIS thread's
-            # outer value, not the holder thread's snapshot.
-            assert get_masked_reduction_chunks()["batch"] == 3
+            # outer value, not the holder thread's.
+            assert resolve_seed() == 3
         release.set()
         thread.join()
-        assert observed["holder_after"] == "auto"
-        assert get_masked_reduction_chunks()["batch"] == "auto"
+        assert observed["holder_after"] == 0
+        assert resolve_seed() == 0
 
     def test_thread_local_isolation(self):
         seen = {}
@@ -134,22 +121,18 @@ class TestEngineConfig:
         def worker():
             # The main thread's active config must not leak into this thread.
             seen["config"] = current_engine_config().use_fast_path
-            seen["impl"] = get_masked_reduction_impl()
+            seen["seed"] = resolve_seed()
 
-        with EngineConfig(use_fast_path=False, reduction_impl="dense"):
+        with EngineConfig(use_fast_path=False, seed=4):
             thread = threading.Thread(target=worker)
             thread.start()
             thread.join()
         assert seen["config"] is None
-        assert seen["impl"] == "auto"
+        assert seen["seed"] == 0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             EngineConfig(use_fast_path="yes")
-        with pytest.raises(ConfigError):
-            EngineConfig(reduction_impl="sparse")
-        with pytest.raises(ConfigError):
-            EngineConfig(reduction_batch_chunk=0)
         with pytest.raises(ConfigError):
             EngineConfig(scenario_chunk=-1)
 
@@ -180,14 +163,8 @@ class TestDeprecationShims:
         return [w for w in record if issubclass(w.category, DeprecationWarning)]
 
     def test_context_managers_do_not_warn(self):
-        from repro.algorithms.base import masked_reduction_chunks, masked_reduction_impl
-
         def exercise():
-            with masked_reduction_chunks(batch=4):
-                pass
-            with masked_reduction_impl("dense"):
-                pass
-            with EngineConfig(reduction_impl="dense", reduction_batch_chunk=2):
+            with EngineConfig(use_batch=False, seed=2):
                 pass
 
         assert self._deprecations_emitted(exercise) == []
@@ -202,26 +179,18 @@ CONFIG_MATRIX = [
     EngineConfig(),
     EngineConfig(use_fast_path=True),
     EngineConfig(use_fast_path=False),
-    EngineConfig(reduction_impl="dense"),
-    EngineConfig(reduction_impl="packed"),
-    EngineConfig(reduction_batch_chunk=2, reduction_receiver_chunk=3),
-    EngineConfig(use_fast_path=True, reduction_impl="packed", reduction_batch_chunk=1),
+    EngineConfig(use_packed=False),
+    EngineConfig(seed=3),
+    EngineConfig(threads=2),
+    EngineConfig(use_fast_path=True, use_packed=False, seed=1),
     EngineConfig(use_batch=False),
     EngineConfig(use_batch=True),
-    EngineConfig(use_batch=False, use_fast_path=False, reduction_impl="dense"),
+    EngineConfig(use_batch=False, use_fast_path=False, use_packed=False),
 ]
 
 
 def _config_copy(config):
-    return EngineConfig(
-        use_fast_path=config.use_fast_path,
-        use_batch=config.use_batch,
-        use_packed=config.use_packed,
-        reduction_impl=config.reduction_impl,
-        reduction_batch_chunk=config.reduction_batch_chunk,
-        reduction_receiver_chunk=config.reduction_receiver_chunk,
-        scenario_chunk=config.scenario_chunk,
-    )
+    return dataclasses.replace(config)
 
 
 class TestStudyRouteEquivalence:

@@ -121,6 +121,14 @@ def test_spec_rejects_malformed_payloads():
         CaseSpec.from_dict({**payload, "version": 99})
 
 
+def test_stored_spec_of_a_removed_target_fails_loudly():
+    # packed_vs_dense toggled a masked-reduction option that no longer
+    # exists; corpus entries and artifacts naming it must not run silently.
+    payload = {**build_case("batch_vs_loop", 0).to_dict(), "target": "packed_vs_dense"}
+    with pytest.raises(CampaignError, match="unknown target 'packed_vs_dense'"):
+        execute_case(CaseSpec.from_dict(payload))
+
+
 def test_spec_freezing_does_not_mutate_caller_arrays():
     from repro.graphs.families import complete_graph
 

@@ -2,9 +2,8 @@
 
 ``EngineConfig`` promises: the innermost active block wins field-by-field,
 previous values are restored on exit even when the body raises, and the
-active stack plus the masked-reduction settings are *thread-local* — two
-threads running under different configurations never observe each other's
-overrides.
+active stack is *thread-local* — two threads running under different
+configurations never observe each other's overrides.
 
 The ``threads`` field adds a lifecycle promise on top: the parallel
 backend's worker pool is created lazily on the thread-local stack entry,
@@ -17,15 +16,11 @@ import threading
 
 import pytest
 
-from repro.algorithms.base import (
-    get_masked_reduction_chunks,
-    get_masked_reduction_impl,
-    masked_reduction_impl,
-)
 from repro.config import (
     EngineConfig,
     current_engine_config,
     resolve_scenario_chunk,
+    resolve_seed,
     resolve_use_batch,
     resolve_use_fast_path,
     resolve_use_packed,
@@ -46,22 +41,22 @@ class TestNesting:
         assert resolve_scenario_chunk(None) == 4096
 
     def test_merged_view_reflects_nesting(self):
-        with EngineConfig(use_fast_path=False, reduction_impl="dense"):
+        with EngineConfig(use_fast_path=False, seed=7):
             with EngineConfig(use_fast_path=True):
                 merged = current_engine_config()
                 assert merged.use_fast_path is True
-                assert merged.reduction_impl == "dense"
+                assert merged.seed == 7
 
-    def test_reduction_fields_apply_and_restore_on_raise(self):
-        before_impl = get_masked_reduction_impl()
-        before_chunks = get_masked_reduction_chunks()
-        with pytest.raises(RuntimeError):
-            with EngineConfig(reduction_impl="packed", reduction_batch_chunk=7):
-                assert get_masked_reduction_impl() == "packed"
-                assert get_masked_reduction_chunks()["batch"] == 7
-                raise RuntimeError("boom")
-        assert get_masked_reduction_impl() == before_impl
-        assert get_masked_reduction_chunks() == before_chunks
+    def test_fields_apply_and_restore_on_raise(self):
+        with EngineConfig(seed=3):
+            with pytest.raises(RuntimeError):
+                with EngineConfig(use_packed=False, seed=7):
+                    assert resolve_use_packed(None) is False
+                    assert resolve_seed() == 7
+                    raise RuntimeError("boom")
+            assert resolve_use_packed(None) is True
+            assert resolve_seed() == 3
+        assert resolve_seed() == 0
 
     def test_explicit_argument_beats_active_config(self):
         with EngineConfig(use_batch=False, use_packed=False):
@@ -76,43 +71,38 @@ class TestThreadLocality:
         observed = {}
         errors = []
 
-        def worker(name, use_batch, impl, chunk):
+        def worker(name, use_batch, seed, chunk):
             try:
-                with EngineConfig(
-                    use_batch=use_batch, reduction_impl=impl, scenario_chunk=chunk
-                ):
+                with EngineConfig(use_batch=use_batch, seed=seed, scenario_chunk=chunk):
                     barrier.wait(timeout=10)  # both threads inside their blocks
                     observed[name] = (
                         resolve_use_batch(None),
-                        get_masked_reduction_impl(),
+                        resolve_seed(),
                         resolve_scenario_chunk(None),
                     )
                     barrier.wait(timeout=10)  # hold until both observed
-                observed[name + "-after"] = (
-                    resolve_use_batch(None),
-                    get_masked_reduction_impl(),
-                )
+                observed[name + "-after"] = (resolve_use_batch(None), resolve_seed())
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
         threads = [
-            threading.Thread(target=worker, args=("a", False, "dense", 64)),
-            threading.Thread(target=worker, args=("b", True, "packed", 256)),
+            threading.Thread(target=worker, args=("a", False, 11, 64)),
+            threading.Thread(target=worker, args=("b", True, 22, 256)),
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
         assert not errors
-        assert observed["a"] == (False, "dense", 64)
-        assert observed["b"] == (True, "packed", 256)
-        assert observed["a-after"] == (True, "auto")
-        assert observed["b-after"] == (True, "auto")
+        assert observed["a"] == (False, 11, 64)
+        assert observed["b"] == (True, 22, 256)
+        assert observed["a-after"] == (True, 0)
+        assert observed["b-after"] == (True, 0)
 
     def test_one_shared_config_entered_from_two_threads(self):
         # One EngineConfig *instance* entered concurrently must keep each
-        # thread's reduction snapshot separate (the stack entry holds it).
-        shared = EngineConfig(reduction_impl="packed")
+        # thread's activation separate (each thread's stack holds its own).
+        shared = EngineConfig(seed=5)
         barrier = threading.Barrier(2)
         results = {}
         errors = []
@@ -121,9 +111,9 @@ class TestThreadLocality:
             try:
                 with shared:
                     barrier.wait(timeout=10)
-                    results[name] = get_masked_reduction_impl()
+                    results[name] = resolve_seed()
                     barrier.wait(timeout=10)
-                results[name + "-after"] = get_masked_reduction_impl()
+                results[name + "-after"] = resolve_seed()
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -133,16 +123,16 @@ class TestThreadLocality:
         for thread in threads:
             thread.join(timeout=30)
         assert not errors
-        assert results["a"] == results["b"] == "packed"
-        assert results["a-after"] == results["b-after"] == "auto"
+        assert results["a"] == results["b"] == 5
+        assert results["a-after"] == results["b-after"] == 0
 
-    def test_reduction_override_in_another_thread_never_leaks(self):
+    def test_override_in_another_thread_never_leaks(self):
         entered, release = threading.Event(), threading.Event()
         observed = {}
 
         def worker():
-            with masked_reduction_impl("dense"):
-                observed["inner"] = get_masked_reduction_impl()
+            with EngineConfig(use_batch=False):
+                observed["inner"] = resolve_use_batch(None)
                 entered.set()
                 release.wait(timeout=30)
 
@@ -150,9 +140,9 @@ class TestThreadLocality:
         thread.start()
         try:
             assert entered.wait(timeout=30)
-            assert observed["inner"] == "dense"
+            assert observed["inner"] is False
             # The other thread's open scope never leaks into this one.
-            assert get_masked_reduction_impl() == "auto"
+            assert resolve_use_batch(None) is True
         finally:
             release.set()
             thread.join(timeout=30)

@@ -1,7 +1,7 @@
 """Differential scenario fuzzing: generated cases, not hand-enumerated ones.
 
-Four engines and three toggle dimensions (``use_fast_path`` / ``use_batch`` /
-``use_packed``-style reduction impls) all promise bit-for-bit (or, for the
+Four engines, two toggle dimensions (``use_fast_path`` / ``use_batch``) and
+the masked-reduction kernels all promise bit-for-bit (or, for the
 summation-order-sensitive averaging rules, last-ulp) equivalence.  Rather
 than enumerating cases by hand, a seeded generator draws random scenarios —
 graphs, graph sequences, adversary patterns, and algorithm/knob combinations
@@ -12,7 +12,7 @@ from a registry — and differentially checks
   ``use_batch`` on/off, plus per-scenario state snapshots),
 * **adversarial batch vs loop** (``run_adversarial_ensemble`` vs per-scenario
   adversary runs, choices and outputs),
-* **packed vs dense** masked reductions,
+* **packed vs dense** masked-reduction kernels, called directly,
 * **facade vs direct** (``Study`` vs the engine call it compiles to),
 * **faulted batch vs loop** (the vectorized fault-mask path vs the
   per-scenario reference loop under randomized ``FaultPlan``s, including
@@ -24,7 +24,7 @@ from a registry — and differentially checks
   shards the B axis without changing a single byte, faulted runs included),
 * **fused vs separate reductions** (``masked_extreme_pair`` /
   ``masked_min_max`` against independent ``masked_min`` + ``masked_max``
-  calls under every reduction implementation),
+  calls through the dispatcher and through the dense and packed kernels),
 
 each over ``CASES_PER_PAIR`` (200+) generated cases under one fixed master
 seed.  Everything is deterministic — cases derive from
@@ -42,11 +42,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import (
+    _masked_extremes_dense,
+    _masked_extremes_packed,
+    _reduction_operands,
     masked_extreme_pair,
     masked_max,
     masked_min,
     masked_min_max,
-    masked_reduction_impl,
 )
 from repro.api import Study
 from repro.asynchrony import AsynchronousSimulator, RoundBasedAsyncAlgorithm
@@ -283,10 +285,9 @@ def _case_packed_vs_dense(case_seed):
         adjacency = adjacency.copy()
         for i in range(n):
             adjacency[..., i, i] = bool(rng.random() < 0.9)
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(adjacency, values)
-    with masked_reduction_impl("packed"):
-        lo_packed, hi_packed = masked_min_max(adjacency, values)
+    mask, lo_values, hi_values, lead_shape = _reduction_operands(adjacency, values, values)
+    lo_dense, hi_dense = _masked_extremes_dense(mask, lo_values, hi_values)
+    lo_packed, hi_packed = _masked_extremes_packed(mask, lo_values, hi_values, lead_shape)
     for label, got, want in (
         ("masked min", lo_packed, lo_dense),
         ("masked max", hi_packed, hi_dense),
@@ -606,7 +607,7 @@ def _case_fused_vs_separate_reduction(case_seed):
         for i in range(n):
             adjacency[..., i, i] = bool(rng.random() < 0.9)
     impl = ("auto", "dense", "packed")[int(rng.integers(3))]
-    with masked_reduction_impl(impl):
+    if impl == "auto":
         fused_min, fused_max = masked_extreme_pair(adjacency, min_values, max_values)
         separate_min = masked_min(adjacency, min_values)
         separate_max = masked_max(adjacency, max_values)
@@ -614,6 +615,18 @@ def _case_fused_vs_separate_reduction(case_seed):
             pair_min, pair_max = masked_min_max(adjacency, min_values)
         else:
             pair_min, pair_max = fused_min, fused_max
+    else:
+        # The kernel called directly, whatever the input size.
+        def kernel(lo_side, hi_side):
+            mask, lo_arr, hi_arr, lead_shape = _reduction_operands(adjacency, lo_side, hi_side)
+            if impl == "dense":
+                return _masked_extremes_dense(mask, lo_arr, hi_arr)
+            return _masked_extremes_packed(mask, lo_arr, hi_arr, lead_shape)
+
+        fused_min, fused_max = kernel(min_values, max_values)
+        separate_min = kernel(min_values, None)[0]
+        separate_max = kernel(None, max_values)[1]
+        pair_min, pair_max = kernel(min_values, min_values) if shared else (fused_min, fused_max)
     for label, got, want in (
         ("fused min", fused_min, separate_min),
         ("fused max", fused_max, separate_max),

@@ -202,6 +202,26 @@ def test_cache_hit_on_enqueue_from_memory_and_journal(clock, tmp_path):
     restarted.cache.close()
 
 
+def test_status_counts_each_cache_decided_admission_once(clock, tmp_path):
+    record, fresh = job(1), job(2)
+    path = tmp_path / "cache.jsonl"
+    first = make_queue(clock, cache=path)
+    first.enqueue(record)
+    lease, _ = first.lease("w0")
+    first.complete(record.key, lease.lease_id, {"value": 1})
+    assert first.status()["cache"] == {"entries": 1, "hits": 0, "misses": 1}
+    first.cache.close()
+
+    # A second queue over the same journal serves the completed key.
+    second = make_queue(clock, cache=path)
+    assert second.enqueue(record)["status"] == "cached"
+    assert second.enqueue(record)["status"] == "completed"  # known: not counted
+    assert second.status()["cache"] == {"entries": 1, "hits": 1, "misses": 0}
+    assert second.enqueue(fresh)["status"] == "enqueued"
+    assert second.status()["cache"] == {"entries": 1, "hits": 1, "misses": 1}
+    second.cache.close()
+
+
 def test_telemetry_seq_is_dense_across_every_event_kind(clock):
     done, failed, cached = job(1), job(2), job(3)
     cache = ResultCache()

@@ -12,12 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import base as reductions
 from repro.algorithms.base import (
+    _masked_extremes_dense,
+    _masked_extremes_packed,
+    _reduction_operands,
     masked_min,
     masked_min_max,
-    masked_reduction_impl,
 )
-from repro.exceptions import AlgorithmError, GraphError
+from repro.exceptions import GraphError
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.families import complete_graph, deaf_family, psi_family, two_agent_graphs
 from repro.graphs.generators import random_graph, random_nonsplit_graph, random_rooted_graph
@@ -237,6 +240,33 @@ def test_alpha_classes_psi32_vectorized_matches_reference():
 # Packed masked reductions vs dense, bit-for-bit
 # --------------------------------------------------------------------------- #
 
+
+def _dense_min_max(adjacency, values):
+    """The dense reference kernel on validated operands."""
+    mask, lo_values, hi_values, _lead = _reduction_operands(adjacency, values, values)
+    return _masked_extremes_dense(mask, lo_values, hi_values)
+
+
+def _packed_min_max(adjacency, values):
+    """The packed-bit kernel, called directly whatever the input size."""
+    return _masked_extremes_packed(*_reduction_operands(adjacency, values, values))
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Record which private kernel each public masked reduction ran."""
+    calls = []
+    for name in ("dense", "chunked", "scan", "packed"):
+        original = getattr(reductions, f"_masked_extremes_{name}")
+
+        def spy(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(reductions, f"_masked_extremes_{name}", spy)
+    return calls
+
+
 @pytest.mark.parametrize("shape", [(5, 40, 1), (3, 33, 2), (7, 16, 3), (2, 3, 65, 1)])
 def test_packed_masked_reduction_matches_dense(shape):
     *lead, n, d = shape
@@ -245,10 +275,8 @@ def test_packed_masked_reduction_matches_dense(shape):
     adjacency = rng.random((*lead, n, n)) < 0.3
     diag = np.arange(n)
     adjacency[..., diag, diag] = True
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(adjacency, values)
-    with masked_reduction_impl("packed"):
-        lo_packed, hi_packed = masked_min_max(adjacency, values)
+    lo_dense, hi_dense = _dense_min_max(adjacency, values)
+    lo_packed, hi_packed = _packed_min_max(adjacency, values)
     assert np.array_equal(lo_dense, lo_packed)
     assert np.array_equal(hi_dense, hi_packed)
 
@@ -258,48 +286,66 @@ def test_packed_masked_reduction_handles_empty_in_neighborhoods():
     adjacency = np.zeros((4, 10, 10), dtype=bool)
     adjacency[:, 2, :] = True  # only agent 2 sends; most receivers hear one sender
     values = rng.normal(size=(4, 10, 1))
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(adjacency, values)
-    with masked_reduction_impl("packed"):
-        lo_packed, hi_packed = masked_min_max(adjacency, values)
+    lo_dense, hi_dense = _dense_min_max(adjacency, values)
+    lo_packed, hi_packed = _packed_min_max(adjacency, values)
     assert np.array_equal(lo_dense, lo_packed)
     assert np.array_equal(hi_dense, hi_packed)
 
 
-def test_packed_masked_reduction_nan_values_fall_back_to_dense():
-    values = np.array([[[0.0], [np.nan], [2.0]]])
-    adjacency = np.ones((1, 3, 3), dtype=bool)
-    with masked_reduction_impl("packed"):
+def test_packed_masked_reduction_nan_values_fall_back_to_dense(kernel_calls):
+    # The second input is a stack the packed kernel would take, but NaNs
+    # need the dense propagation semantics: the dispatcher must skip it.
+    rng = np.random.default_rng(9)
+    large = rng.normal(size=(70, 128, 1))
+    large[3, 5, 0] = np.nan
+    for values, adjacency in (
+        (np.array([[[0.0], [np.nan], [2.0]]]), np.ones((1, 3, 3), dtype=bool)),
+        (large, rng.random((70, 128, 128)) < 0.1),
+    ):
         lo = masked_min(adjacency, values)
-    with masked_reduction_impl("dense"):
-        lo_dense = masked_min(adjacency, values)
-    assert np.array_equal(np.isnan(lo), np.isnan(lo_dense))
+        lo_dense, _hi = _dense_min_max(adjacency, values)
+        assert np.array_equal(lo, lo_dense, equal_nan=True)
+        assert np.isnan(lo).any()
+    assert "packed" not in kernel_calls
 
 
-def test_packed_masked_reduction_auto_fires_on_large_stacks():
-    # Above the auto threshold the packed path must still be bit-for-bit.
+def test_packed_masked_reduction_auto_fires_on_large_stacks(kernel_calls):
+    # Above the automatic threshold the packed path must still be bit-for-bit.
     rng = np.random.default_rng(8)
     values = rng.normal(size=(48, 160, 1))
     adjacency = rng.random((48, 160, 160)) < 0.1
     diag = np.arange(160)
     adjacency[:, diag, diag] = True
-    with masked_reduction_impl("auto"):
-        lo_auto, hi_auto = masked_min_max(adjacency, values)
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(adjacency, values)
+    lo_auto, hi_auto = masked_min_max(adjacency, values)
+    assert kernel_calls == ["packed"]
+    lo_dense, hi_dense = _dense_min_max(adjacency, values)
     assert np.array_equal(lo_auto, lo_dense)
     assert np.array_equal(hi_auto, hi_dense)
 
 
-def test_masked_reduction_impl_validation_and_restore():
-    with pytest.raises(AlgorithmError):
-        with masked_reduction_impl("bogus"):
-            pass
-    with masked_reduction_impl("packed"):
-        pass  # restored on exit
-    values = np.zeros((2, 3, 1))
-    adjacency = np.ones((2, 3, 3), dtype=bool)
-    assert masked_min(adjacency, values).shape == (2, 3, 1)
+#: Inputs that drive the dispatcher down each kernel: (adjacency shape,
+#: values shape, expected kernel).  "auto" is a small everyday stack.
+PATH_INPUTS = {
+    "auto": ((3, 8, 8), (3, 8, 2), "dense"),
+    # Exactly _AUTO_DENSE_ELEMENT_LIMIT elements: the largest dense input.
+    "dense": ((4, 64, 64), (4, 64, 64), "dense"),
+    "packed": ((70, 128, 128), (70, 128, 1), "packed"),
+    "chunked": ((90, 64, 64), (90, 64, 3), "chunked"),
+    "scan": ((4, 8, 8), (8, 2), "scan"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PATH_INPUTS))
+def test_dispatcher_selects_kernel_from_input(kernel_calls, path):
+    adjacency_shape, values_shape, expected = PATH_INPUTS[path]
+    rng = np.random.default_rng(7)
+    adjacency = rng.random(adjacency_shape) < 0.3
+    values = rng.normal(size=values_shape)
+    lo, hi = masked_min_max(adjacency, values)
+    assert kernel_calls == [expected]
+    lo_dense, hi_dense = _dense_min_max(adjacency, values)
+    assert np.array_equal(lo, lo_dense)
+    assert np.array_equal(hi, hi_dense)
 
 
 # --------------------------------------------------------------------------- #
@@ -369,10 +415,8 @@ def test_packed_gather_on_graph_adjacency_bit_for_bit():
         lead = int(rng.integers(2, 8))
         graph = random_graph(n, rng, float(rng.uniform(0.1, 0.9)))
         values = rng.uniform(-4.0, 4.0, size=(lead, n, d))
-        with masked_reduction_impl("dense"):
-            lo_dense, hi_dense = masked_min_max(graph.adjacency, values)
-        with masked_reduction_impl("packed"):
-            lo_packed, hi_packed = masked_min_max(graph.adjacency, values)
+        lo_dense, hi_dense = _dense_min_max(graph.adjacency, values)
+        lo_packed, hi_packed = _packed_min_max(graph.adjacency, values)
         assert np.array_equal(lo_dense, lo_packed), trial
         assert np.array_equal(hi_dense, hi_packed), trial
 
@@ -384,10 +428,8 @@ def test_packed_gather_on_memoized_stacks_matches_dense():
     graphs = tuple(random_graph(24, rng, 0.3) for _ in range(5))
     stacked = _AdjacencyCache().stacked(graphs)
     values = rng.uniform(-1.0, 1.0, size=(5, 24, 2))
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(stacked, values)
-    with masked_reduction_impl("packed"):
-        lo_packed, hi_packed = masked_min_max(stacked, values)
+    lo_dense, hi_dense = _dense_min_max(stacked, values)
+    lo_packed, hi_packed = _packed_min_max(stacked, values)
     assert np.array_equal(lo_dense, lo_packed)
     assert np.array_equal(hi_dense, hi_packed)
 
@@ -398,10 +440,8 @@ def test_packed_gather_handles_isolated_receivers():
     values = np.array([[[0.5], [1.5], [-2.0]], [[3.0], [0.0], [1.0]]])
     adjacency = np.zeros((2, 3, 3), dtype=bool)
     adjacency[0, 0, 1] = True  # 1 hears 0 in scenario 0; everyone else deaf
-    with masked_reduction_impl("packed"):
-        lo_packed, hi_packed = masked_min_max(adjacency, values)
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(adjacency, values)
+    lo_packed, hi_packed = _packed_min_max(adjacency, values)
+    lo_dense, hi_dense = _dense_min_max(adjacency, values)
     assert np.array_equal(lo_dense, lo_packed)
     assert np.array_equal(hi_dense, hi_packed)
     assert lo_packed[0, 0, 0] == np.inf and hi_packed[0, 0, 0] == -np.inf
@@ -412,9 +452,10 @@ class TestFusedMaskResolutionCount:
 
     ``masked_min_max`` / ``masked_extreme_pair`` fuse the min and max
     reductions over a single :func:`receive_mask` call on every
-    implementation (dense, chunked, sort-and-scan, packed); the amortized
+    kernel (dense, chunked, sort-and-scan, packed); the amortized
     midpoint's vectorized transition rides that kernel, so each round
-    resolves its adjacency exactly once.
+    resolves its adjacency exactly once.  The ``path`` parameter picks an
+    input the dispatcher sends down that kernel (see ``PATH_INPUTS``).
     """
 
     @pytest.fixture()
@@ -431,13 +472,13 @@ class TestFusedMaskResolutionCount:
         monkeypatch.setattr(base_module, "receive_mask", counting)
         return counter
 
-    @pytest.mark.parametrize("impl", ["auto", "dense", "packed"])
-    def test_masked_min_max_resolves_once(self, count_mask_resolutions, impl):
+    @pytest.mark.parametrize("path", sorted(PATH_INPUTS))
+    def test_masked_min_max_resolves_once(self, count_mask_resolutions, path):
+        adjacency_shape, values_shape, _kernel = PATH_INPUTS[path]
         rng = np.random.default_rng(40)
-        values = rng.uniform(-1.0, 1.0, size=(3, 8, 2))
-        adjacency = rng.random((3, 8, 8)) < 0.5
-        with masked_reduction_impl(impl):
-            lo, hi = masked_min_max(adjacency, values)
+        values = rng.uniform(-1.0, 1.0, size=values_shape)
+        adjacency = rng.random(adjacency_shape) < 0.5
+        lo, hi = masked_min_max(adjacency, values)
         assert count_mask_resolutions["calls"] == 1
         # Sanity: still equal to two separate (twice-resolving) reductions.
         assert np.array_equal(lo, masked_min(adjacency, values))
@@ -446,18 +487,18 @@ class TestFusedMaskResolutionCount:
         assert np.array_equal(hi, masked_max(adjacency, values))
         assert count_mask_resolutions["calls"] == 3
 
-    @pytest.mark.parametrize("impl", ["auto", "dense", "packed"])
+    @pytest.mark.parametrize("path", sorted(PATH_INPUTS))
     def test_extreme_pair_on_distinct_tensors_resolves_once(
-        self, count_mask_resolutions, impl
+        self, count_mask_resolutions, path
     ):
         from repro.algorithms.base import masked_extreme_pair
 
+        adjacency_shape, values_shape, _kernel = PATH_INPUTS[path]
         rng = np.random.default_rng(41)
-        mins = rng.uniform(-1.0, 1.0, size=(2, 10, 1))
-        maxs = rng.uniform(-1.0, 1.0, size=(2, 10, 1))
-        adjacency = rng.random((2, 10, 10)) < 0.4
-        with masked_reduction_impl(impl):
-            masked_extreme_pair(adjacency, mins, maxs)
+        mins = rng.uniform(-1.0, 1.0, size=values_shape)
+        maxs = rng.uniform(-1.0, 1.0, size=values_shape)
+        adjacency = rng.random(adjacency_shape) < 0.4
+        masked_extreme_pair(adjacency, mins, maxs)
         assert count_mask_resolutions["calls"] == 1
 
     def test_amortized_midpoint_round_resolves_once(self, count_mask_resolutions):

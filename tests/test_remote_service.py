@@ -397,12 +397,14 @@ def test_sse_stream_resumes_after_sequence(ensemble_kwargs):
 def test_result_cache_layers_and_counters(tmp_path):
     journal = tmp_path / "cache.jsonl"
     with ResultCache(journal) as cache:
-        assert cache.get("missing") is None
-        assert cache.misses == 1
+        assert cache.lookup("missing") == (None, None)
         cache.put("k1", {"x": 1})
         assert cache.lookup("k1") == ({"x": 1}, "memory")
-        assert cache.get("k1") == {"x": 1}
-        assert cache.hits == 1
+        assert (cache.hits, cache.misses) == (0, 0)  # lookups never count
+        cache.count(hit=False)
+        cache.count(hit=True)
+        cache.count(hit=True)
+        assert (cache.hits, cache.misses) == (2, 1)
 
     # A fresh cache over the same journal serves the entry durably, first
     # from the journal layer, then promoted to memory.

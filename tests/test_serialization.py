@@ -276,20 +276,42 @@ def test_engine_config_roundtrip():
         EngineConfig(
             use_batch=False,
             use_packed=False,
-            reduction_impl="dense",
-            reduction_batch_chunk=8,
             scenario_chunk=64,
+            threads=2,
         ),
     ]
     for config in configs:
         assert EngineConfig.from_dict(roundtrip(config.to_dict())) == config
 
 
+def test_engine_config_v2_roundtrip_carries_the_six_fields():
+    config = EngineConfig(
+        use_fast_path=False, use_batch=True, use_packed=False,
+        scenario_chunk=8, seed=3, threads=4,
+    )
+    payload = roundtrip(config.to_dict())
+    assert payload == {
+        "__type__": "EngineConfig", "version": 2,
+        "use_fast_path": False, "use_batch": True, "use_packed": False,
+        "scenario_chunk": 8, "seed": 3, "threads": 4,
+    }
+    assert EngineConfig.from_dict(payload) == config
+
+
+def test_engine_config_rejects_version_1_payloads():
+    # Version 1 also carried the three masked-reduction override keys, which
+    # no longer exist; old job bodies must fail loudly, not run differently.
+    payload = EngineConfig(use_batch=False).to_dict()
+    payload["version"] = 1
+    with pytest.raises(SerializationError, match="version 1 is not supported"):
+        EngineConfig.from_dict(payload)
+
+
 def test_engine_config_bad_payloads():
     with pytest.raises(SerializationError):
-        EngineConfig.from_dict({"__type__": "Nope", "version": 1})
+        EngineConfig.from_dict({"__type__": "Nope", "version": 2})
     payload = EngineConfig().to_dict()
-    payload["version"] = 2
+    payload["version"] = 3
     with pytest.raises(SerializationError):
         EngineConfig.from_dict(payload)
 

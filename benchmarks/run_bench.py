@@ -706,21 +706,23 @@ def bench_certify_ensemble(grid, repeats: int) -> list:
     """Ensemble-scale certification vs a loop of per-scenario valency traces.
 
     ``loop_s`` certifies a recorded ``(B, n, d)`` ensemble one scenario at a
-    time — the pre-ensemble behaviour of ``Study(certify=...)``, each trace
-    itself batched — while ``batched_s`` stacks all ``B`` scenarios' sampled
+    time — ``ValencyEstimator.trace`` per scenario, each trace itself
+    batched — while ``batched_s`` stacks all ``B`` scenarios' sampled
     futures into single ensemble passes through
     ``ValencyEstimator.certify_ensemble``.  Both produce bit-for-bit
     identical per-scenario certificates (tests/test_certify_ensemble.py).
 
     The workload is the stateful batch-state restore path (amortized
-    midpoint over a deaf sub-model): per-scenario estimation runs one narrow
-    ``(P·M, n, n)`` pass per recorded configuration there, so stacking ``B``
-    scenarios per pass removes genuine per-pass overhead and
-    ``check_bench.py`` gates the speedup at >= 5x.  (Round-invariant
-    convex-combination algorithms already stack each scenario's R recorded
-    configurations since PR 3; their per-scenario passes saturate the
-    vectorized width at depth 2, leaving only modest stacking gains — the
-    ensemble path's win there is API-level, not wall-clock.)
+    midpoint over a deaf sub-model).  The amortized midpoint is
+    round-invariant, so both sides stack recorded rounds: a per-scenario
+    trace runs narrow ``(R·P·M, n, n)`` passes over its R recorded
+    configurations, the ensemble pass ``(R·B·P·M, n, n)`` ones.  With the
+    grid's two recorded rounds per scenario the per-scenario passes stay
+    narrow, so stacking ``B`` scenarios per pass removes genuine per-pass
+    overhead and ``check_bench.py`` gates the speedup at >= 5x.  (Once a
+    per-scenario trace saturates the vectorized width — many recorded rounds
+    or deep exploration — the ensemble path's win is API-level, not
+    wall-clock.)
     """
     from repro.algorithms import AmortizedMidpointAlgorithm
 

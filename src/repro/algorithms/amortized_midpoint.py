@@ -15,7 +15,7 @@ contraction rate of ``(1/2)^{1/(n-1)}`` — asymptotically matching the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,14 +52,18 @@ class AmortizedMidpointState:
 class AmortizedMidpointBatchState:
     """Stacked state of all agents (and scenarios) for the vectorized fast path.
 
-    The arrays have shape ``(..., n, d)``; ``rounds_into_phase`` is a single
-    integer because the synchronous engine advances all agents in lockstep.
+    The arrays have shape ``(..., n, d)``.  ``rounds_into_phase`` is a single
+    integer when all scenarios share their phase position, as in every engine
+    run (the synchronous engine advances all agents in lockstep).  Stacks of
+    scenarios at different phase positions — the valency estimator's futures
+    of configurations recorded at different rounds — carry an integer array
+    over the leading scenario axes instead.
     """
 
     value: np.ndarray
     phase_min: np.ndarray
     phase_max: np.ndarray
-    rounds_into_phase: int
+    rounds_into_phase: Union[int, np.ndarray]
     phase_length: int
 
 
@@ -130,6 +134,11 @@ class AmortizedMidpointAlgorithm(Algorithm):
     def output(self, agent_id: int, state: AmortizedMidpointState) -> np.ndarray:
         return state.value
 
+    def round_invariant(self) -> bool:
+        # The phase position lives in the state; transitions never read
+        # ``round_number``.
+        return True
+
     # ------------------------------------------------------------------ #
     # Vectorized fast path
     # ------------------------------------------------------------------ #
@@ -161,6 +170,18 @@ class AmortizedMidpointAlgorithm(Algorithm):
         new_max = np.maximum(batch_state.phase_max, received_max)
         rounds_into_phase = batch_state.rounds_into_phase + 1
 
+        if np.ndim(rounds_into_phase):
+            # Scenarios at different phase positions: reset per scenario.
+            reset = rounds_into_phase >= batch_state.phase_length
+            new_value = (new_min + new_max) / 2.0
+            reset_rows = reset[..., None, None]
+            return AmortizedMidpointBatchState(
+                value=np.where(reset_rows, new_value, batch_state.value),
+                phase_min=np.where(reset_rows, new_value, new_min),
+                phase_max=np.where(reset_rows, new_value, new_max),
+                rounds_into_phase=np.where(reset, 0, rounds_into_phase),
+                phase_length=batch_state.phase_length,
+            )
         if rounds_into_phase >= batch_state.phase_length:
             new_value = (new_min + new_max) / 2.0
             return AmortizedMidpointBatchState(
@@ -182,11 +203,12 @@ class AmortizedMidpointAlgorithm(Algorithm):
         return batch_state.value
 
     def batch_map(self, batch_state: AmortizedMidpointBatchState, fn) -> AmortizedMidpointBatchState:
+        positions = batch_state.rounds_into_phase
         return AmortizedMidpointBatchState(
             value=fn(batch_state.value),
             phase_min=fn(batch_state.phase_min),
             phase_max=fn(batch_state.phase_max),
-            rounds_into_phase=batch_state.rounds_into_phase,
+            rounds_into_phase=fn(positions) if np.ndim(positions) else positions,
             phase_length=batch_state.phase_length,
         )
 
@@ -217,21 +239,35 @@ class AmortizedMidpointAlgorithm(Algorithm):
     def batch_state_stack(
         self, batch_states: Sequence[AmortizedMidpointBatchState]
     ) -> AmortizedMidpointBatchState:
+        """Stack batch states, keeping each scenario's phase position.
+
+        States may sit at different phase positions (the stack then carries
+        a per-scenario position array), but must share their phase length.
+        """
         states = tuple(batch_states)
         if not states:
             raise AlgorithmError("cannot stack zero batch states")
-        positions = {state.rounds_into_phase for state in states}
         lengths = {state.phase_length for state in states}
-        if len(positions) != 1 or len(lengths) != 1:
+        if len(lengths) != 1:
             raise AlgorithmError(
-                "amortized-midpoint scenarios must be in lockstep to stack batch states; "
-                f"got phase positions {sorted(positions)} and lengths {sorted(lengths)}"
+                "amortized-midpoint scenarios must share one phase length to stack "
+                f"batch states; got phase lengths {sorted(lengths)}"
             )
+        positions = [state.rounds_into_phase for state in states]
+        if any(np.ndim(position) for position in positions) or len(set(positions)) > 1:
+            positions = np.stack(
+                [
+                    np.broadcast_to(state.rounds_into_phase, np.shape(state.value)[:-2])
+                    for state in states
+                ]
+            )
+        else:
+            positions = positions[0]
         return AmortizedMidpointBatchState(
             value=np.stack([state.value for state in states]),
             phase_min=np.stack([state.phase_min for state in states]),
             phase_max=np.stack([state.phase_max for state in states]),
-            rounds_into_phase=positions.pop(),
+            rounds_into_phase=positions,
             phase_length=lengths.pop(),
         )
 
@@ -253,11 +289,12 @@ class AmortizedMidpointAlgorithm(Algorithm):
         bit-for-bit whenever the doubling does not overflow (checked
         explicitly), so the outputs are fixed forever.  Reset rounds
         (``new.rounds_into_phase == 0``) collapse the extremes trivially and
-        claim nothing.
+        claim nothing; in a stack of mixed phase positions this masks the
+        scenarios that just reset.
         """
-        lead = np.asarray(new.value).shape[:-2]
-        if new.rounds_into_phase == 0:
-            return np.zeros(lead, dtype=bool)
+        reset = np.asarray(new.rounds_into_phase) == 0
+        if reset.all():
+            return np.zeros(np.shape(new.value)[:-2], dtype=bool)
         collapsed_before = (
             (previous.phase_min == previous.value)
             & (previous.phase_max == previous.value)
@@ -268,7 +305,7 @@ class AmortizedMidpointAlgorithm(Algorithm):
             & (new.phase_max == previous.value)
         ).all(axis=(-2, -1))
         halving_exact = ((new.value + new.value) * 0.5 == new.value).all(axis=(-2, -1))
-        return collapsed_before & unchanged & halving_exact
+        return collapsed_before & unchanged & halving_exact & ~reset
 
     def batch_states(self, batch_state: AmortizedMidpointBatchState) -> Tuple[AmortizedMidpointState, ...]:
         if batch_state.value.ndim != 2:
@@ -280,7 +317,7 @@ class AmortizedMidpointAlgorithm(Algorithm):
                 value=batch_state.value[i].copy(),
                 phase_min=batch_state.phase_min[i].copy(),
                 phase_max=batch_state.phase_max[i].copy(),
-                rounds_into_phase=batch_state.rounds_into_phase,
+                rounds_into_phase=int(batch_state.rounds_into_phase),
                 phase_length=batch_state.phase_length,
             )
             for i in range(batch_state.value.shape[0])

@@ -509,11 +509,14 @@ class Algorithm(ABC):
 
         Round-invariant algorithms produce bit-for-bit identical outputs no
         matter which round number a transition executes at.  The batched
-        valency estimator relies on this to stack futures that start at
-        different rounds into one ensemble and to drop exact-fixpoint
-        scenarios from constant suffixes early.  Defaults to ``False``
-        (conservative); memoryless rules whose update never reads
-        ``round_number`` override it to ``True``.
+        valency estimator relies on this to stack the futures of
+        configurations recorded at different rounds into one ensemble, and
+        convex-combination rules rely on it to drop exact-fixpoint scenarios
+        from constant suffixes early.  Defaults to ``False`` (conservative);
+        any rule whose update never reads ``round_number`` overrides it to
+        ``True`` — memoryless rules and stateful ones alike (the amortized
+        midpoint keeps its phase position in the state, so a stack of its
+        states may sit at different phase positions).
         """
         return False
 
@@ -590,13 +593,16 @@ class Algorithm(ABC):
         identical shapes (e.g. restored from recorded per-agent snapshots via
         :meth:`batch_state_from_states`); the result is one batch state whose
         leaves carry a leading length-``B`` axis, ready to drive all ``B``
-        scenarios through :meth:`batch_transition` at once.  The ensemble
-        certification engine uses this to evaluate a whole
-        :class:`~repro.execution.batch.EnsembleExecution` record's scenarios
-        as stacked valency ensembles.  The default covers array-valued batch
-        states and, via :meth:`batch_map` leaf traversal, structured states;
-        algorithms whose batch state carries non-array fields that must agree
-        across scenarios should override it with explicit validation.
+        scenarios through :meth:`batch_transition` at once.  The valency
+        estimator uses this to evaluate recorded configurations as stacked
+        ensembles: the scenarios of one recorded round, or — for
+        :meth:`round_invariant` algorithms — configurations of all recorded
+        rounds at once.  The default covers array-valued batch states and,
+        via :meth:`batch_map` leaf traversal, structured states; algorithms
+        whose batch state carries non-array fields should override it —
+        validating fields that must agree across scenarios and turning
+        per-scenario fields (such as the amortized midpoint's phase
+        position) into arrays over the new axis.
         """
         states = list(batch_states)
         if not states:

@@ -116,11 +116,11 @@ def valency_contraction_trace(
     With ``use_batch`` (``None`` resolves through the active
     :class:`~repro.config.EngineConfig`, batched by default) the per-round
     valency estimates run through the estimator's stacked-ensemble path —
-    for round-invariant algorithms the futures of *every* recorded
-    configuration are evaluated as one ensemble per exploration depth, and
-    stateful batch algorithms are covered through the ``batch_state``
-    restore hooks — and are bit-for-bit equal to the ``use_batch=False``
-    reference loop.
+    for round-invariant algorithms (the stateful amortized midpoint
+    included) the futures of *every* recorded configuration are evaluated
+    as one ensemble per exploration depth, in ``scenario_chunk``-bounded
+    groups — and are bit-for-bit equal to the ``use_batch=False`` reference
+    loop.
     """
     execution = run_execution(algorithm, initial_values, pattern, rounds)
     estimator = estimator or ValencyEstimator(

@@ -31,13 +31,15 @@ Two evaluation paths are available, mirroring the adversary API:
   operations per round instead of ``K`` Python-level executions.  Candidate
   prefixes are *streamed* in bounded chunks (never materializing the full
   ``|N|^depth`` product), and an active-set drops scenarios that reached an
-  exact float fixpoint from the constant-suffix loop early (valid for
-  round-invariant algorithms: a fixed point of a constant graph stays fixed).
-  Memoryless convex-combination algorithms rebuild state from configuration
-  outputs; *stateful* batch algorithms (e.g. the amortized midpoint) are
-  covered through the ``batch_state`` snapshot/restore hooks
-  (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`), which
-  resume the recorded per-agent states exactly.
+  exact fixpoint from the constant-suffix loop early (as certified by the
+  algorithm's ``batch_state_fixpoint`` hook).  Every algorithm resumes its
+  recorded per-agent states exactly through the ``batch_state``
+  snapshot/restore hooks
+  (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`) —
+  convex-combination algorithms get them from their outputs, stateful ones
+  (e.g. the amortized midpoint) implement them.  Round-invariant algorithms
+  stack the futures of configurations from all rounds into one pass; others
+  stack only configurations of one round.
 * the **reference path** (``use_batch=False``, or any algorithm without
   batch hooks) runs one ``run_from_configuration`` per sampled future.
 
@@ -49,11 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, ConvexCombinationAlgorithm
+from repro.algorithms.base import Algorithm
 from repro.config import resolve_scenario_chunk, resolve_threads, resolve_use_batch
 from repro.exceptions import EnsembleShapeError, ExecutionError
 from repro.execution.batch import EnsembleExecution
@@ -107,19 +109,21 @@ class ValencyEstimator:
         Evaluate all sampled futures as stacked scenario ensembles through
         the algorithm's batch hooks.  ``None`` (the default) resolves through
         the active :class:`~repro.config.EngineConfig` (batched unless
-        configured off).  Memoryless convex-combination algorithms rebuild
-        their state from configuration outputs; stateful batch algorithms
-        (e.g. the amortized midpoint) are covered through the
-        ``Algorithm.batch_state`` snapshot/restore hooks
-        (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`).
-        Algorithms supporting neither fall back to the per-future reference
-        loop; ``use_batch=False`` forces the reference loop.
+        configured off).  The batched path restores each configuration's
+        state through the ``Algorithm.batch_state`` snapshot/restore hooks
+        (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`)
+        and stacks configurations — of all rounds for
+        :meth:`~repro.algorithms.base.Algorithm.round_invariant` algorithms,
+        of one round otherwise.  Algorithms without these hooks fall back to
+        the per-future reference loop; ``use_batch=False`` forces it.
     scenario_chunk:
         Upper bound on the number of stacked scenarios per batched pass
         (``None`` resolves through the active config, default 4096).
-        Exhaustive prefixes are streamed in chunks respecting this bound, so
-        peak memory stays ``O(scenario_chunk · n²)`` regardless of
-        ``|N|^depth``.
+        Configurations are stacked at most ``scenario_chunk // |N|`` per
+        pass and exhaustive prefixes are streamed in chunks respecting this
+        bound, so peak memory stays ``O(scenario_chunk · n²)`` regardless of
+        ``|N|^depth`` or the number of configurations (as long as
+        ``|N| <= scenario_chunk``).
     threads:
         Parallel worker count for :meth:`certify_ensemble` (``None``
         resolves through the active config, then ``REPRO_THREADS``, default
@@ -162,11 +166,7 @@ class ValencyEstimator:
 
     def limit_estimates(self, configuration: Configuration) -> np.ndarray:
         """Estimated reachable limits from ``configuration`` (one row per sampled future)."""
-        if self._batchable():
-            return self._limit_estimates_batch([configuration])[0]
-        if self._batchable_stateful():
-            return self._limit_estimates_batch_state([configuration])[0]
-        return self._limit_estimates_reference(configuration)
+        return self._limit_estimates([configuration])[0]
 
     def estimate(self, configuration: Configuration) -> ValencyEstimate:
         """Full estimate (limits plus certified lower/upper diameter bounds)."""
@@ -190,14 +190,7 @@ class ValencyEstimator:
         establishes the intersection.
         """
         if self._batchable():
-            limits_a = self._constant_suffix_limits_batch(config_a)
-            limits_b = self._constant_suffix_limits_batch(config_b)
-        elif self._batchable_stateful():
-            limits_a = self._constant_suffix_limits_batch_state(config_a)
-            limits_b = self._constant_suffix_limits_batch_state(config_b)
-        else:
-            limits_a = limits_b = None
-        if limits_a is not None:
+            limits_a, limits_b = self._batched_limits([config_a, config_b], max_depth=0)
             return any(
                 float(np.linalg.norm(limits_a[index] - limits_b[index])) <= tolerance
                 for index in range(limits_a.shape[0])
@@ -214,34 +207,18 @@ class ValencyEstimator:
     ) -> List[ValencyEstimate]:
         """Valency estimates along a sequence of configurations (e.g. an execution).
 
-        On the batched path, round-invariant algorithms evaluate the futures
-        of *all* configurations as one stacked ensemble per exploration
-        depth; other algorithms batch each configuration's futures
-        separately.
+        On the batched path the configurations share stacked passes as
+        :meth:`certify_ensemble`'s do: round-invariant algorithms stack
+        configurations of any rounds, others only those of one round, and
+        no pass stacks more than ``scenario_chunk`` suffix futures.
         """
         configurations = list(configurations)
-        if not configurations:
-            return []
-        if self._batchable():
-            if self._algorithm.round_invariant() and len(configurations) > 1:
-                per_config = self._limit_estimates_batch(configurations)
-            else:
-                per_config = [
-                    self._limit_estimates_batch([configuration])[0]
-                    for configuration in configurations
-                ]
-            return [
-                self._estimate_from_limits(configuration, limits)
-                for configuration, limits in zip(configurations, per_config)
-            ]
-        if self._batchable_stateful():
-            return [
-                self._estimate_from_limits(
-                    configuration, self._limit_estimates_batch_state([configuration])[0]
-                )
-                for configuration in configurations
-            ]
-        return [self.estimate(c) for c in configurations]
+        return [
+            self._estimate_from_limits(configuration, limits)
+            for configuration, limits in zip(
+                configurations, self._limit_estimates(configurations)
+            )
+        ]
 
     def certify_ensemble(
         self, ensemble: EnsembleExecution
@@ -253,13 +230,13 @@ class ValencyEstimator:
         ``b``'s estimate at recorded round ``ensemble.recorded_rounds[r]``,
         bit-for-bit identical to what the per-scenario trace would produce
         (all evaluation paths perform the same elementwise operations, only
-        stacked).  On the batched paths the sampled futures of *all* ``B``
-        scenarios (and, for round-invariant algorithms, all recorded rounds)
-        are stacked into single ensemble passes — per-round ``(B·K, n, n)``
-        adjacency stacks — instead of ``B`` separate estimator runs; stateful
-        batch algorithms restore each scenario's recorded per-agent snapshot
-        through ``batch_state_from_states`` and stack the restored states via
-        ``batch_state_stack``.
+        stacked).  On the batched path each scenario's recorded per-agent
+        snapshot is restored through ``batch_state_from_states`` and the
+        restored states are stacked via ``batch_state_stack``, so the sampled
+        futures of all ``B`` scenarios — and, for round-invariant algorithms
+        (stateful ones such as the amortized midpoint included), of all
+        recorded rounds — run as single ensemble passes of per-round
+        ``(K, n, n)`` adjacency stacks, in ``scenario_chunk``-bounded groups.
 
         Requires the ensemble to have been run with ``record_states=True``
         (:meth:`~repro.execution.batch.EnsembleExecution.scenario_configurations`);
@@ -298,7 +275,7 @@ class ValencyEstimator:
         batch_size = ensemble.batch_size
         if self._threads > 1 and batch_size > 1:
             # Scenario-axis sharding: per-scenario estimates are arithmetically
-            # independent (the config_group stacking never mixes results across
+            # independent (stacked passes never mix results across
             # configurations), so certifying contiguous scenario slices on
             # worker threads and concatenating is bit-for-bit identical to the
             # serial pass.  Imported lazily to keep the module import-light.
@@ -318,50 +295,9 @@ class ValencyEstimator:
         """Serial certification core over recorded ``[round][scenario]`` rows."""
         batch_size = len(recorded[0])
         record_count = len(recorded)
-        flat_configs = [recorded[r][b] for r in range(record_count) for b in range(batch_size)]
-        # The batch estimators only stream the *prefix* axis, so the number of
-        # stacked configurations per call must itself respect the scenario
-        # chunk — otherwise a large ensemble would materialize a
-        # (R·B·M, n, n) suffix stack no matter what scenario_chunk says.
-        config_group = max(1, self._scenario_chunk // max(1, len(self._model)))
-
-        if self._batchable():
-            if self._algorithm.round_invariant():
-                # Stacked ensembles over all B scenarios at all recorded
-                # rounds per exploration depth, in memory-bounded groups.
-                flat_limits = []
-                for start in range(0, len(flat_configs), config_group):
-                    flat_limits.extend(
-                        self._limit_estimates_batch(
-                            flat_configs[start : start + config_group]
-                        )
-                    )
-            else:
-                # Scenarios of one recorded round share their round number, so
-                # they stack even without round invariance.
-                flat_limits = []
-                for r in range(record_count):
-                    for start in range(0, batch_size, config_group):
-                        flat_limits.extend(
-                            self._limit_estimates_batch(
-                                recorded[r][start : start + config_group]
-                            )
-                        )
-        elif self._batchable_stateful():
-            flat_limits = []
-            for r in range(record_count):
-                for start in range(0, batch_size, config_group):
-                    flat_limits.extend(
-                        self._limit_estimates_batch_state(
-                            recorded[r][start : start + config_group]
-                        )
-                    )
-        else:
-            flat_limits = [
-                self._limit_estimates_reference(configuration)
-                for configuration in flat_configs
-            ]
-
+        flat_limits = self._limit_estimates(
+            [recorded[r][b] for r in range(record_count) for b in range(batch_size)]
+        )
         return [
             [
                 self._estimate_from_limits(
@@ -370,6 +306,17 @@ class ValencyEstimator:
                 for r in range(record_count)
             ]
             for b in range(batch_size)
+        ]
+
+    def _limit_estimates(
+        self, configurations: Sequence[Configuration]
+    ) -> List[np.ndarray]:
+        """Limit estimates of each configuration, on the batched or reference path."""
+        if self._batchable():
+            return self._batched_limits(configurations, self._exploration_depth)
+        return [
+            self._limit_estimates_reference(configuration)
+            for configuration in configurations
         ]
 
     # ------------------------------------------------------------------ #
@@ -411,36 +358,50 @@ class ValencyEstimator:
     # ------------------------------------------------------------------ #
 
     def _batchable(self) -> bool:
-        """Whether the outputs-based stacked-ensemble path applies.
+        """Whether the stacked-ensemble path applies.
 
-        This path rebuilds algorithm state from configuration outputs, which
-        is exact only for memoryless convex-combination algorithms with batch
-        hooks.  Stateful batch algorithms take the batch-state path
-        (:meth:`_batchable_stateful`); anything else takes the per-future
-        reference loop (mirroring the adversaries' ``use_batch`` fallback).
+        It needs the algorithm's batch hooks and its ``batch_state``
+        snapshot/restore hooks
+        (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`),
+        which convex-combination algorithms get from their outputs and
+        stateful ones (e.g. the amortized midpoint) implement.  Anything else
+        — or ``use_batch=False`` — takes the per-future reference loop
+        (mirroring the adversaries' ``use_batch`` fallback).
         """
         return (
             self._use_batch
-            and isinstance(self._algorithm, ConvexCombinationAlgorithm)
-            and self._algorithm.supports_batch()
-        )
-
-    def _batchable_stateful(self) -> bool:
-        """Whether the batch-state stacked-ensemble path applies.
-
-        Stateful batch algorithms (state beyond the outputs, e.g. the
-        amortized midpoint's phase extremes) cannot be rebuilt from outputs,
-        but algorithms implementing the ``batch_state`` snapshot/restore
-        hooks (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`)
-        restore an exact batch state from the recorded per-agent states and
-        fan it out into the same stacked ensembles.
-        """
-        return (
-            self._use_batch
-            and not isinstance(self._algorithm, ConvexCombinationAlgorithm)
             and self._algorithm.supports_batch()
             and self._algorithm.supports_batch_state()
         )
+
+    def _batched_limits(
+        self, configurations: Sequence[Configuration], max_depth: int
+    ) -> List[np.ndarray]:
+        """Stacked limit estimates, one per configuration, in input order.
+
+        Round-invariant algorithms stack configurations of any rounds;
+        others only those of one round (their transitions read the round
+        number).  Either way at most ``scenario_chunk // |N|``
+        configurations share a pass, so a constant-suffix pass stacks at
+        most ``scenario_chunk`` futures (one per model graph and
+        configuration) however many configurations there are.
+        """
+        config_group = max(1, self._scenario_chunk // max(1, len(self._model)))
+        invariant = self._algorithm.round_invariant()
+        groups: Dict[int, List[int]] = {}
+        for index, configuration in enumerate(configurations):
+            key = 0 if invariant else configuration.round_number
+            groups.setdefault(key, []).append(index)
+        limits: List[np.ndarray] = [np.empty(0)] * len(configurations)
+        for indices in groups.values():
+            for start in range(0, len(indices), config_group):
+                chunk = indices[start : start + config_group]
+                estimates = self._limit_estimates_batch_state(
+                    [configurations[index] for index in chunk], max_depth
+                )
+                for index, estimate in zip(chunk, estimates):
+                    limits[index] = estimate
+        return limits
 
     def _prefix_chunks(
         self, depth: int, chunk_size: int
@@ -464,120 +425,26 @@ class ValencyEstimator:
         if chunk:
             yield chunk
 
-    def _limit_estimates_batch(
-        self, configurations: Sequence[Configuration]
-    ) -> List[np.ndarray]:
-        """Batched limit estimates, one ``(K, d)`` array per configuration.
-
-        Scenario order matches the reference loop exactly: depth-ascending
-        prefixes (``itertools.product`` order) with the model's constant
-        suffix graphs innermost.  When several configurations are stacked
-        (round-invariant algorithms), each chunk runs a
-        ``(R · P · M, n, n)`` adjacency ensemble where ``R`` is the number of
-        configurations, ``P`` the prefix-chunk size and ``M`` the model size.
-        """
-        model_graphs = list(self._model)
-        model_count = len(model_graphs)
-        config_count = len(configurations)
-        outputs0 = np.stack(
-            [np.asarray(configuration.outputs, dtype=float) for configuration in configurations]
-        )  # (R, n, d)
-        base_round = configurations[0].round_number
-        prefix_chunk_size = max(1, self._scenario_chunk // max(1, config_count * model_count))
-        collected: List[List[np.ndarray]] = [[] for _ in range(config_count)]
-
-        for depth in range(self._exploration_depth + 1):
-            for prefix_chunk in self._prefix_chunks(depth, prefix_chunk_size):
-                prefix_count = len(prefix_chunk)
-                # (R · P, n, d), configuration-major then prefix.
-                values = np.repeat(outputs0, prefix_count, axis=0)
-                for offset in range(depth):
-                    stack = np.stack(
-                        [prefix[offset].adjacency for prefix in prefix_chunk]
-                    )  # (P, n, n)
-                    adjacency = np.tile(stack, (config_count, 1, 1))
-                    values = self._algorithm.batch_transition(
-                        values, adjacency, base_round + 1 + offset
-                    )
-                # Expand by the constant-suffix graphs: (R · P · M, n, d).
-                values = np.repeat(values, model_count, axis=0)
-                suffix_stack = np.tile(
-                    np.stack([graph.adjacency for graph in model_graphs]),
-                    (config_count * prefix_count, 1, 1),
-                )
-                finals = self._run_constant_suffix(values, suffix_stack, base_round + depth)
-                limits = finals.mean(axis=1)  # (R · P · M, d)
-                per_config = limits.reshape(config_count, prefix_count * model_count, -1)
-                for index in range(config_count):
-                    collected[index].append(per_config[index])
-        return [np.vstack(chunks) for chunks in collected]
-
-    def _constant_suffix_limits_batch(self, configuration: Configuration) -> np.ndarray:
-        """Limits of the ``M`` constant suffixes from one configuration, ``(M, d)``."""
-        model_graphs = list(self._model)
-        outputs = np.asarray(configuration.outputs, dtype=float)
-        values = np.repeat(outputs[None, :, :], len(model_graphs), axis=0)
-        suffix_stack = np.stack([graph.adjacency for graph in model_graphs])
-        finals = self._run_constant_suffix(values, suffix_stack, configuration.round_number)
-        return finals.mean(axis=1)
-
-    def _run_constant_suffix(
-        self, values: np.ndarray, suffix_adjacency: np.ndarray, start_round: int
-    ) -> np.ndarray:
-        """Run ``suffix_rounds`` constant-graph rounds on a ``(K, n, d)`` ensemble.
-
-        Maintains an active set: scenarios the algorithm's
-        :meth:`~repro.algorithms.base.Algorithm.batch_state_fixpoint` hook
-        certifies as exact fixpoints under their constant graph are retired
-        early (for round-invariant convex-combination algorithms this is the
-        float fixpoint of the outputs), so the early exit is bit-for-bit
-        equivalent to running the remaining rounds.
-        """
-        finals = np.array(values, dtype=float)
-        current = finals
-        adjacency = suffix_adjacency
-        alive = np.arange(values.shape[0])
-        for offset in range(self._suffix_rounds):
-            new_values = self._algorithm.batch_transition(
-                current, adjacency, start_round + 1 + offset
-            )
-            if offset < self._suffix_rounds - 1:
-                fixed = self._algorithm.batch_state_fixpoint(current, new_values)
-                if fixed is not None and fixed.any():
-                    finals[alive[fixed]] = new_values[fixed]
-                    keep = ~fixed
-                    alive = alive[keep]
-                    current = new_values[keep]
-                    adjacency = adjacency[keep]
-                    if alive.size == 0:
-                        return finals
-                    continue
-            current = new_values
-        finals[alive] = current
-        return finals
-
-    # ------------------------------------------------------------------ #
-    # Batch-state path (stateful algorithms)
-    # ------------------------------------------------------------------ #
-
     def _limit_estimates_batch_state(
-        self, configurations: Sequence[Configuration]
+        self, configurations: Sequence[Configuration], max_depth: int
     ) -> List[np.ndarray]:
         """Batched limit estimates through the ``batch_state`` restore hooks.
 
         Each configuration's per-agent state snapshot is restored into a
         single-scenario batch state
         (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`);
-        multiple configurations (the scenarios of one recorded ensemble
-        round, which share their round number) are stacked along a leading
-        scenario axis via
+        the configurations are stacked along a leading scenario axis via
         :meth:`~repro.algorithms.base.Algorithm.batch_state_stack`, fanned
-        out over the chunk's prefixes via ``batch_map`` and driven through
-        the same stacked adjacency ensembles as the convex-combination path.
-        Scenario order matches the reference loop exactly
-        (configuration-major, depth-ascending prefixes, model suffix graphs
-        innermost), and min/max reductions select actual state elements, so
-        the result is bit-for-bit equal to the per-future reference loop.
+        out over each chunk of prefixes of depth ``0 .. max_depth`` via
+        ``batch_map``, and driven through stacked adjacency ensembles of
+        ``(R · P · M, n, n)`` — ``R`` configurations, ``P`` prefixes and the
+        ``M`` model graphs as constant suffixes.  The configurations must
+        share one round unless the algorithm is round-invariant.  Scenario
+        order matches the reference loop exactly (configuration-major,
+        depth-ascending prefixes, model suffix graphs innermost), and every
+        scenario runs the same elementwise operations as its reference
+        future, so the result is bit-for-bit equal to the per-future
+        reference loop.
         """
         algorithm = self._algorithm
         model_graphs = list(self._model)
@@ -585,7 +452,7 @@ class ValencyEstimator:
         configurations = list(configurations)
         config_count = len(configurations)
         rounds = {configuration.round_number for configuration in configurations}
-        if len(rounds) != 1:
+        if len(rounds) != 1 and not algorithm.round_invariant():
             raise ExecutionError(
                 "stacked batch-state estimates need configurations at one round, "
                 f"got rounds {sorted(rounds)}"
@@ -596,13 +463,13 @@ class ValencyEstimator:
                 for configuration in configurations
             ]
         )  # leaves (R, n, d) with R = config_count
-        base_round = rounds.pop()
+        base_round = configurations[0].round_number
         prefix_chunk_size = max(
             1, self._scenario_chunk // max(1, config_count * model_count)
         )
         collected: List[List[np.ndarray]] = [[] for _ in range(config_count)]
 
-        for depth in range(self._exploration_depth + 1):
+        for depth in range(max_depth + 1):
             for prefix_chunk in self._prefix_chunks(depth, prefix_chunk_size):
                 prefix_count = len(prefix_chunk)
                 # (R · P, ...) leaves, configuration-major then prefix.
@@ -637,25 +504,6 @@ class ValencyEstimator:
                 for index in range(config_count):
                     collected[index].append(per_config[index])
         return [np.vstack(chunks) for chunks in collected]
-
-    def _constant_suffix_limits_batch_state(
-        self, configuration: Configuration
-    ) -> np.ndarray:
-        """Limits of the ``M`` constant suffixes from one configuration, ``(M, d)``."""
-        algorithm = self._algorithm
-        model_graphs = list(self._model)
-        base = algorithm.batch_state_from_states(configuration.states)
-        state = algorithm.batch_map(
-            base,
-            lambda leaf, _count=len(model_graphs): np.repeat(
-                np.asarray(leaf)[None, ...], _count, axis=0
-            ),
-        )
-        suffix_stack = np.stack([graph.adjacency for graph in model_graphs])
-        finals = self._run_constant_suffix_state(
-            state, suffix_stack, configuration.round_number
-        )
-        return finals.mean(axis=1)
 
     def _run_constant_suffix_state(
         self, state, suffix_adjacency: np.ndarray, start_round: int

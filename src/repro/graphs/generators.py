@@ -17,6 +17,11 @@ from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.properties import is_nonsplit, is_rooted
 
 
+def _check_edge_probability(edge_probability: float) -> None:
+    if not 0.0 <= edge_probability <= 1.0:
+        raise GraphError(f"edge_probability must be in [0, 1], got {edge_probability}")
+
+
 def random_graph(
     n: int, rng: np.random.Generator, edge_probability: float = 0.5, name: Optional[str] = None
 ) -> CommunicationGraph:
@@ -24,8 +29,7 @@ def random_graph(
 
     Self-loops are always present (as required by the system model).
     """
-    if not 0.0 <= edge_probability <= 1.0:
-        raise GraphError(f"edge_probability must be in [0, 1], got {edge_probability}")
+    _check_edge_probability(edge_probability)
     adj = rng.random((n, n)) < edge_probability
     np.fill_diagonal(adj, True)
     return CommunicationGraph(n, adjacency=adj, name=name)
@@ -45,6 +49,7 @@ def random_rooted_graph(
     """
     if n < 1:
         raise GraphError("need at least one agent")
+    _check_edge_probability(edge_probability)
     del max_tries  # kept for API compatibility; construction never fails
     root = int(rng.integers(n))
     order = [root] + list(rng.permutation([i for i in range(n) if i != root]))
@@ -73,6 +78,7 @@ def random_nonsplit_graph(
     """
     if n < 1:
         raise GraphError("need at least one agent")
+    _check_edge_probability(edge_probability)
     adj = rng.random((n, n)) < edge_probability
     np.fill_diagonal(adj, True)
     broadcaster = int(rng.integers(n))

@@ -145,11 +145,15 @@ class TestEngineConfig:
         np.testing.assert_array_equal(slow.output_history(), fast.output_history())
 
     def test_use_batch_false_routes_valency_reference(self):
-        with EngineConfig(use_batch=False):
-            estimator = ValencyEstimator(MidpointAlgorithm(), deaf_model(n=4))
-            assert not estimator._batchable()
-        estimator = ValencyEstimator(MidpointAlgorithm(), deaf_model(n=4))
-        assert estimator._batchable()
+        # One predicate routes stateless and stateful algorithms alike.
+        from repro.algorithms import AmortizedMidpointAlgorithm
+
+        for algorithm in (MidpointAlgorithm(), AmortizedMidpointAlgorithm()):
+            with EngineConfig(use_batch=False):
+                estimator = ValencyEstimator(algorithm, deaf_model(n=4))
+                assert not estimator._batchable()
+            estimator = ValencyEstimator(algorithm, deaf_model(n=4))
+            assert estimator._batchable()
 
 
 class TestDeprecationShims:

@@ -123,23 +123,28 @@ class TestBatchStateStack:
         algorithm = AmortizedMidpointAlgorithm()
         values = _values(3, 4, seed=7)
         singles = [algorithm.batch_initial(values[b]) for b in range(3)]
-        stacked = algorithm.batch_state_stack(singles)
-        assert stacked.value.shape == (3, 4, 1)
-        assert np.array_equal(stacked.phase_min[1], singles[1].phase_min)
-        assert stacked.rounds_into_phase == 0
+        # Uniform phase positions keep the scalar position.
+        uniform = algorithm.batch_state_stack(singles)
+        assert uniform.value.shape == (3, 4, 1)
+        assert np.array_equal(uniform.phase_min[1], singles[1].phase_min)
+        assert uniform.rounds_into_phase == 0
+        # Mixed phase positions stack into a per-scenario position array.
+        singles[2] = algorithm.batch_transition(
+            singles[2], complete_graph(4).adjacency, 1
+        )
+        mixed = algorithm.batch_state_stack(singles)
+        assert np.array_equal(mixed.phase_max[2], singles[2].phase_max)
+        assert mixed.rounds_into_phase.tolist() == [0, 0, 1]
 
     def test_structured_states_must_be_in_lockstep(self):
-        algorithm = AmortizedMidpointAlgorithm()
+        # Phase positions may differ across a stack; phase lengths may not.
         values = _values(2, 4, seed=8)
-        graph = complete_graph(4)
-        one = algorithm.batch_initial(values[0])
-        other = algorithm.batch_transition(
-            algorithm.batch_initial(values[1]), graph.adjacency, 1
-        )
+        one = AmortizedMidpointAlgorithm().batch_initial(values[0])
+        other = AmortizedMidpointAlgorithm(phase_length=2).batch_initial(values[1])
         from repro.exceptions import AlgorithmError
 
-        with pytest.raises(AlgorithmError, match="lockstep"):
-            algorithm.batch_state_stack([one, other])
+        with pytest.raises(AlgorithmError, match="phase length"):
+            AmortizedMidpointAlgorithm().batch_state_stack([one, other])
 
     def test_stack_rejects_empty(self):
         from repro.exceptions import AlgorithmError

@@ -15,6 +15,7 @@ from repro.graphs.families import (
     psi_graph,
     two_agent_graphs,
 )
+from repro.graphs.generators import random_graph, random_nonsplit_graph, random_rooted_graph
 from repro.graphs.properties import is_nonsplit, is_rooted, is_strongly_connected, roots
 
 
@@ -129,3 +130,40 @@ class TestFamilies:
 
     def test_roots_of_star(self):
         assert roots(directed_star_graph(4, center=2)) == frozenset({2})
+
+
+class TestRandomGenerators:
+    @pytest.mark.parametrize(
+        "generator", [random_graph, random_rooted_graph, random_nonsplit_graph]
+    )
+    @pytest.mark.parametrize("edge_probability", [-0.1, 1.5, float("nan")])
+    def test_edge_probability_outside_unit_interval_is_rejected(
+        self, generator, edge_probability
+    ):
+        rng = np.random.default_rng(0)
+        with pytest.raises(GraphError, match="edge_probability"):
+            generator(4, rng, edge_probability)
+        # Rejected before any draw: the generator's stream is untouched.
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize(
+        "generator,adjacency,next_draw",
+        [
+            (
+                random_rooted_graph,
+                [[1, 1, 1, 0, 1], [1, 1, 1, 0, 1], [0, 0, 1, 0, 0], [1, 0, 1, 1, 1], [0, 1, 0, 0, 1]],
+                0.01851721767021075,
+            ),
+            (
+                random_nonsplit_graph,
+                [[1, 1, 1, 1, 1], [0, 1, 1, 1, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 1], [0, 1, 0, 1, 1]],
+                0.2273185251609081,
+            ),
+        ],
+    )
+    def test_valid_edge_probability_keeps_the_stream(self, generator, adjacency, next_draw):
+        # Pinned draws of seed 5: validation consumes nothing from the stream.
+        rng = np.random.default_rng(5)
+        graph = generator(5, rng, 0.3)
+        assert graph.adjacency.astype(int).tolist() == adjacency
+        assert rng.random() == next_draw

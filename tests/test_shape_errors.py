@@ -177,14 +177,15 @@ class TestCertifyEnsembleShapeErrors:
 
     def test_mixed_round_batch_state_stacking_is_rejected(self):
         # Internal invariant of the stacked batch-state path: configurations
-        # must share one round.
-        from repro.algorithms import AmortizedMidpointAlgorithm
+        # of an algorithm that reads the round number must share one round.
+        from repro.algorithms import AmortizedMidpointAlgorithm, DecidingAlgorithm
         from repro.execution.engine import initial_configuration, apply_graph
         from repro.models.standard import psi_model
 
-        algorithm = AmortizedMidpointAlgorithm()
+        algorithm = DecidingAlgorithm(AmortizedMidpointAlgorithm(), decision_round=3)
+        assert not algorithm.round_invariant()
         config0 = initial_configuration(algorithm, np.linspace(0, 1, 4))
         config1 = apply_graph(algorithm, config0, complete_graph(4))
         estimator = ValencyEstimator(algorithm, psi_model(4), suffix_rounds=5)
         with pytest.raises(ExecutionError, match=r"rounds \[0, 1\]"):
-            estimator._limit_estimates_batch_state([config0, config1])
+            estimator._limit_estimates_batch_state([config0, config1], 0)

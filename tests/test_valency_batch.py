@@ -167,15 +167,15 @@ def test_valencies_intersect_matches_reference():
 
 def test_stateful_algorithm_takes_batch_state_path():
     # The amortized midpoint carries state beyond its outputs; the batched
-    # estimator covers it through the batch_state restore hooks (it must NOT
-    # take the outputs-based convex-combination path) and agrees exactly
-    # with the per-future reference loop.
+    # estimator covers it through the batch_state restore hooks — the one
+    # batched path convex-combination algorithms take too — and agrees
+    # exactly with the per-future reference loop.
     algorithm = AmortizedMidpointAlgorithm()
     model = psi_model(4)
     configuration = initial_configuration(algorithm, np.linspace(0.0, 1.0, 4))
     batched, reference = _estimators(algorithm, model, suffix_rounds=12)
-    assert not batched._batchable()
-    assert batched._batchable_stateful()
+    assert batched._batchable()
+    assert not reference._batchable()
     assert np.array_equal(
         batched.limit_estimates(configuration), reference.limit_estimates(configuration)
     )

@@ -587,13 +587,14 @@ class Algorithm(ABC):
         )
 
     def batch_state_stack(self, batch_states: Sequence[Any]) -> Any:
-        """Stack single-scenario batch states along a new leading scenario axis.
+        """Stack batch states along a new leading scenario axis.
 
         ``batch_states`` holds ``B`` batch states whose array leaves have
-        identical shapes (e.g. restored from recorded per-agent snapshots via
-        :meth:`batch_state_from_states`); the result is one batch state whose
-        leaves carry a leading length-``B`` axis, ready to drive all ``B``
-        scenarios through :meth:`batch_transition` at once.  The valency
+        identical shapes (states restored via
+        :meth:`batch_state_from_states`, or the recorded rounds of an
+        ensemble); the result is one batch state whose leaves carry a
+        leading length-``B`` axis, ready to drive all of them through
+        :meth:`batch_transition` at once.  The valency
         estimator uses this to evaluate recorded configurations as stacked
         ensembles: the scenarios of one recorded round, or — for
         :meth:`round_invariant` algorithms — configurations of all recorded
@@ -604,28 +605,7 @@ class Algorithm(ABC):
         per-scenario fields (such as the amortized midpoint's phase
         position) into arrays over the new axis.
         """
-        states = list(batch_states)
-        if not states:
-            raise AlgorithmError("cannot stack zero batch states")
-        if all(isinstance(state, np.ndarray) for state in states):
-            return np.stack(states)
-        leaves_per_state = []
-        for state in states:
-            leaves: list = []
-            self.batch_map(state, lambda leaf: (leaves.append(np.asarray(leaf)), leaf)[1])
-            leaves_per_state.append(leaves)
-        counts = {len(leaves) for leaves in leaves_per_state}
-        if len(counts) != 1:
-            raise AlgorithmError(
-                f"batch states of {self.name} expose differing leaf counts "
-                f"({sorted(counts)}) and cannot be stacked"
-            )
-        stacked = [
-            np.stack([leaves[index] for leaves in leaves_per_state])
-            for index in range(counts.pop())
-        ]
-        replacement = iter(stacked)
-        return self.batch_map(states[0], lambda _leaf: next(replacement))
+        return combine_batch_leaves(self, batch_states, np.stack)
 
     def batch_state_fixpoint(
         self, previous: Any, new: Any
@@ -651,11 +631,12 @@ class Algorithm(ABC):
     # :meth:`batch_states` *snapshots* an unbatched batch state into the
     # per-agent states a Configuration records; the hooks below *restore*
     # a batch state from such a snapshot.  Together they let the batched
-    # valency/certification engines resume stateful algorithms (e.g. the
-    # amortized midpoint's mid-phase extremes) at an arbitrary recorded
-    # configuration and fan the restored state out into a scenario ensemble
-    # via :meth:`batch_map` — instead of falling back to the per-future
-    # reference loop.
+    # valency engine resume stateful algorithms (e.g. the amortized
+    # midpoint's mid-phase extremes) at a per-agent configuration — a
+    # single execution's, or a per-scenario fallback ensemble's — and fan
+    # the restored state out into a scenario ensemble via :meth:`batch_map`
+    # instead of falling back to the per-future reference loop.  Batched
+    # ensembles record their batch states directly and need no restore.
 
     def supports_batch_state(self) -> bool:
         """Whether batch states can be restored from recorded per-agent states.
@@ -680,6 +661,35 @@ class Algorithm(ABC):
         raise NotImplementedError(
             f"{self.name} cannot restore a batch state from per-agent states"
         )
+
+
+def combine_batch_leaves(algorithm: Algorithm, batch_states: Sequence[Any], combine) -> Any:
+    """Combine batch states leaf by leaf, e.g. with ``np.stack`` or ``np.concatenate``.
+
+    Fields that are not leaves (a uniform phase position) come from the first state.
+    """
+    states = list(batch_states)
+    if not states:
+        raise AlgorithmError("cannot combine zero batch states")
+    if all(isinstance(state, np.ndarray) for state in states):
+        return combine(states)
+    leaves_per_state = []
+    for state in states:
+        leaves: list = []
+        algorithm.batch_map(state, lambda leaf: (leaves.append(np.asarray(leaf)), leaf)[1])
+        leaves_per_state.append(leaves)
+    counts = {len(leaves) for leaves in leaves_per_state}
+    if len(counts) != 1:
+        raise AlgorithmError(
+            f"batch states of {algorithm.name} expose differing leaf counts "
+            f"({sorted(counts)}) and cannot be combined"
+        )
+    combined = [
+        combine([leaves[index] for leaves in leaves_per_state])
+        for index in range(counts.pop())
+    ]
+    replacement = iter(combined)
+    return algorithm.batch_map(states[0], lambda _leaf: next(replacement))
 
 
 class ConvexCombinationAlgorithm(Algorithm):

@@ -66,7 +66,7 @@ from repro.execution.batch import (
 from repro.execution.engine import run_execution
 from repro.execution.execution import Execution
 from repro.faults import FaultMaskingPattern, FaultPlan, FaultSpec, as_fault_plan
-from repro.execution.metrics import convergence_round, empirical_contraction_rate
+from repro.execution.metrics import convergence_round, rate_from_diameters
 from repro.graphs.digraph import CommunicationGraph
 from repro.models.network_model import NetworkModel
 from repro.models.patterns import (
@@ -74,6 +74,7 @@ from repro.models.patterns import (
     CommunicationPattern,
     SequencePattern,
 )
+from repro.types import diameter
 
 
 @dataclass
@@ -391,8 +392,8 @@ class Study:
     certify:
         ``True`` or a :class:`CertifySpec` to attach valency/contraction
         certificates.  Single-scenario studies get one
-        :class:`StudyCertificates`; ensemble studies run with per-scenario
-        configuration snapshots and get a list of ``B`` per-scenario
+        :class:`StudyCertificates`; ensemble studies record their batch
+        states (``record_states=True``) and get a list of ``B`` per-scenario
         certificates, computed as stacked ``(B·K, n, n)`` ensemble passes
         and bit-for-bit identical to ``B`` independent certified
         single-scenario studies.
@@ -563,8 +564,8 @@ class Study:
                 faulted=plan is not None,
             )
 
-        # Certified ensembles need the per-scenario configuration snapshots
-        # the certification engine restores its batch states from.
+        # Certified ensembles need the recorded states the certification
+        # engine stacks its futures from.
         record_states = self._certify is not None
         if spec.adversary is not None:
             result = run_adversarial_ensemble(
@@ -639,15 +640,13 @@ class Study:
 
     @staticmethod
     def _certificates_from_estimates(
-        estimates: List[ValencyEstimate], configurations: List
+        estimates: List[ValencyEstimate], diameters: Sequence[float]
     ) -> StudyCertificates:
         trace = [float(estimate.lower_diameter) for estimate in estimates]
         try:
-            # Route the per-scenario diameters through the exact code path
-            # single-scenario studies use, so the rates agree bit-for-bit.
-            output_rate = empirical_contraction_rate(
-                Execution(algorithm_name="", configurations=list(configurations))
-            )
+            # Single-scenario and ensemble studies fit the same per-round
+            # ``diameter`` values, so their rates agree bit-for-bit.
+            output_rate = rate_from_diameters(diameters)
         except ValueError:
             output_rate = float("nan")
         return StudyCertificates(
@@ -666,14 +665,15 @@ class Study:
             # as stacked ensemble passes, returning one certificate per
             # scenario — bit-for-bit what B single-scenario studies produce.
             per_scenario = estimator.certify_ensemble(execution)
+            outputs = execution.recorded_outputs
             return [
                 self._certificates_from_estimates(
-                    estimates, execution.scenario_configurations(scenario)
+                    estimates, [diameter(snapshot[scenario]) for snapshot in outputs]
                 )
                 for scenario, estimates in enumerate(per_scenario)
             ]
         estimates = estimator.trace(execution.configurations)
-        return self._certificates_from_estimates(estimates, execution.configurations)
+        return self._certificates_from_estimates(estimates, execution.diameters())
 
     def __repr__(self) -> str:
         spec = self._spec

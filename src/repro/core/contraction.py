@@ -152,7 +152,7 @@ def valency_contraction_trace_ensemble(
 
     The ensemble-scale counterpart of :func:`valency_contraction_trace`: runs
     ``B`` scenarios (stacked initial values against one shared pattern or one
-    pattern per scenario) with per-scenario configuration snapshots, then
+    pattern per scenario) with recorded states (``record_states=True``), then
     estimates every scenario's ``δ_N(C_t)`` trace through
     :meth:`~repro.core.valency.ValencyEstimator.certify_ensemble` — all
     scenarios' sampled futures stacked into single ensemble passes.  Returns

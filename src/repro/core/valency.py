@@ -32,12 +32,12 @@ Two evaluation paths are available, mirroring the adversary API:
   prefixes are *streamed* in bounded chunks (never materializing the full
   ``|N|^depth`` product), and an active-set drops scenarios that reached an
   exact fixpoint from the constant-suffix loop early (as certified by the
-  algorithm's ``batch_state_fixpoint`` hook).  Every algorithm resumes its
-  recorded per-agent states exactly through the ``batch_state``
-  snapshot/restore hooks
-  (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`) —
-  convex-combination algorithms get them from their outputs, stateful ones
-  (e.g. the amortized midpoint) implement them.  Round-invariant algorithms
+  algorithm's ``batch_state_fixpoint`` hook).  Ensembles are certified
+  from their recorded batch states, sliced and stacked leaf by leaf; single
+  configurations are restored through
+  :meth:`~repro.algorithms.base.Algorithm.batch_state_from_states` —
+  convex-combination algorithms get it from their outputs, stateful ones
+  (e.g. the amortized midpoint) implement it.  Round-invariant algorithms
   stack the futures of configurations from all rounds into one pass; others
   stack only configurations of one round.
 * the **reference path** (``use_batch=False``, or any algorithm without
@@ -51,14 +51,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import Algorithm
 from repro.config import resolve_scenario_chunk, resolve_threads, resolve_use_batch
 from repro.exceptions import EnsembleShapeError, ExecutionError
-from repro.execution.batch import EnsembleExecution
+from repro.execution.batch import EnsembleExecution, RecordedStates
 from repro.execution.engine import run_from_configuration
 from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
@@ -109,9 +109,9 @@ class ValencyEstimator:
         Evaluate all sampled futures as stacked scenario ensembles through
         the algorithm's batch hooks.  ``None`` (the default) resolves through
         the active :class:`~repro.config.EngineConfig` (batched unless
-        configured off).  The batched path restores each configuration's
-        state through the ``Algorithm.batch_state`` snapshot/restore hooks
-        (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`)
+        configured off).  The batched path stacks the recorded batch states
+        of an ensemble as they are, restores single configurations through
+        :meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`,
         and stacks configurations — of all rounds for
         :meth:`~repro.algorithms.base.Algorithm.round_invariant` algorithms,
         of one round otherwise.  Algorithms without these hooks fall back to
@@ -171,7 +171,7 @@ class ValencyEstimator:
     def estimate(self, configuration: Configuration) -> ValencyEstimate:
         """Full estimate (limits plus certified lower/upper diameter bounds)."""
         limits = self.limit_estimates(configuration)
-        return self._estimate_from_limits(configuration, limits)
+        return self._estimate_from_limits(configuration.outputs, limits)
 
     def valency_diameter(self, configuration: Configuration) -> float:
         """Lower estimate of ``δ_N(C)`` (diameter of the sampled reachable limits)."""
@@ -214,7 +214,7 @@ class ValencyEstimator:
         """
         configurations = list(configurations)
         return [
-            self._estimate_from_limits(configuration, limits)
+            self._estimate_from_limits(configuration.outputs, limits)
             for configuration, limits in zip(
                 configurations, self._limit_estimates(configurations)
             )
@@ -230,16 +230,17 @@ class ValencyEstimator:
         ``b``'s estimate at recorded round ``ensemble.recorded_rounds[r]``,
         bit-for-bit identical to what the per-scenario trace would produce
         (all evaluation paths perform the same elementwise operations, only
-        stacked).  On the batched path each scenario's recorded per-agent
-        snapshot is restored through ``batch_state_from_states`` and the
-        restored states are stacked via ``batch_state_stack``, so the sampled
-        futures of all ``B`` scenarios — and, for round-invariant algorithms
-        (stateful ones such as the amortized midpoint included), of all
-        recorded rounds — run as single ensemble passes of per-round
+        stacked).  On the batched path the recorded batch states are sliced
+        and stacked leaf by leaf
+        (:meth:`~repro.execution.batch.RecordedStates.stacked_rounds`), so
+        the sampled futures of all ``B`` scenarios — and, for round-invariant
+        algorithms (stateful ones such as the amortized midpoint included),
+        of all recorded rounds — run as single ensemble passes of per-round
         ``(K, n, n)`` adjacency stacks, in ``scenario_chunk``-bounded groups.
+        No per-agent state object is built or restored on that path.
 
         Requires the ensemble to have been run with ``record_states=True``
-        (:meth:`~repro.execution.batch.EnsembleExecution.scenario_configurations`);
+        (:attr:`~repro.execution.batch.EnsembleExecution.recorded_states`);
         :class:`repro.api.Study` does this automatically for certified
         ensemble studies.
 
@@ -258,7 +259,7 @@ class ValencyEstimator:
             raise ExecutionError(
                 f"certify_ensemble needs an EnsembleExecution, got {type(ensemble).__name__}"
             )
-        recorded = ensemble.recorded_configurations
+        recorded = ensemble.recorded_states
         if recorded is None:
             raise ExecutionError(
                 "ensemble certification needs recorded per-scenario configurations; "
@@ -273,6 +274,8 @@ class ValencyEstimator:
                     f"(recorded outputs shape {ensemble.recorded_outputs.shape})"
                 )
         batch_size = ensemble.batch_size
+        rounds = ensemble.recorded_rounds
+        outputs = ensemble.recorded_outputs
         if self._threads > 1 and batch_size > 1:
             # Scenario-axis sharding: per-scenario estimates are arithmetically
             # independent (stacked passes never mix results across
@@ -281,29 +284,31 @@ class ValencyEstimator:
             # serial pass.  Imported lazily to keep the module import-light.
             from repro.execution.parallel import parallel_map, shard_bounds
 
-            tasks = []
-            for start, stop in shard_bounds(batch_size, self._threads):
-                shard_rows = [row[start:stop] for row in recorded]
-                tasks.append(lambda rows=shard_rows: self._certify_recorded(rows))
+            tasks = [
+                lambda start=start, stop=stop: self._certify_recorded(
+                    recorded.slice(start, stop), rounds, outputs[:, start:stop]
+                )
+                for start, stop in shard_bounds(batch_size, self._threads)
+            ]
             shard_results = parallel_map(tasks, self._threads)
             return [rows for result in shard_results for rows in result]
-        return self._certify_recorded(recorded)
+        return self._certify_recorded(recorded, rounds, outputs)
 
     def _certify_recorded(
-        self, recorded: Sequence[Sequence[Configuration]]
+        self, recorded: RecordedStates, rounds: Sequence[int], outputs: np.ndarray
     ) -> List[List[ValencyEstimate]]:
-        """Serial certification core over recorded ``[round][scenario]`` rows."""
-        batch_size = len(recorded[0])
-        record_count = len(recorded)
-        flat_limits = self._limit_estimates(
-            [recorded[r][b] for r in range(record_count) for b in range(batch_size)]
-        )
+        """Serial certification core over ``(R, B)`` recorded states and outputs."""
+        batch_size = outputs.shape[1]
+        if not self._batchable():
+            return [
+                self.trace(recorded.scenario_configurations(scenario, rounds, outputs))
+                for scenario in range(batch_size)
+            ]
+        limits = self._stacked_limits(recorded, rounds, batch_size, self._exploration_depth)
         return [
             [
-                self._estimate_from_limits(
-                    recorded[r][b], flat_limits[r * batch_size + b]
-                )
-                for r in range(record_count)
+                self._estimate_from_limits(outputs[r, b], limits[r * batch_size + b])
+                for r in range(len(rounds))
             ]
             for b in range(batch_size)
         ]
@@ -374,13 +379,11 @@ class ValencyEstimator:
             and self._algorithm.supports_batch_state()
         )
 
-    def _batched_limits(
-        self, configurations: Sequence[Configuration], max_depth: int
-    ) -> List[np.ndarray]:
-        """Stacked limit estimates, one per configuration, in input order.
+    def _pass_ranges(self, round_numbers: Sequence[int]) -> Iterator[Tuple[int, int]]:
+        """Index ranges ``[start, stop)`` of configurations that share one stacked pass.
 
         Round-invariant algorithms stack configurations of any rounds;
-        others only those of one round (their transitions read the round
+        others only runs of one round (their transitions read the round
         number).  Either way at most ``scenario_chunk // |N|``
         configurations share a pass, so a constant-suffix pass stacks at
         most ``scenario_chunk`` futures (one per model graph and
@@ -388,19 +391,50 @@ class ValencyEstimator:
         """
         config_group = max(1, self._scenario_chunk // max(1, len(self._model)))
         invariant = self._algorithm.round_invariant()
-        groups: Dict[int, List[int]] = {}
-        for index, configuration in enumerate(configurations):
-            key = 0 if invariant else configuration.round_number
-            groups.setdefault(key, []).append(index)
-        limits: List[np.ndarray] = [np.empty(0)] * len(configurations)
-        for indices in groups.values():
-            for start in range(0, len(indices), config_group):
-                chunk = indices[start : start + config_group]
-                estimates = self._limit_estimates_batch_state(
-                    [configurations[index] for index in chunk], max_depth
-                )
-                for index, estimate in zip(chunk, estimates):
-                    limits[index] = estimate
+        start = 0
+        for index in range(1, len(round_numbers) + 1):
+            if (
+                index == len(round_numbers)
+                or index - start == config_group
+                or (not invariant and round_numbers[index] != round_numbers[start])
+            ):
+                yield start, index
+                start = index
+
+    def _batched_limits(
+        self, configurations: Sequence[Configuration], max_depth: int
+    ) -> List[np.ndarray]:
+        """Stacked limit estimates, one per configuration, in input order."""
+        recorded = RecordedStates(
+            self._algorithm, per_agent=tuple((c.states,) for c in configurations)
+        )
+        rounds = [configuration.round_number for configuration in configurations]
+        return self._stacked_limits(recorded, rounds, 1, max_depth)
+
+    def _stacked_limits(
+        self,
+        recorded: RecordedStates,
+        rounds: Sequence[int],
+        batch_size: int,
+        max_depth: int,
+    ) -> List[np.ndarray]:
+        """Limit estimates of every recorded configuration, round-major.
+
+        Entry ``r·B + b`` is scenario ``b`` at recorded round ``r``.  Each
+        pass stacks a contiguous range of entries: a slice of the recorded
+        rounds it spans.
+        """
+        flat_rounds = [t for t in rounds for _ in range(batch_size)]
+        limits: List[np.ndarray] = []
+        for start, stop in self._pass_ranges(flat_rounds):
+            offset = start - start % batch_size
+            spanned = recorded.stacked_rounds(start // batch_size, (stop - 1) // batch_size + 1)
+            base = self._algorithm.batch_map(
+                spanned, lambda leaf: leaf[start - offset : stop - offset]
+            )
+            limits += self._limit_estimates_batch_state(
+                base, flat_rounds[start:stop], max_depth
+            )
         return limits
 
     def _prefix_chunks(
@@ -426,44 +460,31 @@ class ValencyEstimator:
             yield chunk
 
     def _limit_estimates_batch_state(
-        self, configurations: Sequence[Configuration], max_depth: int
+        self, base, round_numbers: Sequence[int], max_depth: int
     ) -> List[np.ndarray]:
-        """Batched limit estimates through the ``batch_state`` restore hooks.
+        """Batched limit estimates of a batch state stacking ``R`` configurations.
 
-        Each configuration's per-agent state snapshot is restored into a
-        single-scenario batch state
-        (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`);
-        the configurations are stacked along a leading scenario axis via
-        :meth:`~repro.algorithms.base.Algorithm.batch_state_stack`, fanned
+        ``round_numbers`` holds the ``R`` configurations' rounds, which must
+        agree unless the algorithm is round-invariant.  The state is fanned
         out over each chunk of prefixes of depth ``0 .. max_depth`` via
-        ``batch_map``, and driven through stacked adjacency ensembles of
+        ``batch_map`` and driven through stacked adjacency ensembles of
         ``(R · P · M, n, n)`` — ``R`` configurations, ``P`` prefixes and the
-        ``M`` model graphs as constant suffixes.  The configurations must
-        share one round unless the algorithm is round-invariant.  Scenario
-        order matches the reference loop exactly (configuration-major,
-        depth-ascending prefixes, model suffix graphs innermost), and every
-        scenario runs the same elementwise operations as its reference
-        future, so the result is bit-for-bit equal to the per-future
-        reference loop.
+        ``M`` model graphs as constant suffixes.  Scenario order matches the
+        reference loop exactly (configuration-major, depth-ascending
+        prefixes, model suffix graphs innermost), and every scenario runs the
+        same elementwise operations as its reference future, so the result
+        is bit-for-bit equal to the per-future reference loop.
         """
+        if len(set(round_numbers)) != 1 and not self._algorithm.round_invariant():
+            raise ExecutionError(
+                "stacked batch-state estimates need configurations at one round, "
+                f"got rounds {sorted(set(round_numbers))}"
+            )
+        config_count = len(round_numbers)
+        base_round = round_numbers[0]
         algorithm = self._algorithm
         model_graphs = list(self._model)
         model_count = len(model_graphs)
-        configurations = list(configurations)
-        config_count = len(configurations)
-        rounds = {configuration.round_number for configuration in configurations}
-        if len(rounds) != 1 and not algorithm.round_invariant():
-            raise ExecutionError(
-                "stacked batch-state estimates need configurations at one round, "
-                f"got rounds {sorted(rounds)}"
-            )
-        base = algorithm.batch_state_stack(
-            [
-                algorithm.batch_state_from_states(configuration.states)
-                for configuration in configurations
-            ]
-        )  # leaves (R, n, d) with R = config_count
-        base_round = configurations[0].round_number
         prefix_chunk_size = max(
             1, self._scenario_chunk // max(1, config_count * model_count)
         )
@@ -550,10 +571,10 @@ class ValencyEstimator:
         return finals
 
     def _estimate_from_limits(
-        self, configuration: Configuration, limits: np.ndarray
+        self, outputs: np.ndarray, limits: np.ndarray
     ) -> ValencyEstimate:
         lower = diameter(limits)
         upper: Optional[float] = None
         if self._algorithm.is_convex_combination():
-            upper = configuration.output_diameter()
+            upper = diameter(outputs)
         return ValencyEstimate(limits=limits, lower_diameter=lower, upper_diameter=upper)

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm
+from repro.algorithms.base import Algorithm, combine_batch_leaves
 from repro.config import resolve_threads, resolve_use_batch
 from repro.exceptions import ConfigError, EnsembleShapeError, ExecutionError
 from repro.execution.engine import _AdjacencyCache, apply_graph, initial_configuration
@@ -48,6 +48,102 @@ from repro.types import ValuesLike, as_value_matrix, pairwise_diameters
 #: One round of ensemble communication: a single graph shared by every
 #: scenario, or one graph per scenario (length ``B``).
 RoundGraphs = Union[CommunicationGraph, Sequence[CommunicationGraph]]
+
+
+@dataclass(frozen=True)
+class RecordedStates:
+    """Every scenario's state at every recorded round of an ensemble.
+
+    Batched runs keep ``stacked``: one batch state per recorded round, as
+    the engine produced it (array leaves ``(B, n, ...)``).  The per-scenario
+    fallback loops, the reference, keep ``per_agent``: ``per_agent[r][b]``
+    is scenario ``b``'s tuple of per-agent states.  Exactly one is set, and
+    this class is the only code that knows both forms.
+    """
+
+    algorithm: Algorithm
+    stacked: Optional[Tuple[Any, ...]] = None
+    per_agent: Optional[Tuple[Tuple[Tuple[Any, ...], ...], ...]] = None
+
+    def slice(self, start: int, stop: int) -> "RecordedStates":
+        """The states of scenarios ``[start, stop)``."""
+        if self.stacked is None:
+            return replace(self, per_agent=tuple(row[start:stop] for row in self.per_agent))
+        stacked = tuple(
+            self.algorithm.batch_map(state, lambda leaf: leaf[start:stop])
+            for state in self.stacked
+        )
+        return replace(self, stacked=stacked)
+
+    @staticmethod
+    def concatenate(parts: Sequence["RecordedStates"]) -> "RecordedStates":
+        """Shards' states joined along the scenario axis, in shard order."""
+        first = parts[0]
+        if first.stacked is None:
+            rows = zip(*(part.per_agent for part in parts))
+            return replace(first, per_agent=tuple(sum(row, ()) for row in rows))
+        stacked = tuple(
+            combine_batch_leaves(first.algorithm, states, np.concatenate)
+            for states in zip(*(part.stacked for part in parts))
+        )
+        return replace(first, stacked=stacked)
+
+    def stacked_rounds(self, first: int, stop: int):
+        """One batch state of recorded rounds ``[first, stop)``, round-major.
+
+        Its leaves are ``((stop - first) · B, n, ...)``.  Several rounds are
+        stacked with ``batch_state_stack``, which turns fields that differ
+        between rounds (a phase position) into per-scenario arrays, so they
+        only make sense for round-invariant algorithms.
+        """
+        algorithm = self.algorithm
+        if self.stacked is None:
+            rows = self.per_agent[first:stop]
+            restored = [algorithm.batch_state_from_states(s) for row in rows for s in row]
+            return algorithm.batch_state_stack(restored)
+        if stop - first == 1:
+            return self.stacked[first]
+        return algorithm.batch_map(
+            algorithm.batch_state_stack(self.stacked[first:stop]),
+            lambda leaf: leaf.reshape((-1,) + leaf.shape[2:]),
+        )
+
+    def scenario_configurations(
+        self, scenario: int, rounds: Sequence[int], outputs: np.ndarray
+    ) -> List[Configuration]:
+        """Scenario ``scenario``'s configurations at the recorded ``rounds``."""
+        if self.stacked is None:
+            per_round = [row[scenario] for row in self.per_agent]
+        else:
+            algorithm = self.algorithm
+            per_round = [
+                algorithm.batch_states(algorithm.batch_map(state, lambda leaf: leaf[scenario]))
+                for state in self.stacked
+            ]
+        return [
+            Configuration(states, outputs[r][scenario].copy(), round_number)
+            for r, (states, round_number) in enumerate(zip(per_round, rounds))
+        ]
+
+    def to_dict(self) -> dict:
+        """A JSON-safe, bit-for-bit encoding; invert with :meth:`from_dict`."""
+        from repro.service.serialization import encode_algorithm, encode_value
+
+        return {
+            "algorithm": encode_algorithm(self.algorithm),
+            "stacked": encode_value(self.stacked),
+            "per_agent": encode_value(self.per_agent),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RecordedStates":
+        from repro.service.serialization import decode_algorithm, decode_value
+
+        return cls(
+            decode_algorithm(payload["algorithm"]),
+            stacked=decode_value(payload["stacked"]),
+            per_agent=decode_value(payload["per_agent"]),
+        )
 
 
 @dataclass
@@ -75,16 +171,11 @@ class EnsembleExecution:
         Provenance: the resolved :class:`~repro.faults.FaultPlan` the run
         was executed under (``None`` for fault-free runs — a zero plan is
         normalized to ``None`` before execution).
-    recorded_configurations:
-        Per-scenario configuration snapshots, present when the run was asked
-        for them (``record_states=True``): entry ``[r][b]`` is scenario
-        ``b``'s full :class:`~repro.execution.state.Configuration` (per-agent
-        states plus outputs) at recorded round ``recorded_rounds[r]``.  On
-        the batched path the snapshots are recorded batch states sliced per
-        scenario through the algorithm's ``batch_map``/``batch_states``
-        hooks, so they are exactly the configurations ``B`` independent
-        single-scenario runs would record — which is what lets the ensemble
-        certification engine restore them via ``batch_state_from_states``.
+    recorded_states:
+        The states of every scenario at every recorded round, present when
+        the run was asked for them (``record_states=True``); see
+        :class:`RecordedStates`.  :meth:`scenario_configurations` builds
+        scenario ``b``'s per-agent configurations from them on request.
     """
 
     algorithm_name: str
@@ -92,9 +183,7 @@ class EnsembleExecution:
     recorded_outputs: np.ndarray
     scenario_labels: Optional[List[object]] = field(default=None)
     batched: Optional[bool] = field(default=None)
-    recorded_configurations: Optional[List[List[Configuration]]] = field(
-        default=None, repr=False
-    )
+    recorded_states: Optional[RecordedStates] = field(default=None, repr=False)
     fault_plan: Optional[FaultPlan] = field(default=None, repr=False)
 
     @property
@@ -142,18 +231,19 @@ class EnsembleExecution:
 
     @property
     def has_recorded_states(self) -> bool:
-        """Whether per-scenario configuration snapshots were recorded."""
-        return self.recorded_configurations is not None
+        """Whether every scenario's states were recorded (``record_states=True``)."""
+        return self.recorded_states is not None
 
     def scenario_configurations(self, scenario: int) -> List[Configuration]:
         """Scenario ``scenario``'s recorded configurations, ``C_0 .. C_T``.
 
         The returned list matches what :func:`repro.execution.run_execution`
         would have recorded for that scenario alone (one configuration per
-        entry of :attr:`recorded_rounds`).  Requires the run to have been
-        executed with ``record_states=True``.
+        entry of :attr:`recorded_rounds`).  It is built on each call from
+        :attr:`recorded_states`.  Requires the run to have been executed
+        with ``record_states=True``.
         """
-        if self.recorded_configurations is None:
+        if self.recorded_states is None:
             raise ExecutionError(
                 "per-scenario configurations were not recorded; rerun the ensemble "
                 "with record_states=True"
@@ -162,7 +252,9 @@ class EnsembleExecution:
             raise ExecutionError(
                 f"scenario {scenario} out of range for B={self.batch_size}"
             )
-        return [per_round[scenario] for per_round in self.recorded_configurations]
+        return self.recorded_states.scenario_configurations(
+            scenario, self.recorded_rounds, self.recorded_outputs
+        )
 
     def convergence_rounds(self, tolerance: float) -> np.ndarray:
         """Per scenario, the first recorded round with diameter <= ``tolerance`` (-1 if never)."""
@@ -320,34 +412,8 @@ def _round_adjacency(
     return np.stack([graph.adjacency for graph in graphs])
 
 
-def _snapshot_scenario_configurations(
-    algorithm: Algorithm,
-    batch_state,
-    outputs: np.ndarray,
-    round_number: int,
-) -> List[Configuration]:
-    """Slice one recorded ``(B, ...)`` batch state into per-scenario configurations.
-
-    Each scenario's slice goes through ``batch_map`` (leaf indexing) and
-    ``batch_states`` (the snapshot direction of the batch-state contract), so
-    the recorded per-agent states equal the ones ``B`` independent
-    single-scenario fast-path runs would record.
-    """
-    configurations = []
-    for scenario in range(outputs.shape[0]):
-        single = algorithm.batch_map(batch_state, lambda leaf, _b=scenario: leaf[_b])
-        configurations.append(
-            Configuration(
-                states=algorithm.batch_states(single),
-                outputs=outputs[scenario].copy(),
-                round_number=round_number,
-            )
-        )
-    return configurations
-
-
-def _supports_state_snapshots(algorithm: Algorithm, batch_state) -> bool:
-    """Whether per-scenario snapshots can be sliced off this batch state."""
+def _supports_batch_map(algorithm: Algorithm, batch_state) -> bool:
+    """Whether the batch state can be sliced and broadcast (``batch_map``)."""
     try:
         algorithm.batch_map(batch_state, lambda leaf: leaf)
     except NotImplementedError:
@@ -398,13 +464,13 @@ def run_ensemble(
         ensemble path (raising if the algorithm has no batch hooks).  Both
         paths are bit-for-bit identical.
     record_states:
-        Additionally record per-scenario configuration snapshots (per-agent
-        states) at every recorded round, enabling
+        Additionally record every scenario's state at every recorded round
+        (:class:`RecordedStates`), enabling
         :meth:`EnsembleExecution.scenario_configurations` and ensemble-scale
         certification (:meth:`repro.core.valency.ValencyEstimator.certify_ensemble`).
-        On the batched path the snapshots are sliced off the recorded batch
-        states; algorithms whose batch state cannot be sliced (no
-        ``batch_map``) take the per-scenario fallback loop instead.
+        The batched path keeps each recorded round's batch state as-is;
+        algorithms whose batch state cannot be sliced (no ``batch_map``)
+        take the per-scenario fallback loop instead.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` (or
         :class:`~repro.faults.FaultSpec`).  On the batched path the plan is
@@ -462,17 +528,13 @@ def run_ensemble(
         )
 
     batch_state = algorithm.batch_initial(values)
-    if record_states and not _supports_state_snapshots(algorithm, batch_state):
+    if record_states and not _supports_batch_map(algorithm, batch_state):
         return _run_ensemble_slow(
             algorithm, values, graph_rounds, record_every, labels, record_states, plan
         )
     recorded_rounds = [0]
     recorded = [np.array(algorithm.batch_outputs(batch_state), dtype=float)]
-    recorded_configurations: Optional[List[List[Configuration]]] = None
-    if record_states:
-        recorded_configurations = [
-            _snapshot_scenario_configurations(algorithm, batch_state, recorded[0], 0)
-        ]
+    recorded_batch_states = [batch_state] if record_states else None
     adjacency_cache = _AdjacencyCache()
     for t, round_graphs in enumerate(graph_rounds, start=1):
         adjacency = _round_adjacency(round_graphs, batch_size, n, cache=adjacency_cache)
@@ -484,12 +546,8 @@ def run_ensemble(
         if t % record_every == 0 or t == rounds:
             recorded_rounds.append(t)
             recorded.append(np.array(algorithm.batch_outputs(batch_state), dtype=float))
-            if recorded_configurations is not None:
-                recorded_configurations.append(
-                    _snapshot_scenario_configurations(
-                        algorithm, batch_state, recorded[-1], t
-                    )
-                )
+            if recorded_batch_states is not None:
+                recorded_batch_states.append(batch_state)
 
     return EnsembleExecution(
         algorithm_name=algorithm.name,
@@ -497,9 +555,24 @@ def run_ensemble(
         recorded_outputs=np.stack(recorded),
         scenario_labels=labels,
         batched=True,
-        recorded_configurations=recorded_configurations,
+        recorded_states=_stacked_record(algorithm, recorded_batch_states),
         fault_plan=plan,
     )
+
+
+def _stacked_record(algorithm: Algorithm, batch_states) -> Optional[RecordedStates]:
+    if batch_states is None:
+        return None
+    return RecordedStates(algorithm, stacked=tuple(batch_states))
+
+
+def _per_agent_record(
+    algorithm: Algorithm, per_scenario_states, record_states: bool
+) -> Optional[RecordedStates]:
+    """The reference form, from each scenario's recorded ``[b][r]`` agent states."""
+    if not record_states:
+        return None
+    return RecordedStates(algorithm, per_agent=tuple(zip(*per_scenario_states)))
 
 
 def _slice_round_graphs(
@@ -593,14 +666,14 @@ def _run_ensemble_slow(
     batch_size = values.shape[0]
     rounds = len(graph_rounds)
     per_scenario: List[List[np.ndarray]] = []
-    per_scenario_configs: List[List[Configuration]] = []
+    per_scenario_states: List[List[Tuple[Any, ...]]] = []
     recorded_rounds = [0] + [
         t for t in range(1, rounds + 1) if t % record_every == 0 or t == rounds
     ]
     for scenario in range(batch_size):
         configuration = initial_configuration(algorithm, values[scenario])
         snapshots = [configuration.outputs.copy()]
-        configs = [configuration] if record_states else None
+        states = [configuration.states]
         for t, round_graphs in enumerate(graph_rounds, start=1):
             graph = _round_graph_of_scenario(round_graphs, scenario)
             if plan is not None:
@@ -608,30 +681,20 @@ def _run_ensemble_slow(
             configuration = apply_graph(algorithm, configuration, graph)
             if t % record_every == 0 or t == rounds:
                 snapshots.append(configuration.outputs.copy())
-                if configs is not None:
-                    configs.append(configuration)
+                states.append(configuration.states)
         per_scenario.append(snapshots)
-        if configs is not None:
-            per_scenario_configs.append(configs)
+        per_scenario_states.append(states)
     recorded = [
         np.stack([per_scenario[b][r] for b in range(batch_size)])
         for r in range(len(recorded_rounds))
     ]
-    recorded_configurations = (
-        [
-            [per_scenario_configs[b][r] for b in range(batch_size)]
-            for r in range(len(recorded_rounds))
-        ]
-        if record_states
-        else None
-    )
     return EnsembleExecution(
         algorithm_name=algorithm.name,
         recorded_rounds=recorded_rounds,
         recorded_outputs=np.stack(recorded),
         scenario_labels=labels,
         batched=False,
-        recorded_configurations=recorded_configurations,
+        recorded_states=_per_agent_record(algorithm, per_scenario_states, record_states),
         fault_plan=plan,
     )
 
@@ -809,22 +872,15 @@ def run_adversarial_ensemble(
         )
 
     batch_state = algorithm.batch_initial(values)
-    try:
-        # Capability probe: batch-capable algorithms with structured state
-        # predating the batch_map hook take the per-scenario fallback instead
-        # of crashing mid-run.
-        algorithm.batch_map(batch_state, lambda a: a)
-    except NotImplementedError:
+    if not _supports_batch_map(algorithm, batch_state):
+        # Structured states without the batch_map hook take the per-scenario
+        # fallback instead of crashing mid-run.
         return _run_adversarial_ensemble_slow(
             algorithm, values, adversary, rounds, record_every, labels, record_states
         )
     recorded_rounds = [0]
     recorded = [np.array(algorithm.batch_outputs(batch_state), dtype=float)]
-    recorded_configurations: Optional[List[List[Configuration]]] = None
-    if record_states:
-        recorded_configurations = [
-            _snapshot_scenario_configurations(algorithm, batch_state, recorded[0], 0)
-        ]
+    recorded_batch_states = [batch_state] if record_states else None
     round_choices: List[List[CommunicationGraph]] = []
     histories: List[List[CommunicationGraph]] = [[] for _ in range(batch_size)]
     cache = _AdjacencyCache()
@@ -913,12 +969,8 @@ def run_adversarial_ensemble(
             if t % record_every == 0 or t == rounds:
                 recorded_rounds.append(t)
                 recorded.append(np.array(algorithm.batch_outputs(batch_state), dtype=float))
-                if recorded_configurations is not None:
-                    recorded_configurations.append(
-                        _snapshot_scenario_configurations(
-                            algorithm, batch_state, recorded[-1], t
-                        )
-                    )
+                if recorded_batch_states is not None:
+                    recorded_batch_states.append(batch_state)
             t += 1
 
     return AdversarialEnsembleExecution(
@@ -928,7 +980,7 @@ def run_adversarial_ensemble(
         scenario_labels=labels,
         round_choices=round_choices,
         batched=True,
-        recorded_configurations=recorded_configurations,
+        recorded_states=_stacked_record(algorithm, recorded_batch_states),
     )
 
 
@@ -994,7 +1046,7 @@ def _run_adversarial_ensemble_slow(
 
     batch_size = values.shape[0]
     per_scenario_outputs: List[List[np.ndarray]] = []
-    per_scenario_configs: List[List[Configuration]] = []
+    per_scenario_states: List[List[Tuple[Any, ...]]] = []
     per_scenario_graphs: List[List[CommunicationGraph]] = []
     recorded_rounds: List[int] = []
     for scenario in range(batch_size):
@@ -1003,8 +1055,7 @@ def _run_adversarial_ensemble_slow(
         )
         recorded_rounds = [c.round_number for c in execution.configurations]
         per_scenario_outputs.append([c.outputs.copy() for c in execution.configurations])
-        if record_states:
-            per_scenario_configs.append(list(execution.configurations))
+        per_scenario_states.append([c.states for c in execution.configurations])
         per_scenario_graphs.append(list(execution.graphs))
     recorded = [
         np.stack([per_scenario_outputs[b][r] for b in range(batch_size)])
@@ -1013,14 +1064,6 @@ def _run_adversarial_ensemble_slow(
     round_choices = [
         [per_scenario_graphs[b][t] for b in range(batch_size)] for t in range(rounds)
     ]
-    recorded_configurations = (
-        [
-            [per_scenario_configs[b][r] for b in range(batch_size)]
-            for r in range(len(recorded_rounds))
-        ]
-        if record_states
-        else None
-    )
     return AdversarialEnsembleExecution(
         algorithm_name=algorithm.name,
         recorded_rounds=recorded_rounds,
@@ -1028,7 +1071,7 @@ def _run_adversarial_ensemble_slow(
         scenario_labels=labels,
         round_choices=round_choices,
         batched=False,
-        recorded_configurations=recorded_configurations,
+        recorded_states=_per_agent_record(algorithm, per_scenario_states, record_states),
     )
 
 
@@ -1147,11 +1190,11 @@ def merge_ensemble_executions(
     The inverse of slicing an ensemble study into shard jobs: given the
     shards **in scenario order**, rebuilds the ``(R, B, n, d)`` record a
     single run over the full ensemble would have produced — recorded
-    outputs, labels and per-scenario configuration snapshots are
-    concatenated bit-for-bit (no recomputation happens here).  The shards
-    must agree on algorithm, recorded rounds and the ``batched`` provenance
-    flag; labels and configuration snapshots must be present on all shards
-    or on none.
+    outputs, labels and recorded states (:meth:`RecordedStates.concatenate`)
+    are concatenated bit-for-bit (no recomputation happens here).  The
+    shards must agree on algorithm, recorded rounds and the ``batched``
+    provenance flag; labels and recorded states must be present on all
+    shards or on none.
 
     ``fault_plan`` overrides the merged record's provenance plan: each
     shard ran under a ``scenario_base``-offset copy of the study's plan, so
@@ -1209,16 +1252,10 @@ def merge_ensemble_executions(
                 f"{shard.recorded_outputs.shape[2:]}, shard 0 has "
                 f"{first.recorded_outputs.shape[2:]}"
             )
-    with_labels = [shard.scenario_labels is not None for shard in shard_list]
-    if any(with_labels) and not all(with_labels):
-        raise ExecutionError(
-            "scenario labels must be present on every shard or on none"
-        )
-    with_states = [shard.recorded_configurations is not None for shard in shard_list]
-    if any(with_states) and not all(with_states):
-        raise ExecutionError(
-            "recorded configurations must be present on every shard or on none"
-        )
+    for name in ("scenario_labels", "recorded_states"):
+        present = {getattr(shard, name) is not None for shard in shard_list}
+        if len(present) != 1:
+            raise ExecutionError(f"{name} must be present on every shard or on none")
     if fault_plan is None:
         plans = {shard.fault_plan for shard in shard_list}
         if len(plans) != 1:
@@ -1227,51 +1264,35 @@ def merge_ensemble_executions(
                 "study-level plan the merged record should report"
             )
         fault_plan = shard_list[0].fault_plan
-    merged_labels = (
-        [label for shard in shard_list for label in shard.scenario_labels]
-        if all(with_labels)
-        else None
-    )
-    merged_configurations = None
-    if all(with_states):
-        merged_configurations = [
-            [
-                configuration
-                for shard in shard_list
-                for configuration in shard.recorded_configurations[r]
-            ]
-            for r in range(len(first.recorded_rounds))
-        ]
-    merged_outputs = np.concatenate(
-        [shard.recorded_outputs for shard in shard_list], axis=1
-    )
-    if all_adversarial:
-        choice_counts = {len(shard.round_choices) for shard in shard_list}
-        if len(choice_counts) != 1:
-            raise ExecutionError(
-                f"adversarial shards committed differing round counts "
-                f"{sorted(choice_counts)}; shards must cover the same horizon"
-            )
-        merged_choices = [
-            [choice for shard in shard_list for choice in shard.round_choices[t]]
-            for t in range(choice_counts.pop())
-        ]
-        return AdversarialEnsembleExecution(
-            algorithm_name=first.algorithm_name,
-            recorded_rounds=list(first.recorded_rounds),
-            recorded_outputs=merged_outputs,
-            scenario_labels=merged_labels,
-            batched=first.batched,
-            recorded_configurations=merged_configurations,
-            fault_plan=fault_plan,
-            round_choices=merged_choices,
-        )
-    return EnsembleExecution(
+    merged = dict(
         algorithm_name=first.algorithm_name,
         recorded_rounds=list(first.recorded_rounds),
-        recorded_outputs=merged_outputs,
-        scenario_labels=merged_labels,
+        recorded_outputs=np.concatenate(
+            [shard.recorded_outputs for shard in shard_list], axis=1
+        ),
+        scenario_labels=(
+            None
+            if first.scenario_labels is None
+            else [label for shard in shard_list for label in shard.scenario_labels]
+        ),
         batched=first.batched,
-        recorded_configurations=merged_configurations,
+        recorded_states=(
+            None
+            if first.recorded_states is None
+            else RecordedStates.concatenate([shard.recorded_states for shard in shard_list])
+        ),
         fault_plan=fault_plan,
     )
+    if not all_adversarial:
+        return EnsembleExecution(**merged)
+    choice_counts = {len(shard.round_choices) for shard in shard_list}
+    if len(choice_counts) != 1:
+        raise ExecutionError(
+            f"adversarial shards committed differing round counts "
+            f"{sorted(choice_counts)}; shards must cover the same horizon"
+        )
+    merged_choices = [
+        [choice for shard in shard_list for choice in shard.round_choices[t]]
+        for t in range(choice_counts.pop())
+    ]
+    return AdversarialEnsembleExecution(**merged, round_choices=merged_choices)

@@ -15,7 +15,7 @@ diameters ``Δ(y(t))``:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,13 @@ def empirical_contraction_rate(
     Returns 0.0 when the final diameter is (numerically) zero, matching the
     convention that exact agreement corresponds to contraction rate 0.
     """
-    diameters = execution.diameters()
+    return rate_from_diameters(execution.diameters(), skip_rounds, floor)
+
+
+def rate_from_diameters(
+    diameters: Sequence[float], skip_rounds: int = 0, floor: float = 1e-300
+) -> float:
+    """:func:`empirical_contraction_rate` of a recorded diameter history."""
     if len(diameters) <= skip_rounds + 1:
         raise ValueError("execution is too short to estimate a contraction rate")
     start = float(diameters[skip_rounds])

@@ -598,6 +598,7 @@ def run_study_service(
     from repro.config import EngineConfig, current_engine_config
     from repro.faults import as_fault_plan
     from repro.service.serialization import (
+        ENSEMBLE_VERSION,
         encode_algorithm,
         encode_certify_spec,
         encode_model,
@@ -658,6 +659,9 @@ def run_study_service(
             "certify": certify_payload,
             "faults": None if shard_plan is None else shard_plan.to_dict(),
             "config": config_payload,
+            # Part of the content key: results journaled or cached in an
+            # older payload format are never looked up, so they get rerun.
+            "result_version": ENSEMBLE_VERSION,
         }
         entries.append(("study_shard", body, start, stop))
     jobs = _make_jobs(entries)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 import numpy as np
@@ -42,7 +43,9 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=True)
 
 
-def _check_header(payload: Any, expected: str, max_version: int = 1) -> None:
+def _check_header(
+    payload: Any, expected: str, max_version: int = 1, min_version: int = 1
+) -> None:
     if not isinstance(payload, dict):
         raise SerializationError(
             f"expected a dict payload for {expected}, got {type(payload).__name__}"
@@ -51,10 +54,10 @@ def _check_header(payload: Any, expected: str, max_version: int = 1) -> None:
     if found != expected:
         raise SerializationError(f"expected a {expected} payload, got __type__={found!r}")
     version = payload.get("version")
-    if not isinstance(version, int) or version < 1:
+    if not isinstance(version, int) or version < min_version:
         raise SerializationError(
             f"{expected} payload version {version!r} is not supported "
-            f"(this library reads versions 1..{max_version})"
+            f"(this library reads versions {min_version}..{max_version})"
         )
     if version > max_version:
         raise UnsupportedVersionError(
@@ -90,14 +93,28 @@ def encode_array(array: np.ndarray) -> dict:
 
 
 def decode_array(payload: dict) -> np.ndarray:
+    """Invert :func:`encode_array`; a malformed payload raises ``SerializationError``."""
     _check_header(payload, _ARRAY)
+    shape, name = payload.get("shape"), payload.get("dtype")
+    if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
+        raise SerializationError(f"ndarray payload shape {shape!r} is not a list of sizes")
+    try:
+        dtype = np.dtype(np.uint8 if name == "bool" else name)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"ndarray payload has unknown dtype {name!r}") from exc
+    if not isinstance(name, str) or dtype.hasobject or dtype.itemsize == 0:
+        raise SerializationError(f"ndarray payload dtype {name!r} cannot travel as raw bytes")
+    count = math.prod(shape)
     raw = base64.b64decode(payload["data"])
-    shape = tuple(payload["shape"])
-    if payload["dtype"] == "bool":
-        count = int(np.prod(shape)) if shape else 1
+    expected = (count + 7) // 8 if name == "bool" else count * dtype.itemsize
+    if len(raw) != expected:
+        raise SerializationError(
+            f"ndarray payload of shape {tuple(shape)} needs {expected} bytes, got {len(raw)}"
+        )
+    if name == "bool":
         flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
         return flat.astype(bool).reshape(shape)
-    return np.frombuffer(raw, dtype=np.dtype(payload["dtype"])).reshape(shape).copy()
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 #: Registered dataclass state types, by payload name.  Agent states recorded
@@ -207,9 +224,13 @@ def decode_value(payload: Any) -> Any:
         cls = _STATE_TYPES.get(name)
         if cls is None:
             raise SerializationError(f"unknown registered state type {name!r}")
-        return cls(
-            **{field: decode_value(item) for field, item in payload["fields"].items()}
-        )
+        fields = payload.get("fields")
+        if not isinstance(fields, dict) or set(fields) != set(cls.__dataclass_fields__):
+            raise SerializationError(
+                f"state payload for {name!r} must carry exactly the fields "
+                f"{sorted(cls.__dataclass_fields__)}"
+            )
+        return cls(**{field: decode_value(item) for field, item in fields.items()})
     raise SerializationError(f"cannot decode value payload of type {kind!r}")
 
 
@@ -627,6 +648,12 @@ def _decode_configuration(payload: dict):
     )
 
 
+#: Payload version of ``EnsembleExecution``/``AdversarialEnsembleExecution``.
+#: Version 2 records one stacked batch state per recorded round; version 1
+#: (per-scenario configuration objects) is rejected.
+ENSEMBLE_VERSION = 2
+
+
 def encode_execution(execution) -> dict:
     from repro.execution.batch import AdversarialEnsembleExecution, EnsembleExecution
     from repro.execution.execution import Execution
@@ -634,7 +661,7 @@ def encode_execution(execution) -> dict:
     if isinstance(execution, EnsembleExecution):
         payload = {
             "__type__": "EnsembleExecution",
-            "version": 1,
+            "version": ENSEMBLE_VERSION,
             "algorithm_name": execution.algorithm_name,
             "recorded_rounds": list(execution.recorded_rounds),
             "recorded_outputs": encode_array(execution.recorded_outputs),
@@ -644,13 +671,10 @@ def encode_execution(execution) -> dict:
                 else [encode_value(label) for label in execution.scenario_labels]
             ),
             "batched": execution.batched,
-            "recorded_configurations": (
+            "recorded_states": (
                 None
-                if execution.recorded_configurations is None
-                else [
-                    [_encode_configuration(c) for c in per_round]
-                    for per_round in execution.recorded_configurations
-                ]
+                if execution.recorded_states is None
+                else execution.recorded_states.to_dict()
             ),
             "fault_plan": (
                 None if execution.fault_plan is None else execution.fault_plan.to_dict()
@@ -679,7 +703,11 @@ def encode_execution(execution) -> dict:
 
 
 def decode_execution(payload: dict):
-    from repro.execution.batch import AdversarialEnsembleExecution, EnsembleExecution
+    from repro.execution.batch import (
+        AdversarialEnsembleExecution,
+        EnsembleExecution,
+        RecordedStates,
+    )
     from repro.execution.execution import Execution
     from repro.faults import FaultPlan
 
@@ -694,9 +722,9 @@ def decode_execution(payload: dict):
             graphs=[decode_graph(graph) for graph in payload["graphs"]],
         )
     if kind in ("EnsembleExecution", "AdversarialEnsembleExecution"):
-        _check_header(payload, kind)
+        _check_header(payload, kind, ENSEMBLE_VERSION, min_version=ENSEMBLE_VERSION)
         labels = payload["scenario_labels"]
-        recorded = payload["recorded_configurations"]
+        recorded = payload["recorded_states"]
         common = dict(
             algorithm_name=payload["algorithm_name"],
             recorded_rounds=list(payload["recorded_rounds"]),
@@ -705,13 +733,8 @@ def decode_execution(payload: dict):
                 None if labels is None else [decode_value(label) for label in labels]
             ),
             batched=payload["batched"],
-            recorded_configurations=(
-                None
-                if recorded is None
-                else [
-                    [_decode_configuration(c) for c in per_round]
-                    for per_round in recorded
-                ]
+            recorded_states=(
+                None if recorded is None else RecordedStates.from_dict(recorded)
             ),
             fault_plan=(
                 None

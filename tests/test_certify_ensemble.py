@@ -17,10 +17,12 @@ import pytest
 
 from repro.algorithms import (
     AmortizedMidpointAlgorithm,
+    DecidingAlgorithm,
     MeanAlgorithm,
     MidpointAlgorithm,
 )
-from repro.api import CertifySpec, Study
+from repro.algorithms.base import Algorithm, ConvexCombinationAlgorithm
+from repro.api import CertifySpec, EngineConfig, Study
 from repro.core.adversary import GreedyDiameterAdversary, PsiBlockAdversary
 from repro.core.contraction import (
     valency_contraction_trace,
@@ -318,6 +320,55 @@ class TestStudyEnsembleCertification:
                 ensemble_cert.estimates, solo.certificates.estimates
             ):
                 assert np.array_equal(estimate_ens.limits, estimate_solo.limits)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "algorithm_factory",
+        [
+            MidpointAlgorithm,
+            AmortizedMidpointAlgorithm,
+            lambda: DecidingAlgorithm(AmortizedMidpointAlgorithm(), decision_round=5),
+        ],
+        ids=["midpoint", "amortized-midpoint", "deciding"],
+    )
+    def test_certified_batched_study_builds_no_per_agent_states(
+        self, monkeypatch, algorithm_factory, threads
+    ):
+        # The recorded batch states go to the certifier as stacked leaves:
+        # no split into per-agent objects, no restore from them.
+        calls = []
+        for cls in (
+            Algorithm,
+            ConvexCombinationAlgorithm,
+            AmortizedMidpointAlgorithm,
+            DecidingAlgorithm,
+        ):
+            for name in ("batch_states", "batch_state_from_states"):
+                if name in vars(cls):
+                    original = vars(cls)[name]
+
+                    def spy(self, *args, _original=original, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _original(self, *args, **kwargs)
+
+                    monkeypatch.setattr(cls, name, spy)
+        n = 5
+        result = Study(
+            algorithm=algorithm_factory(),
+            initial_values=_values(4, n, seed=41),
+            pattern=_pattern(n),
+            rounds=8,
+            record_every=2,
+            model=psi_model(n),
+            certify=CertifySpec(suffix_rounds=10),
+            config=EngineConfig(threads=threads),
+        ).run()
+        assert result.provenance.batched is True
+        assert len(result.certificates) == 4
+        assert calls == []
+        # The spies are live: building configurations splits the states.
+        result.execution.scenario_configurations(0)
+        assert "batch_states" in calls
 
     def test_pattern_and_graph_routes_certify(self):
         n = 4

@@ -35,6 +35,7 @@ from repro.execution import (
 )
 from repro.execution.batch import merge_ensemble_executions
 from repro.execution.parallel import shard_bounds
+from repro.execution.state import _states_equal
 from repro.faults import FaultSpec
 from repro.graphs.generators import random_graph
 from repro.models.patterns import PeriodicPattern, SequencePattern
@@ -115,14 +116,16 @@ class TestGraphsRoute:
             )
 
         baseline = _assert_matches_serial(run)
-        # Per-scenario snapshots survive the shard merge too.
+        # Per-scenario states survive the shard merge too.
+        sharded = run(7)
         for scenario in (0, 6, 12):
-            solo = run(7).scenario_configurations(scenario)
+            solo = sharded.scenario_configurations(scenario)
             for config_sharded, config_serial in zip(
                 solo, baseline.scenario_configurations(scenario)
             ):
                 assert config_sharded.round_number == config_serial.round_number
                 assert np.array_equal(config_sharded.outputs, config_serial.outputs)
+                assert _states_equal(config_sharded.states, config_serial.states)
 
     @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
     def test_batch_smaller_than_thread_count(self, algorithm_name):

@@ -88,6 +88,56 @@ def test_array_roundtrip_bit_for_bit():
         assert back.tobytes() == array.tobytes()
 
 
+def _bool_payload_claiming_more_bits():
+    payload = encode_array(np.array([True, False, True]))
+    payload["shape"] = [100]
+    return payload
+
+
+def _float_payload(**overrides):
+    payload = encode_array(np.arange(3.0))
+    payload.update(overrides)
+    return payload
+
+
+def _state_payload_missing_a_field():
+    from repro.algorithms.amortized_midpoint import AmortizedMidpointState
+    from repro.service.serialization import encode_value
+
+    value = np.array([0.5])
+    payload = encode_value(
+        AmortizedMidpointState(value, value, value, rounds_into_phase=1, phase_length=3)
+    )
+    del payload["fields"]["phase_max"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _float_payload(shape=[-1]),
+        _bool_payload_claiming_more_bits(),
+        _float_payload(shape=[4]),
+        _float_payload(dtype="not-a-dtype"),
+        _float_payload(dtype="|O"),
+        _state_payload_missing_a_field(),
+    ],
+    ids=[
+        "negative-shape",
+        "bool-shape-beyond-packed-bits",
+        "byte-count-mismatch",
+        "unknown-dtype",
+        "object-dtype",
+        "state-missing-field",
+    ],
+)
+def test_malformed_value_payloads_raise_serialization_error(payload):
+    from repro.service.serialization import decode_value
+
+    with pytest.raises(SerializationError):
+        decode_value(roundtrip(payload))
+
+
 def test_canonical_json_is_order_insensitive():
     a = canonical_json({"b": 1, "a": [1, 2], "c": {"y": 0, "x": 1}})
     b = canonical_json({"c": {"x": 1, "y": 0}, "a": [1, 2], "b": 1})
@@ -418,13 +468,102 @@ def test_study_result_roundtrip_certified_faulted_ensemble():
     assert back.execution.has_recorded_states
     from repro.execution.state import _states_equal
 
-    for r in range(len(result.execution.recorded_rounds)):
-        for b in range(result.execution.batch_size):
-            mine = back.execution.recorded_configurations[r][b]
-            theirs = result.execution.recorded_configurations[r][b]
+    for b in range(result.execution.batch_size):
+        mine_configs = back.execution.scenario_configurations(b)
+        their_configs = result.execution.scenario_configurations(b)
+        for r in range(len(result.execution.recorded_rounds)):
+            mine = mine_configs[r]
+            theirs = their_configs[r]
             assert mine.round_number == theirs.round_number
             assert np.array_equal(mine.outputs, theirs.outputs)
             assert _states_equal(mine.states, theirs.states)
+
+
+def _rooted_amortized_study(scenarios=24, agents=12, rounds=24, seed=0):
+    from repro.graphs.generators import random_rooted_graph
+
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, (scenarios, agents, 1))
+    graphs = [
+        [random_rooted_graph(agents, rng, 0.1) for _ in range(scenarios)]
+        for _ in range(rounds)
+    ]
+    return Study(
+        algorithm=AmortizedMidpointAlgorithm(),
+        initial_values=values,
+        graphs=graphs,
+        record_every=4,
+        model=psi_model(agents),
+        certify=CertifySpec(suffix_rounds=16),
+    )
+
+
+def test_certified_rooted_study_payload_stays_columnar():
+    # B=24, n=12, 24 rounds, record_every=4: per-agent state objects made
+    # this payload ~905 KB; one stacked state per recorded round keeps it
+    # well below 200 KB.
+    result = _rooted_amortized_study().run()
+    assert len(canonical_json(result.to_dict())) <= 200_000
+
+
+@pytest.mark.parametrize("use_batch", [True, False])
+@pytest.mark.parametrize("adversarial", [False, True])
+def test_ensemble_v2_roundtrip_rebuilds_configurations(use_batch, adversarial):
+    from repro.core.adversary import GreedyDiameterAdversary
+    from repro.execution.state import _states_equal
+    from repro.service.serialization import decode_execution, encode_execution
+
+    model = deaf_model(n=4)
+    source = (
+        dict(adversary=GreedyDiameterAdversary(model), rounds=5)
+        if adversarial
+        else dict(pattern=RandomPattern(list(model), seed=1), rounds=5)
+    )
+    execution = Study(
+        algorithm=DecidingAlgorithm(AmortizedMidpointAlgorithm(), decision_round=3),
+        initial_values=np.random.default_rng(3).uniform(0, 1, (3, 4, 1)),
+        record_every=2,
+        model=model,
+        certify=CertifySpec(suffix_rounds=8),
+        config=EngineConfig(use_batch=use_batch),
+        **source,
+    ).run().execution
+    assert execution.batched is use_batch
+    payload = roundtrip(encode_execution(execution))
+    assert payload["version"] == 2
+    back = decode_execution(payload)
+    assert type(back) is type(execution)
+    for b in range(execution.batch_size):
+        for mine, theirs in zip(
+            back.scenario_configurations(b), execution.scenario_configurations(b)
+        ):
+            assert mine.round_number == theirs.round_number
+            assert mine.outputs.tobytes() == theirs.outputs.tobytes()
+            assert _states_equal(mine.states, theirs.states)
+
+
+@pytest.mark.parametrize("adversarial", [False, True])
+def test_ensemble_v1_payloads_are_rejected_naming_the_record(adversarial):
+    from repro.core.adversary import GreedyDiameterAdversary
+    from repro.service.serialization import decode_execution, encode_execution
+
+    model = deaf_model(n=4)
+    source = (
+        dict(adversary=GreedyDiameterAdversary(model))
+        if adversarial
+        else dict(pattern=RandomPattern(list(model), seed=1))
+    )
+    execution = Study(
+        algorithm=MidpointAlgorithm(),
+        initial_values=np.zeros((2, 4, 1)),
+        rounds=2,
+        **source,
+    ).run().execution
+    payload = encode_execution(execution)
+    payload["version"] = 1
+    record = "AdversarialEnsembleExecution" if adversarial else "EnsembleExecution"
+    with pytest.raises(SerializationError, match=f"{record} payload version 1"):
+        decode_execution(payload)
 
 
 # --------------------------------------------------------------------- #

@@ -222,6 +222,46 @@ def test_journal_replay_serves_every_shard(ensemble_kwargs, tmp_path):
     )
 
 
+def test_journaled_v1_results_are_never_decoded(ensemble_kwargs, tmp_path, monkeypatch):
+    # Before ensemble payloads moved to v2, shard bodies carried no result
+    # version, so a journal written then holds v1 results under the keys of
+    # the same bodies minus "result_version".  Those keys must never be hit.
+    from repro.service import orchestrator
+
+    kwargs = dict(
+        ensemble_kwargs, model=deaf_model(n=5), certify=CertifySpec(suffix_rounds=6)
+    )
+    bodies = []
+    make_jobs = orchestrator._make_jobs
+
+    def capture(entries):
+        bodies.extend(body for _kind, body, _start, _stop in entries)
+        return make_jobs(entries)
+
+    monkeypatch.setattr(orchestrator, "_make_jobs", capture)
+    direct = Study(**kwargs).run()
+    run_study_service(**kwargs, workers=2, shard_size=2)
+    assert bodies and all(body["result_version"] == 2 for body in bodies)
+    stale = direct.to_dict()
+    stale["execution"]["version"] = 1
+    journal_path = tmp_path / "journal.jsonl"
+    with CheckpointJournal(journal_path) as journal:
+        for body in bodies:
+            parent_body = {k: v for k, v in body.items() if k != "result_version"}
+            journal.put(content_key(parent_body), stale, kind="study_shard")
+    records = []
+    merged = run_study_service(
+        **kwargs,
+        workers=2,
+        shard_size=2,
+        journal=journal_path,
+        on_shard=records.append,
+    )
+    assert len(records) == 4
+    assert all(record.source != "journal" for record in records)
+    assert_same_result(merged, direct)
+
+
 def test_resume_after_orchestrator_sigkill(ensemble_kwargs, tmp_path):
     journal_path = str(tmp_path / "journal.jsonl")
     child_code = textwrap.dedent(

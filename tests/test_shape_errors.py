@@ -187,5 +187,8 @@ class TestCertifyEnsembleShapeErrors:
         config0 = initial_configuration(algorithm, np.linspace(0, 1, 4))
         config1 = apply_graph(algorithm, config0, complete_graph(4))
         estimator = ValencyEstimator(algorithm, psi_model(4), suffix_rounds=5)
+        base = algorithm.batch_state_stack(
+            [algorithm.batch_state_from_states(c.states) for c in (config0, config1)]
+        )
         with pytest.raises(ExecutionError, match=r"rounds \[0, 1\]"):
-            estimator._limit_estimates_batch_state([config0, config1], 0)
+            estimator._limit_estimates_batch_state(base, [0, 1], 0)

@@ -65,6 +65,7 @@ from repro.execution.batch import (
 )
 from repro.execution.engine import run_execution
 from repro.execution.execution import Execution
+from repro.execution.schedule import scenario_graphs, validate_schedule
 from repro.faults import FaultMaskingPattern, FaultPlan, FaultSpec, as_fault_plan
 from repro.execution.metrics import convergence_round, rate_from_diameters
 from repro.graphs.digraph import CommunicationGraph
@@ -536,7 +537,9 @@ class Study:
         if not spec.is_ensemble():
             pattern = spec.adversary or spec.pattern
             if pattern is None:
-                pattern = self._single_scenario_pattern(spec.graphs)
+                # A single scenario's graph list is a B = 1 schedule.
+                schedule = validate_schedule(spec.graphs, 1, len(spec.initial_values))
+                pattern = SequencePattern(scenario_graphs(schedule, 0))
             if not isinstance(pattern, CommunicationPattern):
                 raise ConfigError(
                     "a single-scenario study needs one CommunicationPattern or "
@@ -610,18 +613,6 @@ class Study:
             config=merged,
             faulted=plan is not None,
         )
-
-    @staticmethod
-    def _single_scenario_pattern(graphs: Sequence[Any]) -> SequencePattern:
-        graph_list = list(graphs)
-        for entry in graph_list:
-            if not isinstance(entry, CommunicationGraph):
-                raise EnsembleShapeError(
-                    "a single-scenario graph list must contain CommunicationGraph "
-                    f"entries, got {type(entry).__name__} (per-scenario graph "
-                    "sequences need stacked (B, n, d) initial values)"
-                )
-        return SequencePattern(graph_list)
 
     # ------------------------------------------------------------------ #
     # Certification

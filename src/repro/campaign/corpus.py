@@ -26,6 +26,7 @@ import numpy as np
 from repro.campaign.registry import get_entry
 from repro.campaign.targets import CaseResult, CaseSpec
 from repro.exceptions import CampaignError
+from repro.execution.schedule import is_shared, scenario_graphs
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.properties import (
     is_complete,
@@ -63,17 +64,10 @@ def case_features(spec: CaseSpec, result: CaseResult) -> Tuple[str, ...]:
         f"rounds:{spec.rounds}",
         f"record:{spec.record_every}",
     }
-    shared = all(isinstance(g, CommunicationGraph) for g in spec.graphs)
-    if not shared:
+    if not all(is_shared(round_graphs) for round_graphs in spec.graphs):
         features.add("graph:per-scenario")
-    for round_graphs in spec.graphs:
-        members = (
-            (round_graphs,)
-            if isinstance(round_graphs, CommunicationGraph)
-            else round_graphs
-        )
-        for graph in members:
-            features.update(_graph_classes(graph))
+    for graph in {g for b in range(spec.batch) for g in scenario_graphs(spec.graphs, b)}:
+        features.update(_graph_classes(graph))
     plan = spec.plan
     if plan is not None and not plan.is_zero():
         if plan.drop:

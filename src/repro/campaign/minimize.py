@@ -21,8 +21,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.campaign.registry import get_entry
-from repro.campaign.targets import CaseSpec, RoundGraphs, execute_case
+from repro.campaign.targets import CaseSpec, execute_case
 from repro.exceptions import CampaignError
+from repro.execution.schedule import is_shared, map_schedule, scenario_graphs
 from repro.faults import FaultPlan
 from repro.graphs.digraph import CommunicationGraph
 
@@ -67,16 +68,6 @@ def _restrict_plan_agents(plan: Optional[FaultPlan], removed: int) -> Optional[F
     return dc_replace(plan, crashes=crashes, joins=joins)
 
 
-def _map_graphs(spec: CaseSpec, fn: Callable[[CommunicationGraph], CommunicationGraph]):
-    graphs: List[RoundGraphs] = []
-    for g in spec.graphs:
-        if isinstance(g, CommunicationGraph):
-            graphs.append(fn(g))
-        else:
-            graphs.append(tuple(fn(member) for member in g))
-    return tuple(graphs)
-
-
 # --------------------------------------------------------------------------- #
 # Reduction steps (fixed order)
 # --------------------------------------------------------------------------- #
@@ -95,10 +86,7 @@ def _reduce_batch(spec: CaseSpec) -> CaseSpec:
         candidate = dc_replace(
             spec,
             values=spec.values[scenario : scenario + 1],
-            graphs=tuple(
-                g if isinstance(g, CommunicationGraph) else g[scenario]
-                for g in spec.graphs
-            ),
+            graphs=tuple(scenario_graphs(spec.graphs, scenario)),
             plan=plan,
         )
         if _diverges(candidate):
@@ -131,7 +119,7 @@ def _reduce_agents(spec: CaseSpec) -> CaseSpec:
             candidate = dc_replace(
                 spec,
                 values=spec.values[:, keep, :],
-                graphs=_map_graphs(spec, lambda g: g.restricted_to(keep)),
+                graphs=map_schedule(spec.graphs, lambda g: g.restricted_to(keep)),
                 plan=_restrict_plan_agents(spec.plan, agent),
                 perturb=_shift_perturb(spec, agent),
             )
@@ -189,7 +177,7 @@ def _simplify_graphs(spec: CaseSpec) -> CaseSpec:
     entry = get_entry(spec.algorithm)
     # Per-scenario -> shared (scenario 0's graph).
     for round_index, round_graphs in enumerate(spec.graphs):
-        if isinstance(round_graphs, CommunicationGraph):
+        if is_shared(round_graphs):
             continue
         candidate = dc_replace(
             spec,
@@ -205,7 +193,7 @@ def _simplify_graphs(spec: CaseSpec) -> CaseSpec:
         # apply to every round at once (strong-connectivity violations make
         # both sides raise together, so they are rejected naturally).
         graph = spec.graphs[0]
-        if isinstance(graph, CommunicationGraph):
+        if is_shared(graph):
             for i in range(spec.n):
                 for j in range(spec.n):
                     if i == j or not graph.has_edge(i, j):
@@ -232,10 +220,9 @@ def _simplify_graphs(spec: CaseSpec) -> CaseSpec:
             spec = candidate
     # Single-edge removal, fixed scan order.
     for round_index in range(spec.rounds):
-        round_graphs = spec.graphs[round_index]
-        if not isinstance(round_graphs, CommunicationGraph):
+        graph = spec.graphs[round_index]
+        if not is_shared(graph):
             continue
-        graph = round_graphs
         for i in range(spec.n):
             for j in range(spec.n):
                 if i == j or not graph.has_edge(i, j):

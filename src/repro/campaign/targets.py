@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -36,19 +36,26 @@ from repro.campaign.registry import (
     get_entry,
     random_strongly_connected_graph,
 )
-from repro.exceptions import CampaignError, FaultModelError, ReproError
+from repro.exceptions import CampaignError, FaultModelError, ReproError, SerializationError
+from repro.execution.schedule import (
+    RoundGraphs,
+    decode_schedule,
+    encode_schedule,
+    scenario_graphs,
+    validate_schedule,
+)
 from repro.faults import CrashSpec, FaultPlan, JoinSpec
-from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.families import complete_graph
 from repro.graphs.generators import random_graph
 from repro.service.checkpoint import content_key
-from repro.service.serialization import decode_array, decode_graph, encode_array, encode_graph
+from repro.service.serialization import decode_array, encode_array
 
 #: Comparison tolerance of the last-ulp (non-exact) pairs, mirroring
 #: ``tests/test_equivalence.py`` and the CI fuzz suite.
 ATOL = 1e-12
 
 _CASE_TYPE = "campaign-case"
+_CASE_VERSION = 2
 _SEED_NAMESPACE = 0xCA5E
 
 
@@ -65,8 +72,6 @@ def case_rng(target: str, case_seed: int) -> np.random.Generator:
 # --------------------------------------------------------------------------- #
 # Case specification
 # --------------------------------------------------------------------------- #
-
-RoundGraphs = Union[CommunicationGraph, Tuple[CommunicationGraph, ...]]
 
 
 @dataclass(frozen=True)
@@ -97,26 +102,9 @@ class CaseSpec:
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        graphs = tuple(
-            g if isinstance(g, CommunicationGraph) else tuple(g) for g in self.graphs
-        )
+        graphs = validate_schedule(self.graphs, self.batch, self.n)
         if not graphs:
             raise CampaignError("a case needs at least one round")
-        for round_graphs in graphs:
-            members = (
-                (round_graphs,)
-                if isinstance(round_graphs, CommunicationGraph)
-                else round_graphs
-            )
-            if not isinstance(round_graphs, CommunicationGraph) and len(members) != self.batch:
-                raise CampaignError(
-                    f"per-scenario round has {len(members)} graphs for batch {self.batch}"
-                )
-            for graph in members:
-                if graph.n != self.n:
-                    raise CampaignError(
-                        f"round graph has n={graph.n} but values have n={self.n}"
-                    )
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "params", dict(self.params))
         if self.perturb is not None:
@@ -139,20 +127,14 @@ class CaseSpec:
         return len(self.graphs)
 
     def to_dict(self) -> dict:
-        graphs = []
-        for round_graphs in self.graphs:
-            if isinstance(round_graphs, CommunicationGraph):
-                graphs.append({"shared": encode_graph(round_graphs)})
-            else:
-                graphs.append({"per_scenario": [encode_graph(g) for g in round_graphs]})
         return {
             "__type__": _CASE_TYPE,
-            "version": 1,
+            "version": _CASE_VERSION,
             "target": self.target,
             "algorithm": self.algorithm,
             "params": dict(self.params),
             "values": encode_array(self.values),
-            "graphs": graphs,
+            "graphs": encode_schedule(self.graphs, self.batch, self.n),
             "record_every": self.record_every,
             "plan": None if self.plan is None else self.plan.to_dict(),
             "perturb": None if self.perturb is None else dict(self.perturb),
@@ -165,23 +147,30 @@ class CaseSpec:
                 f"expected a {_CASE_TYPE} payload, got "
                 f"__type__={payload.get('__type__') if isinstance(payload, dict) else payload!r}"
             )
-        if payload.get("version") != 1:
+        if payload.get("version") != _CASE_VERSION:
             raise CampaignError(
                 f"{_CASE_TYPE} payload version {payload.get('version')!r} is not supported"
             )
-        graphs: List[RoundGraphs] = []
-        for round_payload in payload["graphs"]:
-            if "shared" in round_payload:
-                graphs.append(decode_graph(round_payload["shared"]))
-            else:
-                graphs.append(
-                    tuple(decode_graph(g) for g in round_payload["per_scenario"])
+        keys = {"__type__", "version", *cls.__dataclass_fields__}
+        if set(payload) != keys:
+            raise CampaignError(
+                f"{_CASE_TYPE} payload must carry exactly the keys {sorted(keys)}, "
+                f"got {sorted(payload)}"
+            )
+        try:
+            values = decode_array(payload["values"])
+            if values.ndim != 3:
+                raise SerializationError(
+                    f"case values must be a (B, n, d) tensor, got shape {values.shape}"
                 )
+            graphs = decode_schedule(payload["graphs"], values.shape[0], values.shape[1])
+        except SerializationError as exc:
+            raise CampaignError(f"malformed {_CASE_TYPE} payload: {exc}") from exc
         return cls(
             target=payload["target"],
             algorithm=payload["algorithm"],
             params=dict(payload["params"]),
-            values=decode_array(payload["values"]),
+            values=values,
             graphs=tuple(graphs),
             record_every=int(payload["record_every"]),
             plan=None if payload["plan"] is None else FaultPlan.from_dict(payload["plan"]),
@@ -193,27 +182,10 @@ class CaseSpec:
         return content_key(self.to_dict())
 
 
-def scenario_graphs(spec: CaseSpec, scenario: int) -> List[CommunicationGraph]:
-    """The per-round graph schedule seen by one scenario."""
-    return [
-        g if isinstance(g, CommunicationGraph) else g[scenario] for g in spec.graphs
-    ]
-
-
-def ensemble_graphs(spec: CaseSpec) -> list:
-    """The graph schedule in the shape ``run_ensemble`` expects."""
-    return [
-        g if isinstance(g, CommunicationGraph) else list(g) for g in spec.graphs
-    ]
-
-
 def build_algorithm(spec: CaseSpec, side: Optional[str] = None) -> Algorithm:
     """Rebuild the case's algorithm (optionally perturbed for ``side``)."""
     entry = get_entry(spec.algorithm)
-    graph = None
-    if entry.needs_fixed_graph:
-        first = spec.graphs[0]
-        graph = first if isinstance(first, CommunicationGraph) else first[0]
+    graph = scenario_graphs(spec.graphs[:1], 0)[0] if entry.needs_fixed_graph else None
     algorithm = entry.build(dict(spec.params), spec.n, graph)
     if spec.perturb is not None and side is not None and spec.perturb["side"] == side:
         algorithm = PerturbedAlgorithm(
@@ -375,7 +347,7 @@ def _side_execution(spec: CaseSpec, algorithm: Algorithm, use_fast_path: bool):
     execution = run_execution(
         algorithm,
         spec.values[0],
-        SequencePattern(scenario_graphs(spec, 0)),
+        SequencePattern(scenario_graphs(spec.graphs, 0)),
         spec.rounds,
         record_every=spec.record_every,
         use_fast_path=use_fast_path,
@@ -394,7 +366,7 @@ def _side_ensemble(
     execution = run_ensemble(
         algorithm,
         spec.values,
-        ensemble_graphs(spec),
+        spec.graphs,
         record_every=spec.record_every,
         use_batch=use_batch,
         fault_plan=fault_plan,
@@ -408,7 +380,7 @@ def _side_facade(spec: CaseSpec, algorithm: Algorithm):
     result = Study(
         algorithm=algorithm,
         initial_values=spec.values,
-        graphs=ensemble_graphs(spec),
+        graphs=spec.graphs,
         record_every=spec.record_every,
     ).run()
     return _ensemble_payload(result.execution)
@@ -762,10 +734,8 @@ __all__ = [
     "build_algorithm",
     "build_case",
     "case_rng",
-    "ensemble_graphs",
     "enumerate_targets",
     "execute_case",
     "random_fault_plan",
     "run_case",
-    "scenario_graphs",
 ]

@@ -39,15 +39,18 @@ from repro.config import resolve_threads, resolve_use_batch
 from repro.exceptions import ConfigError, EnsembleShapeError, ExecutionError
 from repro.execution.engine import _AdjacencyCache, apply_graph, initial_configuration
 from repro.execution.parallel import parallel_map, shard_bounds
+from repro.execution.schedule import (
+    RoundGraphs,
+    round_adjacency,
+    scenario_graphs,
+    schedule_from_scenarios,
+    slice_schedule,
+)
 from repro.faults import FaultPlan, FaultSpec, as_fault_plan
 from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
 from repro.models.patterns import AdversarialPattern, CommunicationPattern, EnsemblePlan
 from repro.types import ValuesLike, as_value_matrix, pairwise_diameters
-
-#: One round of ensemble communication: a single graph shared by every
-#: scenario, or one graph per scenario (length ``B``).
-RoundGraphs = Union[CommunicationGraph, Sequence[CommunicationGraph]]
 
 
 @dataclass(frozen=True)
@@ -351,67 +354,6 @@ def _validate_ensemble_values(values: np.ndarray) -> None:
         )
 
 
-def _validate_round_graphs(
-    round_graphs: RoundGraphs, batch_size: int, n: int
-) -> Optional[List[CommunicationGraph]]:
-    """Validate one round entry against the *full* ensemble shape.
-
-    Returns the per-scenario graph list, or ``None`` for a shared
-    :class:`CommunicationGraph`.  Shared between the serial adjacency builder
-    and the parallel backend's pre-shard validation, so a malformed schedule
-    raises the identical :class:`EnsembleShapeError` — naming full-ensemble
-    counts — no matter how many workers run the ensemble.
-    """
-    if isinstance(round_graphs, CommunicationGraph):
-        if round_graphs.n != n:
-            raise EnsembleShapeError(
-                f"graph has {round_graphs.n} agents, scenarios have {n}"
-            )
-        return None
-    try:
-        graphs = list(round_graphs)
-    except TypeError as exc:
-        raise EnsembleShapeError(
-            f"each ensemble round must be a CommunicationGraph or a length-{batch_size} "
-            f"sequence of them, got {type(round_graphs).__name__}"
-        ) from exc
-    if len(graphs) != batch_size:
-        raise EnsembleShapeError(
-            f"per-scenario round needs {batch_size} graphs, got {len(graphs)}",
-            expected=batch_size,
-            actual=len(graphs),
-        )
-    for graph in graphs:
-        if not isinstance(graph, CommunicationGraph):
-            raise EnsembleShapeError(
-                f"each ensemble round must be a CommunicationGraph or a length-{batch_size} "
-                f"sequence of them, got an entry of type {type(graph).__name__}"
-            )
-        if graph.n != n:
-            raise EnsembleShapeError(f"graph has {graph.n} agents, scenarios have {n}")
-    return graphs
-
-
-def _round_adjacency(
-    round_graphs: RoundGraphs,
-    batch_size: int,
-    n: int,
-    cache: Optional[_AdjacencyCache] = None,
-) -> np.ndarray:
-    """The adjacency tensor of one ensemble round: ``(n, n)`` shared or ``(B, n, n)``."""
-    graphs = _validate_round_graphs(round_graphs, batch_size, n)
-    if graphs is None:
-        return round_graphs.adjacency
-    first = graphs[0]
-    if all(graph is first for graph in graphs):
-        # A uniform per-scenario list broadcasts like a shared graph; skip the
-        # (B, n, n) stack entirely.
-        return first.adjacency
-    if cache is not None:
-        return cache.stacked(tuple(graphs))
-    return np.stack([graph.adjacency for graph in graphs])
-
-
 def _supports_batch_map(algorithm: Algorithm, batch_state) -> bool:
     """Whether the batch state can be sliced and broadcast (``batch_map``)."""
     try:
@@ -419,12 +361,6 @@ def _supports_batch_map(algorithm: Algorithm, batch_state) -> bool:
     except NotImplementedError:
         return False
     return True
-
-
-def _round_graph_of_scenario(round_graphs: RoundGraphs, scenario: int) -> CommunicationGraph:
-    if isinstance(round_graphs, CommunicationGraph):
-        return round_graphs
-    return round_graphs[scenario]
 
 
 def run_ensemble(
@@ -537,7 +473,7 @@ def run_ensemble(
     recorded_batch_states = [batch_state] if record_states else None
     adjacency_cache = _AdjacencyCache()
     for t, round_graphs in enumerate(graph_rounds, start=1):
-        adjacency = _round_adjacency(round_graphs, batch_size, n, cache=adjacency_cache)
+        adjacency = round_adjacency(round_graphs, batch_size, n, cache=adjacency_cache)
         if plan is not None:
             # One vectorized mask application per round (instead of B
             # per-scenario Python loops), with the N_A invariant check.
@@ -575,24 +511,6 @@ def _per_agent_record(
     return RecordedStates(algorithm, per_agent=tuple(zip(*per_scenario_states)))
 
 
-def _slice_round_graphs(
-    graph_rounds: Sequence[RoundGraphs], start: int, stop: int, n: int, batch_size: int
-) -> List[RoundGraphs]:
-    """Per-round graph slices for scenarios ``[start, stop)``.
-
-    A round entry shared by every scenario is passed through unchanged (the
-    shard broadcasts it exactly as the full run would); per-scenario lists
-    are sliced.  Every entry is validated against the *full* ensemble shape
-    first, so a malformed schedule raises the same error — with the same
-    full-ensemble counts — the serial run would raise.
-    """
-    sliced: List[RoundGraphs] = []
-    for round_graphs in graph_rounds:
-        graphs = _validate_round_graphs(round_graphs, batch_size, n)
-        sliced.append(round_graphs if graphs is None else graphs[start:stop])
-    return sliced
-
-
 def _run_ensemble_sharded(
     algorithm: Algorithm,
     values: np.ndarray,
@@ -615,7 +533,6 @@ def _run_ensemble_sharded(
     :func:`merge_ensemble_executions` rebuilds the record the serial run
     would have produced, bit-for-bit.
     """
-    graph_rounds = list(graph_rounds)
 
     def _shard_task(start: int, stop: int):
         shard_plan = (
@@ -624,9 +541,7 @@ def _run_ensemble_sharded(
             else None
         )
         shard_labels = labels[start:stop] if labels is not None else None
-        shard_rounds = _slice_round_graphs(
-            graph_rounds, start, stop, n=values.shape[-2], batch_size=values.shape[0]
-        )
+        shard_rounds = slice_schedule(graph_rounds, start, stop, *values.shape[:2])
         shard_values = values[start:stop]
         return lambda: run_ensemble(
             algorithm,
@@ -674,8 +589,7 @@ def _run_ensemble_slow(
         configuration = initial_configuration(algorithm, values[scenario])
         snapshots = [configuration.outputs.copy()]
         states = [configuration.states]
-        for t, round_graphs in enumerate(graph_rounds, start=1):
-            graph = _round_graph_of_scenario(round_graphs, scenario)
+        for t, graph in enumerate(scenario_graphs(graph_rounds, scenario), start=1):
             if plan is not None:
                 graph = plan.apply_to_graph(graph, t, scenario)
             configuration = apply_graph(algorithm, configuration, graph)
@@ -712,7 +626,7 @@ class AdversarialEnsembleExecution(EnsembleExecution):
 
     def scenario_graphs(self, scenario: int) -> List[CommunicationGraph]:
         """The graph sequence committed against scenario ``scenario``."""
-        return [choices[scenario] for choices in self.round_choices]
+        return scenario_graphs(self.round_choices, scenario)
 
 
 def _validate_plan_candidates(
@@ -960,7 +874,7 @@ def run_adversarial_ensemble(
             committed = [
                 candidates_of(b)[choices[b]][offset] for b in range(batch_size)
             ]
-            adjacency = _round_adjacency(committed, batch_size, n, cache=cache)
+            adjacency = round_adjacency(committed, batch_size, n, cache=cache)
             batch_state = algorithm.batch_transition(batch_state, adjacency, t)
             round_choices.append(committed)
             if history_dependent:
@@ -1061,15 +975,12 @@ def _run_adversarial_ensemble_slow(
         np.stack([per_scenario_outputs[b][r] for b in range(batch_size)])
         for r in range(len(recorded_rounds))
     ]
-    round_choices = [
-        [per_scenario_graphs[b][t] for b in range(batch_size)] for t in range(rounds)
-    ]
     return AdversarialEnsembleExecution(
         algorithm_name=algorithm.name,
         recorded_rounds=recorded_rounds,
         recorded_outputs=np.stack(recorded),
         scenario_labels=labels,
-        round_choices=round_choices,
+        round_choices=schedule_from_scenarios(per_scenario_graphs),
         batched=False,
         recorded_states=_per_agent_record(algorithm, per_scenario_states, record_states),
     )
@@ -1120,10 +1031,9 @@ def run_pattern_ensemble(
             raise ExecutionError(
                 f"need one pattern per scenario ({batch_size}), got {len(pattern_list)}"
             )
-        per_pattern = [materialize_pattern(p, rounds) for p in pattern_list]
-        graph_rounds = [
-            [per_pattern[b][t] for b in range(batch_size)] for t in range(rounds)
-        ]
+        graph_rounds = schedule_from_scenarios(
+            [materialize_pattern(p, rounds) for p in pattern_list]
+        )
     return run_ensemble(
         algorithm,
         values,
@@ -1160,22 +1070,11 @@ def sweep(
     if not pattern_list:
         raise ExecutionError("a sweep needs at least one pattern")
     per_pattern = [materialize_pattern(p, rounds) for p in pattern_list]
-
-    stacked: List[np.ndarray] = []
-    labels: List[Tuple[int, int]] = []
-    scenario_graphs: List[List[CommunicationGraph]] = []
-    for value_index, values in enumerate(values_list):
-        for pattern_index in range(len(pattern_list)):
-            stacked.append(values)
-            labels.append((value_index, pattern_index))
-            scenario_graphs.append(per_pattern[pattern_index])
-    graph_rounds: List[RoundGraphs] = [
-        [scenario_graphs[b][t] for b in range(len(stacked))] for t in range(rounds)
-    ]
+    labels = [(v, p) for v in range(len(values_list)) for p in range(len(pattern_list))]
     return run_ensemble(
         algorithm,
-        stack_initial_values(stacked),
-        graph_rounds,
+        stack_initial_values([values_list[v] for v, _ in labels]),
+        schedule_from_scenarios([per_pattern[p] for _, p in labels]),
         record_every=record_every,
         scenario_labels=labels,
     )

@@ -39,7 +39,6 @@ def random_rooted_graph(
     n: int,
     rng: np.random.Generator,
     edge_probability: float = 0.3,
-    max_tries: int = 1000,
 ) -> CommunicationGraph:
     """A random *rooted* digraph (contains a rooted spanning tree).
 
@@ -50,7 +49,6 @@ def random_rooted_graph(
     if n < 1:
         raise GraphError("need at least one agent")
     _check_edge_probability(edge_probability)
-    del max_tries  # kept for API compatibility; construction never fails
     root = int(rng.integers(n))
     order = [root] + list(rng.permutation([i for i in range(n) if i != root]))
     adj = rng.random((n, n)) < edge_probability

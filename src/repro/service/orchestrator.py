@@ -689,11 +689,13 @@ def run_study_service(
 def _slice_scenario(spec, start: int, stop: int):
     """The ``[start, stop)`` scenario slice of an ensemble spec."""
     from repro.api import ScenarioSpec
+    from repro.execution.schedule import slice_schedule
     from repro.models.patterns import CommunicationPattern
 
     if not spec.is_ensemble():
         return spec
-    values = np.asarray(spec.initial_values, dtype=float)[start:stop]
+    full = np.asarray(spec.initial_values, dtype=float)
+    values = full[start:stop]
     labels = (
         None
         if spec.scenario_labels is None
@@ -704,10 +706,7 @@ def _slice_scenario(spec, start: int, stop: int):
         pattern = list(pattern)[start:stop]
     graphs = None
     if spec.graphs is not None:
-        graphs = [
-            entry if _is_shared_round(entry) else list(entry)[start:stop]
-            for entry in spec.graphs
-        ]
+        graphs = slice_schedule(spec.graphs, start, stop, *full.shape[:2])
     return ScenarioSpec(
         initial_values=values,
         rounds=spec.rounds if graphs is None else None,
@@ -716,12 +715,6 @@ def _slice_scenario(spec, start: int, stop: int):
         record_every=spec.record_every,
         scenario_labels=labels,
     )
-
-
-def _is_shared_round(entry) -> bool:
-    from repro.graphs.digraph import CommunicationGraph
-
-    return isinstance(entry, CommunicationGraph)
 
 
 def _collect(book: _ShardBook, jobs: List[_Job]):

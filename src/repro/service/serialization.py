@@ -62,7 +62,7 @@ def _check_header(
     if version > max_version:
         raise UnsupportedVersionError(
             f"{expected} record version {version} is newer than supported "
-            f"(this library reads versions 1..{max_version}); refusing to decode",
+            f"(this library reads versions {min_version}..{max_version}); refusing to decode",
             record_type=expected,
             version=version,
             supported=max_version,
@@ -105,7 +105,10 @@ def decode_array(payload: dict) -> np.ndarray:
     if not isinstance(name, str) or dtype.hasobject or dtype.itemsize == 0:
         raise SerializationError(f"ndarray payload dtype {name!r} cannot travel as raw bytes")
     count = math.prod(shape)
-    raw = base64.b64decode(payload["data"])
+    try:
+        raw = base64.b64decode(payload["data"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError("ndarray payload data is not base64 text") from exc
     expected = (count + 7) // 8 if name == "bool" else count * dtype.itemsize
     if len(raw) != expected:
         raise SerializationError(
@@ -525,6 +528,7 @@ def registered_algorithm_names() -> Tuple[str, ...]:
 
 def encode_scenario_spec(spec) -> dict:
     from repro.api import ScenarioSpec
+    from repro.execution.schedule import encode_schedule
 
     if not isinstance(spec, ScenarioSpec):
         raise SerializationError(f"expected a ScenarioSpec, got {type(spec).__name__}")
@@ -534,30 +538,17 @@ def encode_scenario_spec(spec) -> dict:
             "decision procedure is arbitrary code); replay its committed "
             "schedules as a graphs= scenario instead"
         )
-    pattern: Any = None
-    if spec.pattern is not None:
-        if isinstance(spec.pattern, (list, tuple)):
-            pattern = {
-                "kind": "per-scenario",
-                "patterns": [encode_pattern(p) for p in spec.pattern],
-            }
-        else:
-            pattern = {"kind": "shared", "patterns": [encode_pattern(spec.pattern)]}
-    graphs: Any = None
-    if spec.graphs is not None:
-        rounds = []
-        for entry in spec.graphs:
-            if isinstance(entry, (list, tuple)):
-                rounds.append(
-                    {"kind": "per-scenario", "graphs": [encode_graph(g) for g in entry]}
-                )
-            else:
-                rounds.append({"kind": "shared", "graphs": [encode_graph(entry)]})
-        graphs = rounds
+    # One pattern payload, or a list of per-scenario ones.
+    pattern = spec.pattern
+    if isinstance(pattern, (list, tuple)):
+        pattern = [encode_pattern(p) for p in pattern]
+    elif pattern is not None:
+        pattern = encode_pattern(pattern)
     values = np.asarray(spec.initial_values, dtype=float)
+    graphs = None if spec.graphs is None else encode_schedule(spec.graphs, *_schedule_shape(values))
     return {
         "__type__": "ScenarioSpec",
-        "version": 1,
+        "version": 2,
         "initial_values": encode_array(values),
         "rounds": spec.rounds,
         "pattern": pattern,
@@ -571,23 +562,37 @@ def encode_scenario_spec(spec) -> dict:
     }
 
 
+def _schedule_shape(values: np.ndarray) -> Tuple[int, int]:
+    """The ``(B, n)`` a scenario's graph schedule must fit (one scenario is B = 1)."""
+    if values.ndim not in (1, 2, 3):
+        raise SerializationError(f"initial values of shape {values.shape} cannot carry graphs")
+    return values.shape[:2] if values.ndim == 3 else (1, len(values))
+
+
 def decode_scenario_spec(payload: dict):
     from repro.api import ScenarioSpec
+    from repro.execution.schedule import decode_schedule
 
-    _check_header(payload, "ScenarioSpec")
-    pattern = None
-    if payload["pattern"] is not None:
-        decoded = [decode_pattern(p) for p in payload["pattern"]["patterns"]]
-        pattern = decoded if payload["pattern"]["kind"] == "per-scenario" else decoded[0]
+    _check_header(payload, "ScenarioSpec", max_version=2, min_version=2)
+    # Every field but the adversary, which never travels.
+    keys = {"__type__", "version", *ScenarioSpec.__dataclass_fields__} - {"adversary"}
+    if set(payload) != keys:
+        raise SerializationError(
+            f"ScenarioSpec payload must carry exactly the keys {sorted(keys)}, "
+            f"got {sorted(payload)}"
+        )
+    values = decode_array(payload["initial_values"])
+    pattern = payload["pattern"]
+    if isinstance(pattern, list):
+        pattern = [decode_pattern(p) for p in pattern]
+    elif pattern is not None:
+        pattern = decode_pattern(pattern)
     graphs = None
     if payload["graphs"] is not None:
-        graphs = []
-        for entry in payload["graphs"]:
-            decoded = [decode_graph(g) for g in entry["graphs"]]
-            graphs.append(decoded if entry["kind"] == "per-scenario" else decoded[0])
+        graphs = decode_schedule(payload["graphs"], *_schedule_shape(values))
     labels = payload["scenario_labels"]
     return ScenarioSpec(
-        initial_values=decode_array(payload["initial_values"]),
+        initial_values=values,
         rounds=None if graphs is not None else payload["rounds"],
         pattern=pattern,
         graphs=graphs,

@@ -42,8 +42,9 @@ from repro.core.adversary import (
 )
 from repro.exceptions import ExecutionError
 from repro.execution import run_adversarial_ensemble, run_execution
-from repro.execution.batch import _batch_diameters, _round_adjacency
+from repro.execution.batch import _batch_diameters
 from repro.execution.engine import _AdjacencyCache
+from repro.execution.schedule import round_adjacency as _round_adjacency
 from repro.graphs.families import complete_graph, cycle_graph
 from repro.models.standard import deaf_model, two_agent_model
 from repro.types import pairwise_diameters, running_argmax

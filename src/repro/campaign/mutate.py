@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.campaign.registry import get_entry, random_strongly_connected_graph
+from repro.campaign.registry import get_entry
 from repro.campaign.targets import (
     TARGETS,
     CaseSpec,
@@ -26,7 +26,7 @@ from repro.campaign.targets import (
 )
 from repro.faults import FaultPlan
 from repro.graphs.digraph import CommunicationGraph
-from repro.graphs.generators import random_graph
+from repro.graphs.generators import random_graph, random_strongly_connected_graph
 
 _MUTATE_NAMESPACE = 0x3D7A7E
 

@@ -82,18 +82,6 @@ class FuzzEntry:
     perturbable: bool = False
 
 
-def random_strongly_connected_graph(
-    n: int, rng: np.random.Generator, edge_probability: float = 0.5
-) -> CommunicationGraph:
-    """A random digraph guaranteed strongly connected (planted cycle + noise)."""
-    adjacency = rng.random((n, n)) < edge_probability
-    cycle = rng.permutation(n)
-    for i in range(n):
-        adjacency[cycle[i], cycle[(i + 1) % n]] = True
-    np.fill_diagonal(adjacency, True)
-    return CommunicationGraph(n, adjacency=adjacency)
-
-
 def _build_registry() -> Dict[str, FuzzEntry]:
     from repro.algorithms import (
         AmortizedMidpointAlgorithm,
@@ -300,5 +288,4 @@ __all__ = [
     "audit_registry",
     "build_probe",
     "get_entry",
-    "random_strongly_connected_graph",
 ]

@@ -30,12 +30,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.base import Algorithm
-from repro.campaign.registry import (
-    FuzzEntry,
-    ORDERED_ENTRIES,
-    get_entry,
-    random_strongly_connected_graph,
-)
+from repro.campaign.registry import FuzzEntry, ORDERED_ENTRIES, get_entry
 from repro.exceptions import CampaignError, FaultModelError, ReproError, SerializationError
 from repro.execution.schedule import (
     RoundGraphs,
@@ -46,7 +41,7 @@ from repro.execution.schedule import (
 )
 from repro.faults import CrashSpec, FaultPlan, JoinSpec
 from repro.graphs.families import complete_graph
-from repro.graphs.generators import random_graph
+from repro.graphs.generators import random_graph, random_strongly_connected_graph
 from repro.service.checkpoint import content_key
 from repro.service.serialization import decode_array, encode_array
 

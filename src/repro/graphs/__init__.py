@@ -25,6 +25,7 @@ from repro.graphs.generators import (
     random_graph,
     random_nonsplit_graph,
     random_rooted_graph,
+    random_strongly_connected_graph,
 )
 from repro.graphs.packed import (
     in_neighborhood_ids,
@@ -79,6 +80,7 @@ __all__ = [
     "random_graph",
     "random_nonsplit_graph",
     "random_rooted_graph",
+    "random_strongly_connected_graph",
     "power",
     "product",
     "product_sequence",

@@ -1,9 +1,14 @@
 """Seeded random generators for communication graphs.
 
 These are used by tests (property-based testing on random graphs), by the
-ablation benchmarks, and by the example applications to build random dynamic
-networks.  All generators take an explicit :class:`numpy.random.Generator`;
-they never touch global random state.
+ablation benchmarks, by the campaign fuzzer, and by the example applications
+to build random dynamic networks.  All generators take an explicit
+:class:`numpy.random.Generator`; they never touch global random state.
+
+Each generator's stream is a contract: for a given generator state it makes
+the same draws, in the same order, and returns the same graph.  Seeded
+tests, campaigns and benchmark fingerprints rely on it, and
+``tests/test_graphs.py`` pins it by digest.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graphs.digraph import CommunicationGraph
-from repro.graphs.properties import is_nonsplit, is_rooted
 
 
 def _check_edge_probability(edge_probability: float) -> None:
@@ -31,7 +35,6 @@ def random_graph(
     """
     _check_edge_probability(edge_probability)
     adj = rng.random((n, n)) < edge_probability
-    np.fill_diagonal(adj, True)
     return CommunicationGraph(n, adjacency=adj, name=name)
 
 
@@ -50,17 +53,22 @@ def random_rooted_graph(
         raise GraphError("need at least one agent")
     _check_edge_probability(edge_probability)
     root = int(rng.integers(n))
-    order = [root] + list(rng.permutation([i for i in range(n) if i != root]))
+    # A random order of the agents, root first.  A shuffle never reads the
+    # values it moves, so shuffling 0..n-2 and then skipping over the root
+    # draws what shuffling the non-root agents themselves would.
+    rest = rng.permutation(n - 1)
+    order = np.concatenate(([root], rest + (rest >= root)))
     adj = rng.random((n, n)) < edge_probability
-    np.fill_diagonal(adj, True)
-    # Plant a random arborescence: each non-root node receives an edge from an
-    # earlier node in the random order.
-    for idx in range(1, n):
-        child = order[idx]
-        parent = order[int(rng.integers(idx))]
-        adj[parent, child] = True
+    # Plant a random arborescence: the agent at position idx receives from
+    # the agent at position integers(idx) < idx, i.e. from an earlier one.
+    # One array draw makes the same draws as n - 1 scalar integers(idx) calls.
+    parents, children = order[rng.integers(np.arange(1, n))], order[1:]
+    adj[parents, children] = True
     graph = CommunicationGraph(n, adjacency=adj, name="random-rooted")
-    assert is_rooted(graph)
+    # Every parent precedes its child in ``order``, so these edges alone
+    # make the graph rooted at ``root``; check they survived construction.
+    if not graph.adjacency[parents, children].all():
+        raise GraphError("random_rooted_graph lost its planted arborescence")
     return graph
 
 
@@ -78,12 +86,23 @@ def random_nonsplit_graph(
         raise GraphError("need at least one agent")
     _check_edge_probability(edge_probability)
     adj = rng.random((n, n)) < edge_probability
-    np.fill_diagonal(adj, True)
     broadcaster = int(rng.integers(n))
     adj[broadcaster, :] = True
     graph = CommunicationGraph(n, adjacency=adj, name="random-nonsplit")
-    assert is_nonsplit(graph)
+    if not graph.adjacency[broadcaster].all():
+        raise GraphError("random_nonsplit_graph lost its planted broadcaster")
     return graph
+
+
+def random_strongly_connected_graph(
+    n: int, rng: np.random.Generator, edge_probability: float = 0.5
+) -> CommunicationGraph:
+    """A random digraph guaranteed strongly connected (planted cycle + noise)."""
+    _check_edge_probability(edge_probability)
+    adjacency = rng.random((n, n)) < edge_probability
+    cycle = rng.permutation(n)
+    adjacency[cycle, np.roll(cycle, -1)] = True
+    return CommunicationGraph(n, adjacency=adjacency)
 
 
 def random_rooted_model(

@@ -470,7 +470,7 @@ class TestChunkedReductions:
         np.testing.assert_array_equal(chunked, halves)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     lead0=st.integers(0, 4096),
     rest=st.integers(1, 64),
@@ -496,7 +496,7 @@ def test_automatic_blocks_fit_the_dense_limit(lead0, rest, n_receivers, n, d):
     assert block_lead == lead0 or block_receivers == 1
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1),
     lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),

@@ -52,7 +52,7 @@ from repro.algorithms.base import (
 )
 from repro.api import Study
 from repro.asynchrony import AsynchronousSimulator, RoundBasedAsyncAlgorithm
-from repro.campaign.registry import ORDERED_ENTRIES, random_strongly_connected_graph
+from repro.campaign.registry import ORDERED_ENTRIES
 from repro.config import EngineConfig
 from repro.campaign.repro import repro_snippet as _repro_snippet
 from repro.core.adversary import GreedyDiameterAdversary
@@ -64,7 +64,7 @@ from repro.execution import (
     run_pattern_ensemble,
 )
 from repro.faults import CrashSpec, FaultMaskingPattern, FaultPlan, FaultSpec, JoinSpec
-from repro.graphs.generators import random_graph
+from repro.graphs.generators import random_graph, random_strongly_connected_graph
 from repro.models.network_model import NetworkModel
 from repro.models.patterns import PeriodicPattern, SequencePattern
 

@@ -59,7 +59,7 @@ def schedules(draw):
     return batch, n, schedule
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(schedules())
 def test_wire_round_trip_keeps_every_round(case):
     batch, n, schedule = case
@@ -71,7 +71,7 @@ def test_wire_round_trip_keeps_every_round(case):
         assert back == original if is_shared(back) else list(back) == list(original)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(schedules(), st.integers(1, 6))
 def test_shard_slices_reassemble_every_scenario(case, parts):
     batch, n, schedule = case

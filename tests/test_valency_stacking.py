@@ -51,7 +51,7 @@ def _assert_same_estimates(batched, reference):
         assert estimate_b.upper_diameter == estimate_r.upper_diameter
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     seed=st.integers(0, 2**16),
     n=st.sampled_from([4, 5]),

@@ -23,21 +23,28 @@ Entry points
   grids.
 
 Algorithms without batch hooks fall back to scenario-by-scenario execution
-through :func:`repro.execution.engine.apply_graph`, so the API is total.
+— through :func:`repro.execution.engine.apply_graph` on the graphs route and
+:func:`repro.execution.engine.run_execution` on the adversarial route — so
+the API is total.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.algorithms.base import Algorithm, combine_batch_leaves
 from repro.config import resolve_threads, resolve_use_batch
 from repro.exceptions import ConfigError, EnsembleShapeError, ExecutionError
-from repro.execution.engine import _AdjacencyCache, apply_graph, initial_configuration
+from repro.execution.engine import (
+    _AdjacencyCache,
+    apply_graph,
+    initial_configuration,
+    run_execution,
+)
 from repro.execution.parallel import parallel_map, shard_bounds
 from repro.execution.schedule import (
     RoundGraphs,
@@ -45,6 +52,7 @@ from repro.execution.schedule import (
     scenario_graphs,
     schedule_from_scenarios,
     slice_schedule,
+    validate_schedule,
 )
 from repro.faults import FaultPlan, FaultSpec, as_fault_plan
 from repro.execution.state import Configuration
@@ -338,20 +346,25 @@ def stack_initial_values(initial_values: Union[np.ndarray, Sequence[ValuesLike]]
     return np.stack(matrices)
 
 
-def _validate_ensemble_values(values: np.ndarray) -> None:
-    """Reject degenerate ``(B, n, d)`` stacks with a named-shape error."""
-    if values.ndim != 3:
-        raise EnsembleShapeError(
-            f"ensemble initial values must stack to (B, n, d), got shape {values.shape}",
-            expected="(B, n, d)",
-            actual=tuple(values.shape),
-        )
+def _ensemble_inputs(
+    initial_values: Union[np.ndarray, Sequence[ValuesLike]],
+    scenario_labels: Optional[Sequence[object]],
+    record_every: int,
+) -> Tuple[np.ndarray, Optional[List[object]]]:
+    """A runner call's validated ``(B, n, d)`` values and per-scenario labels."""
+    if record_every < 1:
+        raise ExecutionError(f"record_every must be >= 1, got {record_every}")
+    values = stack_initial_values(initial_values)
     batch_size, n, d = values.shape
     if batch_size < 1 or n < 1 or d < 1:
         raise EnsembleShapeError(
             f"ensemble initial values need B >= 1, n >= 1 and d >= 1, got "
             f"(B, n, d) = {values.shape}"
         )
+    labels = list(scenario_labels) if scenario_labels is not None else None
+    if labels is not None and len(labels) != batch_size:
+        raise ExecutionError(f"need {batch_size} scenario labels, got {len(labels)}")
+    return values, labels
 
 
 def _supports_batch_map(algorithm: Algorithm, batch_state) -> bool:
@@ -428,18 +441,15 @@ def run_ensemble(
         ``scenario_base`` offsets, so the result is bit-for-bit identical
         to the serial run (see :mod:`repro.execution.parallel`).
     """
-    if record_every < 1:
-        raise ExecutionError(f"record_every must be >= 1, got {record_every}")
-    values = stack_initial_values(initial_values)
-    _validate_ensemble_values(values)
+    values, labels = _ensemble_inputs(initial_values, scenario_labels, record_every)
     batch_size, n, _d = values.shape
-    labels = list(scenario_labels) if scenario_labels is not None else None
-    if labels is not None and len(labels) != batch_size:
-        raise ExecutionError(f"need {batch_size} scenario labels, got {len(labels)}")
-    rounds = len(graph_rounds)
     plan = as_fault_plan(fault_plan)
     if plan is not None:
         plan.validate_for(n)
+    # Every route, the per-scenario fallback included, sees a schedule checked
+    # against the full ensemble shape, so a malformed one fails identically.
+    graph_rounds = validate_schedule(graph_rounds, batch_size, n)
+    rounds = len(graph_rounds)
 
     if use_batch and not algorithm.supports_batch():
         raise ExecutionError(
@@ -447,24 +457,33 @@ def run_ensemble(
         )
     worker_count = resolve_threads(threads)
     if worker_count > 1 and batch_size > 1:
-        return _run_ensemble_sharded(
-            algorithm,
-            values,
-            graph_rounds,
-            record_every,
-            labels,
-            use_batch,
-            record_states,
-            plan,
-            worker_count,
-        )
-    if not algorithm.supports_batch() or not resolve_use_batch(use_batch):
-        return _run_ensemble_slow(
-            algorithm, values, graph_rounds, record_every, labels, record_states, plan
-        )
 
-    batch_state = algorithm.batch_initial(values)
-    if record_states and not _supports_batch_map(algorithm, batch_state):
+        def shard_task(start: int, stop: int, shard_values, shard_labels):
+            # A shard covering global scenarios [start, stop) draws its faults
+            # from a scenario_base + start copy of the plan, which samples the
+            # exact slice of the unsharded plan's draws.
+            shard_plan = (
+                replace(plan, scenario_base=plan.scenario_base + start)
+                if plan is not None
+                else None
+            )
+            shard_rounds = slice_schedule(graph_rounds, start, stop, batch_size, n)
+            return lambda: run_ensemble(
+                algorithm,
+                shard_values,
+                shard_rounds,
+                record_every=record_every,
+                scenario_labels=shard_labels,
+                use_batch=use_batch,
+                record_states=record_states,
+                fault_plan=shard_plan,
+                threads=1,
+            )
+
+        return _run_sharded(values, labels, worker_count, shard_task, fault_plan=plan)
+    batchable = algorithm.supports_batch() and resolve_use_batch(use_batch)
+    batch_state = algorithm.batch_initial(values) if batchable else None
+    if not batchable or (record_states and not _supports_batch_map(algorithm, batch_state)):
         return _run_ensemble_slow(
             algorithm, values, graph_rounds, record_every, labels, record_states, plan
         )
@@ -502,64 +521,50 @@ def _stacked_record(algorithm: Algorithm, batch_states) -> Optional[RecordedStat
     return RecordedStates(algorithm, stacked=tuple(batch_states))
 
 
-def _per_agent_record(
-    algorithm: Algorithm, per_scenario_states, record_states: bool
-) -> Optional[RecordedStates]:
-    """The reference form, from each scenario's recorded ``[b][r]`` agent states."""
-    if not record_states:
-        return None
-    return RecordedStates(algorithm, per_agent=tuple(zip(*per_scenario_states)))
-
-
-def _run_ensemble_sharded(
+def _per_scenario_fields(
     algorithm: Algorithm,
-    values: np.ndarray,
-    graph_rounds: Sequence[RoundGraphs],
-    record_every: int,
+    configurations: Sequence[Sequence[Configuration]],
     labels: Optional[List[object]],
-    use_batch: Optional[bool],
     record_states: bool,
-    plan: Optional[FaultPlan],
-    worker_count: int,
-) -> EnsembleExecution:
-    """Parallel backend of :func:`run_ensemble`: contiguous B-axis shards.
+) -> dict:
+    """The ``batched=False`` record of the per-scenario fallback loops.
 
-    Each shard re-runs :func:`run_ensemble` with ``threads=1`` on a worker
-    thread under the caller's merged config (see
-    :func:`repro.execution.parallel.parallel_map`); a shard covering global
-    scenarios ``[start, stop)`` draws its faults from a ``scenario_base``
-    ``+ start`` copy of the plan, which samples the exact slice of the
-    unsharded plan's draws.  Merging through
-    :func:`merge_ensemble_executions` rebuilds the record the serial run
-    would have produced, bit-for-bit.
+    ``configurations[b]`` is scenario ``b``'s list of recorded
+    configurations; states are kept in the reference ``per_agent`` form.
     """
-
-    def _shard_task(start: int, stop: int):
-        shard_plan = (
-            replace(plan, scenario_base=plan.scenario_base + start)
-            if plan is not None
-            else None
-        )
-        shard_labels = labels[start:stop] if labels is not None else None
-        shard_rounds = slice_schedule(graph_rounds, start, stop, *values.shape[:2])
-        shard_values = values[start:stop]
-        return lambda: run_ensemble(
-            algorithm,
-            shard_values,
-            shard_rounds,
-            record_every=record_every,
-            scenario_labels=shard_labels,
-            use_batch=use_batch,
-            record_states=record_states,
-            fault_plan=shard_plan,
-            threads=1,
-        )
-
-    bounds = shard_bounds(values.shape[0], worker_count)
-    shards = parallel_map(
-        [_shard_task(start, stop) for start, stop in bounds], worker_count
+    rows = list(zip(*configurations))
+    per_agent = tuple(tuple(c.states for c in row) for row in rows)
+    return dict(
+        algorithm_name=algorithm.name,
+        recorded_rounds=[configuration.round_number for configuration in configurations[0]],
+        recorded_outputs=np.stack([np.stack([c.outputs for c in row]) for row in rows]),
+        scenario_labels=labels,
+        batched=False,
+        recorded_states=RecordedStates(algorithm, per_agent=per_agent) if record_states else None,
     )
-    return merge_ensemble_executions(shards, fault_plan=plan)
+
+
+def _run_sharded(
+    values: np.ndarray,
+    labels: Optional[List[object]],
+    worker_count: int,
+    shard_task: Callable[..., Callable[[], EnsembleExecution]],
+    fault_plan: Optional[FaultPlan] = None,
+) -> EnsembleExecution:
+    """The parallel backend of both runners: contiguous B-axis shards, merged.
+
+    ``shard_task(start, stop, values, labels)`` gets the shard's slices on the
+    caller thread and returns the shard's run (the runner with ``threads=1``),
+    so schedule slices, fault-plan offsets and adversary copies all exist
+    before the fan-out.  The runs execute under the caller's merged config
+    (:func:`repro.execution.parallel.parallel_map`); the merge rebuilds the
+    serial record bit-for-bit and reports the study-level ``fault_plan``.
+    """
+    tasks = [
+        shard_task(start, stop, values[start:stop], None if labels is None else labels[start:stop])
+        for start, stop in shard_bounds(values.shape[0], worker_count)
+    ]
+    return merge_ensemble_executions(parallel_map(tasks, worker_count), fault_plan=fault_plan)
 
 
 def _run_ensemble_slow(
@@ -568,8 +573,8 @@ def _run_ensemble_slow(
     graph_rounds: Sequence[RoundGraphs],
     record_every: int,
     labels: Optional[List[object]],
-    record_states: bool = False,
-    plan: Optional[FaultPlan] = None,
+    record_states: bool,
+    plan: Optional[FaultPlan],
 ) -> EnsembleExecution:
     """Per-scenario fallback for algorithms without batch hooks.
 
@@ -578,37 +583,20 @@ def _run_ensemble_slow(
     batched path's stacked masks slice-for-slice — the reference loop the
     fuzz harness checks the vectorized fault path against.
     """
-    batch_size = values.shape[0]
     rounds = len(graph_rounds)
-    per_scenario: List[List[np.ndarray]] = []
-    per_scenario_states: List[List[Tuple[Any, ...]]] = []
-    recorded_rounds = [0] + [
-        t for t in range(1, rounds + 1) if t % record_every == 0 or t == rounds
-    ]
-    for scenario in range(batch_size):
+    configurations: List[List[Configuration]] = []
+    for scenario in range(values.shape[0]):
         configuration = initial_configuration(algorithm, values[scenario])
-        snapshots = [configuration.outputs.copy()]
-        states = [configuration.states]
+        recorded = [configuration]
         for t, graph in enumerate(scenario_graphs(graph_rounds, scenario), start=1):
             if plan is not None:
                 graph = plan.apply_to_graph(graph, t, scenario)
             configuration = apply_graph(algorithm, configuration, graph)
             if t % record_every == 0 or t == rounds:
-                snapshots.append(configuration.outputs.copy())
-                states.append(configuration.states)
-        per_scenario.append(snapshots)
-        per_scenario_states.append(states)
-    recorded = [
-        np.stack([per_scenario[b][r] for b in range(batch_size)])
-        for r in range(len(recorded_rounds))
-    ]
+                recorded.append(configuration)
+        configurations.append(recorded)
     return EnsembleExecution(
-        algorithm_name=algorithm.name,
-        recorded_rounds=recorded_rounds,
-        recorded_outputs=np.stack(recorded),
-        scenario_labels=labels,
-        batched=False,
-        recorded_states=_per_agent_record(algorithm, per_scenario_states, record_states),
+        **_per_scenario_fields(algorithm, configurations, labels, record_states),
         fault_plan=plan,
     )
 
@@ -738,31 +726,38 @@ def run_adversarial_ensemble(
             "realized graphs; run the adversary fault-free and replay its "
             "committed schedules as a faulted graphs-route ensemble instead"
         )
-    if record_every < 1:
-        raise ExecutionError(f"record_every must be >= 1, got {record_every}")
-    values = stack_initial_values(initial_values)
-    _validate_ensemble_values(values)
+    values, labels = _ensemble_inputs(initial_values, scenario_labels, record_every)
     batch_size, n, _d = values.shape
-    labels = list(scenario_labels) if scenario_labels is not None else None
-    if labels is not None and len(labels) != batch_size:
-        raise ExecutionError(f"need {batch_size} scenario labels, got {len(labels)}")
     if not isinstance(adversary, AdversarialPattern):
         raise ExecutionError(
             f"run_adversarial_ensemble needs an AdversarialPattern, got {type(adversary).__name__}"
         )
     worker_count = resolve_threads(threads)
     if worker_count > 1 and batch_size > 1:
-        return _run_adversarial_ensemble_sharded(
-            algorithm,
-            values,
-            adversary,
-            rounds,
-            record_every,
-            labels,
-            use_batch,
-            record_states,
-            worker_count,
-        )
+
+        def shard_task(start: int, stop: int, shard_values, shard_labels):
+            # Safe to shard because every commit of the (batched or
+            # per-scenario) runner is a per-scenario argmax over that
+            # scenario's own committed history; each shard drives an
+            # independent deep copy of the adversary, so stateful adversaries
+            # neither race nor observe other shards' scenarios.  The shipped
+            # adversaries' plans depend only on (round, n, per-scenario
+            # history); tests/test_parallel_backend.py enforces
+            # choice-for-choice equality with the serial run.
+            shard_adversary = copy.deepcopy(adversary)
+            return lambda: run_adversarial_ensemble(
+                algorithm,
+                shard_values,
+                shard_adversary,
+                rounds,
+                record_every=record_every,
+                scenario_labels=shard_labels,
+                use_batch=use_batch,
+                record_states=record_states,
+                threads=1,
+            )
+
+        return _run_sharded(values, labels, worker_count, shard_task)
     batchable = algorithm.supports_batch() and resolve_use_batch(use_batch)
     # One-time probe: adversaries that keep the base-class ensemble_plans
     # always answer None, so the runner skips the per-round call (and the
@@ -780,17 +775,22 @@ def run_adversarial_ensemble(
         if batchable and first_scenario_plans is None
         else None
     )
-    if first_scenario_plans is None and first_plan is None:
-        return _run_adversarial_ensemble_slow(
-            algorithm, values, adversary, rounds, record_every, labels, record_states
-        )
-
-    batch_state = algorithm.batch_initial(values)
-    if not _supports_batch_map(algorithm, batch_state):
-        # Structured states without the batch_map hook take the per-scenario
-        # fallback instead of crashing mid-run.
-        return _run_adversarial_ensemble_slow(
-            algorithm, values, adversary, rounds, record_every, labels, record_states
+    # Structured states without the batch_map hook take the per-scenario
+    # fallback instead of crashing mid-run.
+    planned = first_scenario_plans is not None or first_plan is not None
+    batch_state = algorithm.batch_initial(values) if planned else None
+    if not planned or not _supports_batch_map(algorithm, batch_state):
+        # Per-scenario fallback through run_execution: also the reference the
+        # batched commits are checked against.
+        executions = [
+            run_execution(algorithm, scenario_values, adversary, rounds, record_every=record_every)
+            for scenario_values in values
+        ]
+        return AdversarialEnsembleExecution(
+            **_per_scenario_fields(
+                algorithm, [e.configurations for e in executions], labels, record_states
+            ),
+            round_choices=schedule_from_scenarios([e.graphs for e in executions]),
         )
     recorded_rounds = [0]
     recorded = [np.array(algorithm.batch_outputs(batch_state), dtype=float)]
@@ -898,94 +898,6 @@ def run_adversarial_ensemble(
     )
 
 
-def _run_adversarial_ensemble_sharded(
-    algorithm: Algorithm,
-    values: np.ndarray,
-    adversary: AdversarialPattern,
-    rounds: int,
-    record_every: int,
-    labels: Optional[List[object]],
-    use_batch: Optional[bool],
-    record_states: bool,
-    worker_count: int,
-) -> AdversarialEnsembleExecution:
-    """Parallel backend of :func:`run_adversarial_ensemble`.
-
-    Safe to shard because every commit of the (batched or per-scenario)
-    adversarial runner is a per-scenario argmax over that scenario's own
-    committed history; each shard drives an independent ``copy.deepcopy`` of
-    the adversary, so stateful adversaries neither race nor observe other
-    shards' scenarios.  The shipped adversaries' plans depend only on
-    ``(round, n, per-scenario history)`` — the differential matrix in
-    ``tests/test_parallel_backend.py`` enforces choice-for-choice equality
-    with the serial run.
-    """
-
-    def _shard_task(start: int, stop: int):
-        shard_adversary = copy.deepcopy(adversary)
-        shard_labels = labels[start:stop] if labels is not None else None
-        shard_values = values[start:stop]
-        return lambda: run_adversarial_ensemble(
-            algorithm,
-            shard_values,
-            shard_adversary,
-            rounds,
-            record_every=record_every,
-            scenario_labels=shard_labels,
-            use_batch=use_batch,
-            record_states=record_states,
-            threads=1,
-        )
-
-    bounds = shard_bounds(values.shape[0], worker_count)
-    shards = parallel_map(
-        [_shard_task(start, stop) for start, stop in bounds], worker_count
-    )
-    merged = merge_ensemble_executions(shards)
-    assert isinstance(merged, AdversarialEnsembleExecution)
-    return merged
-
-
-def _run_adversarial_ensemble_slow(
-    algorithm: Algorithm,
-    values: np.ndarray,
-    adversary: AdversarialPattern,
-    rounds: int,
-    record_every: int,
-    labels: Optional[List[object]],
-    record_states: bool = False,
-) -> AdversarialEnsembleExecution:
-    """Scenario-by-scenario fallback driving the adversary through run_execution."""
-    from repro.execution.engine import run_execution  # local import avoids a cycle
-
-    batch_size = values.shape[0]
-    per_scenario_outputs: List[List[np.ndarray]] = []
-    per_scenario_states: List[List[Tuple[Any, ...]]] = []
-    per_scenario_graphs: List[List[CommunicationGraph]] = []
-    recorded_rounds: List[int] = []
-    for scenario in range(batch_size):
-        execution = run_execution(
-            algorithm, values[scenario], adversary, rounds, record_every=record_every
-        )
-        recorded_rounds = [c.round_number for c in execution.configurations]
-        per_scenario_outputs.append([c.outputs.copy() for c in execution.configurations])
-        per_scenario_states.append([c.states for c in execution.configurations])
-        per_scenario_graphs.append(list(execution.graphs))
-    recorded = [
-        np.stack([per_scenario_outputs[b][r] for b in range(batch_size)])
-        for r in range(len(recorded_rounds))
-    ]
-    return AdversarialEnsembleExecution(
-        algorithm_name=algorithm.name,
-        recorded_rounds=recorded_rounds,
-        recorded_outputs=np.stack(recorded),
-        scenario_labels=labels,
-        round_choices=schedule_from_scenarios(per_scenario_graphs),
-        batched=False,
-        recorded_states=_per_agent_record(algorithm, per_scenario_states, record_states),
-    )
-
-
 def materialize_pattern(pattern: CommunicationPattern, rounds: int) -> List[CommunicationGraph]:
     """Evaluate an oblivious pattern's first ``rounds`` graphs.
 
@@ -1020,8 +932,7 @@ def run_pattern_ensemble(
     """
     if rounds < 0:
         raise ExecutionError(f"rounds must be non-negative, got {rounds}")
-    values = stack_initial_values(initial_values)
-    _validate_ensemble_values(values)
+    values, labels = _ensemble_inputs(initial_values, scenario_labels, record_every)
     batch_size = values.shape[0]
     if isinstance(patterns, CommunicationPattern):
         graph_rounds: List[RoundGraphs] = list(materialize_pattern(patterns, rounds))
@@ -1039,7 +950,7 @@ def run_pattern_ensemble(
         values,
         graph_rounds,
         record_every=record_every,
-        scenario_labels=scenario_labels,
+        scenario_labels=labels,
         use_batch=use_batch,
         record_states=record_states,
         fault_plan=fault_plan,
@@ -1113,48 +1024,38 @@ def merge_ensemble_executions(
     shard_list = list(shards)
     if not shard_list:
         raise ExecutionError("merging needs at least one shard ensemble")
-    adversarial_flags = [
-        isinstance(shard, AdversarialEnsembleExecution) for shard in shard_list
-    ]
-    if any(adversarial_flags) and not all(adversarial_flags):
+    routes = {isinstance(shard, AdversarialEnsembleExecution) for shard in shard_list}
+    if len(routes) != 1:
         raise ExecutionError(
             "adversarial and non-adversarial ensembles cannot be merged into "
             "one record: the shards ran different routes"
         )
-    all_adversarial = all(adversarial_flags)
     for shard in shard_list:
         if not isinstance(shard, EnsembleExecution):
             raise ExecutionError(
                 f"merging needs EnsembleExecution shards, got {type(shard).__name__}"
             )
     first = shard_list[0]
+
+    def signature(shard: EnsembleExecution) -> dict:
+        # What every shard must share; batched differs when shards ran under
+        # different engine configurations.
+        return {
+            "algorithm": shard.algorithm_name,
+            "recorded rounds": list(shard.recorded_rounds),
+            "batched": shard.batched,
+            "per-scenario shape": shard.recorded_outputs.shape[2:],
+            "scenario labels present": shard.scenario_labels is not None,
+            "recorded states present": shard.recorded_states is not None,
+        }
+
+    expected = signature(first)
     for index, shard in enumerate(shard_list[1:], start=1):
-        if shard.algorithm_name != first.algorithm_name:
-            raise ExecutionError(
-                f"shard {index} ran algorithm {shard.algorithm_name!r}, "
-                f"shard 0 ran {first.algorithm_name!r}"
-            )
-        if list(shard.recorded_rounds) != list(first.recorded_rounds):
-            raise ExecutionError(
-                f"shard {index} recorded rounds {shard.recorded_rounds}, "
-                f"shard 0 recorded {first.recorded_rounds}"
-            )
-        if shard.batched != first.batched:
-            raise ExecutionError(
-                f"shard {index} has batched={shard.batched}, "
-                f"shard 0 has batched={first.batched}: shards must run under "
-                "the same engine configuration"
-            )
-        if shard.recorded_outputs.shape[2:] != first.recorded_outputs.shape[2:]:
-            raise ExecutionError(
-                f"shard {index} has per-scenario shape "
-                f"{shard.recorded_outputs.shape[2:]}, shard 0 has "
-                f"{first.recorded_outputs.shape[2:]}"
-            )
-    for name in ("scenario_labels", "recorded_states"):
-        present = {getattr(shard, name) is not None for shard in shard_list}
-        if len(present) != 1:
-            raise ExecutionError(f"{name} must be present on every shard or on none")
+        for name, got in signature(shard).items():
+            if got != expected[name]:
+                raise ExecutionError(
+                    f"shard {index} has {name} {got!r}, shard 0 has {expected[name]!r}"
+                )
     if fault_plan is None:
         plans = {shard.fault_plan for shard in shard_list}
         if len(plans) != 1:
@@ -1182,7 +1083,7 @@ def merge_ensemble_executions(
         ),
         fault_plan=fault_plan,
     )
-    if not all_adversarial:
+    if not routes.pop():
         return EnsembleExecution(**merged)
     choice_counts = {len(shard.round_choices) for shard in shard_list}
     if len(choice_counts) != 1:

@@ -99,12 +99,13 @@ class _AdjacencyCache:
     list — the cached tuple keeps them alive, so identity keys stay valid.
     """
 
-    __slots__ = ("_store", "_max_entries", "_max_bytes", "_bytes")
+    MAX_ENTRIES = 64
+    MAX_BYTES = 16 << 20
 
-    def __init__(self, max_entries: int = 64, max_bytes: int = 16 << 20) -> None:
+    __slots__ = ("_store", "_bytes")
+
+    def __init__(self) -> None:
         self._store: dict = {}
-        self._max_entries = max_entries
-        self._max_bytes = max_bytes
         self._bytes = 0
 
     def stacked(self, graphs: Tuple[CommunicationGraph, ...]) -> np.ndarray:
@@ -118,8 +119,8 @@ class _AdjacencyCache:
         # memory than the reductions it is saving (large churning per-scenario
         # stacks simply go uncached).
         if (
-            len(self._store) < self._max_entries
-            and self._bytes + stacked.nbytes <= self._max_bytes
+            len(self._store) < self.MAX_ENTRIES
+            and self._bytes + stacked.nbytes <= self.MAX_BYTES
         ):
             self._store[key] = (graphs, stacked)
             self._bytes += stacked.nbytes
@@ -131,7 +132,7 @@ def _make_batch_rollout(
     batch_state: Any,
     round_number: int,
     n: int,
-    cache: Optional[_AdjacencyCache] = None,
+    cache: _AdjacencyCache,
 ):
     """A ``RoundContext.batch_rollout`` evaluating candidate graph sequences.
 
@@ -157,11 +158,7 @@ def _make_batch_rollout(
                     )
         state = batch_state
         for offset in range(lengths.pop()):
-            round_graphs = tuple(sequence[offset] for sequence in candidate_sequences)
-            if cache is not None:
-                adjacency = cache.stacked(round_graphs)
-            else:
-                adjacency = np.stack([graph.adjacency for graph in round_graphs])
+            adjacency = cache.stacked(tuple(sequence[offset] for sequence in candidate_sequences))
             state = algorithm.batch_transition(state, adjacency, round_number + offset)
         outputs = np.asarray(algorithm.batch_outputs(state), dtype=float)
         # Outputs that did not change during the rollout (e.g. mid-phase

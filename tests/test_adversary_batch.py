@@ -592,10 +592,13 @@ class TestAdjacencyCache:
         assert adjacency.shape == (3, 3)
         assert adjacency is graph.adjacency
 
-    def test_cache_bounded(self):
-        cache = _AdjacencyCache(max_entries=1)
-        first = cache.stacked((complete_graph(3), cycle_graph(3)))
-        # A different list does not evict the first entry (insert-only cap).
-        cache.stacked((cycle_graph(3), complete_graph(3)))
-        again = cache.stacked((complete_graph(3), cycle_graph(3)))
-        np.testing.assert_array_equal(first, again)
+    def test_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(_AdjacencyCache, "MAX_ENTRIES", 1)
+        cache = _AdjacencyCache()
+        graphs = (complete_graph(3), cycle_graph(3))
+        first = cache.stacked(graphs)
+        # A different list does not evict the first entry (insert-only cap)
+        # and, past the cap, is not cached itself.
+        other = (cycle_graph(3), complete_graph(3))
+        assert cache.stacked(other) is not cache.stacked(other)
+        assert cache.stacked(graphs) is first

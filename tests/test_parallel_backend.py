@@ -231,7 +231,10 @@ class TestAdversarialRoute:
         ],
         ids=["greedy-midpoint", "psi-amortized"],
     )
-    def test_outputs_and_choices_match_serial(self, algorithm, adversary_factory, n):
+    @pytest.mark.parametrize("use_batch", [None, False])
+    def test_outputs_and_choices_match_serial(
+        self, algorithm, adversary_factory, n, use_batch
+    ):
         batch_size, rounds = 11, 6
         values = _values(batch_size, n, seed=71)
 
@@ -239,13 +242,26 @@ class TestAdversarialRoute:
             # A fresh adversary per run: adversaries are stateful.
             return run_adversarial_ensemble(
                 algorithm, values, adversary_factory(), rounds,
-                record_every=2, threads=threads,
+                record_every=2, use_batch=use_batch, record_states=True,
+                threads=threads,
             )
 
         baseline = run(1)
+        assert baseline.batched is (use_batch is None)
         for threads in THREAD_COUNTS:
             sharded = run(threads)
             assert _ensemble_fingerprint(sharded) == _ensemble_fingerprint(baseline)
+            assert sharded.batched == baseline.batched
+            # Every scenario's recorded states survive the shard merge.
+            for scenario in range(batch_size):
+                for config_sharded, config_serial in zip(
+                    sharded.scenario_configurations(scenario),
+                    baseline.scenario_configurations(scenario),
+                    strict=True,
+                ):
+                    assert config_sharded.round_number == config_serial.round_number
+                    assert np.array_equal(config_sharded.outputs, config_serial.outputs)
+                    assert _states_equal(config_sharded.states, config_serial.states)
             # The committed graph choices merge back in scenario order.
             assert len(sharded.round_choices) == len(baseline.round_choices)
             for round_serial, round_sharded in zip(

@@ -47,18 +47,28 @@ class TestRunnerShapeErrors:
         with pytest.raises(EnsembleShapeError, match=r"\(0, 4, 1\)"):
             run_ensemble(MidpointAlgorithm(), np.zeros((0, 4, 1)), [])
 
-    def test_graph_agent_mismatch_names_both_counts(self):
+    # use_batch=False pins the per-scenario fallback: a malformed schedule
+    # must raise the same error there as on the batched path.
+    @pytest.mark.parametrize("use_batch", [None, False])
+    def test_graph_agent_mismatch_names_both_counts(self, use_batch):
         with pytest.raises(EnsembleShapeError, match="5 agents, scenarios have 4"):
-            run_ensemble(MidpointAlgorithm(), _values(2, 4), [complete_graph(5)])
+            run_ensemble(
+                MidpointAlgorithm(), _values(2, 4), [complete_graph(5)], use_batch=use_batch
+            )
 
-    def test_per_scenario_graph_count_mismatch(self):
+    @pytest.mark.parametrize("use_batch", [None, False])
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_per_scenario_graph_count_mismatch(self, use_batch, count):
         graph = complete_graph(4)
-        with pytest.raises(EnsembleShapeError, match="needs 3 graphs, got 2"):
-            run_ensemble(MidpointAlgorithm(), _values(3, 4), [[graph, graph]])
+        with pytest.raises(EnsembleShapeError, match=f"needs 3 graphs, got {count}"):
+            run_ensemble(
+                MidpointAlgorithm(), _values(3, 4), [[graph] * count], use_batch=use_batch
+            )
 
-    def test_non_graph_round_entry_names_type(self):
+    @pytest.mark.parametrize("use_batch", [None, False])
+    def test_non_graph_round_entry_names_type(self, use_batch):
         with pytest.raises(EnsembleShapeError, match="got int"):
-            run_ensemble(MidpointAlgorithm(), _values(2, 4), [7])
+            run_ensemble(MidpointAlgorithm(), _values(2, 4), [7], use_batch=use_batch)
 
     def test_pattern_ensemble_propagates_value_shape_errors(self):
         with pytest.raises(EnsembleShapeError, match=r"\(2, 2, 3, 1\)"):

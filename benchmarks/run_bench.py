@@ -418,12 +418,21 @@ class _TimedPattern:
         return graph
 
 
-def _timed_choose(algorithm, values, adversary, rounds, use_fast_path, repeats) -> float:
-    """Best-of-``repeats`` seconds spent in the adversary's choose() calls."""
+def _timed_choose(
+    algorithm, values, adversary, rounds, use_fast_path, use_batch, repeats
+) -> float:
+    """Best-of-``repeats`` seconds spent in the adversary's choose() calls.
+
+    ``use_batch=False`` selects the per-candidate reference loop through
+    ``EngineConfig``; ``True`` the stacked candidate pass.
+    """
+    from repro.config import EngineConfig
+
     best = float("inf")
     for _ in range(repeats):
         timed = _TimedPattern(adversary)
-        run_execution(algorithm, values, timed, rounds, use_fast_path=use_fast_path)
+        with EngineConfig(use_batch=use_batch):
+            run_execution(algorithm, values, timed, rounds, use_fast_path=use_fast_path)
         best = min(best, timed.seconds)
     return best
 
@@ -434,10 +443,10 @@ def bench_adversary(grid, repeats: int) -> list:
     Three candidate-evaluation regimes are timed (seconds spent inside the
     adversary's ``choose`` calls; all three make identical graph choices):
 
-    * ``old_s`` — the per-graph loop on the per-agent reference path (one
-      ``simulate_outputs`` per candidate, per-agent dict rounds), the
+    * ``old_s`` — the per-candidate reference loop (``EngineConfig(
+      use_batch=False)``) on the per-agent path (per-agent dict rounds), the
       pre-vectorization baseline;
-    * ``fastpath_loop_s`` — the same per-graph loop with vectorized
+    * ``fastpath_loop_s`` — the same per-candidate loop with vectorized
       single-candidate simulations;
     * ``new_s`` — all ``|N|`` candidates evaluated as one stacked
       ``(C, n, n)`` adjacency pass through the batch hooks.
@@ -448,16 +457,16 @@ def bench_adversary(grid, repeats: int) -> list:
         model = _deaf_submodel(n, model_size)
         values = _initial_values(n, 1)
         old_s = _timed_choose(
-            algorithm, values, GreedyDiameterAdversary(model, use_batch=False),
-            rounds, False, repeats,
+            algorithm, values, GreedyDiameterAdversary(model),
+            rounds, False, False, repeats,
         )
         fastpath_loop_s = _timed_choose(
-            algorithm, values, GreedyDiameterAdversary(model, use_batch=False),
-            rounds, True, repeats,
+            algorithm, values, GreedyDiameterAdversary(model),
+            rounds, True, False, repeats,
         )
         new_s = _timed_choose(
-            algorithm, values, GreedyDiameterAdversary(model, use_batch=True),
-            rounds, True, repeats,
+            algorithm, values, GreedyDiameterAdversary(model),
+            rounds, True, True, repeats,
         )
         entry = {
             "benchmark": "greedy_adversary",
@@ -501,12 +510,12 @@ def bench_psi_adversary(grid, repeats: int) -> list:
         algorithm = AmortizedMidpointAlgorithm()
         values = _initial_values(n, 1)
         old_s = _timed_choose(
-            algorithm, values, PsiBlockAdversary(n, use_batch=False),
-            rounds, None, repeats,
+            algorithm, values, PsiBlockAdversary(n),
+            rounds, None, False, repeats,
         )
         new_s = _timed_choose(
-            algorithm, values, PsiBlockAdversary(n, use_batch=True),
-            rounds, None, repeats,
+            algorithm, values, PsiBlockAdversary(n),
+            rounds, None, True, repeats,
         )
         entry = {
             "benchmark": "psi_adversary",

@@ -1,8 +1,8 @@
 """Unified engine configuration: every execution knob in one declarative object.
 
 The engines grew their tuning knobs one at a time: ``use_fast_path`` on
-:func:`repro.execution.run_execution`, ``use_batch`` on the adversaries and
-the :class:`~repro.core.valency.ValencyEstimator`, ``use_packed`` on the
+:func:`repro.execution.run_execution`, ``use_batch`` on the ensemble runners
+and the :class:`~repro.core.valency.ValencyEstimator`, ``use_packed`` on the
 α-relation kernels, and so on.  :class:`EngineConfig` consolidates all of
 them into a single dataclass that doubles as an exception-safe,
 *thread-local* context manager:
@@ -86,7 +86,8 @@ class EngineConfig:
     use_batch:
         Whether adversaries, ensemble runners and the valency estimator
         evaluate candidates/futures as stacked ensembles (default ``True``)
-        or through their per-item reference loops (``False``).
+        or through their per-item reference loops (``False``).  Adversaries
+        take it from the active config only.
     use_packed:
         Whether the α/β-relation analyses use the packed witness-tensor
         kernels (default ``True``) or the per-pair reference loops.

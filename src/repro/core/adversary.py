@@ -15,21 +15,17 @@ executable counterparts:
   ``n - 2`` times) and greedily chooses the block's deaf agent; realizes the
   Theorem 3 execution.
 
-All adversaries are :class:`~repro.models.patterns.AdversarialPattern`
-instances and can be passed directly to
-:func:`repro.execution.run_execution`.
-
-Candidate evaluation is *batched* by default: each decision routes all ``C``
-candidate graphs (or graph sequences) through
-:meth:`~repro.models.patterns.RoundContext.simulate_outputs_batch` /
-:meth:`~repro.models.patterns.RoundContext.simulate_sequences_batch`, which
-the fast execution path evaluates as one stacked ``(C, n, n)`` adjacency
-pass.  Pass ``use_batch=False`` to keep the per-graph reference loop (used by
-the benchmarks and equivalence tests); both make identical choices.  Every
-adversary also implements
-:meth:`~repro.models.patterns.AdversarialPattern.ensemble_plan`, so whole
-scenario ensembles run through
-:func:`repro.execution.batch.run_adversarial_ensemble`.
+Each adversary only declares its plan — the candidate graph sequences of a
+decision and how many rounds of the winner to commit
+(:class:`~repro.models.patterns.EnsemblePlan`).  The choice itself is derived
+once, by :meth:`~repro.models.patterns.AdversarialPattern.choose` for
+:func:`repro.execution.run_execution` and by
+:func:`repro.execution.batch.run_adversarial_ensemble` for whole scenario
+ensembles: the first candidate with the largest successor output diameter
+wins.  Candidates are evaluated as one stacked ``(C, n, n)`` adjacency pass
+on the fast path; ``with EngineConfig(use_batch=False)`` selects the
+per-candidate reference loop (used by the benchmarks and equivalence tests),
+which makes identical choices.
 """
 
 from __future__ import annotations
@@ -37,55 +33,28 @@ from __future__ import annotations
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.config import resolve_use_batch
 from repro.exceptions import ExecutionError
-from repro.execution.engine import run_from_configuration
-from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.families import psi_graph, two_agent_graphs
 from repro.models.network_model import NetworkModel
-from repro.models.patterns import AdversarialPattern, EnsemblePlan, RoundContext
-from repro.types import diameter, pairwise_diameters, running_argmax
-
-
-def _configuration_from_context(context: RoundContext) -> Configuration:
-    """Rebuild the engine's current configuration from a round context."""
-    return Configuration(
-        states=tuple(context.states),
-        outputs=np.asarray(context.outputs, dtype=float),
-        round_number=context.round_number - 1,
-    )
+from repro.models.patterns import AdversarialPattern, EnsemblePlan
 
 
 class GreedyDiameterAdversary(AdversarialPattern):
     """Pick, every round, the model graph that maximizes the successor output diameter.
 
     Ties are broken by the order of the graphs in the model, which makes the
-    adversary deterministic and executions reproducible.  With ``use_batch``
-    (``None`` resolves through the active
-    :class:`~repro.config.EngineConfig`, default on) all ``|N|`` candidates
-    are evaluated as one stacked adjacency pass; ``use_batch=False`` keeps
-    the per-graph reference loop.
+    adversary deterministic and executions reproducible.
 
     ``avoid_repeat=True`` makes the adversary *history-dependent*: the graph
     committed in the previous round is removed from the candidate set (when
     other candidates remain), forcing the adversary to keep perturbing the
-    system instead of replaying one worst-case graph.  In batched ensemble
-    runs the candidate sets then differ per scenario, which the adversary
-    advertises through :meth:`ensemble_plans` — the per-scenario plan API of
-    :func:`repro.execution.batch.run_adversarial_ensemble`.
+    system instead of replaying one worst-case graph.  Its candidate sets then
+    differ per scenario, which it declares through :meth:`ensemble_plans`.
     """
 
-    def __init__(
-        self,
-        model: NetworkModel,
-        use_batch: Optional[bool] = None,
-        avoid_repeat: bool = False,
-    ) -> None:
+    def __init__(self, model: NetworkModel, avoid_repeat: bool = False) -> None:
         self._model = model
-        self._use_batch = use_batch
         self._avoid_repeat = avoid_repeat
 
     @property
@@ -104,26 +73,9 @@ class GreedyDiameterAdversary(AdversarialPattern):
                 return filtered
         return graphs
 
-    def choose(self, context: RoundContext) -> CommunicationGraph:
-        graphs = self._candidate_graphs(context.history)
-        if resolve_use_batch(self._use_batch):
-            outputs = context.simulate_outputs_batch(graphs)
-            return graphs[running_argmax(pairwise_diameters(outputs))]
-        best_graph: Optional[CommunicationGraph] = None
-        best_diameter = -1.0
-        for graph in graphs:
-            outputs = context.simulate_outputs(graph)
-            candidate = diameter(outputs)
-            if candidate > best_diameter + 1e-15:
-                best_diameter = candidate
-                best_graph = graph
-        assert best_graph is not None
-        return best_graph
-
     def ensemble_plan(self, round_number: int, n: int) -> Optional[EnsemblePlan]:
         if self._avoid_repeat:
-            # History-dependent: the shared-plan API cannot express the
-            # per-scenario candidate sets; ensemble_plans serves them.
+            # History-dependent: ensemble_plans serves the per-scenario sets.
             return None
         return EnsemblePlan(
             candidates=tuple((graph,) for graph in self._model), commit_rounds=1
@@ -165,38 +117,16 @@ class LookaheadDiameterAdversary(AdversarialPattern):
     sequence is committed each round (receding-horizon control).
     """
 
-    def __init__(
-        self, model: NetworkModel, lookahead: int = 2, use_batch: Optional[bool] = None
-    ) -> None:
+    def __init__(self, model: NetworkModel, lookahead: int = 2) -> None:
         if lookahead < 1:
             raise ExecutionError(f"lookahead must be >= 1, got {lookahead}")
         self._model = model
         self._lookahead = lookahead
-        self._use_batch = use_batch
-
-    def _candidate_sequences(self) -> List[Tuple[CommunicationGraph, ...]]:
-        return list(iter_product(list(self._model), repeat=self._lookahead))
-
-    def choose(self, context: RoundContext) -> CommunicationGraph:
-        sequences = self._candidate_sequences()
-        if resolve_use_batch(self._use_batch):
-            outputs = context.simulate_sequences_batch(sequences)
-            return sequences[running_argmax(pairwise_diameters(outputs))][0]
-        configuration = _configuration_from_context(context)
-        best_sequence: Optional[Tuple[CommunicationGraph, ...]] = None
-        best_diameter = -1.0
-        for sequence in sequences:
-            final, _ = run_from_configuration(context.algorithm, configuration, list(sequence))
-            candidate = final.output_diameter()
-            if candidate > best_diameter + 1e-15:
-                best_diameter = candidate
-                best_sequence = sequence
-        assert best_sequence is not None
-        return best_sequence[0]
 
     def ensemble_plan(self, round_number: int, n: int) -> EnsemblePlan:
         return EnsemblePlan(
-            candidates=tuple(self._candidate_sequences()), commit_rounds=1
+            candidates=tuple(iter_product(list(self._model), repeat=self._lookahead)),
+            commit_rounds=1,
         )
 
     def __repr__(self) -> str:
@@ -212,24 +142,8 @@ class TwoAgentAdversary(AdversarialPattern):
     third of the parent's".
     """
 
-    def __init__(self, use_batch: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._graphs = list(two_agent_graphs())
-        self._use_batch = use_batch
-
-    def choose(self, context: RoundContext) -> CommunicationGraph:
-        if context.outputs.shape[0] != 2:
-            raise ExecutionError("TwoAgentAdversary only applies to systems of 2 agents")
-        if resolve_use_batch(self._use_batch):
-            outputs = context.simulate_outputs_batch(self._graphs)
-            return self._graphs[running_argmax(pairwise_diameters(outputs))]
-        best_graph = self._graphs[0]
-        best_diameter = -1.0
-        for graph in self._graphs:
-            candidate = diameter(context.simulate_outputs(graph))
-            if candidate > best_diameter + 1e-15:
-                best_diameter = candidate
-                best_graph = graph
-        return best_graph
 
     def ensemble_plan(self, round_number: int, n: int) -> EnsemblePlan:
         if n != 2:
@@ -247,64 +161,28 @@ class PsiBlockAdversary(AdversarialPattern):
 
     At the start of every block of ``n - 2`` rounds the adversary simulates
     the three candidate blocks ``σ_0, σ_1, σ_2`` to completion and commits to
-    the one whose end-of-block configuration has the largest output diameter.
-    Within a block it keeps playing the committed ``Ψ`` graph, so the overall
+    the one whose end-of-block configuration has the largest output diameter
+    (a plan whose commit window is the whole block).  The overall
     communication pattern is a concatenation of ``σ`` blocks — i.e. a member
     of the property ``P_seq`` of Section 6.2.
     """
 
-    def __init__(self, n: int, use_batch: Optional[bool] = None) -> None:
+    def __init__(self, n: int) -> None:
         if n < 4:
             raise ExecutionError("PsiBlockAdversary requires n >= 4 agents")
         self._n = n
         self._block_length = n - 2
         self._psi = {i: psi_graph(n, i) for i in (0, 1, 2)}
-        self._use_batch = use_batch
-        self._current_choice: Optional[int] = None
-        self._chosen_blocks: List[int] = []
-
-    def reset(self) -> None:
-        self._current_choice = None
-        self._chosen_blocks = []
-
-    @property
-    def chosen_blocks(self) -> List[int]:
-        """The deaf-agent index committed for each completed or ongoing block."""
-        return list(self._chosen_blocks)
-
-    def choose(self, context: RoundContext) -> CommunicationGraph:
-        position_in_block = (context.round_number - 1) % self._block_length
-        if position_in_block == 0 or self._current_choice is None:
-            self._current_choice = self._pick_block(context)
-            self._chosen_blocks.append(self._current_choice)
-        return self._psi[self._current_choice]
-
-    def _candidate_blocks(self) -> List[List[CommunicationGraph]]:
-        return [[self._psi[choice]] * self._block_length for choice in (0, 1, 2)]
-
-    def _pick_block(self, context: RoundContext) -> int:
-        if resolve_use_batch(self._use_batch):
-            outputs = context.simulate_sequences_batch(self._candidate_blocks())
-            return running_argmax(pairwise_diameters(outputs))
-        configuration = _configuration_from_context(context)
-        best_choice = 0
-        best_diameter = -1.0
-        for choice in (0, 1, 2):
-            block = [self._psi[choice]] * self._block_length
-            final, _ = run_from_configuration(context.algorithm, configuration, block)
-            candidate = final.output_diameter()
-            if candidate > best_diameter + 1e-15:
-                best_diameter = candidate
-                best_choice = choice
-        return best_choice
 
     def ensemble_plan(self, round_number: int, n: int) -> EnsemblePlan:
         if n != self._n:
             raise ExecutionError(
-                f"PsiBlockAdversary was built for n={self._n} agents, the ensemble has n={n}"
+                f"PsiBlockAdversary was built for n={self._n} agents, the system has n={n}"
             )
         return EnsemblePlan(
-            candidates=tuple(tuple(block) for block in self._candidate_blocks()),
+            candidates=tuple(
+                (self._psi[choice],) * self._block_length for choice in (0, 1, 2)
+            ),
             commit_rounds=self._block_length,
         )
 
@@ -328,19 +206,3 @@ def worst_constant_suffixes(
             suffixes.setdefault(label, graph)
     return suffixes
 
-
-def adversarial_graph_sequence(
-    adversary: AdversarialPattern,
-    algorithm,
-    initial_values: Sequence[float],
-    rounds: int,
-) -> List[CommunicationGraph]:
-    """Convenience helper returning the graph choices an adversary makes.
-
-    Runs ``algorithm`` for ``rounds`` rounds under ``adversary`` and returns
-    the chosen graphs, which benchmarks print alongside the diameters.
-    """
-    from repro.execution.engine import run_execution  # local import avoids cycles
-
-    execution = run_execution(algorithm, initial_values, adversary, rounds)
-    return list(execution.graphs)

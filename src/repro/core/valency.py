@@ -371,7 +371,7 @@ class ValencyEstimator:
         which convex-combination algorithms get from their outputs and
         stateful ones (e.g. the amortized midpoint) implement.  Anything else
         — or ``use_batch=False`` — takes the per-future reference loop
-        (mirroring the adversaries' ``use_batch`` fallback).
+        (mirroring the adversaries' per-candidate reference loop).
         """
         return (
             self._use_batch

@@ -57,8 +57,8 @@ from repro.execution.schedule import (
 from repro.faults import FaultPlan, FaultSpec, as_fault_plan
 from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
-from repro.models.patterns import AdversarialPattern, CommunicationPattern, EnsemblePlan
-from repro.types import ValuesLike, as_value_matrix, pairwise_diameters
+from repro.models.patterns import AdversarialPattern, CommunicationPattern, check_plans
+from repro.types import ValuesLike, as_value_matrix, pairwise_diameters, running_argmax
 
 
 @dataclass(frozen=True)
@@ -492,7 +492,7 @@ def run_ensemble(
     recorded_batch_states = [batch_state] if record_states else None
     adjacency_cache = _AdjacencyCache()
     for t, round_graphs in enumerate(graph_rounds, start=1):
-        adjacency = round_adjacency(round_graphs, batch_size, n, cache=adjacency_cache)
+        adjacency = round_adjacency(round_graphs, cache=adjacency_cache)
         if plan is not None:
             # One vectorized mask application per round (instead of B
             # per-scenario Python loops), with the N_A invariant check.
@@ -617,54 +617,6 @@ class AdversarialEnsembleExecution(EnsembleExecution):
         return scenario_graphs(self.round_choices, scenario)
 
 
-def _validate_plan_candidates(
-    candidates: Sequence[Sequence[CommunicationGraph]], n: int
-) -> None:
-    for candidate in candidates:
-        for graph in candidate:
-            if graph.n != n:
-                raise EnsembleShapeError(
-                    f"candidate graph has {graph.n} agents, scenarios have {n}"
-                )
-
-
-def _uniform_scenario_plans(
-    plans: Sequence[EnsemblePlan], batch_size: int, n: int
-) -> Tuple[List[List[List[CommunicationGraph]]], int, int, int]:
-    """Validate per-scenario plans and return (candidate lists, C, horizon, commit).
-
-    The stacked ``(B, C, n, n)`` evaluation requires every scenario's plan to
-    share the candidate count, horizon and commit window; anything else is a
-    shape error, named explicitly instead of surfacing as a NumPy broadcast
-    failure.
-    """
-    plans = list(plans)
-    if len(plans) != batch_size:
-        raise EnsembleShapeError(
-            f"ensemble_plans must return one plan per scenario ({batch_size}), "
-            f"got {len(plans)}"
-        )
-    for plan in plans:
-        if not isinstance(plan, EnsemblePlan):
-            raise EnsembleShapeError(
-                f"ensemble_plans entries must be EnsemblePlan instances, "
-                f"got {type(plan).__name__}"
-            )
-    counts = {len(plan.candidates) for plan in plans}
-    horizons = {plan.horizon for plan in plans}
-    commits = {plan.commit_rounds for plan in plans}
-    if len(counts) != 1 or len(horizons) != 1 or len(commits) != 1:
-        raise EnsembleShapeError(
-            "per-scenario plans must share one candidate count, horizon and commit "
-            f"window; got counts {sorted(counts)}, horizons {sorted(horizons)}, "
-            f"commit windows {sorted(commits)}"
-        )
-    candidate_lists = [[list(candidate) for candidate in plan.candidates] for plan in plans]
-    for candidates in candidate_lists:
-        _validate_plan_candidates(candidates, n)
-    return candidate_lists, counts.pop(), horizons.pop(), commits.pop()
-
-
 def run_adversarial_ensemble(
     algorithm: Algorithm,
     initial_values: Union[np.ndarray, Sequence[ValuesLike]],
@@ -688,17 +640,19 @@ def run_adversarial_ensemble(
     by ``tests/test_adversary_batch.py``), so worst-case sweeps scale with the
     hardware instead of with Python-level simulation loops.
 
-    History-dependent adversaries (per-scenario candidate sets) advertise
-    their decisions through
-    :meth:`~repro.models.patterns.AdversarialPattern.ensemble_plans`: the
-    runner hands them each scenario's committed history and evaluates the
-    returned per-scenario plans as one ``(B, C, n, n)`` stacked pass, so the
-    argmax commit matches the per-scenario reference adversary
-    choice-for-choice.
+    The adversary's plans are the whole declaration: the runner resolves
+    them like :meth:`~repro.models.patterns.AdversarialPattern.choose` does
+    (per-scenario
+    :meth:`~repro.models.patterns.AdversarialPattern.ensemble_plans` handed
+    each scenario's committed history, else the shared
+    :meth:`~repro.models.patterns.AdversarialPattern.ensemble_plan`) and
+    picks with the same :func:`~repro.types.running_argmax`.  Plans are
+    resolved only when a round runs, so ``rounds=0`` returns the initial
+    configurations for any adversary.
 
     Falls back to scenario-by-scenario :func:`repro.execution.run_execution`
-    when the algorithm has no batch hooks, the adversary implements neither
-    plan hook, or ``use_batch`` resolves to ``False``.
+    when the algorithm has no batch hooks, the adversary declares no plan
+    for round 1, or ``use_batch`` resolves to ``False``.
 
     Fault injection is not supported on the adversarial route (a non-zero
     ``fault_plan`` raises :class:`~repro.exceptions.ConfigError`): the
@@ -759,25 +713,52 @@ def run_adversarial_ensemble(
 
         return _run_sharded(values, labels, worker_count, shard_task)
     batchable = algorithm.supports_batch() and resolve_use_batch(use_batch)
-    # One-time probe: adversaries that keep the base-class ensemble_plans
-    # always answer None, so the runner skips the per-round call (and the
-    # per-scenario history copies it would need) entirely for them.
+    # Adversaries that keep the base-class ensemble_plans always answer None,
+    # so the runner skips the per-round call (and the per-scenario history
+    # copies it would need) entirely for them.
     history_dependent = (
         type(adversary).ensemble_plans is not AdversarialPattern.ensemble_plans
     )
-    first_scenario_plans = (
-        adversary.ensemble_plans(1, n, [[] for _ in range(batch_size)])
-        if batchable and history_dependent
-        else None
-    )
-    first_plan = (
-        adversary.ensemble_plan(1, n)
-        if batchable and first_scenario_plans is None
-        else None
-    )
+    histories: List[List[CommunicationGraph]] = [[] for _ in range(batch_size)]
+    cache = _AdjacencyCache()
+
+    def decision_at(t: int):
+        """Round ``t``'s plan: (per-scenario candidates, C, horizon, commit, adjacency_at)."""
+        scenario_plans = (
+            adversary.ensemble_plans(t, n, [list(history) for history in histories])
+            if history_dependent
+            else None
+        )
+        if scenario_plans is not None:
+            scenario_plans = list(scenario_plans)
+            count, horizon, commit_rounds = check_plans(scenario_plans, batch_size, n)
+            candidate_lists = [plan.candidates for plan in scenario_plans]
+
+            def adjacency_at(offset: int) -> np.ndarray:
+                # (B, C, n, n): one stacked candidate pass per scenario.
+                return np.stack(
+                    [
+                        cache.stacked(tuple(candidate[offset] for candidate in candidates))
+                        for candidates in candidate_lists
+                    ]
+                )
+
+            return candidate_lists, count, horizon, commit_rounds, adjacency_at
+        plan = adversary.ensemble_plan(t, n)
+        if plan is None:
+            return None
+        count, horizon, commit_rounds = check_plans([plan], 1, n)
+
+        def shared_adjacency_at(offset: int) -> np.ndarray:
+            # (C, n, n), shared by every scenario.
+            return cache.stacked(tuple(candidate[offset] for candidate in plan.candidates))
+
+        return [plan.candidates] * batch_size, count, horizon, commit_rounds, shared_adjacency_at
+
+    first_decision = decision_at(1) if batchable and rounds > 0 else None
     # Structured states without the batch_map hook take the per-scenario
     # fallback instead of crashing mid-run.
-    planned = first_scenario_plans is not None or first_plan is not None
+    planned = batchable and (rounds == 0 or first_decision is not None)
     batch_state = algorithm.batch_initial(values) if planned else None
     if not planned or not _supports_batch_map(algorithm, batch_state):
         # Per-scenario fallback through run_execution: also the reference the
@@ -796,57 +777,15 @@ def run_adversarial_ensemble(
     recorded = [np.array(algorithm.batch_outputs(batch_state), dtype=float)]
     recorded_batch_states = [batch_state] if record_states else None
     round_choices: List[List[CommunicationGraph]] = []
-    histories: List[List[CommunicationGraph]] = [[] for _ in range(batch_size)]
-    cache = _AdjacencyCache()
 
     t = 1
     while t <= rounds:
-        if t == 1:
-            scenario_plans, plan = first_scenario_plans, first_plan
-        else:
-            scenario_plans = (
-                adversary.ensemble_plans(t, n, [list(history) for history in histories])
-                if history_dependent
-                else None
-            )
-            plan = adversary.ensemble_plan(t, n) if scenario_plans is None else None
-        if scenario_plans is not None:
-            per_scenario, count, horizon, commit_rounds = _uniform_scenario_plans(
-                scenario_plans, batch_size, n
-            )
-
-            def adjacency_at(offset: int, _plans=per_scenario, _count=count) -> np.ndarray:
-                # (B, C, n, n): one stacked candidate pass per scenario.
-                return np.stack(
-                    [
-                        cache.stacked(
-                            tuple(candidates[c][offset] for c in range(_count))
-                        )
-                        for candidates in _plans
-                    ]
-                )
-
-            def candidates_of(scenario: int, _plans=per_scenario):
-                return _plans[scenario]
-
-        elif plan is not None:
-            candidates = [list(candidate) for candidate in plan.candidates]
-            _validate_plan_candidates(candidates, n)
-            count, horizon, commit_rounds = len(candidates), plan.horizon, plan.commit_rounds
-
-            def adjacency_at(offset: int, _candidates=candidates) -> np.ndarray:
-                # (C, n, n), shared by every scenario.
-                return cache.stacked(
-                    tuple(candidate[offset] for candidate in _candidates)
-                )
-
-            def candidates_of(scenario: int, _candidates=candidates):
-                return _candidates
-
-        else:
+        decision = first_decision if t == 1 else decision_at(t)
+        if decision is None:
             raise ExecutionError(
                 f"{type(adversary).__name__}.ensemble_plan returned None mid-run"
             )
+        candidate_lists, count, horizon, commit_rounds, adjacency_at = decision
 
         # Evaluate all candidates against all scenarios at once: insert a
         # candidate axis into the batch state and let the stacked candidate
@@ -858,23 +797,14 @@ def run_adversarial_ensemble(
             )
         outputs = np.asarray(algorithm.batch_outputs(candidate_state), dtype=float)
         outputs = np.broadcast_to(outputs, (batch_size, count, n, outputs.shape[-1]))
-        diameters = pairwise_diameters(outputs)  # (B, C)
-
-        # Per-scenario strict-improvement scan — the vectorized equivalent of
-        # the per-scenario adversaries' first-graph-wins tie-breaking.
-        best = np.full(batch_size, -1.0)
-        choices = np.zeros(batch_size, dtype=int)
-        for candidate_index in range(count):
-            improved = diameters[:, candidate_index] > best + 1e-15
-            best = np.where(improved, diameters[:, candidate_index], best)
-            choices = np.where(improved, candidate_index, choices)
+        choices = running_argmax(pairwise_diameters(outputs))  # (B,) from (B, C)
 
         commit = min(commit_rounds, rounds - t + 1)
         for offset in range(commit):
             committed = [
-                candidates_of(b)[choices[b]][offset] for b in range(batch_size)
+                candidate_lists[b][choices[b]][offset] for b in range(batch_size)
             ]
-            adjacency = round_adjacency(committed, batch_size, n, cache=cache)
+            adjacency = round_adjacency(committed, cache=cache)
             batch_state = algorithm.batch_transition(batch_state, adjacency, t)
             round_choices.append(committed)
             if history_dependent:

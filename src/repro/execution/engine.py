@@ -34,7 +34,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.base import Algorithm, ConvexCombinationAlgorithm
-from repro.config import resolve_use_fast_path
+from repro.config import resolve_use_batch, resolve_use_fast_path
 from repro.exceptions import ExecutionError
 from repro.execution.execution import Execution
 from repro.execution.state import Configuration
@@ -144,12 +144,9 @@ def _make_batch_rollout(
     """
 
     def rollout(sequences: Sequence[Sequence[CommunicationGraph]]) -> np.ndarray:
+        # RoundContext.simulate_sequences_batch has checked that the
+        # candidates share one non-zero length.
         candidate_sequences = [list(sequence) for sequence in sequences]
-        lengths = {len(sequence) for sequence in candidate_sequences}
-        if not candidate_sequences or len(lengths) != 1 or 0 in lengths:
-            raise ExecutionError(
-                "batch rollout needs candidate sequences sharing one non-zero length"
-            )
         for sequence in candidate_sequences:
             for graph in sequence:
                 if graph.n != n:
@@ -157,7 +154,7 @@ def _make_batch_rollout(
                         f"candidate graph has {graph.n} agents but the configuration has {n}"
                     )
         state = batch_state
-        for offset in range(lengths.pop()):
+        for offset in range(len(candidate_sequences[0])):
             adjacency = cache.stacked(tuple(sequence[offset] for sequence in candidate_sequences))
             state = algorithm.batch_transition(state, adjacency, round_number + offset)
         outputs = np.asarray(algorithm.batch_outputs(state), dtype=float)
@@ -306,6 +303,7 @@ def run_execution(
                 algorithm, _c, g, use_fast_path=False
             ),
             history=history,
+            use_fast_path=False,
         )
         graph = pattern.graph_at(t, context)
         configuration = apply_graph(algorithm, configuration, graph, use_fast_path=False)
@@ -339,6 +337,9 @@ def _run_execution_fast(
     )
     history: List[CommunicationGraph] = []
     rollout_cache = _AdjacencyCache()
+    # Under EngineConfig(use_batch=False) adaptive patterns get no stacked
+    # rollout and simulate_sequences_batch replays one candidate at a time.
+    stacked_rollouts = resolve_use_batch()
 
     for t in range(1, rounds + 1):
         context = RoundContext(
@@ -353,7 +354,9 @@ def _run_execution_fast(
             history=history,
             batch_rollout=_make_batch_rollout(
                 algorithm, batch_state, t, values.shape[0], cache=rollout_cache
-            ),
+            )
+            if stacked_rollouts
+            else None,
         )
         graph = pattern.graph_at(t, context)
         if graph.n != values.shape[0]:

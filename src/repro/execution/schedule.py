@@ -68,13 +68,14 @@ def validate_schedule(schedule: Sequence[RoundGraphs], batch_size: int, n: int) 
 
 
 def round_adjacency(
-    round_graphs: RoundGraphs,
-    batch_size: int,
-    n: int,
-    cache: Optional[_AdjacencyCache] = None,
+    round_graphs: RoundGraphs, cache: Optional[_AdjacencyCache] = None
 ) -> np.ndarray:
-    """The adjacency tensor of one ensemble round: ``(n, n)`` shared or ``(B, n, n)``."""
-    (round_graphs,) = validate_schedule((round_graphs,), batch_size, n)
+    """The adjacency tensor of one ensemble round: ``(n, n)`` shared or ``(B, n, n)``.
+
+    The round must already be checked against the ensemble shape: the
+    runners validate a schedule at entry and adversarial commits come from
+    checked plans, so nothing is re-validated per round.
+    """
     if is_shared(round_graphs):
         return round_graphs.adjacency
     first = round_graphs[0]

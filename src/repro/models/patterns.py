@@ -22,9 +22,10 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ExecutionError
+from repro.exceptions import EnsembleShapeError, ExecutionError
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.families import psi_graph
+from repro.types import pairwise_diameters, running_argmax
 
 
 @dataclass
@@ -53,8 +54,13 @@ class RoundContext:
         applying each sequence from the current configuration.  The fast
         execution path supplies one that routes all candidates through the
         algorithm's ``batch_*`` hooks as a single stacked ``(C, n, n)``
-        adjacency pass per round; when absent, the ``simulate_*_batch``
-        methods below fall back to per-candidate simulation.
+        adjacency pass per round, unless the active
+        :class:`~repro.config.EngineConfig` sets ``use_batch=False``; when
+        absent, :meth:`simulate_sequences_batch` replays one candidate at a
+        time.
+    use_fast_path:
+        The engine path of the running execution (``False`` on the per-agent
+        path), which the per-candidate replay takes as well.
     """
 
     round_number: int
@@ -66,30 +72,18 @@ class RoundContext:
     batch_rollout: Optional[
         Callable[[Sequence[Sequence[CommunicationGraph]]], np.ndarray]
     ] = None
-
-    def simulate_outputs_batch(self, graphs: Sequence[CommunicationGraph]) -> np.ndarray:
-        """The ``(C, n, d)`` outputs of applying each candidate graph this round.
-
-        Equivalent to stacking :attr:`simulate_outputs` over ``graphs`` but,
-        on the vectorized fast path, evaluated as one batched adjacency pass.
-        """
-        graphs = list(graphs)
-        if not graphs:
-            raise ExecutionError("simulate_outputs_batch needs at least one candidate graph")
-        if self.batch_rollout is not None:
-            return self.batch_rollout([[graph] for graph in graphs])
-        return np.stack(
-            [np.asarray(self.simulate_outputs(graph), dtype=float) for graph in graphs]
-        )
+    use_fast_path: Optional[bool] = None
 
     def simulate_sequences_batch(
         self, sequences: Sequence[Sequence[CommunicationGraph]]
     ) -> np.ndarray:
         """The ``(C, n, d)`` outputs after applying each candidate graph sequence.
 
-        All sequences must have the same length.  Used by lookahead and
-        block-committing adversaries to evaluate multi-round candidates in one
-        batched pass.
+        All sequences must have the same length.  With a :attr:`batch_rollout`
+        the candidates are evaluated in one stacked pass; otherwise this is the
+        reference loop, replaying each sequence from the current configuration
+        through :func:`~repro.execution.engine.run_from_configuration` on the
+        run's engine path.  Both give bit-for-bit identical outputs.
         """
         candidate_sequences = [list(sequence) for sequence in sequences]
         if not candidate_sequences:
@@ -101,8 +95,6 @@ class RoundContext:
             )
         if self.batch_rollout is not None:
             return self.batch_rollout(candidate_sequences)
-        # Per-candidate fallback used by the per-agent execution path: rebuild
-        # the configuration and replay each sequence through the engine.
         from repro.execution.engine import run_from_configuration  # local import avoids a cycle
         from repro.execution.state import Configuration
 
@@ -113,7 +105,9 @@ class RoundContext:
         )
         finals = []
         for sequence in candidate_sequences:
-            final, _ = run_from_configuration(self.algorithm, configuration, sequence)
+            final, _ = run_from_configuration(
+                self.algorithm, configuration, sequence, use_fast_path=self.use_fast_path
+            )
             finals.append(np.asarray(final.outputs, dtype=float))
         return np.stack(finals)
 
@@ -255,14 +249,19 @@ class SigmaBlockPattern(CommunicationPattern):
 
 @dataclass(frozen=True)
 class EnsemblePlan:
-    """One decision window of a batched adversarial ensemble run.
+    """One decision window of an adversary: candidates and a commit window.
+
+    The plan is the whole declaration of an adversary's decision; both
+    :meth:`AdversarialPattern.choose` and
+    :func:`repro.execution.batch.run_adversarial_ensemble` derive the choice
+    from it.
 
     Attributes
     ----------
     candidates:
         The ``C`` candidate graph sequences to evaluate, all of the same
-        length ``L``.  The candidate order must match the order the
-        per-scenario adversary scans, so tie-breaking is identical.
+        length ``L``.  The first candidate with the largest successor output
+        diameter wins (:func:`~repro.types.running_argmax`).
     commit_rounds:
         How many rounds of the winning candidate to commit before the
         adversary is consulted again (1 for receding-horizon adversaries,
@@ -291,16 +290,66 @@ class EnsemblePlan:
         return len(self.candidates[0])
 
 
+def check_plans(
+    plans: Sequence[EnsemblePlan], batch_size: int, n: int
+) -> Tuple[int, int, int]:
+    """Check ``batch_size`` plans and return their shared ``(C, horizon, commit)``.
+
+    Every plan must be an :class:`EnsemblePlan` over ``n``-agent graphs, and
+    all must share the candidate count, horizon and commit window, so a whole
+    decision evaluates as one stacked pass.  Both the single-scenario
+    :meth:`AdversarialPattern.choose` (one plan) and the ensemble runner check
+    here, so a malformed plan raises the same
+    :class:`~repro.exceptions.EnsembleShapeError` on every route.
+    """
+    if len(plans) != batch_size:
+        raise EnsembleShapeError(
+            f"ensemble_plans must return one plan per scenario ({batch_size}), "
+            f"got {len(plans)}"
+        )
+    for plan in plans:
+        if not isinstance(plan, EnsemblePlan):
+            raise EnsembleShapeError(
+                f"ensemble_plans entries must be EnsemblePlan instances, "
+                f"got {type(plan).__name__}"
+            )
+    counts = {len(plan.candidates) for plan in plans}
+    horizons = {plan.horizon for plan in plans}
+    commits = {plan.commit_rounds for plan in plans}
+    if len(counts) != 1 or len(horizons) != 1 or len(commits) != 1:
+        raise EnsembleShapeError(
+            "per-scenario plans must share one candidate count, horizon and commit "
+            f"window; got counts {sorted(counts)}, horizons {sorted(horizons)}, "
+            f"commit windows {sorted(commits)}"
+        )
+    for plan in plans:
+        for candidate in plan.candidates:
+            for graph in candidate:
+                if graph.n != n:
+                    raise EnsembleShapeError(
+                        f"candidate graph has {graph.n} agents, scenarios have {n}"
+                    )
+    return counts.pop(), horizons.pop(), commits.pop()
+
+
 class AdversarialPattern(CommunicationPattern):
     """Base class of adaptive patterns that need the :class:`RoundContext`.
 
-    Subclasses implement :meth:`choose`; :meth:`graph_at` enforces that a
-    context is available (adaptive patterns cannot be evaluated obliviously).
-    Adversaries whose candidate set depends only on the round number may also
-    implement :meth:`ensemble_plan`, which lets
-    :func:`repro.execution.batch.run_adversarial_ensemble` evaluate all
-    scenarios and candidates as one ``(B, C, n, d)`` tensor per decision.
+    An adversary declares its decisions as plans: :meth:`ensemble_plan`
+    (candidates that depend only on the round number) or
+    :meth:`ensemble_plans` (per-scenario candidates that depend on the
+    committed history).  :meth:`choose` is derived from them, and so is every
+    choice of :func:`repro.execution.batch.run_adversarial_ensemble`, so the
+    single-scenario and ensemble routes commit the same graphs.  Adversaries
+    whose decision is not a plan override :meth:`choose` instead; the
+    ensemble runner then drives them scenario by scenario.
+    :meth:`graph_at` enforces that a context is available (adaptive patterns
+    cannot be evaluated obliviously).
     """
+
+    #: Graphs of the winning candidate still to be played in the current
+    #: commit window.
+    _pending: Tuple[CommunicationGraph, ...] = ()
 
     def graph_at(self, round_number: int, context: Optional[RoundContext] = None) -> CommunicationGraph:
         if context is None:
@@ -310,16 +359,45 @@ class AdversarialPattern(CommunicationPattern):
             )
         return self.choose(context)
 
-    @abstractmethod
+    def reset(self) -> None:
+        self._pending = ()
+
     def choose(self, context: RoundContext) -> CommunicationGraph:
-        """Pick the communication graph for the round described by ``context``."""
+        """Pick the communication graph for the round described by ``context``.
+
+        Resolves the round's plan (:meth:`ensemble_plans` for this one
+        history, else :meth:`ensemble_plan`), evaluates its candidates with
+        :meth:`RoundContext.simulate_sequences_batch` and keeps the first one
+        with the largest successor output diameter.  Returns the winner's
+        first graph and plays the rest of its commit window in the following
+        rounds without consulting the plan.
+        """
+        if self._pending:
+            graph, self._pending = self._pending[0], self._pending[1:]
+            return graph
+        n = context.outputs.shape[0]
+        plans = self.ensemble_plans(context.round_number, n, [context.history])
+        if plans is None:
+            plan = self.ensemble_plan(context.round_number, n)
+            if plan is None:
+                raise ExecutionError(
+                    f"{type(self).__name__} declares no ensemble plan; implement "
+                    "ensemble_plan or ensemble_plans, or override choose"
+                )
+            plans = (plan,)
+        check_plans(plans, 1, n)
+        (plan,) = plans
+        outputs = context.simulate_sequences_batch(plan.candidates)
+        winner = plan.candidates[running_argmax(pairwise_diameters(outputs))]
+        self._pending = tuple(winner[1:plan.commit_rounds])
+        return winner[0]
 
     def ensemble_plan(self, round_number: int, n: int) -> Optional[EnsemblePlan]:
         """The candidate sequences to evaluate for round ``round_number``.
 
-        Returns ``None`` (the default) when the adversary has no batched
-        ensemble support, in which case the ensemble runner falls back to
-        scenario-by-scenario execution.
+        Returns ``None`` (the default) when the adversary declares no shared
+        plan: it then implements :meth:`ensemble_plans` or overrides
+        :meth:`choose`.
         """
         return None
 
@@ -329,20 +407,18 @@ class AdversarialPattern(CommunicationPattern):
         n: int,
         histories: Sequence[Sequence[CommunicationGraph]],
     ) -> Optional[Sequence[EnsemblePlan]]:
-        """Per-scenario plans for *history-dependent* batched adversaries.
+        """Per-scenario plans for *history-dependent* adversaries.
 
         ``histories`` holds, for each of the ``B`` scenarios of the ensemble,
-        the graphs committed against that scenario so far — the ensemble
-        counterpart of :attr:`RoundContext.history` in single-scenario runs.
+        the graphs committed against that scenario so far (one history,
+        :attr:`RoundContext.history`, in single-scenario runs).
         History-dependent adversaries return one :class:`EnsemblePlan` per
         scenario; all plans must share the same horizon, candidate count and
         ``commit_rounds`` so the runner can evaluate the whole decision as a
-        single stacked ``(B, C, n, n)`` adjacency pass.  Candidate order must
-        match the order the adversary's :meth:`choose` scans for scenario
-        ``b``, so the per-scenario argmax commit breaks ties identically.
+        single stacked ``(B, C, n, n)`` adjacency pass (see
+        :func:`check_plans`).
 
         Returns ``None`` (the default) when the candidate set depends only on
-        the round number; the runner then uses the shared
-        :meth:`ensemble_plan`.
+        the round number; the shared :meth:`ensemble_plan` applies then.
         """
         return None

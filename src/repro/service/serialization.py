@@ -27,6 +27,7 @@ clear error.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from typing import Any, Callable, Dict, Optional, Tuple, Type
@@ -67,6 +68,27 @@ def _check_header(
             version=version,
             supported=max_version,
         )
+
+
+def _names_malformed(decode: Callable) -> Callable:
+    """Make ``decode`` report a malformed payload as a ``SerializationError``.
+
+    Decoders read fields by plain indexing; the bare ``KeyError``,
+    ``TypeError``, ``AttributeError`` or ``IndexError`` a missing or mistyped
+    field raises becomes an error naming the payload's record type.
+    """
+
+    @functools.wraps(decode)
+    def checked(payload: Any) -> Any:
+        try:
+            return decode(payload)
+        except (KeyError, TypeError, AttributeError, IndexError) as exc:
+            record_type = payload.get("__type__") if isinstance(payload, dict) else None
+            raise SerializationError(
+                f"malformed {record_type} payload: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    return checked
 
 
 # ---------------------------------------------------------------------- #
@@ -199,6 +221,7 @@ def encode_value(value: Any) -> Any:
     )
 
 
+@_names_malformed
 def decode_value(payload: Any) -> Any:
     if payload is None or isinstance(payload, (bool, int, float, str)):
         return payload
@@ -258,6 +281,7 @@ def encode_graph(graph) -> dict:
     }
 
 
+@_names_malformed
 def decode_graph(payload: dict):
     from repro.graphs.digraph import CommunicationGraph
 
@@ -280,6 +304,7 @@ def encode_model(model) -> dict:
     }
 
 
+@_names_malformed
 def decode_model(payload: dict):
     from repro.models.network_model import NetworkModel
 
@@ -374,6 +399,7 @@ def encode_pattern(pattern) -> dict:
     )
 
 
+@_names_malformed
 def decode_pattern(payload: dict):
     _register_patterns()
     _check_header(payload, "pattern")
@@ -499,6 +525,7 @@ def encode_algorithm(algorithm) -> dict:
     )
 
 
+@_names_malformed
 def decode_algorithm(payload: dict):
     _register_algorithms()
     _check_header(payload, "algorithm")
@@ -569,6 +596,7 @@ def _schedule_shape(values: np.ndarray) -> Tuple[int, int]:
     return values.shape[:2] if values.ndim == 3 else (1, len(values))
 
 
+@_names_malformed
 def decode_scenario_spec(payload: dict):
     from repro.api import ScenarioSpec
     from repro.execution.schedule import decode_schedule
@@ -618,6 +646,7 @@ def encode_certify_spec(spec) -> dict:
     }
 
 
+@_names_malformed
 def decode_certify_spec(payload: dict):
     from repro.api import CertifySpec
 
@@ -707,6 +736,7 @@ def encode_execution(execution) -> dict:
     )
 
 
+@_names_malformed
 def decode_execution(payload: dict):
     from repro.execution.batch import (
         AdversarialEnsembleExecution,
@@ -817,6 +847,7 @@ def encode_provenance(provenance) -> dict:
     }
 
 
+@_names_malformed
 def decode_provenance(payload: dict):
     from repro.api import StudyProvenance
     from repro.config import EngineConfig
@@ -857,6 +888,7 @@ def encode_study_result(result) -> dict:
     }
 
 
+@_names_malformed
 def decode_study_result(payload: dict):
     from repro.api import StudyResult
 

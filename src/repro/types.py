@@ -218,16 +218,28 @@ def packed_row_ids(packed: np.ndarray) -> np.ndarray:
     return inverse.reshape(packed.shape[:-1])
 
 
-def running_argmax(values: Iterable[float], tolerance: float = 1e-15) -> int:
+def running_argmax(
+    values: Union[Iterable[float], np.ndarray], tolerance: float = 1e-15
+) -> Union[int, np.ndarray]:
     """Index selected by the adversaries' strict-improvement scan.
 
     Scans ``values`` in order, keeping index ``i`` whenever ``values[i]``
-    exceeds the running best by more than ``tolerance``.  This reproduces the
-    exact tie-breaking of the per-scenario adversary loops (first graph wins
-    on ties), which the batched adversaries must match choice-for-choice.
+    exceeds the running best by more than ``tolerance``, so the first
+    candidate wins ties.  A 1-D input returns an ``int``; an ``(..., C)``
+    input returns the integer array of the independent scans along its last
+    axis (one pick per scenario of a ``(B, C)`` diameter table).
     """
     if not isinstance(values, np.ndarray):
         values = np.asarray(list(values), dtype=float)
+    if values.ndim > 1:
+        best = np.full(values.shape[:-1], -math.inf)
+        choices = np.zeros(values.shape[:-1], dtype=int)
+        for index in range(values.shape[-1]):
+            column = values[..., index]
+            improved = column > best + tolerance
+            best = np.where(improved, column, best)
+            choices = np.where(improved, index, choices)
+        return choices
     best = -math.inf
     best_index = 0
     for index, value in enumerate(values.ravel().tolist()):

@@ -40,12 +40,13 @@ from repro.core.adversary import (
     PsiBlockAdversary,
     TwoAgentAdversary,
 )
+from repro.config import EngineConfig
 from repro.exceptions import ExecutionError
 from repro.execution import run_adversarial_ensemble, run_execution
 from repro.execution.batch import _batch_diameters
 from repro.execution.engine import _AdjacencyCache
 from repro.execution.schedule import round_adjacency as _round_adjacency
-from repro.graphs.families import complete_graph, cycle_graph
+from repro.graphs.families import complete_graph, cycle_graph, psi_graph
 from repro.models.standard import deaf_model, two_agent_model
 from repro.types import pairwise_diameters, running_argmax
 
@@ -69,13 +70,17 @@ def _values(batch, n, d=1, seed=0):
 
 class TestBatchedAdversaryChoices:
     CASES = [
-        # (adversary factory taking use_batch, algorithm factory, n, rounds)
-        (lambda ub: GreedyDiameterAdversary(deaf_model(n=4), use_batch=ub), MidpointAlgorithm, 4, 8),
-        (lambda ub: LookaheadDiameterAdversary(deaf_model(n=3), 2, use_batch=ub), MidpointAlgorithm, 3, 6),
-        (lambda ub: TwoAgentAdversary(use_batch=ub), TwoAgentThirdsAlgorithm, 2, 12),
-        (lambda ub: PsiBlockAdversary(5, use_batch=ub), MidpointAlgorithm, 5, 10),
-        (lambda ub: PsiBlockAdversary(5, use_batch=ub), AmortizedMidpointAlgorithm, 5, 9),
-        (lambda ub: GreedyDiameterAdversary(deaf_model(n=4), use_batch=ub), MeanAlgorithm, 4, 7),
+        # (adversary factory, algorithm factory, n, rounds)
+        (lambda: GreedyDiameterAdversary(deaf_model(n=4)), MidpointAlgorithm, 4, 8),
+        (lambda: LookaheadDiameterAdversary(deaf_model(n=3), 2), MidpointAlgorithm, 3, 6),
+        (TwoAgentAdversary, TwoAgentThirdsAlgorithm, 2, 12),
+        (lambda: PsiBlockAdversary(5), MidpointAlgorithm, 5, 10),
+        (lambda: PsiBlockAdversary(5), AmortizedMidpointAlgorithm, 5, 9),
+        (lambda: GreedyDiameterAdversary(deaf_model(n=4)), MeanAlgorithm, 4, 7),
+        (
+            lambda: GreedyDiameterAdversary(deaf_model(n=4), avoid_repeat=True),
+            MidpointAlgorithm, 4, 8,
+        ),
     ]
 
     @pytest.mark.parametrize("use_fast_path", [True, False, None])
@@ -84,13 +89,14 @@ class TestBatchedAdversaryChoices:
         make_adversary, make_algorithm, n, rounds = self.CASES[case_index]
         values = list(np.linspace(0.0, 1.0, n) + np.arange(n) % 3)
         batched = run_execution(
-            make_algorithm(), values, make_adversary(True), rounds,
+            make_algorithm(), values, make_adversary(), rounds,
             use_fast_path=use_fast_path,
         )
-        reference = run_execution(
-            make_algorithm(), values, make_adversary(False), rounds,
-            use_fast_path=use_fast_path,
-        )
+        with EngineConfig(use_batch=False):
+            reference = run_execution(
+                make_algorithm(), values, make_adversary(), rounds,
+                use_fast_path=use_fast_path,
+            )
         assert batched.graphs == reference.graphs
         for lhs, rhs in zip(batched.configurations, reference.configurations):
             np.testing.assert_array_equal(lhs.outputs, rhs.outputs)
@@ -110,12 +116,28 @@ class TestBatchedAdversaryChoices:
         # block picks must agree including the recorded deaf-agent choices.
         n, rounds = 5, 12
         values = [0.0, 1.0, 2.0, 3.0, 4.0]
-        batched_adversary = PsiBlockAdversary(n, use_batch=True)
-        reference_adversary = PsiBlockAdversary(n, use_batch=False)
-        batched = run_execution(MidpointAlgorithm(), values, batched_adversary, rounds)
-        reference = run_execution(MidpointAlgorithm(), values, reference_adversary, rounds)
+        batched = run_execution(MidpointAlgorithm(), values, PsiBlockAdversary(n), rounds)
+        with EngineConfig(use_batch=False):
+            reference = run_execution(
+                MidpointAlgorithm(), values, PsiBlockAdversary(n), rounds
+            )
         assert batched.graphs == reference.graphs
-        assert batched_adversary.chosen_blocks == reference_adversary.chosen_blocks
+
+        def block_choices(execution):
+            # The deaf agent of each block's Psi graph; every round of a
+            # block plays the same graph.
+            blocks = [
+                execution.graphs[start:start + n - 2]
+                for start in range(0, rounds, n - 2)
+            ]
+            assert all(len(set(block)) == 1 for block in blocks)
+            return [
+                next(i for i in (0, 1, 2) if block[0] == psi_graph(n, i))
+                for block in blocks
+            ]
+
+        assert block_choices(batched) == block_choices(reference)
+        assert len(block_choices(batched)) == 4
 
     def test_simulate_outputs_batch_matches_per_graph(self):
         captured = {}
@@ -123,7 +145,7 @@ class TestBatchedAdversaryChoices:
         class Probe(GreedyDiameterAdversary):
             def choose(self, context):
                 graphs = list(self.model)
-                batched = context.simulate_outputs_batch(graphs)
+                batched = context.simulate_sequences_batch([[g] for g in graphs])
                 stacked = np.stack(
                     [np.asarray(context.simulate_outputs(g), dtype=float) for g in graphs]
                 )
@@ -166,6 +188,9 @@ class TestRunAdversarialEnsemble:
             (AmortizedMidpointAlgorithm, lambda: PsiBlockAdversary(5), 5, 8),
             (TwoAgentThirdsAlgorithm, TwoAgentAdversary, 2, 12),
             (_SlowMidpoint, lambda: GreedyDiameterAdversary(deaf_model(n=4)), 4, 5),
+            # Zero rounds resolve no plan: TwoAgentAdversary on n = 3 returns
+            # the initial configurations, as run_execution does.
+            (MidpointAlgorithm, TwoAgentAdversary, 3, 0),
             # History-dependent candidate sets: per-scenario ensemble plans.
             (
                 MidpointAlgorithm,
@@ -244,6 +269,17 @@ class TestRunAdversarialEnsemble:
                 MidpointAlgorithm(), _values(2, 3), TwoAgentAdversary(), 2
             )
 
+    @pytest.mark.parametrize("route", ["ensemble", "single"])
+    def test_plan_model_size_mismatch_same_error_on_both_routes(self, route):
+        values = _values(2, 6)
+        with pytest.raises(
+            ExecutionError, match="PsiBlockAdversary was built for n=5 agents, the system has n=6"
+        ):
+            if route == "ensemble":
+                run_adversarial_ensemble(MidpointAlgorithm(), values, PsiBlockAdversary(5), 3)
+            else:
+                run_execution(MidpointAlgorithm(), values[0], PsiBlockAdversary(5), 3)
+
     def test_scenario_labels(self):
         values = _values(3, 4, seed=8)
         labels = ["a", "b", "c"]
@@ -270,13 +306,14 @@ class TestHistoryDependentAdversary:
         values = list(np.linspace(0.0, 1.0, 5))
         batched = run_execution(
             MidpointAlgorithm(), values,
-            GreedyDiameterAdversary(model, use_batch=True, avoid_repeat=True), 10,
+            GreedyDiameterAdversary(model, avoid_repeat=True), 10,
         )
-        reference = run_execution(
-            MidpointAlgorithm(), values,
-            GreedyDiameterAdversary(model, use_batch=False, avoid_repeat=True), 10,
-            use_fast_path=False,
-        )
+        with EngineConfig(use_batch=False):
+            reference = run_execution(
+                MidpointAlgorithm(), values,
+                GreedyDiameterAdversary(model, avoid_repeat=True), 10,
+                use_fast_path=False,
+            )
         assert batched.graphs == reference.graphs
         np.testing.assert_array_equal(
             batched.final_configuration.outputs, reference.final_configuration.outputs
@@ -588,7 +625,7 @@ class TestAdjacencyCache:
 
     def test_uniform_round_broadcasts_without_stacking(self):
         graph = complete_graph(3)
-        adjacency = _round_adjacency([graph, graph, graph], 3, 3)
+        adjacency = _round_adjacency([graph, graph, graph])
         assert adjacency.shape == (3, 3)
         assert adjacency is graph.adjacency
 

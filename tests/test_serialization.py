@@ -138,6 +138,25 @@ def test_malformed_value_payloads_raise_serialization_error(payload):
         decode_value(roundtrip(payload))
 
 
+@pytest.mark.parametrize(
+    "decoder,payload,record_type",
+    [
+        ("decode_value", {"__type__": "tuple"}, "tuple"),
+        ("decode_value", {"__type__": "dict", "items": [1]}, "dict"),
+        ("decode_value", {"__type__": "list", "items": 5}, "list"),
+        ("decode_execution", {"__type__": "EnsembleExecution", "version": 2}, "EnsembleExecution"),
+        ("decode_study_result", {"__type__": "StudyResult", "version": 1}, "StudyResult"),
+    ],
+    ids=["tuple-without-items", "dict-items-not-a-mapping", "list-items-not-a-list",
+         "ensemble-without-fields", "study-result-without-fields"],
+)
+def test_malformed_record_payloads_name_the_record_type(decoder, payload, record_type):
+    from repro.service import serialization
+
+    with pytest.raises(SerializationError, match=f"malformed {record_type} payload"):
+        getattr(serialization, decoder)(roundtrip(payload))
+
+
 def test_canonical_json_is_order_insensitive():
     a = canonical_json({"b": 1, "a": [1, 2], "c": {"y": 0, "x": 1}})
     b = canonical_json({"c": {"x": 1, "y": 0}, "a": [1, 2], "b": 1})

@@ -70,7 +70,7 @@ from repro.graphs.families import (
 from repro.graphs.relations import alpha_classes, alpha_diameter, beta_classes
 from repro.models.network_model import NetworkModel
 from repro.models.patterns import PeriodicPattern
-from repro.models.standard import deaf_model
+from repro.models.standard import crash_model, deaf_model
 
 
 def _best_of(callable_, repeats: int) -> float:
@@ -821,6 +821,8 @@ def bench_alpha_classes(grid, repeats: int) -> list:
     for family, n in grid:
         if family == "psi":
             graphs = psi_family(n)
+        elif family == "crash":
+            graphs = list(crash_model(n, 1))
         else:
             graphs = [deaf_variant(complete_graph(n), agent) for agent in range(n)]
 
@@ -1272,7 +1274,8 @@ def main() -> int:
         # loop (~8x measured).
         certify_ensemble_grid = [(96, 8, 3, 2, 40, 12, 12), (48, 8, 2, 2, 60, 12, 12)]
         contraction_grid = [(8, 12, 40), (16, 12, 40)]
-        alpha_grid = [("psi", 32), ("psi", 64), ("deaf", 32), ("deaf", 48)]
+        # crash(3, 1) has many distinct root sets; its reference takes ~0.5 s.
+        alpha_grid = [("psi", 32), ("psi", 64), ("deaf", 32), ("deaf", 48), ("crash", 3)]
         packed_reduction_case = (64, 256, 1)
         async_grid = [(8, 2, 20.0), (16, 4, 12.0)]
         facade_single_grid = [(64, 100)]

@@ -10,9 +10,7 @@ This package implements
 * closed forms of every **lower and upper bound** in Table 1, together with a
   classifier that maps a network model to the strongest applicable bound;
 * the **decision-time bounds** for approximate consensus (Theorems 8–11);
-* **indistinguishability** helpers (Lemmas 6, 7 and 14);
-* **optimality / tightness** reports comparing measured algorithm performance
-  against the bounds.
+* **indistinguishability** helpers (Lemmas 6, 7 and 14).
 """
 
 from repro.core.adversary import (
@@ -58,7 +56,6 @@ from repro.core.lower_bounds import (
     two_agent_lower_bound,
     two_agent_upper_bound,
 )
-from repro.core.optimality import TightnessReport, tightness_report
 from repro.core.valency import ValencyEstimate, ValencyEstimator
 
 __all__ = [
@@ -96,6 +93,4 @@ __all__ = [
     "indistinguishable_agents",
     "lemma6_holds",
     "lemma14_holds",
-    "TightnessReport",
-    "tightness_report",
 ]

@@ -116,7 +116,7 @@ class DecisionTimeBound:
 
 
 def decision_time_lower_bound(
-    model: NetworkModel, delta: float, epsilon: float, check_alpha_diameter: bool = True
+    model: NetworkModel, delta: float, epsilon: float
 ) -> DecisionTimeBound:
     """The strongest applicable decision-time lower bound for ``model``.
 
@@ -125,7 +125,7 @@ def decision_time_lower_bound(
     """
     from repro.core.lower_bounds import contraction_rate_lower_bound  # avoid import cycle
 
-    bound = contraction_rate_lower_bound(model, check_alpha_diameter=check_alpha_diameter)
+    bound = contraction_rate_lower_bound(model)
     if bound.value <= 0.0:
         return DecisionTimeBound(
             rounds=0.0,

@@ -160,17 +160,14 @@ def _contains_deaf_family(model: NetworkModel) -> Optional[CommunicationGraph]:
     return None
 
 
-def contraction_rate_lower_bound(
-    model: NetworkModel, check_alpha_diameter: bool = True
-) -> LowerBound:
+def contraction_rate_lower_bound(model: NetworkModel) -> LowerBound:
     """The strongest applicable contraction-rate lower bound for ``model``.
 
     The classifier applies, in order: solvability of exact consensus
     (bound 0), Theorem 1 (n = 2), Theorem 2 (deaf families), Theorem 3
     (Ψ graphs), and Theorem 5 / Corollary 23 (α-diameter of a
     source-incompatible β-class); the maximum of the applicable bounds is
-    returned.  ``check_alpha_diameter=False`` skips the (potentially
-    expensive) β-class computation for large models.
+    returned.
     """
     if model.exact_consensus_solvable():
         return LowerBound(
@@ -212,22 +209,21 @@ def contraction_rate_lower_bound(
             )
         )
 
-    if check_alpha_diameter:
-        best_diameter = float("inf")
-        for beta_class in model.unsolvable_beta_classes():
-            diameter_value = alpha_diameter(beta_class)
-            best_diameter = min(best_diameter, diameter_value)
-        if best_diameter < float("inf"):
-            candidates.append(
-                LowerBound(
-                    value=alpha_diameter_lower_bound(best_diameter),
-                    theorem="Theorem 5 / Corollary 23",
-                    reason=(
-                        "exact consensus is unsolvable and a source-incompatible β-class has "
-                        f"α-diameter {best_diameter:g}"
-                    ),
-                )
+    best_diameter = float("inf")
+    for beta_class in model.unsolvable_beta_classes():
+        diameter_value = alpha_diameter(beta_class)
+        best_diameter = min(best_diameter, diameter_value)
+    if best_diameter < float("inf"):
+        candidates.append(
+            LowerBound(
+                value=alpha_diameter_lower_bound(best_diameter),
+                theorem="Theorem 5 / Corollary 23",
+                reason=(
+                    "exact consensus is unsolvable and a source-incompatible β-class has "
+                    f"α-diameter {best_diameter:g}"
+                ),
             )
+        )
 
     if not candidates:
         return LowerBound(

@@ -52,10 +52,7 @@ from repro.graphs.relations import (
     alpha_classes,
     alpha_diameter,
     alpha_related,
-    alpha_related_union,
-    alpha_relation_matrix,
     alpha_star_related,
-    alpha_witness_tensor,
     beta_classes,
     is_source_incompatible,
 )
@@ -104,10 +101,7 @@ __all__ = [
     "alpha_classes",
     "alpha_diameter",
     "alpha_related",
-    "alpha_related_union",
-    "alpha_relation_matrix",
     "alpha_star_related",
-    "alpha_witness_tensor",
     "beta_classes",
     "is_source_incompatible",
     "asymptotic_consensus_solvable",

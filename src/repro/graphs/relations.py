@@ -3,13 +3,13 @@
 Section 7 of the paper imports the machinery of [Coulouma et al., TCS 2015]:
 
 * ``G α_{N,K} H`` holds when the agents in ``R(K)`` (the roots of ``K``)
-  cannot distinguish a round with graph ``G`` from a round with graph ``H``.
-  Definition 15 states the condition as equality of the *union*
-  ``In_{R(K)}(G) = In_{R(K)}(H)``; the proofs (Lemma 20 and Lemma 24) use the
-  stronger per-root condition ``In_i(G) = In_i(H)`` for every root ``i`` of
-  ``K``.  This module implements the per-root condition as
-  :func:`alpha_related` (the form the lower bounds need) and also exposes the
-  union form as :func:`alpha_related_union`.
+  cannot distinguish a round with graph ``G`` from a round with graph ``H``:
+  ``In_i(G) = In_i(H)`` for every root ``i`` of ``K`` (:func:`alpha_related`).
+  Definition 15 writes the condition as equality of the *union*
+  ``In_{R(K)}(G) = In_{R(K)}(H)``, but the lower-bound proofs (Lemma 20 and
+  Lemma 24) need the per-root condition: only then can no root of ``K`` tell
+  the two rounds apart.  The per-root form is therefore the only one
+  implemented.
 
 * ``α*_N`` is the transitive closure of the union over ``K`` of ``α_{N,K}``.
 
@@ -22,6 +22,16 @@ Section 7 of the paper imports the machinery of [Coulouma et al., TCS 2015]:
 * The **α-diameter** (Definition 22) of ``N`` is the smallest ``D >= 1`` such
   that any two graphs of ``N`` are connected by an α-chain of length at most
   ``D``; it drives the general lower bound 1/(D+1) of Theorem 5.
+
+The default path never compares graphs pairwise.  ``α_{N,K}`` reads the
+witness ``K`` only through its root set, so a model has at most ``2^n - 1``
+distinct witnesses however many graphs it holds.  For each distinct root set
+``r`` one sort of the in-neighborhood ids of the agents in ``r`` puts every
+graph in a *bucket*: two graphs share a bucket iff they are
+α-related under every witness with root set ``r``.  The α- and β-classes
+are connected components of shared buckets, and the α-diameter is a
+breadth-first search through them.  ``use_packed=False`` keeps the per-pair
+reference loop, the oracle the bucketed path is tested against.
 """
 
 from __future__ import annotations
@@ -34,13 +44,16 @@ import numpy as np
 from repro.config import resolve_use_packed
 from repro.exceptions import ModelError
 from repro.graphs.digraph import CommunicationGraph
-from repro.graphs.packed import (
-    graph_in_neighborhood_ids,
-    roots_stack,
-    stack_adjacencies,
-)
+from repro.graphs.packed import graph_in_neighborhood_ids, roots_stack, stack_adjacencies
 from repro.graphs.properties import roots
-from repro.types import pack_bool_rows, packed_row_ids
+from repro.types import packed_row_ids
+
+#: Size in bytes of the largest array the bucketed path may allocate: the
+#: ``(R, G)`` bucket table, the ``(G, G)`` step matrix or the ``(G, ⌈G/8⌉)``
+#: all-sources frontier of the α-diameter (a few arrays of that size are live
+#: at once).  A model over it raises :class:`ModelError` instead of
+#: exhausting memory.
+_BUCKET_BYTE_BUDGET = 64 << 20
 
 
 def _check_model(graphs: Sequence[CommunicationGraph]) -> List[CommunicationGraph]:
@@ -74,112 +87,105 @@ def alpha_related(
     return all(graph_g.in_neighbors(i) == graph_h.in_neighbors(i) for i in witness_roots)
 
 
-def alpha_related_union(
-    graph_g: CommunicationGraph,
-    graph_h: CommunicationGraph,
-    witness: CommunicationGraph,
-) -> bool:
-    """Union-form α relation of Definition 15: ``In_{R(K)}(G) = In_{R(K)}(H)``."""
-    graph_g._check_same_size(graph_h)
-    graph_g._check_same_size(witness)
-    witness_roots = roots(witness)
-    if not witness_roots:
-        return False
-    union_g: Set[int] = set()
-    union_h: Set[int] = set()
-    for i in witness_roots:
-        union_g |= graph_g.in_neighbors(i)
-        union_h |= graph_h.in_neighbors(i)
-    return union_g == union_h
-
-
-def alpha_witness_tensor(
-    graphs: Sequence[CommunicationGraph],
-    witnesses: Optional[Sequence[CommunicationGraph]] = None,
-    use_union_form: bool = False,
-) -> np.ndarray:
-    """The per-witness α relation as a boolean ``(W, G, G)`` tensor.
-
-    ``result[w, g, h]`` is true iff ``graphs[g] α_{N,K} graphs[h]`` with
-    witness ``K = witnesses[w]`` (witnesses default to ``graphs``).  The
-    whole tensor is computed without any per-pair Python work:
-
-    * witness roots come from one batched reachability pass
-      (:func:`repro.graphs.packed.roots_stack`);
-    * per-agent in-neighborhoods are packed into bytes and deduplicated into
-      integer ids, so ``In_i(G) = In_i(H)`` for all pairs and agents is one
-      integer-comparison broadcast; and
-    * the per-root quantification over each witness's root set is one
-      boolean matmul against the root masks.
-
-    Witnesses without roots relate nothing (their slice is all false),
-    mirroring :func:`alpha_related`.  The β-refinement reuses sub-blocks of
-    this tensor, which is why it is exposed rather than just the any-witness
-    matrix.
-    """
-    graphs = _check_model(graphs)
-    witnesses = list(witnesses) if witnesses is not None else graphs
-    if not witnesses:
-        return np.zeros((0, len(graphs), len(graphs)), dtype=bool)
-    n = graphs[0].n
-    for witness in witnesses:
-        if witness.n != n:
-            raise ModelError("witnesses must have the same number of agents as the model")
-    witness_stack = stack_adjacencies(witnesses)
-    root_mask = roots_stack(witness_stack)  # (W, n)
-    valid = root_mask.any(axis=-1)  # (W,)
-
-    if use_union_form:
-        # union_in[g, w, s] iff some root i of witness w hears s in graph g:
-        # one broadcast boolean matmul (W, n) x (G, n, n).
-        in_neighborhoods = stack_adjacencies(graphs).swapaxes(-1, -2)  # (G, agent, sender)
-        unions = np.matmul(root_mask[None, :, :], in_neighborhoods)  # (G, W, n)
-        union_ids = packed_row_ids(pack_bool_rows(unions)).T  # (W, G)
-        related = union_ids[:, :, None] == union_ids[:, None, :]  # (W, G, G)
-    else:
-        # Served from the graphs' bitset-resident adjacency caches: repeated
-        # relation analyses over one model never re-pack the in-neighborhoods.
-        ids = graph_in_neighborhood_ids(graphs)  # (G, n)
-        differs = ids[:, None, :] != ids[None, :, :]  # (G, G, n)
-        # any_viol[g, h, w]: some root of witness w distinguishes g from h.
-        any_violation = differs @ root_mask.swapaxes(0, 1)  # (G, G, W)
-        related = np.moveaxis(~any_violation, -1, 0)  # (W, G, G)
-    return related & valid[:, None, None]
-
-
-def alpha_relation_matrix(
-    graphs: Sequence[CommunicationGraph],
-    witnesses: Optional[Sequence[CommunicationGraph]] = None,
-    use_union_form: bool = False,
-) -> np.ndarray:
-    """The one-step α relation as a boolean ``(G, G)`` matrix (any witness)."""
-    tensor = alpha_witness_tensor(graphs, witnesses=witnesses, use_union_form=use_union_form)
-    return tensor.any(axis=0)
-
-
 def _unique_graphs(graphs: Sequence[CommunicationGraph]) -> List[CommunicationGraph]:
     """First occurrences of the graphs, matching the reference code's dict keying."""
     return list(dict.fromkeys(graphs))
 
 
-def _components_from_matrix(
-    graphs: Sequence[CommunicationGraph], matrix: np.ndarray
-) -> List[FrozenSet[CommunicationGraph]]:
-    """Connected components of a symmetric boolean relation matrix.
+def _reserve(graph_count: int, nbytes: int, what: str) -> None:
+    """Refuse an array over :data:`_BUCKET_BYTE_BUDGET` before allocating it."""
+    if nbytes > _BUCKET_BYTE_BUDGET:
+        raise ModelError(
+            f"the α classifier needs {nbytes:,} bytes for the {what} of a model with "
+            f"G={graph_count:,} graphs, over its budget of {_BUCKET_BYTE_BUDGET:,} bytes"
+        )
 
-    The transitive closure by repeated boolean squaring makes component
-    membership a row-equality question; components are emitted in order of
-    their first member, matching the reference BFS.
+
+def _root_set_buckets(
+    graphs: Sequence[CommunicationGraph], witnesses: Sequence[CommunicationGraph]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Buckets of ``graphs`` under the distinct non-empty root sets of ``witnesses``.
+
+    Returns ``(buckets, witness_root_set)``.  ``buckets[k, g]`` is the bucket
+    of graph ``g`` under the ``k``-th root set ``r_k``: two graphs share it
+    iff every agent of ``r_k`` has the same in-neighbors in both.  Buckets
+    are numbered ``0..B-1`` over the whole table, so buckets of different
+    root sets never share a number.  ``witness_root_set[w]`` is the ``k`` of
+    witness ``w``'s root set, or ``-1`` for a rootless witness (which
+    relates nothing).
     """
-    return [
-        frozenset(graphs[i] for i in component) for component in _index_components(matrix)
-    ]
+    root_mask = roots_stack(stack_adjacencies(witnesses))
+    # Distinct root sets in lexicographic order, so an empty one comes first.
+    root_set_of = packed_row_ids(root_mask)
+    root_sets = np.zeros((int(root_set_of.max()) + 1, root_mask.shape[1]), dtype=bool)
+    root_sets[root_set_of] = root_mask
+    rootless = int(not root_sets[0].any())
+    root_sets = root_sets[rootless:]
+    ids = graph_in_neighborhood_ids(graphs)
+    _reserve(len(graphs), ids.nbytes * len(root_sets), "root-set bucket table")
+    # Row (k, g) holds g's in-neighborhood ids on r_k and -1 off it, so equal
+    # rows mean the same root set and the same in-neighborhoods on it.
+    keyed = np.where(root_sets[:, None, :], ids[None, :, :], -1)
+    return packed_row_ids(keyed), root_set_of - rootless
+
+
+def _shared_key_components(count: int, member: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Connected components of ``count`` graphs linked by shared keys.
+
+    Graph ``member[e]`` holds key ``key[e]``; graphs holding a common key are
+    adjacent.  Min-label propagation with pointer jumping: each graph's label
+    is the smallest graph index known to be in its component, lowered every
+    round to the smallest label among its keys' holders and then to its
+    label's label.  Labels only fall and never leave the component, so at
+    the fixpoint every graph carries its component's first member.  Returns
+    component ids ``0..C-1`` numbered in order of first member.
+    """
+    label = np.arange(count)
+    if key.size:
+        _, slot = np.unique(key, return_inverse=True)
+        by_slot = np.argsort(slot, kind="stable")
+        starts = np.flatnonzero(np.diff(slot[by_slot], prepend=-1))
+        holders = member[by_slot]
+        while True:
+            lowest = np.minimum.reduceat(label[holders], starts)
+            lowered = label.copy()
+            np.minimum.at(lowered, member, lowest[slot])
+            lowered = lowered[lowered]
+            if np.array_equal(lowered, label):
+                break
+            label = lowered
+    return np.unique(label, return_inverse=True)[1].reshape(-1)
+
+
+def _refine(buckets: np.ndarray, witness_root_set: np.ndarray, partition: np.ndarray) -> np.ndarray:
+    """Split each class of ``partition`` into its α components under its own witnesses.
+
+    ``partition[g]`` is the class of graph ``g``, which is also witness ``g``.
+    Two graphs of one class are adjacent iff they share a bucket of a root
+    set that some witness *of that class* has.  Starting from one class this
+    yields the α*-classes; iterating it to a fixpoint yields the β-classes.
+    """
+    class_count = int(partition.max()) + 1
+    usable = np.zeros((class_count, buckets.shape[0]), dtype=bool)
+    rooted = witness_root_set >= 0
+    usable[partition[rooted], witness_root_set[rooted]] = True
+    root_set, member = np.nonzero(usable[partition].T)
+    key = buckets[root_set, member] * class_count + partition[member]
+    return _shared_key_components(len(partition), member, key)
+
+
+def _classes(
+    graphs: Sequence[CommunicationGraph], partition: np.ndarray
+) -> List[FrozenSet[CommunicationGraph]]:
+    """The classes of ``partition`` as frozensets, in order of first member."""
+    order = np.argsort(partition, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(partition[order])) + 1)
+    return [frozenset(graphs[i] for i in group) for group in groups]
 
 
 def alpha_step_graph(
     graphs: Sequence[CommunicationGraph],
     witnesses: Optional[Sequence[CommunicationGraph]] = None,
-    use_union_form: bool = False,
     use_packed: Optional[bool] = None,
 ) -> Dict[CommunicationGraph, Set[CommunicationGraph]]:
     """The one-step α relation on ``graphs`` as an adjacency mapping.
@@ -187,23 +193,30 @@ def alpha_step_graph(
     ``result[G]`` contains every ``H`` such that ``G α_{N,K} H`` for some
     witness ``K`` (witnesses default to ``graphs`` themselves, i.e. the
     network model).  The relation is symmetric, and reflexive on every graph
-    for which some witness exists.  ``use_packed`` (the default) computes the
-    relation through the vectorized :func:`alpha_relation_matrix`;
-    ``use_packed=False`` keeps the per-pair reference loop.
+    for which some witness exists.  ``use_packed`` (the default) relates the
+    graphs sharing a root-set bucket; ``use_packed=False`` keeps the
+    per-pair reference loop.
     """
     graphs = _check_model(graphs)
     use_packed = resolve_use_packed(use_packed)
     witnesses = list(witnesses) if witnesses is not None else graphs
     adjacency: Dict[CommunicationGraph, Set[CommunicationGraph]] = {g: set() for g in graphs}
     if use_packed:
-        matrix = alpha_relation_matrix(graphs, witnesses=witnesses, use_union_form=use_union_form)
-        for idx_g, idx_h in zip(*np.nonzero(matrix)):
+        if not witnesses:
+            return adjacency
+        if any(witness.n != graphs[0].n for witness in witnesses):
+            raise ModelError("witnesses must have the same number of agents as the model")
+        buckets, _ = _root_set_buckets(graphs, witnesses)
+        _reserve(len(graphs), len(graphs) ** 2, "step-relation matrix")
+        related = np.zeros((len(graphs), len(graphs)), dtype=bool)
+        for row in buckets:
+            related |= row[:, None] == row[None, :]
+        for idx_g, idx_h in zip(*np.nonzero(related)):
             adjacency[graphs[idx_g]].add(graphs[idx_h])
         return adjacency
-    related = alpha_related_union if use_union_form else alpha_related
     for idx_g, g in enumerate(graphs):
         for h in graphs[idx_g:]:
-            if any(related(g, h, k) for k in witnesses):
+            if any(alpha_related(g, h, k) for k in witnesses):
                 adjacency[g].add(h)
                 adjacency[h].add(g)
     return adjacency
@@ -213,11 +226,10 @@ def alpha_star_related(
     graphs: Sequence[CommunicationGraph],
     graph_g: CommunicationGraph,
     graph_h: CommunicationGraph,
-    use_union_form: bool = False,
     use_packed: Optional[bool] = None,
 ) -> bool:
     """Whether ``G α*_N H`` (transitive closure of the one-step α relation)."""
-    classes = alpha_classes(graphs, use_union_form=use_union_form, use_packed=use_packed)
+    classes = alpha_classes(graphs, use_packed=use_packed)
     for cls in classes:
         if graph_g in cls and graph_h in cls:
             return True
@@ -226,29 +238,27 @@ def alpha_star_related(
 
 def alpha_classes(
     graphs: Sequence[CommunicationGraph],
-    use_union_form: bool = False,
     use_packed: Optional[bool] = None,
 ) -> List[FrozenSet[CommunicationGraph]]:
     """The equivalence classes of ``α*_N`` (connected components of the α step graph).
 
-    The default packed path computes the whole one-step relation as a
-    boolean matrix (no per-pair Python set comparisons) and extracts
-    components by boolean closure; ``use_packed=False`` keeps the reference
+    The default path links the graphs sharing a root-set bucket and labels
+    the components by propagation; ``use_packed=False`` keeps the reference
     per-pair BFS.
     """
     graphs = _check_model(graphs)
     use_packed = resolve_use_packed(use_packed)
     if use_packed:
         unique = _unique_graphs(graphs)
-        matrix = alpha_relation_matrix(unique, use_union_form=use_union_form)
-        return _components_from_matrix(unique, matrix)
-    adjacency = alpha_step_graph(graphs, use_union_form=use_union_form, use_packed=False)
+        buckets, witness_root_set = _root_set_buckets(unique, unique)
+        trivial = np.zeros(len(unique), dtype=np.int64)
+        return _classes(unique, _refine(buckets, witness_root_set, trivial))
+    adjacency = alpha_step_graph(graphs, use_packed=False)
     return _connected_components(graphs, adjacency)
 
 
 def beta_classes(
     graphs: Sequence[CommunicationGraph],
-    use_union_form: bool = False,
     use_packed: Optional[bool] = None,
 ) -> List[FrozenSet[CommunicationGraph]]:
     """The β_N-classes of Definition 16, via partition refinement.
@@ -260,43 +270,30 @@ def beta_classes(
     and witnesses of the same class), and since splits only happen when the
     closure property fails, the fixpoint is the coarsest such refinement.
 
-    On the packed path the per-witness α tensor is computed once and every
-    refinement step just slices it, so no α relations are ever recomputed.
+    On the default path the root-set buckets are computed once and every
+    refinement step only restricts which root sets each class may use.
     """
     graphs = _check_model(graphs)
     use_packed = resolve_use_packed(use_packed)
     if use_packed:
         unique = _unique_graphs(graphs)
-        tensor = alpha_witness_tensor(unique, use_union_form=use_union_form)
-        matrix = tensor.any(axis=0)
-        index_partition: List[np.ndarray] = [
-            np.asarray(sorted(indices), dtype=int)
-            for indices in _index_components(matrix)
-        ]
-        changed = True
-        while changed:
-            changed = False
-            refined: List[np.ndarray] = []
-            for class_indices in index_partition:
-                sub = tensor[np.ix_(class_indices, class_indices, class_indices)].any(axis=0)
-                components = _index_components(sub)
-                if len(components) > 1:
-                    changed = True
-                refined.extend(class_indices[np.asarray(sorted(c), dtype=int)] for c in components)
-            index_partition = refined
-        return [frozenset(unique[i] for i in indices) for indices in index_partition]
+        buckets, witness_root_set = _root_set_buckets(unique, unique)
+        partition = np.zeros(len(unique), dtype=np.int64)
+        while True:
+            refined = _refine(buckets, witness_root_set, partition)
+            # Refinement only splits classes, so an equal count is the fixpoint.
+            if refined.max() == partition.max():
+                return _classes(unique, refined)
+            partition = refined
     partition: List[List[CommunicationGraph]] = [
-        list(cls)
-        for cls in alpha_classes(graphs, use_union_form=use_union_form, use_packed=False)
+        list(cls) for cls in alpha_classes(graphs, use_packed=False)
     ]
     changed = True
     while changed:
         changed = False
         refined: List[List[CommunicationGraph]] = []
         for cls in partition:
-            adjacency = alpha_step_graph(
-                cls, witnesses=cls, use_union_form=use_union_form, use_packed=False
-            )
+            adjacency = alpha_step_graph(cls, witnesses=cls, use_packed=False)
             components = _connected_components(cls, adjacency)
             if len(components) > 1:
                 changed = True
@@ -305,40 +302,14 @@ def beta_classes(
     return [frozenset(cls) for cls in partition]
 
 
-def _index_components(matrix: np.ndarray) -> List[List[int]]:
-    """Connected components of a symmetric boolean matrix, as index lists."""
-    count = matrix.shape[0]
-    closure = matrix | np.eye(count, dtype=bool)
-    while True:
-        expanded = closure | (closure @ closure)
-        if np.array_equal(expanded, closure):
-            break
-        closure = expanded
-    components: List[List[int]] = []
-    seen = np.zeros(count, dtype=bool)
-    for index in range(count):
-        if seen[index]:
-            continue
-        members = closure[index]
-        seen |= members
-        components.append(np.nonzero(members)[0].tolist())
-    return components
-
-
 def is_source_incompatible(graphs: Sequence[CommunicationGraph]) -> bool:
     """Definition 18: no agent is a root of *every* graph of the model."""
     graphs = _check_model(graphs)
-    common = roots(graphs[0])
-    for g in graphs[1:]:
-        common = common & roots(g)
-        if not common:
-            return True
-    return len(common) == 0
+    return not roots_stack(stack_adjacencies(graphs)).all(axis=0).any()
 
 
 def alpha_diameter(
     graphs: Sequence[CommunicationGraph],
-    use_union_form: bool = False,
     use_packed: Optional[bool] = None,
 ) -> float:
     """The α-diameter ``D`` of a network model (Definition 22).
@@ -350,30 +321,16 @@ def alpha_diameter(
     is α-related to itself (which holds whenever the model has a rooted
     witness) — matching the paper's convention ``D >= 1``.
 
-    The packed path replaces the per-source BFS with a simultaneous
-    frontier expansion on the relation matrix (one boolean matmul per
-    distance level).
+    The default path runs the breadth-first search from every source at
+    once: row ``g`` of the frontier packs, one bit per source, the sources
+    that first reach ``g`` at the current distance, and one step ORs the
+    rows of every bucket holding at least two graphs.
     """
     graphs = _check_model(graphs)
     use_packed = resolve_use_packed(use_packed)
     if use_packed:
-        unique = _unique_graphs(graphs)
-        matrix = alpha_relation_matrix(unique, use_union_form=use_union_form)
-        count = len(unique)
-        reached = np.eye(count, dtype=bool)
-        frontier = reached.copy()
-        diameter = 1  # Definition 22 requires D >= 1.
-        level = 0
-        while frontier.any():
-            level += 1
-            frontier = (frontier @ matrix) & ~reached
-            if frontier.any():
-                diameter = max(diameter, level)
-                reached |= frontier
-        if not reached.all():
-            return float("inf")
-        return float(diameter)
-    adjacency = alpha_step_graph(graphs, use_union_form=use_union_form, use_packed=False)
+        return _bucketed_diameter(_unique_graphs(graphs))
+    adjacency = alpha_step_graph(graphs, use_packed=False)
     diameter = 1  # Definition 22 requires D >= 1.
     for source in graphs:
         distances = _bfs_distances(source, graphs, adjacency)
@@ -385,11 +342,45 @@ def alpha_diameter(
     return float(diameter)
 
 
+def _bucketed_diameter(graphs: List[CommunicationGraph]) -> float:
+    count = len(graphs)
+    buckets, _ = _root_set_buckets(graphs, graphs)
+    width = (count + 7) // 8
+    _reserve(count, count * width, "all-sources frontier")
+    # Per root set: the graphs of its buckets holding two or more (a bucket
+    # of one only relates its graph to itself) sorted by bucket, where each
+    # bucket's run starts, and the run of each listed graph.
+    sizes = np.bincount(buckets.ravel())
+    steps = []
+    for row in buckets:
+        shared = np.flatnonzero(sizes[row] >= 2)
+        if shared.size:
+            shared = shared[np.argsort(row[shared], kind="stable")]
+            run_start = np.diff(row[shared], prepend=-1) != 0
+            steps.append((shared, np.flatnonzero(run_start), np.cumsum(run_start) - 1))
+    sources = np.arange(count)
+    reached = np.zeros((count, width), dtype=np.uint8)
+    reached[sources, sources // 8] = 0x80 >> (sources % 8)  # np.packbits bit order
+    frontier = reached.copy()
+    distance = 0
+    while True:
+        expanded = np.zeros_like(frontier)
+        for shared, starts, run in steps:
+            expanded[shared] |= np.bitwise_or.reduceat(frontier[shared], starts)[run]
+        frontier = expanded & ~reached
+        if not frontier.any():
+            break
+        distance += 1
+        reached |= frontier
+    if not (reached == np.packbits(np.ones(count, dtype=bool))).all():
+        return float("inf")
+    return float(max(distance, 1))  # Definition 22 requires D >= 1.
+
+
 def alpha_chain(
     graphs: Sequence[CommunicationGraph],
     graph_g: CommunicationGraph,
     graph_h: CommunicationGraph,
-    use_union_form: bool = False,
 ) -> Optional[List[CommunicationGraph]]:
     """A shortest α-chain ``G = H_0, ..., H_q = H`` within the model, or None.
 
@@ -397,7 +388,7 @@ def alpha_chain(
     at most the α-diameter of the model.
     """
     graphs = _check_model(graphs)
-    adjacency = alpha_step_graph(graphs, use_union_form=use_union_form)
+    adjacency = alpha_step_graph(graphs)
     if graph_g == graph_h:
         return [graph_g]
     predecessors: Dict[CommunicationGraph, CommunicationGraph] = {}

@@ -31,31 +31,20 @@ def asymptotic_consensus_solvable(graphs: Sequence[CommunicationGraph]) -> bool:
     return bool(graphs) and all(is_rooted(g) for g in graphs)
 
 
-def exact_consensus_solvable(
-    graphs: Sequence[CommunicationGraph], use_union_form: bool = False
-) -> bool:
+def exact_consensus_solvable(graphs: Sequence[CommunicationGraph]) -> bool:
     """True iff exact consensus is solvable in the model.
 
     By Theorem 19, exact consensus is solvable iff every ``β_N``-class has a
     common root (i.e. no class is source-incompatible).
     """
-    for cls in beta_classes(graphs, use_union_form=use_union_form):
-        if is_source_incompatible(list(cls)):
-            return False
-    return True
+    return not unsolvable_beta_classes(graphs)
 
 
-def unsolvable_beta_classes(
-    graphs: Sequence[CommunicationGraph], use_union_form: bool = False
-) -> List[List[CommunicationGraph]]:
+def unsolvable_beta_classes(graphs: Sequence[CommunicationGraph]) -> List[List[CommunicationGraph]]:
     """The source-incompatible ``β_N``-classes (empty iff exact consensus is solvable).
 
     These are exactly the sub-models to which Theorem 5 can be applied via
     Corollary 23 to obtain a strictly positive contraction-rate lower bound.
     """
-    result: List[List[CommunicationGraph]] = []
-    for cls in beta_classes(graphs, use_union_form=use_union_form):
-        members = list(cls)
-        if is_source_incompatible(members):
-            result.append(members)
-    return result
+    classes = [list(cls) for cls in beta_classes(graphs)]
+    return [members for members in classes if is_source_incompatible(members)]

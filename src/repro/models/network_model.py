@@ -17,7 +17,6 @@ from repro.graphs.properties import is_nonsplit, is_rooted
 from repro.graphs.relations import alpha_diameter, beta_classes
 from repro.graphs.solvability import (
     asymptotic_consensus_solvable,
-    exact_consensus_solvable,
     unsolvable_beta_classes,
 )
 
@@ -149,7 +148,7 @@ class NetworkModel:
 
     def exact_consensus_solvable(self) -> bool:
         """True iff exact consensus is solvable in the model (Theorem 19)."""
-        return self._cached("exact", lambda: exact_consensus_solvable(self._graphs))
+        return not self.unsolvable_beta_classes()
 
     def alpha_diameter(self) -> float:
         """The α-diameter ``D`` of the model (Definition 22); ``inf`` if undefined."""

@@ -205,17 +205,23 @@ def packed_first_last_true(packed: np.ndarray, length: int):
 
 
 def packed_row_ids(packed: np.ndarray) -> np.ndarray:
-    """Map packed rows to small integer ids (equal rows get equal ids).
+    """Map rows to small integer ids (equal rows get equal ids).
 
     ``packed`` is interpreted as a stack of rows over its last axis; the
-    result drops that axis.  Built on ``np.unique`` over the row bytes, this
-    turns all-pairs row-equality tests (``O(K² · nb)`` byte comparisons) into
-    an ``O(K log K)`` sort plus integer comparisons — the core trick behind
-    the vectorized α-relation.
+    result drops that axis and numbers the distinct rows ``0, 1, ...`` in
+    lexicographic order (the inverse of ``np.unique(rows, axis=0)``).  One
+    ``np.lexsort`` turns all-pairs row-equality tests (``O(K² · nb)``
+    comparisons) into an ``O(K log K)`` sort plus integer comparisons — the
+    core trick behind the vectorized α-relation.
     """
-    rows = np.ascontiguousarray(packed).reshape(-1, packed.shape[-1])
-    _, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return inverse.reshape(packed.shape[:-1])
+    rows = np.asarray(packed).reshape(-1, packed.shape[-1])
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new_row = np.ones(len(rows), dtype=bool)
+    new_row[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new_row) - 1
+    return ids.reshape(packed.shape[:-1])
 
 
 def running_argmax(

@@ -1,6 +1,7 @@
 """Tests for the Table-1 closed-form bounds and the model classifier."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,14 @@ from repro.core.lower_bounds import (
     two_agent_upper_bound,
 )
 from repro.exceptions import ModelError
-from repro.models.standard import deaf_model, psi_model, two_agent_model
+from repro.graphs import relations
+from repro.models.standard import (
+    all_rooted_model,
+    crash_model,
+    deaf_model,
+    psi_model,
+    two_agent_model,
+)
 
 
 class TestClosedForms:
@@ -80,12 +88,44 @@ class TestClassifier:
         assert bound.value == pytest.approx(1.0 / 3.0)
 
     def test_deaf_model_classifies_to_theorem_2(self):
-        bound = contraction_rate_lower_bound(deaf_model(n=4), check_alpha_diameter=False)
+        bound = contraction_rate_lower_bound(deaf_model(n=4))
         assert bound.theorem == "Theorem 2"
         assert bound.value == 0.5
 
     def test_psi_model_classifies_to_theorem_3(self):
         n = 5
-        bound = contraction_rate_lower_bound(psi_model(n), check_alpha_diameter=False)
+        bound = contraction_rate_lower_bound(psi_model(n))
         assert bound.theorem == "Theorem 3"
         assert bound.value == pytest.approx(psi_lower_bound(n))
+
+    def test_crash_model_classifies_to_theorem_5(self):
+        # N_A(3, 1) is one source-incompatible β-class of α-diameter 3.
+        bound = contraction_rate_lower_bound(crash_model(3, 1))
+        assert bound.theorem == "Theorem 5 / Corollary 23"
+        assert bound.value == pytest.approx(0.25)
+
+
+class TestClassifierScale:
+    """Models of thousands of graphs classify in bounded memory."""
+
+    def test_crash_model_n5_classifies_within_memory(self):
+        model = crash_model(5, 1)
+        tracemalloc.start()
+        try:
+            bound = contraction_rate_lower_bound(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound.theorem == "Theorem 5 / Corollary 23"
+        assert bound.value == pytest.approx(1.0 / 6.0)
+        assert peak < 256 * 2**20
+
+    def test_all_rooted_model_n4_classifies_to_theorem_3(self):
+        bound = contraction_rate_lower_bound(all_rooted_model(4))
+        assert bound.theorem == "Theorem 3"
+        assert bound.value == pytest.approx(psi_lower_bound(4))
+
+    def test_model_over_the_byte_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(relations, "_BUCKET_BYTE_BUDGET", 1024)
+        with pytest.raises(ModelError, match="G=256"):
+            contraction_rate_lower_bound(crash_model(4, 1))

@@ -2,8 +2,8 @@
 
 Every packed/stacked kernel must agree exactly with its per-graph reference:
 products over random graph stacks, reachability/roots/rootedness/non-split
-over stacks, the α relation matrix against per-pair ``alpha_related`` calls,
-α/β classes and the α-diameter against the per-pair reference path, and the
+over stacks, the bucketed α step graph, α/β classes, α-diameter and
+exact-consensus solvability against the per-pair reference path, and the
 packed masked reductions against the dense path bit-for-bit.
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import base as reductions
 from repro.algorithms.base import (
@@ -20,6 +22,7 @@ from repro.algorithms.base import (
     masked_min,
     masked_min_max,
 )
+from repro.config import EngineConfig
 from repro.exceptions import GraphError
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.families import complete_graph, deaf_family, psi_family, two_agent_graphs
@@ -43,16 +46,9 @@ from repro.graphs.properties import (
     reachability_matrix,
     roots,
 )
-from repro.graphs.relations import (
-    alpha_classes,
-    alpha_diameter,
-    alpha_related,
-    alpha_related_union,
-    alpha_relation_matrix,
-    alpha_step_graph,
-    alpha_witness_tensor,
-    beta_classes,
-)
+from repro.graphs.relations import alpha_classes, alpha_diameter, alpha_step_graph, beta_classes
+from repro.graphs.solvability import exact_consensus_solvable
+from repro.models.standard import all_rooted_model, crash_model
 from repro.types import pack_bool_rows, packed_first_true, packed_last_true, packed_row_ids
 
 
@@ -173,51 +169,48 @@ def _models():
     ]
 
 
-@pytest.mark.parametrize("use_union_form", [False, True])
-def test_alpha_relation_matrix_matches_pairwise_reference(use_union_form):
-    related = alpha_related_union if use_union_form else alpha_related
+def test_alpha_step_graph_packed_equals_reference():
     for graphs in _models():
-        matrix = alpha_relation_matrix(graphs, use_union_form=use_union_form)
-        for gi, g in enumerate(graphs):
-            for hi, h in enumerate(graphs):
-                expected = any(related(g, h, witness) for witness in graphs)
-                assert bool(matrix[gi, hi]) == expected
+        assert alpha_step_graph(graphs) == alpha_step_graph(graphs, use_packed=False)
 
 
-def test_alpha_witness_tensor_matches_per_witness_reference():
-    for graphs in _models()[:4]:
-        tensor = alpha_witness_tensor(graphs)
-        for wi, witness in enumerate(graphs):
-            for gi, g in enumerate(graphs):
-                for hi, h in enumerate(graphs):
-                    assert bool(tensor[wi, gi, hi]) == alpha_related(g, h, witness)
-
-
-@pytest.mark.parametrize("use_union_form", [False, True])
-def test_alpha_step_graph_packed_equals_reference(use_union_form):
+def test_alpha_and_beta_classes_packed_equal_reference():
     for graphs in _models():
-        packed = alpha_step_graph(graphs, use_union_form=use_union_form)
-        reference = alpha_step_graph(graphs, use_union_form=use_union_form, use_packed=False)
-        assert packed == reference
+        assert set(alpha_classes(graphs)) == set(alpha_classes(graphs, use_packed=False))
+        assert set(beta_classes(graphs)) == set(beta_classes(graphs, use_packed=False))
 
 
-@pytest.mark.parametrize("use_union_form", [False, True])
-def test_alpha_and_beta_classes_packed_equal_reference(use_union_form):
+def test_alpha_diameter_packed_equals_reference():
     for graphs in _models():
-        assert set(alpha_classes(graphs, use_union_form=use_union_form)) == set(
-            alpha_classes(graphs, use_union_form=use_union_form, use_packed=False)
-        )
-        assert set(beta_classes(graphs, use_union_form=use_union_form)) == set(
-            beta_classes(graphs, use_union_form=use_union_form, use_packed=False)
-        )
+        assert alpha_diameter(graphs) == alpha_diameter(graphs, use_packed=False)
 
 
-@pytest.mark.parametrize("use_union_form", [False, True])
-def test_alpha_diameter_packed_equals_reference(use_union_form):
-    for graphs in _models():
-        assert alpha_diameter(graphs, use_union_form=use_union_form) == alpha_diameter(
-            graphs, use_union_form=use_union_form, use_packed=False
-        )
+_SUBMODEL_BASES = (list(crash_model(4, 1)), list(all_rooted_model(3)))
+
+
+@settings(max_examples=60)
+@given(
+    base=st.sampled_from(_SUBMODEL_BASES),
+    data=st.data(),
+    extra=st.integers(0, 3),
+    duplicates=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bucketed_classifier_equals_reference_on_random_submodels(
+    base, data, extra, duplicates, seed
+):
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=12))
+    rng = np.random.default_rng(seed)
+    graphs = [base[i] for i in picks]
+    graphs += [random_graph(graphs[0].n, rng, 0.4) for _ in range(extra)]
+    graphs += graphs[:duplicates]
+    assert alpha_step_graph(graphs) == alpha_step_graph(graphs, use_packed=False)
+    assert set(alpha_classes(graphs)) == set(alpha_classes(graphs, use_packed=False))
+    assert set(beta_classes(graphs)) == set(beta_classes(graphs, use_packed=False))
+    assert alpha_diameter(graphs) == alpha_diameter(graphs, use_packed=False)
+    packed_solvable = exact_consensus_solvable(graphs)
+    with EngineConfig(use_packed=False):
+        assert exact_consensus_solvable(graphs) == packed_solvable
 
 
 def test_alpha_diameter_packed_disconnected_is_infinite():

@@ -46,7 +46,14 @@ from repro.graphs.properties import (
     reachability_matrix,
     roots,
 )
-from repro.graphs.relations import alpha_classes, alpha_diameter, alpha_step_graph, beta_classes
+from repro.graphs.relations import (
+    _root_set_buckets,
+    alpha_classes,
+    alpha_diameter,
+    alpha_related,
+    alpha_step_graph,
+    beta_classes,
+)
 from repro.graphs.solvability import exact_consensus_solvable
 from repro.models.standard import all_rooted_model, crash_model
 from repro.types import pack_bool_rows, packed_first_true, packed_last_true, packed_row_ids
@@ -157,9 +164,10 @@ def test_stack_adjacencies_validates():
 # Vectorized α machinery vs per-pair reference
 # --------------------------------------------------------------------------- #
 
-def _models():
+def _models(with_duplicates=False):
+    """Small models; ``with_duplicates`` repeats each model's first two graphs."""
     rng = np.random.default_rng(11)
-    return [
+    models = [
         psi_family(4),
         psi_family(6),
         deaf_family(complete_graph(5)),
@@ -167,21 +175,52 @@ def _models():
         [random_graph(5, rng, 0.35) for _ in range(9)],
         [random_rooted_graph(6, rng) for _ in range(7)],
     ]
+    if with_duplicates:
+        models = [list(graphs) + list(graphs)[:2] for graphs in models]
+    return models
 
 
-def test_alpha_step_graph_packed_equals_reference():
-    for graphs in _models():
+@pytest.mark.parametrize("with_duplicates", [False, True])
+def test_alpha_relation_matrix_matches_pairwise_reference(with_duplicates):
+    # The bucketed α relation (the step-relation matrix behind
+    # alpha_step_graph) against direct per-pair, per-witness calls.
+    for graphs in _models(with_duplicates):
+        adjacency = alpha_step_graph(graphs)
+        for g in graphs:
+            for h in graphs:
+                expected = any(alpha_related(g, h, witness) for witness in graphs)
+                assert (h in adjacency[g]) == expected
+
+
+def test_root_set_buckets_match_per_witness_reference():
+    # Two graphs share a bucket under a witness's root set iff that witness
+    # α-relates them; a rootless witness relates nothing.
+    for graphs in _models()[:5]:
+        buckets, witness_root_set = _root_set_buckets(graphs, graphs)
+        for wi, witness in enumerate(graphs):
+            k = witness_root_set[wi]
+            for gi, g in enumerate(graphs):
+                for hi, h in enumerate(graphs):
+                    shared = k >= 0 and buckets[k, gi] == buckets[k, hi]
+                    assert bool(shared) == alpha_related(g, h, witness)
+
+
+@pytest.mark.parametrize("with_duplicates", [False, True])
+def test_alpha_step_graph_packed_equals_reference(with_duplicates):
+    for graphs in _models(with_duplicates):
         assert alpha_step_graph(graphs) == alpha_step_graph(graphs, use_packed=False)
 
 
-def test_alpha_and_beta_classes_packed_equal_reference():
-    for graphs in _models():
+@pytest.mark.parametrize("with_duplicates", [False, True])
+def test_alpha_and_beta_classes_packed_equal_reference(with_duplicates):
+    for graphs in _models(with_duplicates):
         assert set(alpha_classes(graphs)) == set(alpha_classes(graphs, use_packed=False))
         assert set(beta_classes(graphs)) == set(beta_classes(graphs, use_packed=False))
 
 
-def test_alpha_diameter_packed_equals_reference():
-    for graphs in _models():
+@pytest.mark.parametrize("with_duplicates", [False, True])
+def test_alpha_diameter_packed_equals_reference(with_duplicates):
+    for graphs in _models(with_duplicates):
         assert alpha_diameter(graphs) == alpha_diameter(graphs, use_packed=False)
 
 

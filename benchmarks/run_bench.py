@@ -629,7 +629,7 @@ def bench_valency(grid, repeats: int) -> list:
     ``old_s`` runs one ``run_from_configuration`` per sampled future (the
     pre-certification-engine behaviour); ``new_s`` stacks all futures of each
     exploration depth into one scenario ensemble.  Both produce bit-for-bit
-    identical ``ValencyEstimate`` bounds (tests/test_valency_batch.py).
+    identical ``(F, d)`` limit arrays (tests/test_valency_batch.py).
     """
     results = []
     algorithm = MidpointAlgorithm()
@@ -716,10 +716,11 @@ def bench_certify_ensemble(grid, repeats: int) -> list:
 
     ``loop_s`` certifies a recorded ``(B, n, d)`` ensemble one scenario at a
     time — ``ValencyEstimator.trace`` per scenario, each trace itself
-    batched — while ``batched_s`` stacks all ``B`` scenarios' sampled
-    futures into single ensemble passes through
-    ``ValencyEstimator.certify_ensemble``.  Both produce bit-for-bit
-    identical per-scenario certificates (tests/test_certify_ensemble.py).
+    batched and returning one ``(R,)`` ``ValencyEstimate`` record — while
+    ``batched_s`` stacks all ``B`` scenarios' sampled futures into single
+    ensemble passes through ``ValencyEstimator.certify_ensemble``, which
+    returns one ``(R, B)`` record.  Its scenario-``b`` slice ``[:, b]`` is
+    bit-for-bit the loop's ``b``-th trace (tests/test_certify_ensemble.py).
 
     The workload is the stateful batch-state restore path (amortized
     midpoint over a deaf sub-model).  The amortized midpoint is

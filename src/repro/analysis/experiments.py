@@ -309,10 +309,7 @@ def _certify_single_row(
         exploration_depth=descriptor["exploration_depth"],
         use_batch=descriptor["use_batch"],
     )
-    trace = [
-        float(estimate.lower_diameter)
-        for estimate in estimator.trace(measurement.execution.configurations)
-    ]
+    trace = estimator.trace(measurement.execution.configurations).lower_diameter.tolist()
     lower_rate, upper_rate = certified_rate_interval(measurement, trace)
     row = {
         "name": name,

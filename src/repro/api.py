@@ -37,7 +37,8 @@ engine calls in ``with EngineConfig(...):`` — both mean the same thing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -75,7 +76,7 @@ from repro.models.patterns import (
     CommunicationPattern,
     SequencePattern,
 )
-from repro.types import diameter
+from repro.types import pairwise_diameters
 
 
 @dataclass
@@ -244,9 +245,10 @@ class StudyCertificates:
 
     Attributes
     ----------
-    estimates:
-        One :class:`~repro.core.valency.ValencyEstimate` per recorded
-        configuration (certified lower/upper diameter bounds).
+    estimate:
+        The scenario's :class:`~repro.core.valency.ValencyEstimate` with
+        one ``(R,)`` axis over its recorded configurations (certified
+        lower/upper diameter bounds).
     valency_trace:
         The lower diameter estimates as a plain list — the quantity the
         lower-bound proofs control.
@@ -258,10 +260,29 @@ class StudyCertificates:
         valency-trace decay and the output rate.
     """
 
-    estimates: List[ValencyEstimate]
+    estimate: ValencyEstimate
     valency_trace: List[float]
     output_rate: float
     rate_interval: Tuple[float, float]
+
+    @classmethod
+    def from_record(
+        cls, estimate: ValencyEstimate, diameters: np.ndarray
+    ) -> "StudyCertificates":
+        """Certificates of one scenario's ``(R,)`` record and output diameters."""
+        trace = estimate.lower_diameter.tolist()
+        try:
+            # Single-scenario and ensemble studies fit the same per-round
+            # diameters, so their rates agree bit-for-bit.
+            output_rate = rate_from_diameters(diameters)
+        except ValueError:
+            output_rate = float("nan")
+        return cls(
+            estimate=estimate,
+            valency_trace=trace,
+            output_rate=output_rate,
+            rate_interval=(fit_trace_rate(trace), output_rate),
+        )
 
 
 @dataclass
@@ -272,15 +293,35 @@ class StudyResult:
     :class:`~repro.execution.execution.Execution` for single scenarios, an
     :class:`~repro.execution.batch.EnsembleExecution` for ensembles) behind
     scale-agnostic accessors, so downstream analysis code does not care which
-    engine ran.  ``certificates`` is a single :class:`StudyCertificates` for
-    single-scenario studies and a list of ``B`` per-scenario certificates for
-    certified ensembles (each bit-for-bit identical to the certificate of an
-    independent single-scenario run of that scenario).
+    engine ran.  ``valency`` is the certified study's one
+    :class:`~repro.core.valency.ValencyEstimate` record, with axes ``(R,)``
+    for a single scenario and ``(R, B)`` for an ensemble; ``None`` when the
+    study was not certified.
     """
 
     execution: Union[Execution, EnsembleExecution]
     provenance: StudyProvenance
-    certificates: Union[StudyCertificates, List[StudyCertificates], None] = None
+    valency: Optional[ValencyEstimate] = None
+
+    @cached_property
+    def certificates(self) -> Union[StudyCertificates, List[StudyCertificates], None]:
+        """Certificates derived from ``valency`` and the recorded outputs.
+
+        A single :class:`StudyCertificates` for single-scenario studies and a
+        list of ``B`` per-scenario certificates for certified ensembles (each
+        bit-for-bit identical to the certificate of an independent
+        single-scenario run of that scenario); built on first access.
+        """
+        if self.valency is None:
+            return None
+        if not self.is_ensemble:
+            outputs = np.stack([c.outputs for c in self.execution.configurations])
+            return StudyCertificates.from_record(self.valency, pairwise_diameters(outputs))
+        diameters = pairwise_diameters(self.execution.recorded_outputs)
+        return [
+            StudyCertificates.from_record(self.valency[:, scenario], diameters[:, scenario])
+            for scenario in range(diameters.shape[1])
+        ]
 
     @property
     def is_ensemble(self) -> bool:
@@ -332,7 +373,7 @@ class StudyResult:
         """A versioned, bit-for-bit JSON encoding; invert with :meth:`from_dict`.
 
         Float arrays travel as raw bytes, so the decoded result's outputs,
-        diameters and certificates are array-for-array identical — which is
+        diameters and valency record are array-for-array identical — which is
         what lets the service layer journal shard results and merge them
         into a result indistinguishable from a single-process run.
         """
@@ -349,7 +390,7 @@ class StudyResult:
     def __repr__(self) -> str:
         return (
             f"StudyResult(route={self.provenance.route}, rounds={self.rounds}, "
-            f"certified={self.certificates is not None})"
+            f"certified={self.valency is not None})"
         )
 
 
@@ -516,12 +557,10 @@ class Study:
         config = self._config if self._config is not None else EngineConfig()
         with config:
             execution, provenance = self._execute()
-            certificates = (
+            valency = (
                 self._run_certification(execution) if self._certify is not None else None
             )
-        return StudyResult(
-            execution=execution, provenance=provenance, certificates=certificates
-        )
+        return StudyResult(execution=execution, provenance=provenance, valency=valency)
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -629,42 +668,16 @@ class Study:
             scenario_chunk=certify.scenario_chunk,
         )
 
-    @staticmethod
-    def _certificates_from_estimates(
-        estimates: List[ValencyEstimate], diameters: Sequence[float]
-    ) -> StudyCertificates:
-        trace = [float(estimate.lower_diameter) for estimate in estimates]
-        try:
-            # Single-scenario and ensemble studies fit the same per-round
-            # ``diameter`` values, so their rates agree bit-for-bit.
-            output_rate = rate_from_diameters(diameters)
-        except ValueError:
-            output_rate = float("nan")
-        return StudyCertificates(
-            estimates=estimates,
-            valency_trace=trace,
-            output_rate=output_rate,
-            rate_interval=(fit_trace_rate(trace), output_rate),
-        )
-
     def _run_certification(
         self, execution: Union[Execution, EnsembleExecution]
-    ) -> Union[StudyCertificates, List[StudyCertificates]]:
+    ) -> ValencyEstimate:
         estimator = self._certification_estimator()
         if isinstance(execution, EnsembleExecution):
             # Ensemble-scale certification: all scenarios' sampled futures run
-            # as stacked ensemble passes, returning one certificate per
-            # scenario — bit-for-bit what B single-scenario studies produce.
-            per_scenario = estimator.certify_ensemble(execution)
-            outputs = execution.recorded_outputs
-            return [
-                self._certificates_from_estimates(
-                    estimates, [diameter(snapshot[scenario]) for snapshot in outputs]
-                )
-                for scenario, estimates in enumerate(per_scenario)
-            ]
-        estimates = estimator.trace(execution.configurations)
-        return self._certificates_from_estimates(estimates, execution.diameters())
+            # as stacked ensemble passes into one (R, B) record — scenario b's
+            # slice is bit-for-bit what a single-scenario study produces.
+            return estimator.certify_ensemble(execution)
+        return estimator.trace(execution.configurations)
 
     def __repr__(self) -> str:
         spec = self._spec

@@ -130,10 +130,7 @@ def valency_contraction_trace(
         exploration_depth=exploration_depth,
         use_batch=use_batch,
     )
-    return [
-        float(estimate.lower_diameter)
-        for estimate in estimator.trace(execution.configurations)
-    ]
+    return estimator.trace(execution.configurations).lower_diameter.tolist()
 
 
 def valency_contraction_trace_ensemble(
@@ -175,14 +172,7 @@ def valency_contraction_trace_ensemble(
         exploration_depth=exploration_depth,
         use_batch=use_batch,
     )
-    per_scenario = estimator.certify_ensemble(ensemble)
-    return np.array(
-        [
-            [float(estimate.lower_diameter) for estimate in estimates]
-            for estimates in per_scenario
-        ],
-        dtype=float,
-    )
+    return np.ascontiguousarray(estimator.certify_ensemble(ensemble).lower_diameter.T)
 
 
 def fit_trace_rate(valency_trace: List[float]) -> float:

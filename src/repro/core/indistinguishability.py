@@ -12,14 +12,14 @@ this with structural conditions on the communication graphs:
   configuration yields configurations indistinguishable for the third special
   agent ``ℓ``.
 
-The checkers below verify these statements on concrete algorithms and
-configurations; they are used by the unit/property tests and by the
-benchmarks that validate the Figure 2 construction.
+The checkers below verify Lemmas 6 and 14 on concrete algorithms and
+configurations; ``tests/test_indistinguishability.py`` runs them as property
+tests on the midpoint and amortized midpoint algorithms.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Sequence
+from typing import FrozenSet
 
 from repro.algorithms.base import Algorithm
 from repro.execution.engine import apply_graph, run_from_configuration
@@ -98,14 +98,3 @@ def lemma14_holds(
                 return False
     return final_i.indistinguishable_for(final_j, ell)
 
-
-def successors_indistinguishable_for(
-    algorithm: Algorithm,
-    configuration: Configuration,
-    graphs: Sequence[CommunicationGraph],
-    agent: int,
-) -> bool:
-    """Whether all one-round successors of ``configuration`` under ``graphs`` look alike to ``agent``."""
-    successors = [apply_graph(algorithm, configuration, g) for g in graphs]
-    first = successors[0]
-    return all(first.indistinguishable_for(other, agent) for other in successors[1:])

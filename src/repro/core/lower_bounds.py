@@ -149,8 +149,12 @@ def _contains_deaf_family(model: NetworkModel) -> Optional[CommunicationGraph]:
 
     Candidates tried: every model graph and the edge-wise union of the model
     (the union recovers the base graph when the model *is* ``deaf(G)``, and
-    equals ``K_n`` for the all-non-split model).
+    equals ``K_n`` for the all-non-split model).  ``deaf(G)`` makes every
+    agent deaf in some graph, so a model in which some agent is never deaf
+    holds no such family and no candidate family is built.
     """
+    if not model.every_agent_can_be_deaf():
+        return None
     model_set = set(model.graphs)
     candidates = [_union_graph(model)] + list(model.graphs)
     for base in candidates:

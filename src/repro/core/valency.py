@@ -63,29 +63,52 @@ from repro.execution.engine import run_from_configuration
 from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
 from repro.models.network_model import NetworkModel
-from repro.types import diameter
+from repro.types import pairwise_diameters
 
 
 @dataclass
 class ValencyEstimate:
-    """Result of a valency estimation at one configuration.
+    """Valency estimates of configurations indexed by leading axes.
+
+    One record holds every estimate of a certification: no leading axis for
+    one configuration (:meth:`ValencyEstimator.estimate`), ``(R,)`` along a
+    trace (:meth:`ValencyEstimator.trace`) and ``(R, B)`` for ``R`` recorded
+    rounds of ``B`` scenarios (:meth:`ValencyEstimator.certify_ensemble`).
 
     Attributes
     ----------
     limits:
-        ``(k, d)`` array of estimated reachable limits (one per sampled
-        future).
+        ``(..., F, d)`` array of estimated reachable limits, one row per
+        sampled future (``F`` = prefixes × model graphs).
     lower_diameter:
-        Diameter of the sampled limits — a lower bound on ``δ_N(C)`` up to
-        the convergence error of the suffix runs.
+        ``(...)`` diameters of the sampled limits — lower bounds on
+        ``δ_N(C)`` up to the convergence error of the suffix runs.
     upper_diameter:
-        For convex-combination algorithms, the diameter of the current
-        outputs (an upper bound on ``δ_N(C)``); ``None`` otherwise.
+        For convex-combination algorithms, the ``(...)`` diameters of the
+        current outputs (upper bounds on ``δ_N(C)``); ``None`` otherwise.
     """
 
     limits: np.ndarray
-    lower_diameter: float
-    upper_diameter: Optional[float]
+    lower_diameter: np.ndarray
+    upper_diameter: Optional[np.ndarray]
+
+    def __getitem__(self, index) -> "ValencyEstimate":
+        """The estimates at ``index`` of the leading axes (e.g. ``[:, b]``)."""
+        return ValencyEstimate(
+            limits=self.limits[index],
+            lower_diameter=self.lower_diameter[index],
+            upper_diameter=None if self.upper_diameter is None else self.upper_diameter[index],
+        )
+
+    @staticmethod
+    def concatenate(parts: Sequence["ValencyEstimate"], axis: int) -> "ValencyEstimate":
+        """Join records along leading axis ``axis`` (e.g. scenario shards on axis 1)."""
+        upper = [part.upper_diameter for part in parts]
+        return ValencyEstimate(
+            limits=np.concatenate([part.limits for part in parts], axis=axis),
+            lower_diameter=np.concatenate([part.lower_diameter for part in parts], axis=axis),
+            upper_diameter=None if upper[0] is None else np.concatenate(upper, axis=axis),
+        )
 
 
 class ValencyEstimator:
@@ -169,13 +192,12 @@ class ValencyEstimator:
         return self._limit_estimates([configuration])[0]
 
     def estimate(self, configuration: Configuration) -> ValencyEstimate:
-        """Full estimate (limits plus certified lower/upper diameter bounds)."""
-        limits = self.limit_estimates(configuration)
-        return self._estimate_from_limits(configuration.outputs, limits)
+        """Full estimate (limits plus certified lower/upper diameter bounds), no leading axis."""
+        return self._record(configuration.outputs, self.limit_estimates(configuration))
 
     def valency_diameter(self, configuration: Configuration) -> float:
         """Lower estimate of ``δ_N(C)`` (diameter of the sampled reachable limits)."""
-        return float(diameter(self.limit_estimates(configuration)))
+        return float(pairwise_diameters(self.limit_estimates(configuration)))
 
     def valencies_intersect(
         self,
@@ -202,10 +224,8 @@ class ValencyEstimator:
                 return True
         return False
 
-    def trace(
-        self, configurations: Sequence[Configuration]
-    ) -> List[ValencyEstimate]:
-        """Valency estimates along a sequence of configurations (e.g. an execution).
+    def trace(self, configurations: Sequence[Configuration]) -> ValencyEstimate:
+        """Valency estimates along ``R`` configurations (e.g. an execution), axis ``(R,)``.
 
         On the batched path the configurations share stacked passes as
         :meth:`certify_ensemble`'s do: round-invariant algorithms stack
@@ -213,22 +233,20 @@ class ValencyEstimator:
         no pass stacks more than ``scenario_chunk`` suffix futures.
         """
         configurations = list(configurations)
-        return [
-            self._estimate_from_limits(configuration.outputs, limits)
-            for configuration, limits in zip(
-                configurations, self._limit_estimates(configurations)
-            )
-        ]
+        if not configurations:
+            raise ExecutionError("a valency trace needs at least one configuration")
+        return self._record(
+            np.stack([configuration.outputs for configuration in configurations]),
+            self._limit_estimates(configurations),
+        )
 
-    def certify_ensemble(
-        self, ensemble: EnsembleExecution
-    ) -> List[List[ValencyEstimate]]:
-        """Per-scenario valency estimates at every recorded round of an ensemble.
+    def certify_ensemble(self, ensemble: EnsembleExecution) -> ValencyEstimate:
+        """Valency estimates at every recorded round of an ensemble, axes ``(R, B)``.
 
         The ensemble-scale counterpart of running :meth:`trace` on ``B``
-        independent single-scenario executions: entry ``[b][r]`` is scenario
+        independent single-scenario executions: entry ``[r, b]`` is scenario
         ``b``'s estimate at recorded round ``ensemble.recorded_rounds[r]``,
-        bit-for-bit identical to what the per-scenario trace would produce
+        and ``[:, b]`` is bit-for-bit what the per-scenario trace produces
         (all evaluation paths perform the same elementwise operations, only
         stacked).  On the batched path the recorded batch states are sliced
         and stacked leaf by leaf
@@ -277,52 +295,43 @@ class ValencyEstimator:
         rounds = ensemble.recorded_rounds
         outputs = ensemble.recorded_outputs
         if self._threads > 1 and batch_size > 1:
-            # Scenario-axis sharding: per-scenario estimates are arithmetically
+            # Scenario-axis sharding: per-scenario limits are arithmetically
             # independent (stacked passes never mix results across
-            # configurations), so certifying contiguous scenario slices on
+            # configurations), so estimating contiguous scenario slices on
             # worker threads and concatenating is bit-for-bit identical to the
             # serial pass.  Imported lazily to keep the module import-light.
             from repro.execution.parallel import parallel_map, shard_bounds
 
             tasks = [
-                lambda start=start, stop=stop: self._certify_recorded(
+                lambda start=start, stop=stop: self._recorded_limits(
                     recorded.slice(start, stop), rounds, outputs[:, start:stop]
                 )
                 for start, stop in shard_bounds(batch_size, self._threads)
             ]
-            shard_results = parallel_map(tasks, self._threads)
-            return [rows for result in shard_results for rows in result]
-        return self._certify_recorded(recorded, rounds, outputs)
+            limits = np.concatenate(parallel_map(tasks, self._threads), axis=1)
+        else:
+            limits = self._recorded_limits(recorded, rounds, outputs)
+        return self._record(outputs, limits)
 
-    def _certify_recorded(
+    def _recorded_limits(
         self, recorded: RecordedStates, rounds: Sequence[int], outputs: np.ndarray
-    ) -> List[List[ValencyEstimate]]:
-        """Serial certification core over ``(R, B)`` recorded states and outputs."""
+    ) -> np.ndarray:
+        """``(R, B, F, d)`` limit estimates of ``(R, B)`` recorded states and outputs."""
         batch_size = outputs.shape[1]
         if not self._batchable():
-            return [
-                self.trace(recorded.scenario_configurations(scenario, rounds, outputs))
-                for scenario in range(batch_size)
+            per_scenario = [
+                self._limit_estimates(recorded.scenario_configurations(b, rounds, outputs))
+                for b in range(batch_size)
             ]
+            return np.stack(per_scenario, axis=1)
         limits = self._stacked_limits(recorded, rounds, batch_size, self._exploration_depth)
-        return [
-            [
-                self._estimate_from_limits(outputs[r, b], limits[r * batch_size + b])
-                for r in range(len(rounds))
-            ]
-            for b in range(batch_size)
-        ]
+        return limits.reshape((len(rounds), batch_size) + limits.shape[1:])
 
-    def _limit_estimates(
-        self, configurations: Sequence[Configuration]
-    ) -> List[np.ndarray]:
-        """Limit estimates of each configuration, on the batched or reference path."""
+    def _limit_estimates(self, configurations: Sequence[Configuration]) -> np.ndarray:
+        """``(R, F, d)`` limit estimates of ``R`` configurations, batched or reference."""
         if self._batchable():
             return self._batched_limits(configurations, self._exploration_depth)
-        return [
-            self._limit_estimates_reference(configuration)
-            for configuration in configurations
-        ]
+        return np.stack([self._limit_estimates_reference(c) for c in configurations])
 
     # ------------------------------------------------------------------ #
     # Reference path
@@ -403,8 +412,8 @@ class ValencyEstimator:
 
     def _batched_limits(
         self, configurations: Sequence[Configuration], max_depth: int
-    ) -> List[np.ndarray]:
-        """Stacked limit estimates, one per configuration, in input order."""
+    ) -> np.ndarray:
+        """Stacked ``(R, F, d)`` limit estimates of ``R`` configurations, in input order."""
         recorded = RecordedStates(
             self._algorithm, per_agent=tuple((c.states,) for c in configurations)
         )
@@ -417,8 +426,8 @@ class ValencyEstimator:
         rounds: Sequence[int],
         batch_size: int,
         max_depth: int,
-    ) -> List[np.ndarray]:
-        """Limit estimates of every recorded configuration, round-major.
+    ) -> np.ndarray:
+        """``(R·B, F, d)`` limit estimates of every recorded configuration, round-major.
 
         Entry ``r·B + b`` is scenario ``b`` at recorded round ``r``.  Each
         pass stacks a contiguous range of entries: a slice of the recorded
@@ -432,10 +441,10 @@ class ValencyEstimator:
             base = self._algorithm.batch_map(
                 spanned, lambda leaf: leaf[start - offset : stop - offset]
             )
-            limits += self._limit_estimates_batch_state(
-                base, flat_rounds[start:stop], max_depth
+            limits.append(
+                self._limit_estimates_batch_state(base, flat_rounds[start:stop], max_depth)
             )
-        return limits
+        return np.concatenate(limits)
 
     def _prefix_chunks(
         self, depth: int, chunk_size: int
@@ -461,8 +470,8 @@ class ValencyEstimator:
 
     def _limit_estimates_batch_state(
         self, base, round_numbers: Sequence[int], max_depth: int
-    ) -> List[np.ndarray]:
-        """Batched limit estimates of a batch state stacking ``R`` configurations.
+    ) -> np.ndarray:
+        """Batched ``(R, F, d)`` limit estimates of a batch state stacking ``R`` configurations.
 
         ``round_numbers`` holds the ``R`` configurations' rounds, which must
         agree unless the algorithm is round-invariant.  The state is fanned
@@ -488,7 +497,7 @@ class ValencyEstimator:
         prefix_chunk_size = max(
             1, self._scenario_chunk // max(1, config_count * model_count)
         )
-        collected: List[List[np.ndarray]] = [[] for _ in range(config_count)]
+        collected: List[np.ndarray] = []
 
         for depth in range(max_depth + 1):
             for prefix_chunk in self._prefix_chunks(depth, prefix_chunk_size):
@@ -521,10 +530,10 @@ class ValencyEstimator:
                     state, suffix_stack, base_round + depth
                 )
                 limits = finals.mean(axis=1)  # (R · P · M, d)
-                per_config = limits.reshape(config_count, prefix_count * model_count, -1)
-                for index in range(config_count):
-                    collected[index].append(per_config[index])
-        return [np.vstack(chunks) for chunks in collected]
+                collected.append(
+                    limits.reshape(config_count, prefix_count * model_count, -1)
+                )
+        return np.concatenate(collected, axis=1)
 
     def _run_constant_suffix_state(
         self, state, suffix_adjacency: np.ndarray, start_round: int
@@ -570,11 +579,16 @@ class ValencyEstimator:
         finals[alive] = np.broadcast_to(final_outputs, (alive.size,) + finals.shape[1:])
         return finals
 
-    def _estimate_from_limits(
-        self, outputs: np.ndarray, limits: np.ndarray
-    ) -> ValencyEstimate:
-        lower = diameter(limits)
-        upper: Optional[float] = None
+    def _record(self, outputs: np.ndarray, limits: np.ndarray) -> ValencyEstimate:
+        """The record of ``(..., n, d)`` outputs and their ``(..., F, d)`` limits.
+
+        Each bound is one :func:`~repro.types.pairwise_diameters` call over
+        every leading index, bit-for-bit equal to per-entry
+        :func:`~repro.types.diameter` calls.
+        """
+        upper = None
         if self._algorithm.is_convex_combination():
-            upper = diameter(outputs)
-        return ValencyEstimate(limits=limits, lower_diameter=lower, upper_diameter=upper)
+            upper = pairwise_diameters(outputs)
+        return ValencyEstimate(
+            limits=limits, lower_diameter=pairwise_diameters(limits), upper_diameter=upper
+        )

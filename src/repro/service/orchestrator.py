@@ -598,7 +598,6 @@ def run_study_service(
     from repro.config import EngineConfig, current_engine_config
     from repro.faults import as_fault_plan
     from repro.service.serialization import (
-        ENSEMBLE_VERSION,
         encode_algorithm,
         encode_certify_spec,
         encode_model,
@@ -661,7 +660,8 @@ def run_study_service(
             "config": config_payload,
             # Part of the content key: results journaled or cached in an
             # older payload format are never looked up, so they get rerun.
-            "result_version": ENSEMBLE_VERSION,
+            # 2: columnar recorded states; 3: one columnar valency record.
+            "result_version": 3,
         }
         entries.append(("study_shard", body, start, stop))
     jobs = _make_jobs(entries)
@@ -738,6 +738,7 @@ def _collect(book: _ShardBook, jobs: List[_Job]):
 def _merge_study_shards(ordered, resolved_plan, *, ensemble: bool):
     """Merge decoded shard results (in scenario order) into one result."""
     from repro.api import StudyResult
+    from repro.core.valency import ValencyEstimate
     from repro.execution.batch import merge_ensemble_executions
 
     if not ensemble:
@@ -751,17 +752,11 @@ def _merge_study_shards(ordered, resolved_plan, *, ensemble: bool):
     execution = merge_ensemble_executions(
         [result.execution for result in ordered], fault_plan=resolved_plan
     )
-    certificates = None
-    if ordered[0].certificates is not None:
-        certificates = [
-            certificate
-            for result in ordered
-            for certificate in result.certificates
-        ]
+    valency = None
+    if ordered[0].valency is not None:
+        valency = ValencyEstimate.concatenate([result.valency for result in ordered], axis=1)
     return StudyResult(
-        execution=execution,
-        provenance=ordered[0].provenance,
-        certificates=certificates,
+        execution=execution, provenance=ordered[0].provenance, valency=valency
     )
 
 

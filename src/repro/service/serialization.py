@@ -660,7 +660,7 @@ def decode_certify_spec(payload: dict):
 
 
 # ---------------------------------------------------------------------- #
-# Executions, certificates, results
+# Executions and results
 # ---------------------------------------------------------------------- #
 
 
@@ -789,52 +789,6 @@ def decode_execution(payload: dict):
     raise SerializationError(f"cannot decode execution payload of type {kind!r}")
 
 
-def _encode_float(value: Optional[float]) -> Any:
-    # json handles nan/inf via the non-strict allow_nan mode; None passes.
-    return value if value is None else float(value)
-
-
-def _encode_estimate(estimate) -> dict:
-    return {
-        "limits": encode_array(estimate.limits),
-        "lower_diameter": _encode_float(estimate.lower_diameter),
-        "upper_diameter": _encode_float(estimate.upper_diameter),
-    }
-
-
-def _decode_estimate(payload: dict):
-    from repro.core.valency import ValencyEstimate
-
-    return ValencyEstimate(
-        limits=decode_array(payload["limits"]),
-        lower_diameter=payload["lower_diameter"],
-        upper_diameter=payload["upper_diameter"],
-    )
-
-
-def _encode_certificates(certificates) -> dict:
-    return {
-        "estimates": [_encode_estimate(e) for e in certificates.estimates],
-        "valency_trace": [float(v) for v in certificates.valency_trace],
-        "output_rate": _encode_float(certificates.output_rate),
-        "rate_interval": [
-            _encode_float(certificates.rate_interval[0]),
-            _encode_float(certificates.rate_interval[1]),
-        ],
-    }
-
-
-def _decode_certificates(payload: dict):
-    from repro.api import StudyCertificates
-
-    return StudyCertificates(
-        estimates=[_decode_estimate(e) for e in payload["estimates"]],
-        valency_trace=list(payload["valency_trace"]),
-        output_rate=payload["output_rate"],
-        rate_interval=(payload["rate_interval"][0], payload["rate_interval"][1]),
-    )
-
-
 def encode_provenance(provenance) -> dict:
     return {
         "__type__": "StudyProvenance",
@@ -862,49 +816,70 @@ def decode_provenance(payload: dict):
     )
 
 
+#: Payload version of ``StudyResult``.  Version 2 carries the certified
+#: study's one valency record as three arrays, and the certificates derived
+#: from it are rebuilt on decode; version 1 (per-estimate objects) is rejected.
+STUDY_RESULT_VERSION = 2
+
+
 def encode_study_result(result) -> dict:
     from repro.api import StudyResult
 
     if not isinstance(result, StudyResult):
         raise SerializationError(f"expected a StudyResult, got {type(result).__name__}")
-    if result.certificates is None:
-        certificates: Any = None
-    elif isinstance(result.certificates, list):
-        certificates = {
-            "kind": "per-scenario",
-            "items": [_encode_certificates(c) for c in result.certificates],
-        }
-    else:
-        certificates = {
-            "kind": "single",
-            "items": [_encode_certificates(result.certificates)],
-        }
+    record = result.valency
     return {
         "__type__": "StudyResult",
-        "version": 1,
+        "version": STUDY_RESULT_VERSION,
         "execution": encode_execution(result.execution),
         "provenance": encode_provenance(result.provenance),
-        "certificates": certificates,
+        "valency": None if record is None else {
+            "limits": encode_array(record.limits),
+            "lower_diameter": encode_array(record.lower_diameter),
+            "upper_diameter": (
+                None if record.upper_diameter is None else encode_array(record.upper_diameter)
+            ),
+        },
     }
 
 
 @_names_malformed
 def decode_study_result(payload: dict):
     from repro.api import StudyResult
+    from repro.core.valency import ValencyEstimate
 
-    _check_header(payload, "StudyResult")
-    encoded = payload["certificates"]
-    if encoded is None:
-        certificates: Any = None
-    elif encoded["kind"] == "per-scenario":
-        certificates = [_decode_certificates(c) for c in encoded["items"]]
-    else:
-        certificates = _decode_certificates(encoded["items"][0])
-    return StudyResult(
+    _check_header(payload, "StudyResult", STUDY_RESULT_VERSION, STUDY_RESULT_VERSION)
+    record = payload["valency"]
+    valency = None
+    if record is not None:
+        upper = record["upper_diameter"]
+        valency = ValencyEstimate(
+            limits=decode_array(record["limits"]),
+            lower_diameter=decode_array(record["lower_diameter"]),
+            upper_diameter=None if upper is None else decode_array(upper),
+        )
+    result = StudyResult(
         execution=decode_execution(payload["execution"]),
         provenance=decode_provenance(payload["provenance"]),
-        certificates=certificates,
+        valency=valency,
     )
+    if valency is not None:
+        # The record's leading axes must be the execution's (R,) or (R, B).
+        execution = result.execution
+        axes = (
+            execution.recorded_outputs.shape[:2]
+            if result.is_ensemble
+            else (len(execution.configurations),)
+        )
+        shapes = {valency.limits.shape[:-2], valency.lower_diameter.shape}
+        if valency.upper_diameter is not None:
+            shapes.add(valency.upper_diameter.shape)
+        if valency.limits.ndim != len(axes) + 2 or shapes != {axes}:
+            raise SerializationError(
+                f"StudyResult valency record shapes {sorted(shapes)} do not match "
+                f"the execution's recorded axes {axes}"
+            )
+    return result
 
 
 def _register_default_states() -> None:

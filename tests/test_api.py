@@ -47,6 +47,7 @@ from repro.execution import (
 from repro.graphs.families import complete_graph, cycle_graph, directed_star_graph
 from repro.models.patterns import PeriodicPattern, SequencePattern
 from repro.models.standard import deaf_model, psi_model
+from tests.valency_records import record_bytes
 
 
 def _pattern(n):
@@ -312,11 +313,9 @@ class TestStudyRouteEquivalence:
             )
             estimates = estimator.trace(direct.configurations)
         assert result.certificates is not None
-        assert result.certificates.valency_trace == [
-            float(estimate.lower_diameter) for estimate in estimates
-        ]
-        for mine, theirs in zip(result.certificates.estimates, estimates):
-            assert np.array_equal(mine.limits, theirs.limits)
+        assert result.certificates.valency_trace == estimates.lower_diameter.tolist()
+        assert record_bytes(result.valency) == record_bytes(estimates)
+        assert result.certificates.estimate is result.valency
         lower, upper = result.certificates.rate_interval
         assert lower <= upper + 1e-12
 

@@ -34,6 +34,7 @@ from repro.execution import run_ensemble, run_execution, run_pattern_ensemble
 from repro.graphs.families import complete_graph, cycle_graph, directed_star_graph
 from repro.models.patterns import PeriodicPattern, SequencePattern
 from repro.models.standard import deaf_model, psi_model
+from tests.valency_records import record_bytes, stacked
 
 
 def _values(batch_size, n, d=1, seed=0):
@@ -42,6 +43,14 @@ def _values(batch_size, n, d=1, seed=0):
 
 def _pattern(n):
     return PeriodicPattern([complete_graph(n), cycle_graph(n), directed_star_graph(n)])
+
+
+def _scenario_traces(estimator, ensemble):
+    """The per-scenario ``trace`` reference of an ensemble, stacked to ``(R, B)``."""
+    return stacked(
+        estimator.trace(ensemble.scenario_configurations(scenario))
+        for scenario in range(ensemble.batch_size)
+    )
 
 
 class TestScenarioSnapshots:
@@ -168,15 +177,9 @@ class TestCertifyEnsemble:
         estimator = ValencyEstimator(
             algorithm, model, suffix_rounds=15, exploration_depth=1, use_batch=use_batch
         )
-        per_scenario = estimator.certify_ensemble(ensemble)
-        assert len(per_scenario) == batch_size
-        for scenario in range(batch_size):
-            solo = estimator.trace(ensemble.scenario_configurations(scenario))
-            assert len(per_scenario[scenario]) == len(solo)
-            for estimate_ens, estimate_solo in zip(per_scenario[scenario], solo):
-                assert np.array_equal(estimate_ens.limits, estimate_solo.limits)
-                assert estimate_ens.lower_diameter == estimate_solo.lower_diameter
-                assert estimate_ens.upper_diameter == estimate_solo.upper_diameter
+        record = estimator.certify_ensemble(ensemble)
+        assert record.lower_diameter.shape == (len(ensemble.recorded_rounds), batch_size)
+        assert record_bytes(record) == record_bytes(_scenario_traces(estimator, ensemble))
 
     @pytest.mark.parametrize("use_batch", [True, False])
     def test_stateful_matches_independent_traces(self, use_batch):
@@ -190,12 +193,9 @@ class TestCertifyEnsemble:
         estimator = ValencyEstimator(
             algorithm, model, suffix_rounds=12, use_batch=use_batch
         )
-        per_scenario = estimator.certify_ensemble(ensemble)
-        for scenario in range(batch_size):
-            solo = estimator.trace(ensemble.scenario_configurations(scenario))
-            for estimate_ens, estimate_solo in zip(per_scenario[scenario], solo):
-                assert np.array_equal(estimate_ens.limits, estimate_solo.limits)
-                assert estimate_ens.lower_diameter == estimate_solo.lower_diameter
+        record = estimator.certify_ensemble(ensemble)
+        assert record.upper_diameter is None
+        assert record_bytes(record) == record_bytes(_scenario_traces(estimator, ensemble))
 
     def test_non_round_invariant_mean_groups_by_round(self):
         # MeanAlgorithm is round-invariant; force the same-round grouping path
@@ -212,11 +212,9 @@ class TestCertifyEnsemble:
             algorithm, values, _pattern(n), 4, record_states=True
         )
         estimator = ValencyEstimator(algorithm, model, suffix_rounds=10)
-        per_scenario = estimator.certify_ensemble(ensemble)
-        for scenario in range(batch_size):
-            solo = estimator.trace(ensemble.scenario_configurations(scenario))
-            for estimate_ens, estimate_solo in zip(per_scenario[scenario], solo):
-                assert np.array_equal(estimate_ens.limits, estimate_solo.limits)
+        assert record_bytes(estimator.certify_ensemble(ensemble)) == record_bytes(
+            _scenario_traces(estimator, ensemble)
+        )
 
     def test_requires_recorded_states(self):
         ensemble = run_pattern_ensemble(MidpointAlgorithm(), _values(2, 4), _pattern(4), 3)
@@ -316,10 +314,9 @@ class TestStudyEnsembleCertification:
             assert ensemble_cert.valency_trace == solo.certificates.valency_trace
             assert ensemble_cert.output_rate == solo.certificates.output_rate
             assert ensemble_cert.rate_interval == solo.certificates.rate_interval
-            for estimate_ens, estimate_solo in zip(
-                ensemble_cert.estimates, solo.certificates.estimates
-            ):
-                assert np.array_equal(estimate_ens.limits, estimate_solo.limits)
+            assert record_bytes(ensemble_cert.estimate) == record_bytes(
+                solo.certificates.estimate
+            )
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
@@ -463,11 +460,6 @@ class TestStateFixpointHook:
         )
         batched = ValencyEstimator(algorithm, model, suffix_rounds=25, use_batch=True)
         reference = ValencyEstimator(algorithm, model, suffix_rounds=25, use_batch=False)
-        per_batched = batched.certify_ensemble(ensemble)
-        per_reference = reference.certify_ensemble(ensemble)
-        for scenario in range(2):
-            for estimate_b, estimate_r in zip(
-                per_batched[scenario], per_reference[scenario]
-            ):
-                assert np.array_equal(estimate_b.limits, estimate_r.limits)
-                assert estimate_b.lower_diameter == estimate_r.lower_diameter
+        assert record_bytes(batched.certify_ensemble(ensemble)) == record_bytes(
+            _scenario_traces(reference, ensemble)
+        )

@@ -18,7 +18,9 @@ from repro.core.lower_bounds import (
     two_agent_lower_bound,
     two_agent_upper_bound,
 )
+from repro.core import lower_bounds
 from repro.exceptions import ModelError
+from repro.graphs.families import deaf_family
 from repro.graphs import relations
 from repro.models.standard import (
     all_rooted_model,
@@ -91,6 +93,24 @@ class TestClassifier:
         bound = contraction_rate_lower_bound(deaf_model(n=4))
         assert bound.theorem == "Theorem 2"
         assert bound.value == 0.5
+
+    def test_deaf_families_are_built_only_when_every_agent_can_be_deaf(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def counting_deaf_family(graph):
+            calls.append(graph)
+            return deaf_family(graph)
+
+        monkeypatch.setattr(lower_bounds, "deaf_family", counting_deaf_family)
+        # No agent of N_A(5, 1) is ever deaf: no candidate family is built.
+        assert contraction_rate_lower_bound(crash_model(5, 1)).theorem != "Theorem 2"
+        assert calls == []
+        for n in (3, 4, 5):
+            bound = contraction_rate_lower_bound(deaf_model(n=n))
+            assert (bound.theorem, bound.value) == ("Theorem 2", 0.5)
+        assert calls
 
     def test_psi_model_classifies_to_theorem_3(self):
         n = 5

@@ -40,6 +40,7 @@ from repro.faults import FaultSpec
 from repro.graphs.generators import random_graph
 from repro.models.patterns import PeriodicPattern, SequencePattern
 from repro.models.standard import deaf_model, psi_model
+from tests.valency_records import record_bytes, stacked
 
 #: 1 is the serial baseline; 2 and 7 both leave remainders on B=13 and 7
 #: exceeds the small-B cases, exercising shard clamping.
@@ -313,20 +314,20 @@ class TestCertifyRoute:
             return estimator.certify_ensemble(ensemble)
 
         baseline = certify(1)
+        assert baseline.lower_diameter.shape == (len(ensemble.recorded_rounds), batch_size)
+        # The serial record equals the per-scenario trace reference.
+        reference = ValencyEstimator(algorithm, model, suffix_rounds=12, threads=1)
+        assert record_bytes(baseline) == record_bytes(
+            stacked(
+                reference.trace(ensemble.scenario_configurations(scenario))
+                for scenario in range(batch_size)
+            )
+        )
         for threads in THREAD_COUNTS:
-            for per_scenario in (certify(threads), _certify_under_config(
+            for record in (certify(threads), _certify_under_config(
                 algorithm, model, ensemble, threads
             )):
-                assert len(per_scenario) == len(baseline) == batch_size
-                for rows_sharded, rows_serial in zip(per_scenario, baseline):
-                    assert len(rows_sharded) == len(rows_serial)
-                    for est_sharded, est_serial in zip(rows_sharded, rows_serial):
-                        assert (
-                            est_sharded.limits.tobytes()
-                            == est_serial.limits.tobytes()
-                        )
-                        assert est_sharded.lower_diameter == est_serial.lower_diameter
-                        assert est_sharded.upper_diameter == est_serial.upper_diameter
+                assert record_bytes(record) == record_bytes(baseline)
 
 
 def _certify_under_config(algorithm, model, ensemble, threads):

@@ -9,6 +9,7 @@ and when a second study is served entirely from the shared result cache
 without re-executing a shard.
 """
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import MidpointAlgorithm
-from repro.api import Study
+from repro.api import CertifySpec, Study
 from repro.exceptions import ConfigError, RemoteServiceError
 from repro.models.patterns import RandomPattern
 from repro.models.standard import deaf_model
@@ -36,6 +37,7 @@ from repro.service.remote import (
 from repro.service.remote.protocol import as_remote_config, http_json
 from repro.service.remote.worker import run_worker
 from repro.service.status import tail
+from tests.valency_records import record_bytes
 
 
 @pytest.fixture()
@@ -51,21 +53,32 @@ def ensemble_kwargs():
     )
 
 
-def _start_workers(url, count=2, stop=None, **kwargs):
-    stop = stop if stop is not None else threading.Event()
-    threads = []
-    for index in range(count):
-        thread = threading.Thread(
+@contextlib.contextmanager
+def _workers(url, count=2):
+    """Run ``count`` worker threads; on exit, stop them and join them.
+
+    Use it inside the server's ``with`` block: a worker still polling when
+    the server shuts down dies on a reset connection.
+    """
+    stop = threading.Event()
+    threads = [
+        threading.Thread(
             target=run_worker,
             args=(url,),
-            kwargs=dict(
-                worker_id=f"w{index}", poll_interval=0.05, stop_event=stop, **kwargs
-            ),
+            kwargs=dict(worker_id=f"w{index}", poll_interval=0.05, stop_event=stop),
             daemon=True,
         )
+        for index in range(count)
+    ]
+    for thread in threads:
         thread.start()
-        threads.append(thread)
-    return stop, threads
+    try:
+        yield
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    assert not any(thread.is_alive() for thread in threads), "a worker did not stop"
 
 
 def _remote(url, **overrides):
@@ -80,6 +93,9 @@ def assert_same_result(merged, direct):
     )
     assert merged.provenance == direct.provenance
     assert merged.execution.fault_plan == direct.execution.fault_plan
+    assert (merged.valency is None) == (direct.valency is None)
+    if direct.valency is not None:
+        assert record_bytes(merged.valency) == record_bytes(direct.valency)
 
 
 # --------------------------------------------------------------------- #
@@ -90,17 +106,14 @@ def assert_same_result(merged, direct):
 def test_remote_route_matches_direct_study(ensemble_kwargs):
     direct = Study(**ensemble_kwargs).run()
     with JobQueueServer(lease_timeout=30.0) as server:
-        stop, _ = _start_workers(server.url, count=2)
-        try:
-            records = []
+        records = []
+        with _workers(server.url, count=2):
             merged = run_study_service(
                 **ensemble_kwargs,
                 shard_size=2,
                 remote=_remote(server.url),
                 on_shard=records.append,
             )
-        finally:
-            stop.set()
         assert_same_result(merged, direct)
         assert sorted(record.shard for record in records) == [0, 1, 2, 3]
         assert all(record.source == "worker" for record in records)
@@ -111,16 +124,17 @@ def test_remote_route_matches_direct_study(ensemble_kwargs):
 
 
 def test_second_study_served_from_cache(ensemble_kwargs, tmp_path):
+    # Certified, so the valency record travels through workers and the cache.
+    ensemble_kwargs = dict(
+        ensemble_kwargs, model=deaf_model(n=5), certify=CertifySpec(suffix_rounds=6)
+    )
     direct = Study(**ensemble_kwargs).run()
     cache_journal = tmp_path / "cache.jsonl"
     with JobQueueServer(cache=cache_journal, lease_timeout=30.0) as server:
-        stop, _ = _start_workers(server.url, count=2)
-        try:
+        with _workers(server.url, count=2):
             first = run_study_service(
                 **ensemble_kwargs, shard_size=2, remote=_remote(server.url)
             )
-        finally:
-            stop.set()
         assert_same_result(first, direct)
 
     # A *restarted* server over the same cache journal, with NO workers at
@@ -143,14 +157,8 @@ def test_second_study_served_from_cache(ensemble_kwargs, tmp_path):
 
 def test_remote_accepts_bare_url_string(ensemble_kwargs):
     direct = Study(**ensemble_kwargs).run()
-    with JobQueueServer() as server:
-        stop, _ = _start_workers(server.url, count=1)
-        try:
-            merged = run_study_service(
-                **ensemble_kwargs, shard_size=4, remote=server.url
-            )
-        finally:
-            stop.set()
+    with JobQueueServer() as server, _workers(server.url, count=1):
+        merged = run_study_service(**ensemble_kwargs, shard_size=4, remote=server.url)
     assert_same_result(merged, direct)
     with pytest.raises(ConfigError):
         as_remote_config(42)
@@ -183,11 +191,8 @@ def test_expired_lease_is_re_leased_to_surviving_worker(ensemble_kwargs):
         zombie_key = answer["lease"]["key"]
         # Only now do live workers join; the zombie's lease must expire and
         # its shard be re-leased to one of them.
-        stop, _ = _start_workers(server.url, count=2)
-        try:
+        with _workers(server.url, count=2):
             coordinator.join(timeout=60.0)
-        finally:
-            stop.set()
         assert not coordinator.is_alive()
         assert_same_result(merged_box["result"], direct)
         events = server.telemetry.since(0)
@@ -243,11 +248,8 @@ def test_sigkilled_worker_process_does_not_lose_the_study(ensemble_kwargs, tmp_p
         proc.wait(timeout=60.0)
         assert proc.returncode == -signal.SIGKILL
         assert not marker.exists()
-        stop, _ = _start_workers(server.url, count=2)
-        try:
+        with _workers(server.url, count=2):
             coordinator.join(timeout=60.0)
-        finally:
-            stop.set()
         assert not coordinator.is_alive()
         assert_same_result(merged_box["result"], direct)
         events = server.telemetry.since(0)
@@ -290,8 +292,7 @@ def test_enqueue_rejects_mismatched_content_key():
 def test_coordinator_sigkill_resumes_against_live_server(ensemble_kwargs, tmp_path):
     journal_path = str(tmp_path / "journal.jsonl")
     with JobQueueServer(lease_timeout=30.0) as server:
-        stop, _ = _start_workers(server.url, count=2)
-        try:
+        with _workers(server.url, count=2):
             child_code = textwrap.dedent(
                 f"""
                 import numpy as np
@@ -345,8 +346,6 @@ def test_coordinator_sigkill_resumes_against_live_server(ensemble_kwargs, tmp_pa
                 remote=_remote(server.url),
                 on_shard=records.append,
             )
-        finally:
-            stop.set()
         assert_same_result(merged, direct)
         sources = {record.shard: record.source for record in records}
         # At least the two shards journaled before the SIGKILL replay
@@ -362,11 +361,8 @@ def test_coordinator_sigkill_resumes_against_live_server(ensemble_kwargs, tmp_pa
 
 def test_status_tail_replays_and_formats(ensemble_kwargs):
     with JobQueueServer() as server:
-        stop, _ = _start_workers(server.url, count=2)
-        try:
+        with _workers(server.url, count=2):
             run_study_service(**ensemble_kwargs, shard_size=2, remote=_remote(server.url))
-        finally:
-            stop.set()
         total = server.telemetry.last_seq
         lines = []
         written = tail(server.url, after=0, limit=total, write=lines.append)

@@ -57,6 +57,7 @@ from repro.service.serialization import (
     encode_model,
     encode_pattern,
 )
+from tests.valency_records import record_bytes
 
 
 def roundtrip(payload):
@@ -145,7 +146,7 @@ def test_malformed_value_payloads_raise_serialization_error(payload):
         ("decode_value", {"__type__": "dict", "items": [1]}, "dict"),
         ("decode_value", {"__type__": "list", "items": 5}, "list"),
         ("decode_execution", {"__type__": "EnsembleExecution", "version": 2}, "EnsembleExecution"),
-        ("decode_study_result", {"__type__": "StudyResult", "version": 1}, "StudyResult"),
+        ("decode_study_result", {"__type__": "StudyResult", "version": 2}, "StudyResult"),
     ],
     ids=["tuple-without-items", "dict-items-not-a-mapping", "list-items-not-a-list",
          "ensemble-without-fields", "study-result-without-fields"],
@@ -455,8 +456,9 @@ def test_certify_spec_roundtrip_nested_in_study_payload():
     decoded = StudyResult.from_dict(roundtrip(result.to_dict()))
     assert decoded.certificates.rate_interval == result.certificates.rate_interval
     assert decoded.certificates.valency_trace == result.certificates.valency_trace
-    for mine, theirs in zip(decoded.certificates.estimates, result.certificates.estimates):
-        assert np.array_equal(mine.limits, theirs.limits)
+    assert record_bytes(decoded.certificates.estimate) == record_bytes(
+        result.certificates.estimate
+    )
 
 
 def test_study_result_roundtrip_certified_faulted_ensemble():
@@ -480,9 +482,11 @@ def test_study_result_roundtrip_certified_faulted_ensemble():
     )
     assert back.provenance == result.provenance
     assert back.execution.fault_plan == result.execution.fault_plan
+    assert record_bytes(back.valency) == record_bytes(result.valency)
     assert len(back.certificates) == len(result.certificates)
     for mine, theirs in zip(back.certificates, result.certificates):
         assert mine.rate_interval == theirs.rate_interval
+        assert mine.valency_trace == theirs.valency_trace
     # recorded per-scenario configurations survive (states included)
     assert back.execution.has_recorded_states
     from repro.execution.state import _states_equal
@@ -583,6 +587,65 @@ def test_ensemble_v1_payloads_are_rejected_naming_the_record(adversarial):
     record = "AdversarialEnsembleExecution" if adversarial else "EnsembleExecution"
     with pytest.raises(SerializationError, match=f"{record} payload version 1"):
         decode_execution(payload)
+
+
+def test_study_result_v2_payload_carries_only_the_record():
+    model = deaf_model(n=4)
+    result = Study(
+        algorithm=MidpointAlgorithm(),
+        initial_values=np.random.default_rng(2).uniform(0, 1, (3, 4, 1)),
+        pattern=RandomPattern(list(model), seed=2),
+        rounds=4,
+        model=model,
+        certify=CertifySpec(suffix_rounds=6),
+    ).run()
+    payload = roundtrip(result.to_dict())
+    assert payload["version"] == 2
+    assert set(payload) == {"__type__", "version", "execution", "provenance", "valency"}
+    assert set(payload["valency"]) == {"limits", "lower_diameter", "upper_diameter"}
+    # The certificates are derived on decode, equal to the sender's.
+    back = StudyResult.from_dict(payload)
+    for mine, theirs in zip(back.certificates, result.certificates):
+        assert record_bytes(mine.estimate) == record_bytes(theirs.estimate)
+        assert mine.valency_trace == theirs.valency_trace
+        assert mine.output_rate == theirs.output_rate
+
+
+@pytest.mark.parametrize("field", ["limits", "lower_diameter", "upper_diameter"])
+def test_study_result_record_must_match_the_execution_axes(field):
+    model = deaf_model(n=4)
+    result = Study(
+        algorithm=MidpointAlgorithm(),
+        initial_values=np.random.default_rng(4).uniform(0, 1, (3, 4, 1)),
+        pattern=RandomPattern(list(model), seed=4),
+        rounds=2,
+        model=model,
+        certify=CertifySpec(suffix_rounds=4),
+    ).run()
+    payload = result.to_dict()
+    # One scenario too few in one of the record's arrays.
+    payload["valency"][field] = encode_array(getattr(result.valency, field)[:, :2])
+    with pytest.raises(SerializationError, match=r"recorded axes \(3, 3\)"):
+        StudyResult.from_dict(roundtrip(payload))
+
+
+def test_study_result_v1_payloads_are_rejected_naming_the_record():
+    model = two_agent_model()
+    result = Study(
+        algorithm=TwoAgentThirdsAlgorithm(),
+        initial_values=[0.0, 1.0],
+        pattern=ConstantPattern(list(model)[0]),
+        rounds=3,
+        model=model,
+        certify=CertifySpec(suffix_rounds=6),
+    ).run()
+    # The v1 layout: one certificates entry per scenario, estimates per cell.
+    payload = result.to_dict()
+    del payload["valency"]
+    payload["version"] = 1
+    payload["certificates"] = {"kind": "single", "items": [{"estimates": []}]}
+    with pytest.raises(SerializationError, match="StudyResult payload version 1"):
+        StudyResult.from_dict(roundtrip(payload))
 
 
 # --------------------------------------------------------------------- #

@@ -42,6 +42,7 @@ from repro.service import (
     run_study_service,
 )
 from repro.service.retry import is_transient_failure
+from tests.valency_records import record_bytes
 
 
 @pytest.fixture()
@@ -63,14 +64,11 @@ def assert_same_result(merged, direct):
     )
     assert merged.provenance == direct.provenance
     assert merged.execution.fault_plan == direct.execution.fault_plan
+    assert record_bytes(merged.valency) == record_bytes(direct.valency)
     assert len(merged.certificates) == len(direct.certificates)
     for a, b in zip(merged.certificates, direct.certificates):
         assert a.rate_interval == b.rate_interval
         assert a.valency_trace == b.valency_trace
-        assert all(
-            np.array_equal(x.limits, y.limits)
-            for x, y in zip(a.estimates, b.estimates)
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -225,7 +223,9 @@ def test_journal_replay_serves_every_shard(ensemble_kwargs, tmp_path):
 def test_journaled_v1_results_are_never_decoded(ensemble_kwargs, tmp_path, monkeypatch):
     # Before ensemble payloads moved to v2, shard bodies carried no result
     # version, so a journal written then holds v1 results under the keys of
-    # the same bodies minus "result_version".  Those keys must never be hit.
+    # the same bodies minus "result_version".  Journals written before the
+    # StudyResult payload moved to v2 hold v1 results under the
+    # "result_version": 2 keys.  None of those keys may be hit.
     from repro.service import orchestrator
 
     kwargs = dict(
@@ -241,14 +241,18 @@ def test_journaled_v1_results_are_never_decoded(ensemble_kwargs, tmp_path, monke
     monkeypatch.setattr(orchestrator, "_make_jobs", capture)
     direct = Study(**kwargs).run()
     run_study_service(**kwargs, workers=2, shard_size=2)
-    assert bodies and all(body["result_version"] == 2 for body in bodies)
+    assert bodies and all(body["result_version"] == 3 for body in bodies)
     stale = direct.to_dict()
     stale["execution"]["version"] = 1
+    stale_result = dict(direct.to_dict(), version=1)
     journal_path = tmp_path / "journal.jsonl"
     with CheckpointJournal(journal_path) as journal:
         for body in bodies:
             parent_body = {k: v for k, v in body.items() if k != "result_version"}
             journal.put(content_key(parent_body), stale, kind="study_shard")
+            journal.put(
+                content_key(dict(body, result_version=2)), stale_result, kind="study_shard"
+            )
     records = []
     merged = run_study_service(
         **kwargs,

@@ -25,7 +25,10 @@ from repro.core.adversary import GreedyDiameterAdversary, PsiBlockAdversary
 from repro.core.contraction import valency_contraction_trace
 from repro.core.valency import ValencyEstimator
 from repro.execution.engine import initial_configuration, run_execution
+from repro.exceptions import ExecutionError
 from repro.models.standard import deaf_model, psi_model, two_agent_model
+from repro.types import diameter
+from tests.valency_records import record_bytes
 
 
 def _estimators(algorithm, model, **kwargs):
@@ -62,12 +65,25 @@ def test_estimate_bounds_bit_for_bit(algorithm, model, values, depth):
         algorithm, model, suffix_rounds=30, exploration_depth=depth
     )
     estimate_batched = batched.estimate(configuration)
-    estimate_reference = reference.estimate(configuration)
-    assert estimate_batched.lower_diameter == estimate_reference.lower_diameter
-    assert estimate_batched.upper_diameter == estimate_reference.upper_diameter
+    assert np.shape(estimate_batched.lower_diameter) == ()
+    assert record_bytes(estimate_batched) == record_bytes(reference.estimate(configuration))
     assert batched.valency_diameter(configuration) == reference.valency_diameter(
         configuration
     )
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_record_diameters_match_per_entry_diameter(d):
+    # Each bound of a record is one pairwise_diameters call over all its
+    # entries; the per-entry ``diameter`` is its oracle, bit for bit.
+    algorithm, model = MidpointAlgorithm(), deaf_model(n=4)
+    values = np.random.default_rng(d).uniform(-1.0, 1.0, size=(4, d))
+    execution = run_execution(algorithm, values, GreedyDiameterAdversary(model), 5)
+    estimator = ValencyEstimator(algorithm, model, suffix_rounds=20, exploration_depth=1)
+    record = estimator.trace(execution.configurations)
+    for index, configuration in enumerate(execution.configurations):
+        assert record.lower_diameter[index] == diameter(record.limits[index])
+        assert record.upper_diameter[index] == diameter(configuration.outputs)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
@@ -119,18 +135,17 @@ def test_trace_stacked_configurations_bit_for_bit():
         algorithm, model, suffix_rounds=40, exploration_depth=1
     )
     trace_batched = batched.trace(execution.configurations)
-    trace_reference = reference.trace(execution.configurations)
-    assert len(trace_batched) == len(trace_reference)
-    for estimate_b, estimate_r in zip(trace_batched, trace_reference):
-        assert np.array_equal(estimate_b.limits, estimate_r.limits)
-        assert estimate_b.lower_diameter == estimate_r.lower_diameter
-        assert estimate_b.upper_diameter == estimate_r.upper_diameter
+    assert trace_batched.limits.shape[0] == len(execution.configurations)
+    assert record_bytes(trace_batched) == record_bytes(
+        reference.trace(execution.configurations)
+    )
 
 
 def test_trace_empty_and_contraction_trace_equivalence():
     algorithm, model = MidpointAlgorithm(), deaf_model(n=4)
     batched, _ = _estimators(algorithm, model, suffix_rounds=10)
-    assert batched.trace([]) == []
+    with pytest.raises(ExecutionError, match="at least one configuration"):
+        batched.trace([])
     trace_batched = valency_contraction_trace(
         algorithm,
         model,
@@ -212,12 +227,10 @@ class TestStatefulBatchStatePath:
             algorithm, model, suffix_rounds=20, exploration_depth=1
         )
         trace_batched = batched.trace(execution.configurations)
-        trace_reference = reference.trace(execution.configurations)
-        assert len(trace_batched) == len(trace_reference)
-        for estimate_b, estimate_r in zip(trace_batched, trace_reference):
-            assert np.array_equal(estimate_b.limits, estimate_r.limits)
-            assert estimate_b.lower_diameter == estimate_r.lower_diameter
-            assert estimate_b.upper_diameter == estimate_r.upper_diameter
+        assert trace_batched.limits.shape[0] == len(execution.configurations)
+        assert record_bytes(trace_batched) == record_bytes(
+            reference.trace(execution.configurations)
+        )
 
     def test_streamed_chunks_do_not_change_results(self):
         algorithm = AmortizedMidpointAlgorithm()

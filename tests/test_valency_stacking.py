@@ -27,6 +27,7 @@ from repro.execution import run_execution, run_pattern_ensemble
 from repro.graphs.families import complete_graph, cycle_graph, directed_star_graph
 from repro.models.patterns import PeriodicPattern, SequencePattern
 from repro.models.standard import deaf_model, psi_model
+from tests.valency_records import record_bytes, stacked
 
 
 def _spy_transitions(monkeypatch, algorithm):
@@ -41,14 +42,6 @@ def _spy_transitions(monkeypatch, algorithm):
 
     monkeypatch.setattr(cls, "batch_transition", spy)
     return shapes
-
-
-def _assert_same_estimates(batched, reference):
-    assert len(batched) == len(reference)
-    for estimate_b, estimate_r in zip(batched, reference):
-        assert np.array_equal(estimate_b.limits, estimate_r.limits)
-        assert estimate_b.lower_diameter == estimate_r.lower_diameter
-        assert estimate_b.upper_diameter == estimate_r.upper_diameter
 
 
 @settings(max_examples=20)
@@ -89,12 +82,15 @@ def test_amortized_midpoint_stacked_certification_matches_reference(
     )
     reference = ValencyEstimator(algorithm, model, use_batch=False, **settings_)
 
-    per_batched = batched.certify_ensemble(ensemble)
-    per_reference = reference.certify_ensemble(ensemble)
-    for scenario in range(batch_size):
-        _assert_same_estimates(per_batched[scenario], per_reference[scenario])
+    record = record_bytes(batched.certify_ensemble(ensemble))
+    assert record == record_bytes(reference.certify_ensemble(ensemble))
+    traces = [
+        reference.trace(ensemble.scenario_configurations(scenario))
+        for scenario in range(batch_size)
+    ]
+    assert record == record_bytes(stacked(traces))
     configurations = ensemble.scenario_configurations(0)
-    _assert_same_estimates(batched.trace(configurations), reference.trace(configurations))
+    assert record_bytes(batched.trace(configurations)) == record_bytes(traces[0])
 
 
 @pytest.mark.parametrize(
@@ -112,7 +108,7 @@ def test_trace_passes_respect_scenario_chunk(monkeypatch, algorithm):
     )
     shapes = _spy_transitions(monkeypatch, algorithm)
     estimates = estimator.trace(configurations)
-    assert len(estimates) == 31
+    assert estimates.lower_diameter.shape == (31,)
     assert shapes
     assert all(len(shape) == 1 and shape[0] <= scenario_chunk for shape in shapes), shapes
 

@@ -53,7 +53,7 @@ from pathlib import Path
 #:   physically cannot parallelize, and fabricating its numbers would be worse
 #:   than skipping the gate, so dev boxes record honest ~1x entries while CI's
 #:   multi-core runners enforce the bound.
-#: * The sharded study service pays worker spawn + IPC + journal fsyncs that
+#: * The sharded study service pays slot start-up, IPC and journal fsyncs that
 #:   a single-process Study never does; the remote route pays HTTP
 #:   round-trips, lease bookkeeping and SSE telemetry (its worker threads also
 #:   share the GIL); the campaign loop pays planning, novelty scoring,

@@ -88,8 +88,8 @@ def _best_of_pair(callable_a, callable_b, repeats: int):
 
     Alternating a/b within each repeat exposes both measurements to the same
     machine conditions, so slow drift (CPU frequency, background load)
-    cancels out of the ratio — essential for tight gates like the 5% facade
-    bound, where sequential windows can drift apart by more than the gate.
+    cancels out of the ratio — essential for tight ratio gates, where
+    sequential windows can drift apart by more than the gate.
     """
     best_a = best_b = float("inf")
     for _ in range(repeats):
@@ -100,6 +100,30 @@ def _best_of_pair(callable_a, callable_b, repeats: int):
         callable_b()
         best_b = min(best_b, time.perf_counter() - start)
     return best_a, best_b
+
+
+def _median_pair(callable_a, callable_b, repeats: int):
+    """The two timings of the repeat whose b/a ratio is the median.
+
+    Each repeat times ``a`` and ``b`` back to back, alternating which runs
+    first, so both see the same machine conditions and a load burst scales
+    both.  The ratio of one such pair cancels the burst; the median over
+    the repeats discards the pairs a burst split.  On a shared 2-vCPU
+    machine the best-of-9 facade/direct ratio of a ~4 ms call ranged
+    0.94-1.09 over ten runs; the median of 21 or more pairs ranged
+    0.99-1.05.
+    """
+    pairs = []
+    for index in range(repeats):
+        timings = {}
+        order = (("a", callable_a), ("b", callable_b))
+        for name, callable_ in order if index % 2 == 0 else order[::-1]:
+            start = time.perf_counter()
+            callable_()
+            timings[name] = time.perf_counter() - start
+        pairs.append((timings["a"], timings["b"]))
+    pairs.sort(key=lambda pair: pair[1] / pair[0])
+    return pairs[len(pairs) // 2]
 
 
 def _peak_bytes(callable_) -> int:
@@ -907,14 +931,16 @@ def bench_facade(single_grid, ensemble_grid, repeats: int) -> list:
     no more than spec validation plus an EngineConfig context entry —
     ``check_bench.py`` gates ``facade_s`` within 5% of ``direct_s``.  The
     workloads are sized so one engine call dominates the timing (dispatch is
-    ~microseconds against milliseconds of round execution).
+    ~microseconds against milliseconds of round execution).  Each entry
+    reports the median-ratio pair of interleaved repeats (``_median_pair``),
+    so a load burst on a shared machine does not move the ratio.
     """
     results = []
     algorithm = MidpointAlgorithm()
     for n, rounds in single_grid:
         values = _initial_values(n, 1)
         pattern = _pattern(n)
-        direct_s, facade_s = _best_of_pair(
+        direct_s, facade_s = _median_pair(
             lambda: run_execution(algorithm, values, pattern, rounds),
             lambda: Study(
                 algorithm=algorithm, initial_values=values, pattern=pattern, rounds=rounds
@@ -941,7 +967,7 @@ def bench_facade(single_grid, ensemble_grid, repeats: int) -> list:
     for batch_size, n, rounds in ensemble_grid:
         values = np.stack([_initial_values(n, 1, seed=b) for b in range(batch_size)])
         pattern = _pattern(n)
-        direct_s, facade_s = _best_of_pair(
+        direct_s, facade_s = _median_pair(
             lambda: run_pattern_ensemble(algorithm, values, pattern, rounds),
             lambda: Study(
                 algorithm=algorithm, initial_values=values, pattern=pattern, rounds=rounds
@@ -973,12 +999,14 @@ def bench_service(grid, repeats: int) -> list:
     """Dispatch cost of the sharded study service over a direct Study run.
 
     Three timings per workload: the single-process ``Study(...).run()``
-    baseline, the sharded ``run_study_service`` run (worker spawn + IPC +
-    journal appends), and a journal replay of the same run (every shard
-    served from the checkpoint, no workers spawned).  ``check_bench.py``
-    gates ``service_s`` against ``direct_s`` with a relative limit plus a
-    fixed allowance — process spawn is a constant cost that dwarfs tiny
-    smoke workloads but amortizes on real sweeps.
+    baseline, the sharded ``run_study_service`` run (IPC to the pool's
+    worker slots + journal appends), and a journal replay of the same run
+    (every shard served from the checkpoint, no slot used).  The worker
+    slots persist across studies, so the best-of timing measures warm
+    dispatch: only the first repeat starts slot processes.
+    ``check_bench.py`` gates ``service_s`` against ``direct_s`` with a
+    relative limit plus a fixed allowance for the constant per-study IPC
+    and journal cost that dwarfs tiny smoke workloads.
     """
     import tempfile
 
@@ -1240,9 +1268,9 @@ def main() -> int:
         # call dominates and the 5% gate measures dispatch, not noise.
         facade_single_grid = [(48, 120)]
         facade_ensemble_grid = [(8, 48, 100)]
-        # Best-of-9 on the ~ms smoke workloads keeps the tight 5% facade gate
-        # from flaking on noisy CI runners.
-        facade_repeats = 9
+        # 31 interleaved pairs on the ~ms smoke workloads keep the tight 5%
+        # facade gate from flaking on noisy CI runners.
+        facade_repeats = 31
         # One mid-size ensemble split across 2 workers: big enough that the
         # rounds dominate a shard, small enough for a CI runner.
         service_grid = [(16, 48, 60, 2, 8)]
@@ -1281,7 +1309,7 @@ def main() -> int:
         async_grid = [(8, 2, 20.0), (16, 4, 12.0)]
         facade_single_grid = [(64, 100)]
         facade_ensemble_grid = [(16, 64, 100)]
-        facade_repeats = 5
+        facade_repeats = 31
         service_grid = [(32, 64, 100, 4, 8), (64, 32, 100, 4, 8)]
         remote_grid = [(32, 64, 100, 4, 8)]
         campaign_grid = [(0, 16), (1, 32)]

@@ -16,14 +16,16 @@ The :class:`~repro.api.Study` facade is declarative — this package makes it
   core owning every shard job's lifecycle (leases, heartbeats, expiry,
   retry triage, first-result-wins, result cache, telemetry) for both the
   local and the remote route;
-* :mod:`repro.service.worker` — the shard worker process entry point,
-  with liveness heartbeats and structured error reporting;
+* :mod:`repro.service.worker` — the worker slot loop of the local pool
+  (persistent processes that run job after job over one pipe), with
+  liveness heartbeats and structured error reporting;
 * :mod:`repro.service.orchestrator` — :func:`run_study_service` and
   :func:`run_certification_sweep_service`, which shard the ``(B, n, d)``
-  scenario axis (or the sweep's grid rows) across a pool of workers and
-  merge the results deterministically: the orchestrated result is
-  bit-for-bit identical to the single-process run regardless of worker
-  count, completion order, or crash/resume cycles;
+  scenario axis (or the sweep's grid rows) across a persistent pool of
+  worker processes, reused by every study, and merge the results
+  deterministically: the orchestrated result is bit-for-bit identical to
+  the single-process run regardless of worker count, completion order, or
+  crash/resume cycles;
 * :mod:`repro.service.remote` — the distributed route: an HTTP server
   over the same job queue with streamed telemetry, the remote worker agent
   (``python -m repro.service.worker --url ...``), a shared content-keyed

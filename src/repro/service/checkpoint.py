@@ -9,7 +9,7 @@ as a worker reports it.  Because the key is pure content:
   are missing from the journal, and
 * identical shards across *different* studies (same spec, config and
   slice) deduplicate automatically — the second study replays the
-  journaled result without spawning a worker.
+  journaled result without running a worker job.
 
 The journal is a JSONL file: one header line, then one
 ``{"key": ..., "kind": ..., "result": ...}`` record per completed shard.

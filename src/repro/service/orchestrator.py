@@ -13,9 +13,10 @@ but executes the study as *shard jobs* across a pool of worker processes:
    missing shards, and identical shards (within or across studies)
    deduplicate;
 3. the remaining jobs go through one :class:`~repro.service.queue.JobQueue`
-   — in process, with forked worker processes as the pipe transport, or
-   behind a :class:`~repro.service.remote.server.JobQueueServer` with
-   ``remote=`` — which owns every attempt: workers prove liveness through
+   — in process, with the pipe transport handing each lease to a slot of
+   one persistent, module-wide worker pool, or behind a
+   :class:`~repro.service.remote.server.JobQueueServer` with ``remote=`` —
+   which owns every attempt: workers prove liveness through
    heartbeats on their lease; a worker killed by a signal, or one that
    exceeds its wall-clock or heartbeat budget, is classified as a
    *transient* failure and retried with exponential backoff, while
@@ -36,8 +37,10 @@ to the certification sweep's grid rows.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
-import queue as queue_module
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -53,11 +56,7 @@ from repro.exceptions import (
 )
 from repro.service.checkpoint import CheckpointJournal, content_key
 from repro.service.retry import RetryPolicy
-from repro.service.worker import (
-    describe_error,
-    error_from_descriptor,
-    shard_worker_main,
-)
+from repro.service.worker import describe_error, error_from_descriptor, slot_main
 
 if TYPE_CHECKING:
     from repro.service.remote.protocol import JobRecord, LeaseRecord
@@ -249,27 +248,148 @@ class _ShardBook:
             )
 
 
-@dataclass
-class _Attempt:
-    """One forked worker process and the lease it holds."""
+class _Slot:
+    """One persistent worker process of the pool and its end of the pipe.
 
-    lease: "LeaseRecord"
-    process: Any
-    started: float
+    ``lease`` and ``started`` describe the job it runs (``None`` while idle).
+    """
+
+    def __init__(self, context, key) -> None:
+        self.key = key
+        self.conn, self._slot_end = context.Pipe()
+        self.process = context.Process(
+            target=slot_main, args=(self._slot_end,), daemon=True, name="repro-slot"
+        )
+        self.lease: Optional["LeaseRecord"] = None
+        self.started = 0.0
+
+    def start(self) -> None:
+        self.process.start()
+        self._slot_end.close()
+
+    def kill(self) -> None:
+        if self.process.pid is not None:
+            self.process.kill()  # a no-op once it has exited
+            self.process.join()
+        self.conn.close()
+        self._slot_end.close()
+
+
+class _SlotPool:
+    """Persistent worker slots shared by every pipe-transport run.
+
+    Slots are started lazily, one per lease that finds no idle slot of its
+    key (the start method, and ``REPRO_THREADS``, which a slot copies from
+    the orchestrator's environment when it starts), and go back to the
+    pool after a healthy job.  A slot that crashed, timed out or lost its
+    lease is killed and discarded.  A lock guards the pool because several
+    threads may run studies at once.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: List[_Slot] = []
+        self.slots: set = set()  # every live slot, idle or busy
+
+    def acquire(self, context) -> _Slot:
+        key = (context.get_start_method(), os.environ.get("REPRO_THREADS"))
+        found, dead = None, []
+        with self._lock:
+            for index in range(len(self._idle) - 1, -1, -1):
+                if self._idle[index].key == key:
+                    slot = self._idle.pop(index)
+                    if slot.process.exitcode is None:
+                        found = slot
+                        break
+                    dead.append(slot)
+        for slot in dead:
+            self.discard(slot)
+        return found if found is not None else self._start(context, key)
+
+    def _start(self, context, key) -> _Slot:
+        slot = _Slot(context, key)
+        # Registered before the fork, so the child closes this end too.
+        with self._lock:
+            self.slots.add(slot)
+        try:
+            slot.start()
+        except BaseException:
+            self.discard(slot)
+            raise
+        return slot
+
+    def release(self, slot: _Slot) -> None:
+        slot.lease = None
+        with self._lock:
+            self._idle.append(slot)
+
+    def discard(self, slot: _Slot) -> None:
+        with self._lock:
+            self.slots.discard(slot)
+        slot.kill()
+
+    def trim(self, keep: int) -> None:
+        """Stop all but the ``keep`` most recently used idle slots."""
+        with self._lock:
+            cut = max(len(self._idle) - keep, 0)
+            extra, self._idle = self._idle[:cut], self._idle[cut:]
+            self.slots.difference_update(extra)
+        _stop(extra)
+
+    def close(self) -> None:
+        with self._lock:
+            slots = list(self.slots)
+            self.slots.clear()
+            self._idle.clear()
+        _stop(slots)
+
+    def pids(self) -> List[int]:
+        with self._lock:
+            return sorted(slot.process.pid for slot in self.slots if slot.process.pid)
+
+
+def _stop(slots: List[_Slot], timeout: float = 1.0) -> None:
+    """Ask ``slots`` to exit, then kill whichever is still up after ``timeout``."""
+    for slot in slots:
+        try:
+            slot.conn.send(None)
+        except OSError:
+            pass
+    deadline = time.monotonic() + timeout
+    for slot in slots:
+        slot.process.join(max(deadline - time.monotonic(), 0.0))
+        slot.kill()
+
+
+def _forget_pool() -> None:
+    """In a forked child: drop the inherited pool and its pipe ends.
+
+    Without this, a slot would keep the orchestrator's end of every older
+    slot's pipe open, and those slots would never see end-of-file once the
+    orchestrator dies.
+    """
+    global _POOL
+    inherited, _POOL = _POOL, _SlotPool()
+    for slot in inherited.slots:
+        slot.conn.close()
+
+
+_POOL = _SlotPool()
+os.register_at_fork(after_in_child=_forget_pool)
+atexit.register(lambda: _POOL.close())
 
 
 class _Scheduler(_ShardBook):
-    """Pipe transport: one forked shard worker per lease of an in-process queue.
+    """Pipe transport: leases of an in-process queue, run on pooled slots.
 
     It leases up to ``workers`` jobs from a
-    :class:`~repro.service.queue.JobQueue`, forks :func:`shard_worker_main`
-    for each lease, forwards the workers' heartbeat/result/error messages to
-    the queue, and kills a worker whose lease was revoked or whose
-    ``shard_timeout`` ran out.  Attempts, heartbeat expiry (the queue's
+    :class:`~repro.service.queue.JobQueue`, hands each lease to a slot of
+    the module's persistent pool, forwards the slots' heartbeat/result/error
+    messages to the queue, and kills a slot that died, whose lease the
+    queue revoked or whose ``shard_timeout`` ran out.  Attempts, heartbeat expiry (the queue's
     lease timeout is ``heartbeat_timeout``) and retries are the queue's.
-    The worker message queue is the transport's clock: it blocks on the next
-    message, for at most 50 ms while workers run, or until the next retry
-    is due while none do.
+    It blocks on the running slots' pipes and process sentinels until one
+    speaks or dies, or the next lease expiry, shard timeout or retry is due.
     """
 
     def __init__(
@@ -319,8 +439,7 @@ class _Scheduler(_ShardBook):
         queue = self._queue
         for job in self.pending.values():
             queue.enqueue(job.record)
-        messages = self._context.Queue()
-        running: Dict[str, _Attempt] = {}
+        running: Dict[str, _Slot] = {}  # by lease id
         seen = 0
         try:
             while self.pending:
@@ -328,23 +447,20 @@ class _Scheduler(_ShardBook):
                     leased = queue.lease("local")
                     if leased is None:
                         break
-                    running[leased[0].lease_id] = self._spawn(leased[0], messages)
-                self._drain(
-                    messages, running, 0.05 if running else queue.until_ready() or 0.0
-                )
-                self._police(messages, running)
+                    slot = _POOL.acquire(self._context)
+                    self._dispatch(slot, leased[0])
+                    running[leased[0].lease_id] = slot
+                self._wait(running)
+                self._police(running)
                 for event in queue.telemetry.since(seen):
                     seen = event.seq
                     self._observe(event)
         finally:
-            for attempt in running.values():
-                if attempt.process.is_alive():
-                    attempt.process.kill()
-                attempt.process.join()
-            messages.close()
-            messages.join_thread()
+            for slot in running.values():
+                _POOL.discard(slot)
+            _POOL.trim(self._workers)
 
-    def _spawn(self, lease, messages) -> _Attempt:
+    def _dispatch(self, slot: _Slot, lease) -> None:
         job = self._jobs[lease.key]
         service = {
             "key": job.key,
@@ -354,50 +470,75 @@ class _Scheduler(_ShardBook):
         markers = self._fault_markers.get(job.shards[0])
         if markers:
             service["markers"] = markers
-        payload = {"kind": job.record.kind, "body": job.record.body, "service": service}
-        process = self._context.Process(
-            target=shard_worker_main, args=(payload, messages), daemon=True
-        )
-        process.start()
-        return _Attempt(lease, process, time.monotonic())
+        slot.lease, slot.started = lease, time.monotonic()
+        try:
+            slot.conn.send(
+                {"kind": job.record.kind, "body": job.record.body, "service": service}
+            )
+        except OSError:
+            pass  # the slot died; _police sees its exit
 
-    def _drain(self, messages, running: Dict[str, _Attempt], timeout) -> None:
-        """Forward every queued worker message to the job queue.
+    def _timeout(self, running: Dict[str, _Slot]) -> Optional[float]:
+        """Seconds until a retry, lease expiry or shard timeout is due."""
+        due = []
+        if len(running) < self._workers:
+            due.append(self._queue.until_ready())
+        if running:
+            due.append(self._queue.until_expiry())
+            if self._shard_timeout is not None:
+                now = time.monotonic()
+                due.extend(
+                    slot.started + self._shard_timeout - now
+                    for slot in running.values()
+                )
+        due = [seconds for seconds in due if seconds is not None]
+        if not due:
+            return None if running else 0.0
+        return max(min(due), 0.0)
 
-        Blocks up to ``timeout`` seconds for the first message (``None``:
-        does not block).
-        """
+    def _wait(self, running: Dict[str, _Slot]) -> None:
+        """Block until a slot speaks or dies, or something is due; forward."""
+        from multiprocessing.connection import wait
+
+        handles = {}
+        for slot in running.values():
+            handles[slot.conn] = handles[slot.process.sentinel] = slot
+        ready = wait(list(handles), self._timeout(running))
+        for slot in {handles[handle] for handle in ready}:
+            self._forward(slot, running)
+
+    def _forward(self, slot: _Slot, running: Dict[str, _Slot]) -> None:
+        """Pass a running slot's messages to the job queue until its job ends."""
+        current = slot.lease.lease_id
         while True:
             try:
-                if timeout is None:
-                    message = messages.get_nowait()
-                else:
-                    message = messages.get(timeout=timeout)
-            except queue_module.Empty:
-                return
-            timeout = None
-            tag, key, lease_id = message[:3]
+                if not slot.conn.poll():
+                    return
+                tag, key, lease_id, *outcome = slot.conn.recv()
+            except (EOFError, OSError):
+                return  # the slot died; _police sees its exit
+            if lease_id != current:
+                continue  # a message of an earlier job
             if tag == "heartbeat":
                 self._queue.heartbeat(key, lease_id)
                 continue
-            attempt = running.pop(lease_id, None)
-            if attempt is not None:
-                attempt.process.join()
+            del running[lease_id]
             if tag == "result":
-                self._queue.complete(key, lease_id, message[3])
+                self._queue.complete(key, lease_id, outcome[0])
             else:
-                self._queue.fail(key, lease_id, message[3])
+                self._queue.fail(key, lease_id, outcome[0])
+            _POOL.release(slot)
+            return
 
-    def _police(self, messages, running: Dict[str, _Attempt]) -> None:
-        """Reap workers that exited silently; kill revoked or overdue ones."""
+    def _police(self, running: Dict[str, _Slot]) -> None:
+        """Discard slots that died, lost their lease or overran."""
         now = time.monotonic()
-        for lease_id, attempt in list(running.items()):
-            process, lease = attempt.process, attempt.lease
+        for lease_id, slot in list(running.items()):
+            process, lease = slot.process, slot.lease
             label = f"worker for shard {self._jobs[lease.key].shards[0]}"
             if process.exitcode is not None:
-                # One final drain: the worker may have flushed its result
-                # between our last drain and its exit.
-                self._drain(messages, running, None)
+                # It may have sent its result just before it exited.
+                self._forward(slot, running)
                 if lease_id not in running:
                     continue
                 error = WorkerCrashError(
@@ -406,24 +547,22 @@ class _Scheduler(_ShardBook):
                     exitcode=process.exitcode,
                 )
             elif not self._queue.holds(lease.key, lease_id):
-                # Revoked: its heartbeats stopped, or another attempt's
-                # result already won.  The queue has triaged it.
+                # Revoked: its heartbeats stopped.  The queue has triaged it.
                 error = None
             elif (
                 self._shard_timeout is not None
-                and now - attempt.started > self._shard_timeout
+                and now - slot.started > self._shard_timeout
             ):
                 error = ShardTimeoutError(
                     f"{label} (attempt {lease.attempt}) exceeded its timeout "
                     f"budget of {self._shard_timeout}s",
-                    elapsed=now - attempt.started,
+                    elapsed=now - slot.started,
                     kind="timeout",
                 )
             else:
                 continue
             del running[lease_id]
-            process.kill()  # a no-op once it has exited
-            process.join()
+            _POOL.discard(slot)
             if error is not None:
                 self._queue.fail(lease.key, lease_id, describe_error(error))
 
@@ -549,7 +688,9 @@ def run_study_service(
     does not serialize).  The remaining parameters drive the service layer:
 
     ``workers``
-        Worker process pool size (and the default shard count).
+        How many worker slots the run uses at once (and the default shard
+        count).  Slots are persistent processes shared by every local
+        service run; at most ``workers`` of them stay idle after the run.
     ``shard_size``
         Scenarios per shard; default splits the batch evenly over the pool.
     ``journal``

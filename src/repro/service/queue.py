@@ -4,10 +4,10 @@
 ``leased`` → ``completed`` | ``failed``, back to ``pending`` on a retried
 failure.  Two thin transports sit on it and never track attempts, expiry
 or retries themselves: the pipe transport
-(``repro.service.orchestrator._Scheduler``) leases jobs to forked local
-worker processes and forwards their messages, and the HTTP transport
-(:class:`~repro.service.remote.server.JobQueueServer`) maps each endpoint
-to one queue call.
+(``repro.service.orchestrator._Scheduler``) hands leases to the
+persistent worker slots of the local pool and forwards their messages, and
+the HTTP transport (:class:`~repro.service.remote.server.JobQueueServer`)
+maps each endpoint to one queue call.
 
 Every failure — an error a worker reports, a crash or timeout a transport
 detects, a lease whose heartbeats stopped — is triaged once, in
@@ -290,6 +290,16 @@ class JobQueue:
         with self._lock:
             ready = [e.ready_at for e in self._jobs.values() if e.status == "pending"]
             return None if not ready else max(0.0, min(ready) - self._clock())
+
+    def until_expiry(self) -> Optional[float]:
+        """Seconds until the next live lease expires (``None``: none can)."""
+        with self._lock:
+            expiries = [
+                e.expires_at
+                for e in self._jobs.values()
+                if e.status == "leased" and e.expires_at < math.inf
+            ]
+            return None if not expiries else max(0.0, min(expiries) - self._clock())
 
     # ------------------------------------------------------------------ #
     # Internals (called with the lock held)

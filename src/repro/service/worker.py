@@ -1,11 +1,12 @@
-"""Shard worker process: runs one job, reports results, proves liveness.
+"""Shard worker slot: runs job after job, reports results, proves liveness.
 
-A worker receives one *job payload* — ``{"kind", "body", "service"}`` where
-``body`` is the content-hashed job description and ``service`` carries the
-orchestration envelope (job key, lease id, heartbeat interval) — and
-communicates with the orchestrator exclusively through a multiprocessing
-queue.  Every message quotes the worker's lease, so the job queue can tell
-a live attempt from a revoked one:
+A *slot* is one persistent worker process of the local pool
+(``repro.service.orchestrator``).  It loops over one duplex pipe: it
+receives a *job payload* — ``{"kind", "body", "service"}`` where ``body``
+is the content-hashed job description and ``service`` carries the
+orchestration envelope (job key, lease id, heartbeat interval) — runs it,
+and answers on the same pipe.  Every message quotes the job's lease, so the
+job queue can tell a live attempt from a revoked one:
 
 * ``("heartbeat", key, lease_id)`` every ``heartbeat_interval`` seconds from
   a daemon thread, so the orchestrator can distinguish a *slow* shard from a
@@ -18,8 +19,11 @@ a live attempt from a revoked one:
   with their diagnostic fields intact) plus plain-text type/message/
   traceback fallbacks for exceptions that refuse to pickle.
 
-A worker killed by a signal sends nothing; the orchestrator detects the
-death from the process exit code and classifies it as transient.
+The heartbeat thread is joined before the result or error is sent, so no
+heartbeat of a job arrives after its outcome.  A ``None`` payload, an
+end-of-file on the pipe or the death of the parent process ends the slot.
+A slot killed by a signal sends nothing; the orchestrator sees its process
+sentinel and classifies the death as transient.
 
 The ``service`` section may carry *fault-injection markers* (used by the
 crash tests and the CI smoke job): ``kill_marker`` names a file whose
@@ -133,12 +137,12 @@ def _run_job(
 ) -> Tuple[str, Any]:
     """Run one job while a daemon thread calls ``beat()`` every ``interval`` s.
 
-    The beats stop when the job ends or ``beat()`` returns ``False`` (the
-    lease is gone).  Returns ``("result", payload)`` or ``("error",
-    descriptor)``.  Only a remote queue server can hand out a ``kind`` this
-    worker does not know, so that fails the job with a
-    :class:`~repro.exceptions.RemoteServiceError`.
-    Both the local shard worker and the remote worker agent run jobs here.
+    The beats stop when the job ends (the thread is joined before this
+    returns) or ``beat()`` returns ``False`` (the lease is gone).  Returns
+    ``("result", payload)`` or ``("error", descriptor)``.  Only a remote
+    queue server can hand out a ``kind`` this worker does not know, so that
+    fails the job with a :class:`~repro.exceptions.RemoteServiceError`.
+    Both the local pool's slots and the remote worker agent run jobs here.
     """
     stop = threading.Event()
 
@@ -146,7 +150,8 @@ def _run_job(
         while not stop.wait(interval) and beat():
             pass
 
-    threading.Thread(target=_beat, daemon=True).start()
+    beats = threading.Thread(target=_beat, daemon=True)
+    beats.start()
     try:
         runner = _RUNNERS.get(kind)
         if runner is None:
@@ -156,41 +161,58 @@ def _run_job(
         return "error", describe_error(error)
     finally:
         stop.set()
+        beats.join()
 
 
-def shard_worker_main(payload: Dict[str, Any], queue) -> None:
-    """Process entry point: run one job payload, report through ``queue``."""
-    service = payload.get("service", {})
-    key = service["key"]
-    lease_id = service["lease_id"]
-    _maybe_trigger_markers(service.get("markers") or {})
+def slot_main(conn) -> None:
+    """Process entry point of a pool slot: run job payloads from ``conn``."""
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
 
-    def _beat() -> bool:
+    from repro.config import _ACTIVE_CONFIGS
+
+    # A forked slot inherits the config stack of the thread that started
+    # it; every job carries its merged config, and nothing else may leak in.
+    _ACTIVE_CONFIGS.stack = []
+    parent = parent_process()
+    watched = [conn] if parent is None else [conn, parent.sentinel]
+    while True:
+        if parent is not None and parent.sentinel in wait(watched):
+            return
         try:
-            queue.put(("heartbeat", key, lease_id))
-        except Exception:  # queue torn down: the orchestrator is gone
-            return False
-        return True
+            payload = conn.recv()
+        except EOFError:
+            return
+        if payload is None:
+            return
+        service = payload["service"]
+        key, lease_id = service["key"], service["lease_id"]
+        _maybe_trigger_markers(service.get("markers") or {})
 
-    try:
+        def _beat() -> bool:
+            try:
+                conn.send(("heartbeat", key, lease_id))
+            except OSError:  # the orchestrator is gone
+                return False
+            return True
+
         tag, outcome = _run_job(
             payload.get("kind"),
             payload["body"],
             float(service.get("heartbeat_interval", 0.2)),
             _beat,
         )
-        queue.put((tag, key, lease_id, outcome))
-    finally:
-        # Make sure the feeder thread has flushed the pipe before exit.
-        queue.close()
-        queue.join_thread()
+        try:
+            conn.send((tag, key, lease_id, outcome))
+        except OSError:
+            return
 
 
 def main(argv=None) -> int:
     """``python -m repro.service.worker --url ...`` runs a *remote* worker.
 
-    The multiprocessing route spawns workers itself (:func:`shard_worker_main`
-    as the process target); this entry point is how a worker joins a
+    The local pool starts its slots itself (:func:`slot_main` as the
+    process target); this entry point is how a worker joins a
     :class:`~repro.service.remote.server.JobQueueServer` from any machine.
     """
     from repro.service.remote.worker import main as remote_main
@@ -206,5 +228,5 @@ __all__ = [
     "describe_error",
     "error_from_descriptor",
     "main",
-    "shard_worker_main",
+    "slot_main",
 ]

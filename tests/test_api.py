@@ -542,10 +542,11 @@ class TestNonFiniteInitialValues:
     def test_service_rejects_before_spawning_a_worker(self, monkeypatch, tmp_path):
         from repro.service import orchestrator, run_study_service
 
-        def no_spawn(*args, **kwargs):
-            raise AssertionError("a worker was spawned for invalid input")
+        def no_slot(*args, **kwargs):
+            raise AssertionError("a worker slot was used for invalid input")
 
-        monkeypatch.setattr(orchestrator._Scheduler, "_spawn", no_spawn)
+        monkeypatch.setattr(orchestrator._SlotPool, "acquire", no_slot)
+        monkeypatch.setattr(orchestrator._SlotPool, "_start", no_slot)
         values = _ensemble_values(4, 5)
         values[2, 4, 0] = np.nan
         journal = tmp_path / "journal.jsonl"

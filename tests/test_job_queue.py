@@ -77,6 +77,25 @@ def test_expired_lease_is_retried_at_the_policy_delay(clock):
     assert lease2.attempt == 2 and lease2.lease_id != lease.lease_id
 
 
+def test_until_expiry_tracks_the_next_heartbeat_deadline(clock):
+    queue = make_queue(clock)
+    assert queue.until_expiry() is None
+    for n in range(2):
+        queue.enqueue(job(n))
+    first, _ = queue.lease("w0")
+    clock.advance(0.25)
+    queue.lease("w1")
+    assert queue.until_expiry() == pytest.approx(0.75)
+    clock.advance(0.5)
+    assert queue.heartbeat(first.key, first.lease_id)
+    assert queue.until_expiry() == pytest.approx(0.5)  # now w1's lease is next
+
+    endless = make_queue(clock, lease_timeout=None)
+    endless.enqueue(job())
+    endless.lease("w0")
+    assert endless.until_expiry() is None
+
+
 def test_deterministic_error_fails_fast_on_attempt_one(clock):
     queue = make_queue(clock)
     record = job()

@@ -13,12 +13,15 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.algorithms import MidpointAlgorithm
 from repro.api import CertifySpec, ScenarioSpec, Study
+from repro.config import EngineConfig
 from repro.core.adversary import GreedyDiameterAdversary
 from repro.exceptions import (
     ConfigError,
@@ -38,6 +41,7 @@ from repro.service import (
     PartialStudyResult,
     RetryPolicy,
     content_key,
+    orchestrator,
     run_certification_sweep_service,
     run_study_service,
 )
@@ -55,6 +59,13 @@ def ensemble_kwargs():
         initial_values=values,
         rounds=8,
         pattern=pattern,
+    )
+
+
+@pytest.fixture()
+def certified_kwargs(ensemble_kwargs):
+    return dict(
+        ensemble_kwargs, model=deaf_model(n=5), certify=CertifySpec(suffix_rounds=6)
     )
 
 
@@ -274,13 +285,13 @@ def test_resume_after_orchestrator_sigkill(ensemble_kwargs, tmp_path):
         from repro.algorithms import MidpointAlgorithm
         from repro.models.standard import deaf_model
         from repro.models.patterns import RandomPattern
-        from repro.service import run_study_service
+        from repro.service import orchestrator, run_study_service
 
         model = deaf_model(n=5)
         pattern = RandomPattern(list(model), seed=3)
         values = np.random.default_rng(0).uniform(0, 1, (8, 5, 1))
         def report(record):
-            print("SHARD", record.shard, flush=True)
+            print("SHARD", record.shard, *orchestrator._POOL.pids(), flush=True)
         run_study_service(
             algorithm=MidpointAlgorithm(), initial_values=values, rounds=8,
             pattern=pattern, workers=1, shard_size=2,
@@ -299,9 +310,11 @@ def test_resume_after_orchestrator_sigkill(ensemble_kwargs, tmp_path):
         text=True,
     )
     seen = 0
+    slot_pids = set()
     for line in proc.stdout:
         if line.startswith("SHARD"):
             seen += 1
+            slot_pids.update(int(pid) for pid in line.split()[2:])
             if seen == 2:
                 os.kill(proc.pid, signal.SIGKILL)
                 break
@@ -309,6 +322,9 @@ def test_resume_after_orchestrator_sigkill(ensemble_kwargs, tmp_path):
     proc.stdout.close()
     assert proc.returncode == -signal.SIGKILL
     assert seen == 2
+    # The killed coordinator's slots see their pipe close and exit.
+    assert slot_pids
+    assert not _still_running(slot_pids)
 
     direct = Study(**ensemble_kwargs).run()
     records = []
@@ -325,6 +341,157 @@ def test_resume_after_orchestrator_sigkill(ensemble_kwargs, tmp_path):
     assert np.array_equal(
         merged.execution.recorded_outputs, direct.execution.recorded_outputs
     )
+
+
+# --------------------------------------------------------------------- #
+# The persistent worker pool
+# --------------------------------------------------------------------- #
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie awaiting its reaper is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _still_running(pids, deadline=30.0):
+    """The pids of ``pids`` still running after up to ``deadline`` seconds."""
+    end = time.monotonic() + deadline
+    while True:
+        alive = {pid for pid in pids if _running(pid)}
+        if not alive or time.monotonic() > end:
+            return alive
+        time.sleep(0.05)
+
+
+def _no_slot_start(*args, **kwargs):
+    raise AssertionError("a worker slot was started")
+
+
+def test_second_study_reuses_the_pool_slots(certified_kwargs, monkeypatch):
+    direct = Study(**certified_kwargs).run()
+    first = run_study_service(**certified_kwargs, workers=2, shard_size=2)
+    pids = orchestrator._POOL.pids()
+    assert len(pids) == 2
+    monkeypatch.setattr(orchestrator._SlotPool, "_start", _no_slot_start)
+    second = run_study_service(**certified_kwargs, workers=2, shard_size=2)
+    assert orchestrator._POOL.pids() == pids
+    assert_same_result(first, direct)
+    assert_same_result(second, direct)
+
+
+@pytest.mark.parametrize("marker", ["kill_marker", "hang_marker"])
+def test_broken_slot_is_replaced(certified_kwargs, tmp_path, marker):
+    direct = Study(**certified_kwargs).run()
+    run_study_service(**certified_kwargs, workers=2, shard_size=2)
+    before = set(orchestrator._POOL.pids())
+    records = []
+    merged = run_study_service(
+        **certified_kwargs,
+        workers=2,
+        shard_size=2,
+        heartbeat_interval=0.1,
+        heartbeat_timeout=1.0,
+        _fault_markers={1: {marker: _armed(tmp_path / marker)}},
+        on_shard=records.append,
+    )
+    assert_same_result(merged, direct)
+    assert {r.shard: r.attempts for r in records} == {0: 1, 1: 2, 2: 1, 3: 1}
+    [broken] = before - set(orchestrator._POOL.pids())
+    assert not _running(broken)
+    # The next study runs on the surviving slot and one fresh slot.
+    assert_same_result(
+        run_study_service(**certified_kwargs, workers=2, shard_size=2), direct
+    )
+    after = set(orchestrator._POOL.pids())
+    assert len(after) == 2 and len(after - before) == 1
+
+
+def test_concurrent_studies_share_the_pool(certified_kwargs):
+    values = certified_kwargs["initial_values"]
+    studies = [
+        dict(certified_kwargs, initial_values=values[start : start + 2])
+        for start in range(0, len(values), 2)
+    ]
+    # Warm one slot per thread first, so the threads mostly reuse slots
+    # instead of forking a multi-threaded process.
+    run_study_service(**certified_kwargs, workers=len(studies), shard_size=2)
+    outcomes = {}
+
+    def run(index):
+        try:
+            outcomes[index] = run_study_service(**studies[index], workers=1)
+        except BaseException as error:  # surfaced by the assertions below
+            outcomes[index] = error
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(studies))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index, kwargs in enumerate(studies):
+        assert_same_result(outcomes[index], Study(**kwargs).run())
+
+
+def test_ambient_config_does_not_leak_into_later_studies(certified_kwargs):
+    # Fresh slots forked inside the config block, then reused outside it.
+    orchestrator._POOL.close()
+    with EngineConfig(threads=2):
+        inside = run_study_service(**certified_kwargs, workers=2, shard_size=2)
+        inside_direct = Study(**certified_kwargs).run()
+    pids = orchestrator._POOL.pids()
+    outside = run_study_service(**certified_kwargs, workers=2, shard_size=2)
+    assert orchestrator._POOL.pids() == pids
+    assert inside.provenance.config.threads == 2
+    assert_same_result(inside, inside_direct)
+    assert outside.provenance.config.threads is None
+    assert_same_result(outside, Study(**certified_kwargs).run())
+
+
+def test_exiting_coordinator_stops_its_slots():
+    child_code = textwrap.dedent(
+        """
+        import numpy as np
+        from repro.algorithms import MidpointAlgorithm
+        from repro.models.standard import deaf_model
+        from repro.models.patterns import RandomPattern
+        from repro.service import orchestrator, run_study_service
+
+        model = deaf_model(n=5)
+        run_study_service(
+            algorithm=MidpointAlgorithm(),
+            initial_values=np.random.default_rng(0).uniform(0, 1, (8, 5, 1)),
+            rounds=8, pattern=RandomPattern(list(model), seed=3),
+            workers=2, shard_size=2,
+        )
+        print(*orchestrator._POOL.pids())
+        """
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    # A slot that outlived the child would hold its stdout open, and this
+    # call would time out.
+    completed = subprocess.run(
+        [sys.executable, "-c", child_code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    pids = {int(pid) for pid in completed.stdout.split()}
+    assert len(pids) == 2
+    assert not _still_running(pids)
 
 
 # --------------------------------------------------------------------- #

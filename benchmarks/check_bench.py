@@ -39,8 +39,8 @@ from pathlib import Path
 #: * Fast paths (``old_s``/``new_s``, ``loop_s``/``batched_s``) and the fused
 #:   masked-extreme kernel (which saves a mask resolution over two separate
 #:   reductions) must not lose by more than the slack ``--max-slowdown``.
-#:   The dense/chunked/packed reduction timings are deliberately NOT gated:
-#:   chunking and packing are memory-for-time tradeoffs measured at
+#:   The dense/fold/packed reduction timings are deliberately NOT gated:
+#:   folding and packing are memory-for-time tradeoffs measured at
 #:   millisecond scale, so a 2x wall-clock bound on a noisy CI runner would
 #:   flake without any code regression.
 #: * Ensemble-scale certification stacks all B scenarios' sampled futures

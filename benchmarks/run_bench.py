@@ -8,7 +8,7 @@ ensemble runner, the certification engine (batched valency estimation,
 contraction traces and packed α-class computation against their per-sequence
 / per-pair reference loops, plus a tracemalloc assertion that the streamed
 prefix enumeration stays below the materialized pass), the peak memory of
-the chunked vs dense vs packed masked reductions (tracemalloc), and the
+the sender-fold vs dense vs packed masked reductions (tracemalloc), and the
 asynchronous ``agreement_time`` sweep, then writes the results to
 ``BENCH_engine.json`` so the performance trajectory is tracked from PR to
 PR.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import sys
@@ -38,12 +37,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import MeanAlgorithm, MidpointAlgorithm
 from repro.algorithms.base import (
-    _masked_extremes_chunked,
     _masked_extremes_dense,
+    _masked_extremes_fold,
     _masked_extremes_packed,
     _masked_extremes_scan,
     _reduction_operands,
-    _resolve_chunks,
     masked_extreme_pair,
     masked_max,
     masked_min,
@@ -351,15 +349,8 @@ def _kernel_call(impl: str, adjacency, min_values, max_values):
     mask, min_arr, max_arr, lead = _reduction_operands(adjacency, min_values, max_values)
     if impl == "dense":
         return _masked_extremes_dense(mask, min_arr, max_arr)
-    if impl == "chunked":
-        # The automatic block sizes; one block when the input fits densely.
-        d = (min_arr if min_arr is not None else max_arr).shape[-1]
-        first = lead[0] if lead else 1
-        n_receivers, n = mask.shape[-2:]
-        chunks = _resolve_chunks(math.prod(lead), first, n_receivers, n, d)
-        return _masked_extremes_chunked(
-            mask, min_arr, max_arr, lead, *(chunks or (first, n_receivers))
-        )
+    if impl == "fold":
+        return _masked_extremes_fold(mask, min_arr, max_arr)
     kernel = {"packed": _masked_extremes_packed, "scan": _masked_extremes_scan}[impl]
     return kernel(mask, min_arr, max_arr, lead)
 
@@ -605,10 +596,11 @@ def bench_adversarial_ensemble(grid, repeats: int) -> list:
 
 
 def bench_reduction_memory(batch_size: int, n: int, d: int) -> list:
-    """Peak memory of one midpoint round's masked min/max: dense vs chunked kernels.
+    """Peak memory of one midpoint round's masked min/max: dense vs sender-fold kernels.
 
     Both kernels are called directly, so the entry isolates the effect of
-    chunking, not of the packed-bit path (benchmarked separately).
+    folding one sender at a time, not of the packed-bit path (benchmarked
+    separately).
     """
     values = np.stack([_initial_values(n, d, seed=b) for b in range(batch_size)])
     base = complete_graph(n)
@@ -619,13 +611,13 @@ def bench_reduction_memory(batch_size: int, n: int, d: int) -> list:
     def dense_round():
         _kernel_call("dense", adjacency, values, values)
 
-    def chunked_round():
-        _kernel_call("chunked", adjacency, values, values)
+    def fold_round():
+        _kernel_call("fold", adjacency, values, values)
 
     dense_peak = _peak_bytes(dense_round)
     dense_s = _best_of(dense_round, 3)
-    chunked_peak = _peak_bytes(chunked_round)
-    chunked_s = _best_of(chunked_round, 3)
+    fold_peak = _peak_bytes(fold_round)
+    fold_s = _best_of(fold_round, 3)
     entry = {
         "benchmark": "masked_reduction_memory",
         "algorithm": MidpointAlgorithm().name,
@@ -633,16 +625,16 @@ def bench_reduction_memory(batch_size: int, n: int, d: int) -> list:
         "n": n,
         "d": d,
         "dense_peak_bytes": dense_peak,
-        "chunked_peak_bytes": chunked_peak,
-        "memory_ratio": dense_peak / chunked_peak if chunked_peak else float("inf"),
+        "fold_peak_bytes": fold_peak,
+        "memory_ratio": dense_peak / fold_peak if fold_peak else float("inf"),
         "dense_s": dense_s,
-        "chunked_s": chunked_s,
+        "fold_s": fold_s,
     }
     print(
         f"reduction-mem midpoint   B={batch_size:4d} n={n:4d} d={d} "
-        f"dense={dense_peak / 1e6:7.1f}MB chunked={chunked_peak / 1e6:7.1f}MB "
+        f"dense={dense_peak / 1e6:7.1f}MB fold={fold_peak / 1e6:7.1f}MB "
         f"ratio={entry['memory_ratio']:5.1f}x (dense={dense_s * 1e3:.2f}ms, "
-        f"chunked={chunked_s * 1e3:.2f}ms)"
+        f"fold={fold_s * 1e3:.2f}ms)"
     )
     return [entry]
 
@@ -1252,8 +1244,8 @@ def main() -> int:
         adversary_grid = [(8, 4, 5)]
         psi_grid = [(8, 12)]
         adversarial_ensemble_grid = [(4, 8, 4, 5)]
-        # Above the auto-chunk threshold (24*256*256 > 2^20 elements), so the
-        # smoke run genuinely compares the dense and chunked code paths.
+        # Above the dense limit (24*256*256 > 2^20 elements), so the smoke
+        # run compares the dense kernel with the fold the dispatcher picks.
         memory_case = (24, 256, 1)
         valency_grid = [(6, 1, 20)]
         valency_memory_case = (6, 2, 10)

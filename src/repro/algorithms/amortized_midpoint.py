@@ -295,17 +295,15 @@ class AmortizedMidpointAlgorithm(Algorithm):
         reset = np.asarray(new.rounds_into_phase) == 0
         if reset.all():
             return np.zeros(np.shape(new.value)[:-2], dtype=bool)
-        collapsed_before = (
+        fixed = (
             (previous.phase_min == previous.value)
             & (previous.phase_max == previous.value)
-        ).all(axis=(-2, -1))
-        unchanged = (
-            (new.value == previous.value)
+            & (new.value == previous.value)
             & (new.phase_min == previous.value)
             & (new.phase_max == previous.value)
+            & ((new.value + new.value) * 0.5 == new.value)
         ).all(axis=(-2, -1))
-        halving_exact = ((new.value + new.value) * 0.5 == new.value).all(axis=(-2, -1))
-        return collapsed_before & unchanged & halving_exact & ~reset
+        return fixed & ~reset
 
     def batch_states(self, batch_state: AmortizedMidpointBatchState) -> Tuple[AmortizedMidpointState, ...]:
         if batch_state.value.ndim != 2:

@@ -548,19 +548,28 @@ class ValencyEstimator:
         scenarios it certifies as exact fixpoints of their constant graph are
         dropped early, bit-for-bit equal to running their remaining rounds.
         Algorithms answering ``None`` run every scenario for the full suffix.
+
+        Because retirement is exact, the final states do not depend on
+        which rounds are checked, so the checks back off: a check that
+        retires nothing doubles the gap to the next one, and a check that
+        retires something resets the gap to one round.
         """
         algorithm = self._algorithm
         outputs = np.asarray(algorithm.batch_outputs(state), dtype=float)
         finals = np.array(outputs, dtype=float)
         adjacency = suffix_adjacency
         alive = np.arange(finals.shape[0])
+        next_check, gap = 0, 1
         for offset in range(self._suffix_rounds):
             new_state = algorithm.batch_transition(
                 state, adjacency, start_round + 1 + offset
             )
-            if offset < self._suffix_rounds - 1:
+            if offset == next_check and offset < self._suffix_rounds - 1:
                 fixed = algorithm.batch_state_fixpoint(state, new_state)
-                if fixed is not None and fixed.any():
+                retiring = fixed is not None and fixed.any()
+                gap = 1 if retiring else 2 * gap
+                next_check = offset + gap
+                if retiring:
                     new_outputs = np.asarray(
                         algorithm.batch_outputs(new_state), dtype=float
                     )

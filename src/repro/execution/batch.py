@@ -777,6 +777,7 @@ def run_adversarial_ensemble(
     recorded = [np.array(algorithm.batch_outputs(batch_state), dtype=float)]
     recorded_batch_states = [batch_state] if record_states else None
     round_choices: List[List[CommunicationGraph]] = []
+    rows = np.arange(batch_size)
 
     t = 1
     while t <= rounds:
@@ -789,23 +790,31 @@ def run_adversarial_ensemble(
 
         # Evaluate all candidates against all scenarios at once: insert a
         # candidate axis into the batch state and let the stacked candidate
-        # adjacencies broadcast it to (B, C, n, d).
+        # adjacencies broadcast it to (B, C, n, d).  The states of the rounds
+        # to commit are kept: the winners' states are the committed ones.
+        commit = min(commit_rounds, rounds - t + 1)
         candidate_state = algorithm.batch_map(batch_state, lambda a: a[:, None, ...])
+        kept_states = []
         for offset in range(horizon):
             candidate_state = algorithm.batch_transition(
                 candidate_state, adjacency_at(offset), t + offset
             )
+            if offset < commit:
+                kept_states.append(candidate_state)
         outputs = np.asarray(algorithm.batch_outputs(candidate_state), dtype=float)
         outputs = np.broadcast_to(outputs, (batch_size, count, n, outputs.shape[-1]))
         choices = running_argmax(pairwise_diameters(outputs))  # (B,) from (B, C)
 
-        commit = min(commit_rounds, rounds - t + 1)
+        def winners(leaf):
+            # Leaves the candidate pass left broadcast over the candidate
+            # axis hold one state per scenario.
+            return leaf[:, 0] if leaf.shape[1] == 1 else leaf[rows, choices]
+
         for offset in range(commit):
             committed = [
                 candidate_lists[b][choices[b]][offset] for b in range(batch_size)
             ]
-            adjacency = round_adjacency(committed, cache=cache)
-            batch_state = algorithm.batch_transition(batch_state, adjacency, t)
+            batch_state = algorithm.batch_map(kept_states[offset], winners)
             round_choices.append(committed)
             if history_dependent:
                 for scenario, graph in enumerate(committed):

@@ -19,7 +19,7 @@ Sharding must be invisible in the results: for every route the merged record
 is bit-for-bit identical to the serial run.  Three properties make that hold:
 
 1. Every reduction of the batched engine is elementwise-independent across
-   the scenario axis (and the chunked/packed/scan implementations are
+   the scenario axis (and the fold/packed/scan implementations are
    bit-for-bit equal to the dense one), so slicing ``B`` then concatenating
    commutes with every round update.
 2. Fault draws are counter-based: a shard covering global scenarios

@@ -1,4 +1,4 @@
-"""Tests for the batched adversarial search engine and the chunked reductions.
+"""Tests for the batched adversarial search engine and the sender-fold reductions.
 
 Three properties are enforced:
 
@@ -7,15 +7,18 @@ Three properties are enforced:
   generic greedy/lookahead runs), on both execution paths;
 * :func:`repro.execution.run_adversarial_ensemble` commits the same graph
   sequences and outputs as independent per-scenario runs;
-* the chunked masked reductions are bit-for-bit equal to the dense ones for
-  every block size, including chunk=1 and chunk > B, and the automatic block
-  sizes keep every block's intermediate under the dense element limit.
+* the sender-fold masked reductions are bit-for-bit equal to the dense ones
+  (NaN positions and the signs of zeros included) on every leading-axis
+  layout, and the dispatcher picks them from ``n`` and the output count.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.algorithms import (
     AmortizedMidpointAlgorithm,
@@ -23,13 +26,13 @@ from repro.algorithms import (
     MidpointAlgorithm,
     TwoAgentThirdsAlgorithm,
 )
+import repro.algorithms.base as base_module
 from repro.algorithms.base import (
     _AUTO_DENSE_ELEMENT_LIMIT,
     ConvexCombinationAlgorithm,
-    _masked_extremes_chunked,
     _masked_extremes_dense,
+    _masked_extremes_fold,
     _reduction_operands,
-    _resolve_chunks,
     masked_max,
     masked_min,
     masked_min_max,
@@ -57,6 +60,12 @@ class _SlowMidpoint(ConvexCombinationAlgorithm):
     def combine(self, agent_id, received, round_number):
         values = np.vstack(list(received.values()))
         return (values.min(axis=0) + values.max(axis=0)) / 2.0
+
+
+def _record_outputs_bytes(ensemble):
+    """The recorded rounds and the raw bytes of the recorded outputs."""
+    outputs = np.ascontiguousarray(ensemble.recorded_outputs)
+    return ensemble.recorded_rounds, outputs.dtype.str, outputs.shape, outputs.tobytes()
 
 
 def _values(batch, n, d=1, seed=0):
@@ -221,6 +230,49 @@ class TestRunAdversarialEnsemble:
             np.testing.assert_array_equal(
                 ensemble.final_outputs[scenario], single.final_configuration.outputs
             )
+
+    @pytest.mark.parametrize(
+        "make_algorithm,make_adversary,n,rounds,horizon,commit",
+        [
+            (MidpointAlgorithm, lambda: GreedyDiameterAdversary(deaf_model(n=4)), 4, 5, 1, 1),
+            (
+                MidpointAlgorithm,
+                lambda: LookaheadDiameterAdversary(deaf_model(n=3), 2),
+                3, 5, 2, 1,
+            ),
+            (TwoAgentThirdsAlgorithm, TwoAgentAdversary, 2, 6, 1, 1),
+            (AmortizedMidpointAlgorithm, lambda: PsiBlockAdversary(5), 5, 8, 3, 3),
+            (MeanAlgorithm, lambda: GreedyDiameterAdversary(deaf_model(n=4)), 4, 5, 1, 1),
+        ],
+        ids=["greedy", "lookahead", "two-agent", "psi-block", "greedy-mean"],
+    )
+    def test_commits_reuse_the_candidate_pass(
+        self, monkeypatch, make_algorithm, make_adversary, n, rounds, horizon, commit
+    ):
+        # Every batch_transition call is a candidate pass, whose state carries
+        # the (B, C) leading axes; committed states are the winners' states.
+        values = _values(3, n, seed=13)
+        calls = []
+        cls = make_algorithm
+        original = cls.batch_transition
+
+        def spy(self, batch_state, adjacency, round_number):
+            new_state = original(self, batch_state, adjacency, round_number)
+            calls.append(np.ndim(self.batch_outputs(new_state)))
+            return new_state
+
+        monkeypatch.setattr(cls, "batch_transition", spy)
+        ensemble = run_adversarial_ensemble(
+            make_algorithm(), values, make_adversary(), rounds, threads=1
+        )
+        assert calls == [4] * (-(-rounds // commit) * horizon)
+        monkeypatch.undo()
+        fallback = run_adversarial_ensemble(
+            make_algorithm(), values, make_adversary(), rounds, use_batch=False
+        )
+        assert ensemble.batched and not fallback.batched
+        assert ensemble.round_choices == fallback.round_choices
+        assert _record_outputs_bytes(ensemble) == _record_outputs_bytes(fallback)
 
     def test_multidimensional_values(self):
         batch, n, rounds = 3, 4, 6
@@ -400,7 +452,7 @@ class TestHistoryDependentAdversary:
 
 
 # --------------------------------------------------------------------------- #
-# Chunked masked reductions
+# Sender-fold masked reductions
 # --------------------------------------------------------------------------- #
 
 
@@ -409,87 +461,86 @@ def _dense_masked_min(adjacency, values):
     return np.where(mask, values[..., None, :, :], np.inf).min(axis=-2)
 
 
-def _chunked_min_max(adjacency, values, batch_chunk, receiver_chunk):
-    """The chunked kernel with explicit block sizes (min-only, max-only, both)."""
-    mask, lo_values, hi_values, lead = _reduction_operands(adjacency, values, values)
-    blocks = (lead, batch_chunk, receiver_chunk)
-    lo = _masked_extremes_chunked(mask, lo_values, None, *blocks)[0]
-    hi = _masked_extremes_chunked(mask, None, hi_values, *blocks)[1]
-    return lo, hi, _masked_extremes_chunked(mask, lo_values, hi_values, *blocks)
+def _fold_min_max(adjacency, values):
+    """The fold kernel called directly (min-only, max-only, both)."""
+    mask, lo_values, hi_values, _lead = _reduction_operands(adjacency, values, values)
+    lo = _masked_extremes_fold(mask, lo_values, None)[0]
+    hi = _masked_extremes_fold(mask, None, hi_values)[1]
+    return lo, hi, _masked_extremes_fold(mask, lo_values, hi_values)
 
 
-def _block_size(setting, axis_length, automatic):
-    """A test block setting: an int, the whole axis, or the automatic choice."""
-    if setting == "dense":
-        return axis_length
-    if setting == "auto":
-        return automatic
-    return setting
+def _dense_and_fold(adjacency, min_values, max_values):
+    mask, lo_values, hi_values, _lead = _reduction_operands(adjacency, min_values, max_values)
+    return (
+        _masked_extremes_dense(mask, lo_values, hi_values),
+        _masked_extremes_fold(mask, lo_values, hi_values),
+    )
 
 
-class TestChunkedReductions:
-    SHAPES = [
-        ((6, 6), (6, 2)),          # single graph, single scenario
-        ((5, 6, 6), (5, 6, 2)),    # per-scenario graphs
-        ((3, 6, 6), (5, 1, 6, 2)), # candidate axis crossed with scenarios
-        ((6, 6), (5, 6, 1)),       # shared graph over an ensemble
-        ((4, 6, 6), (6, 3)),       # stacked candidates, shared values (scan path)
-    ]
+def _assert_same_bits(got, want):
+    """Equal values, NaN positions and zero signs (``None`` sides included)."""
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("batch_chunk", [1, 2, 3, 7, 100, "dense", "auto"])
-    @pytest.mark.parametrize("receiver_chunk", [1, 2, 4, 100, "dense", "auto"])
-    def test_bitwise_equal_to_dense(self, batch_chunk, receiver_chunk):
-        rng = np.random.default_rng(0)
-        for adjacency_shape, values_shape in self.SHAPES:
-            n = adjacency_shape[-1]
-            adjacency = rng.random(adjacency_shape) < 0.4
-            adjacency[..., np.arange(n), np.arange(n)] = True
-            values = rng.normal(size=values_shape)
-            expected_lo = _dense_masked_min(adjacency, values)
-            expected_hi = -_dense_masked_min(adjacency, -values)
-            np.testing.assert_array_equal(masked_min(adjacency, values), expected_lo)
-            np.testing.assert_array_equal(masked_max(adjacency, values), expected_hi)
-            lo, hi = masked_min_max(adjacency, values)
-            np.testing.assert_array_equal(lo, expected_lo)
-            np.testing.assert_array_equal(hi, expected_hi)
 
-            lead = expected_lo.shape[:-2]
-            lead0 = lead[0] if lead else 1
-            automatic = _resolve_chunks(
-                int(np.prod(lead)), lead0, n, n, values_shape[-1]
-            ) or (lead0, n)
-            blocks = (
-                _block_size(batch_chunk, lead0, automatic[0]),
-                _block_size(receiver_chunk, n, automatic[1]),
-            )
-            lo, hi, (pair_lo, pair_hi) = _chunked_min_max(adjacency, values, *blocks)
-            for got, want in ((lo, expected_lo), (pair_lo, expected_lo),
-                              (hi, expected_hi), (pair_hi, expected_hi)):
-                np.testing.assert_array_equal(got, want)
+class TestFoldReductions:
+    #: (adjacency lead, values lead): the leading-axis layouts callers use.
+    LAYOUTS = {
+        "single": ((), ()),                  # single graph, single scenario
+        "per-scenario": ((5,), (5,)),        # per-scenario graphs
+        "crossed": ((3,), (5, 1)),           # candidate axis crossed with scenarios
+        "shared-graph": ((), (5,)),          # shared graph over an ensemble
+        "shared-values": ((4,), ()),         # stacked candidates, shared values
+    }
 
-    def test_chunk_one_and_chunk_larger_than_batch(self):
+    @pytest.mark.parametrize("sides", ["min", "max", "both"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_bitwise_equal_to_dense(self, layout, n, d, sides):
+        adjacency_lead, values_lead = self.LAYOUTS[layout]
+        rng = np.random.default_rng(n * 10 + d)
+        adjacency = rng.random(adjacency_lead + (n, n)) < 0.4
+        adjacency[..., np.arange(n), np.arange(n)] = True
+        min_values = rng.normal(size=values_lead + (n, d)) if sides != "max" else None
+        max_values = rng.normal(size=values_lead + (n, d)) if sides != "min" else None
+        dense, fold = _dense_and_fold(adjacency, min_values, max_values)
+        for got, want in zip(fold, dense):
+            _assert_same_bits(got, want)
+        if min_values is not None:
+            _assert_same_bits(masked_min(adjacency, min_values), dense[0])
+        if max_values is not None:
+            _assert_same_bits(masked_max(adjacency, max_values), dense[1])
+
+    def test_shared_tensor_equals_separate_sides(self):
         rng = np.random.default_rng(1)
-        batch = 3
-        adjacency = rng.random((batch, 5, 5)) < 0.5
+        adjacency = rng.random((3, 5, 5)) < 0.5
         adjacency[..., np.arange(5), np.arange(5)] = True
-        values = rng.normal(size=(batch, 5, 4))
+        values = rng.normal(size=(3, 5, 4))
+        lo, hi, (pair_lo, pair_hi) = _fold_min_max(adjacency, values)
         expected = _dense_masked_min(adjacency, values)
-        for chunk in (1, batch + 10):
-            lo, _hi, _pair = _chunked_min_max(adjacency, values, chunk, chunk)
-            np.testing.assert_array_equal(lo, expected)
+        for got, want in ((lo, expected), (pair_lo, expected),
+                          (hi, -_dense_masked_min(adjacency, -values)), (pair_hi, hi)):
+            np.testing.assert_array_equal(got, want)
 
     def test_rows_without_neighbors_fill(self):
         adjacency = np.zeros((2, 3, 3), dtype=bool)  # not even self-loops
         values = np.ones((3, 2))
         assert np.all(masked_min(adjacency, values) == np.inf)
         assert np.all(masked_max(adjacency, values) == -np.inf)
+        lo, hi, _pair = _fold_min_max(adjacency, np.ones((2, 3, 2)))
+        assert np.all(lo == np.inf) and np.all(hi == -np.inf)
 
-    def test_executions_identical_across_chunkings(self):
+    def test_executions_identical_across_the_dense_limit(self):
         # Above the dense limit with d = 3 the ensemble's reductions take the
-        # chunked kernel; halves of the ensemble fit and take the dense one.
+        # fold kernel; halves of the ensemble fit and take the dense one.
         batch, n, d = 256, 40, 3
-        assert _resolve_chunks(batch, batch, n, n, d) is not None
-        assert _resolve_chunks(batch // 2, batch // 2, n, n, d) is None
+        assert batch * n * n * d > _AUTO_DENSE_ELEMENT_LIMIT >= (batch // 2) * n * n * d
         values = _values(batch, n, d, seed=9)
         pattern_graphs = [complete_graph(n), cycle_graph(n)]
         from repro.execution import run_pattern_ensemble
@@ -500,69 +551,77 @@ class TestChunkedReductions:
                 MidpointAlgorithm(), part, PeriodicPattern(pattern_graphs), 9
             ).recorded_outputs
 
-        chunked = run(values)
+        folded = run(values)
         halves = np.concatenate(
             [run(values[: batch // 2]), run(values[batch // 2 :])], axis=1
         )
-        np.testing.assert_array_equal(chunked, halves)
+        np.testing.assert_array_equal(folded, halves)
 
 
-@settings(max_examples=300)
+@settings(max_examples=150, deadline=None)
 @given(
-    lead0=st.integers(0, 4096),
-    rest=st.integers(1, 64),
-    n_receivers=st.integers(1, 512),
-    n=st.integers(1, 512),
-    d=st.integers(1, 8),
+    lead=st.lists(st.integers(1, 24), max_size=2).map(tuple),
+    n=st.integers(1, 12),
+    d=st.integers(1, 3),
 )
-def test_automatic_blocks_fit_the_dense_limit(lead0, rest, n_receivers, n, d):
-    lead_count = lead0 * rest
-    chunks = _resolve_chunks(lead_count, lead0, n_receivers, n, d)
-    full = lead_count * n_receivers * n * d
-    assert (chunks is None) == (full <= _AUTO_DENSE_ELEMENT_LIMIT)
-    if chunks is None:
-        return
-    block_lead, block_receivers = chunks
-    assert 1 <= block_lead <= lead0 and 1 <= block_receivers <= n_receivers
-    per_lead = rest * n * d
-    assert (
-        block_lead * per_lead * block_receivers <= _AUTO_DENSE_ELEMENT_LIMIT
-        or (block_lead, block_receivers) == (1, 1)
-    )
-    # Receivers shrink first: the leading axis is only split at one receiver.
-    assert block_lead == lead0 or block_receivers == 1
+def test_dispatch_rule_depends_on_n_and_output_count(lead, n, d):
+    # Per-lead values keep the scan kernel out and n < 32 the packed one:
+    # fold runs iff n <= 8 and lead · R · d >= 64 n, or over the dense limit.
+    rng = np.random.default_rng(n)
+    adjacency = rng.random(lead + (n, n)) < 0.5
+    values = rng.normal(size=lead + (n, d))
+    outputs = int(np.prod(lead)) * n * d
+    with mock.patch.object(
+        base_module, "_masked_extremes_fold", wraps=base_module._masked_extremes_fold
+    ) as fold:
+        masked_min_max(adjacency, values)
+    expected = (n <= 8 and outputs >= 64 * n) or outputs * n > _AUTO_DENSE_ELEMENT_LIMIT
+    assert fold.called == expected
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
     shared_graph=st.booleans(),
-    n=st.integers(1, 7),
+    n=st.integers(1, 9),
     d=st.integers(1, 4),
-    batch_chunk=st.integers(1, 9),
-    receiver_chunk=st.integers(1, 9),
     density=st.floats(0.0, 1.0),
 )
-@example(seed=1, lead=(3,), shared_graph=False, n=5, d=4,
-         batch_chunk=1, receiver_chunk=1, density=0.5)  # chunk = 1
-@example(seed=1, lead=(3,), shared_graph=False, n=5, d=4,
-         batch_chunk=13, receiver_chunk=13, density=0.5)  # chunk > B
+@example(seed=1, lead=(3,), shared_graph=False, n=1, d=4, density=0.5)  # one sender
 @example(seed=2, lead=(2,), shared_graph=False, n=3, d=2,
-         batch_chunk=1, receiver_chunk=2, density=0.0)  # empty in-neighborhoods
-def test_chunked_kernel_equals_dense(
-    seed, lead, shared_graph, n, d, batch_chunk, receiver_chunk, density
-):
+         density=0.0)  # empty in-neighborhoods
+def test_fold_kernel_equals_dense(seed, lead, shared_graph, n, d, density):
     rng = np.random.default_rng(seed)
     adjacency = rng.random((n, n) if shared_graph else lead + (n, n)) < density
     values = rng.normal(size=lead + (n, d))
-    mask, lo_values, hi_values, lead_shape = _reduction_operands(adjacency, values, values)
-    want_lo, want_hi = _masked_extremes_dense(mask, lo_values, hi_values)
-    got_lo, got_hi = _masked_extremes_chunked(
-        mask, lo_values, hi_values, lead_shape, batch_chunk, receiver_chunk
-    )
-    np.testing.assert_array_equal(got_lo, want_lo)
-    np.testing.assert_array_equal(got_hi, want_hi)
+    dense, fold = _dense_and_fold(adjacency, values, values)
+    for got, want in zip(fold, dense):
+        _assert_same_bits(got, want)
+
+
+_SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    n=st.integers(1, 8),
+    d=st.integers(1, 3),
+    shared=st.booleans(),
+)
+def test_fold_matches_dense_on_signed_zeros_and_nan(data, lead, n, d, shared):
+    # Ties between +0.0 and -0.0 resolve by sender order, so the fold must
+    # visit senders in ascending order, as the dense reduction does.  Masks
+    # are unconstrained: rows may hear nobody, not even themselves.
+    values = arrays(np.float64, lead + (n, d), elements=st.sampled_from(_SPECIAL_VALUES))
+    adjacency = data.draw(arrays(np.bool_, lead + (n, n)))
+    min_values = data.draw(values)
+    max_values = min_values if shared else data.draw(values)
+    dense, fold = _dense_and_fold(adjacency, min_values, max_values)
+    for got, want in zip(fold, dense):
+        _assert_same_bits(got, want)
 
 
 # --------------------------------------------------------------------------- #

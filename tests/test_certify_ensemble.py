@@ -7,33 +7,47 @@ must be **bit-for-bit identical** to ``B`` independent single-scenario
 certifications, for stateless (convex-combination) and stateful
 (batch-state) algorithms alike, on the batched and reference paths.  Also
 covered: the per-scenario configuration snapshots of ``EnsembleExecution``,
-the ``batch_state_stack`` hook, and the state-level fixpoint hook
+the ``batch_state_stack`` hook, the state-level fixpoint hook
 (``Algorithm.batch_state_fixpoint``) that extends active-set retiring to
-stateful algorithms.
+stateful algorithms, and the back-off of its checks on the constant suffix.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.algorithms import (
     AmortizedMidpointAlgorithm,
     DecidingAlgorithm,
     MeanAlgorithm,
     MidpointAlgorithm,
+    TwoAgentThirdsAlgorithm,
 )
+from repro.algorithms.amortized_midpoint import AmortizedMidpointBatchState
 from repro.algorithms.base import Algorithm, ConvexCombinationAlgorithm
 from repro.api import CertifySpec, EngineConfig, Study
-from repro.core.adversary import GreedyDiameterAdversary, PsiBlockAdversary
+from repro.core.adversary import (
+    GreedyDiameterAdversary,
+    PsiBlockAdversary,
+    TwoAgentAdversary,
+)
 from repro.core.contraction import (
     valency_contraction_trace,
     valency_contraction_trace_ensemble,
 )
 from repro.core.valency import ValencyEstimator
 from repro.exceptions import ExecutionError
-from repro.execution import run_ensemble, run_execution, run_pattern_ensemble
+from repro.execution import (
+    run_adversarial_ensemble,
+    run_ensemble,
+    run_execution,
+    run_pattern_ensemble,
+)
 from repro.graphs.families import complete_graph, cycle_graph, directed_star_graph
 from repro.models.patterns import PeriodicPattern, SequencePattern
-from repro.models.standard import deaf_model, psi_model
+from repro.models.standard import deaf_model, psi_model, two_agent_model
 from tests.valency_records import record_bytes, stacked
 
 
@@ -463,3 +477,138 @@ class TestStateFixpointHook:
         assert record_bytes(batched.certify_ensemble(ensemble)) == record_bytes(
             _scenario_traces(reference, ensemble)
         )
+
+
+# Values with frequent ties, so the hook's equalities hold often; doubling
+# 2**1023 overflows, so the phase-end halving does not reproduce it.
+_TIED = st.sampled_from((0.0, 0.5, 2.0**1023, np.inf, np.nan))
+_LEAF = arrays(np.float64, (4, 3, 1), elements=_TIED)
+_HUGE = np.full((4, 3, 1), 2.0**1023)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    leaves=st.tuples(*[_LEAF] * 6),
+    copies=st.tuples(*[st.booleans()] * 5),
+    positions=st.one_of(st.integers(0, 2), arrays(np.int64, (4,), elements=st.integers(0, 2))),
+)
+@example(leaves=(_HUGE,) * 6, copies=(True,) * 5, positions=1)  # fails the halving only
+@example(leaves=(_HUGE * 0,) * 6, copies=(True,) * 5, positions=1)  # an exact fixpoint
+def test_amortized_fixpoint_equals_three_reduction_form(leaves, copies, positions):
+    value, phase_min, phase_max, new_value, new_min, new_max = leaves
+    # Copied leaves make collapsed and unchanged states common.
+    previous = AmortizedMidpointBatchState(
+        value=value,
+        phase_min=value.copy() if copies[0] else phase_min,
+        phase_max=value.copy() if copies[1] else phase_max,
+        rounds_into_phase=0,
+        phase_length=3,
+    )
+    new = AmortizedMidpointBatchState(
+        value=value.copy() if copies[2] else new_value,
+        phase_min=value.copy() if copies[3] else new_min,
+        phase_max=value.copy() if copies[4] else new_max,
+        rounds_into_phase=positions,
+        phase_length=3,
+    )
+    with np.errstate(over="ignore"):
+        collapsed_before = (
+            (previous.phase_min == previous.value) & (previous.phase_max == previous.value)
+        ).all(axis=(-2, -1))
+        unchanged = (
+            (new.value == previous.value)
+            & (new.phase_min == previous.value)
+            & (new.phase_max == previous.value)
+        ).all(axis=(-2, -1))
+        halving_exact = ((new.value + new.value) * 0.5 == new.value).all(axis=(-2, -1))
+        reset = np.asarray(new.rounds_into_phase) == 0
+        expected = collapsed_before & unchanged & halving_exact & ~reset
+        got = AmortizedMidpointAlgorithm().batch_state_fixpoint(previous, new)
+    assert np.array_equal(np.broadcast_to(got, (4,)), expected)
+
+
+def _first_fixpoint_rounds(algorithm, state, adjacency, start_round, rounds):
+    """Per future, the first suffix round whose transition the hook certifies (0: none)."""
+    first = np.zeros(adjacency.shape[0], dtype=int)
+    for offset in range(rounds):
+        new = algorithm.batch_transition(state, adjacency, start_round + 1 + offset)
+        fixed = algorithm.batch_state_fixpoint(state, new)
+        if fixed is not None:
+            first[(first == 0) & fixed] = offset + 1
+        state = new
+    return first
+
+
+class TestSuffixBackoff:
+    """Fixpoint checks back off on the constant suffix without changing a bit."""
+
+    ROWS = {
+        "thm1": (TwoAgentThirdsAlgorithm, two_agent_model, TwoAgentAdversary, 2),
+        "thm2": (
+            MidpointAlgorithm,
+            lambda: deaf_model(n=4),
+            lambda: GreedyDiameterAdversary(deaf_model(n=4)),
+            4,
+        ),
+        "thm3": (AmortizedMidpointAlgorithm, lambda: psi_model(4), lambda: PsiBlockAdversary(4), 4),
+    }
+
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_records_match_reference(self, monkeypatch, row):
+        make_algorithm, make_model, make_adversary, n = self.ROWS[row]
+        algorithm, model = make_algorithm(), make_model()
+        # Scenario 0 has agreed: all its futures retire at suffix round 1.
+        values = _values(4, n, seed=7)
+        values[0] = 0.5
+        ensemble = run_adversarial_ensemble(
+            algorithm, values, make_adversary(), 8, record_states=True
+        )
+        suffixes = []
+        original = ValencyEstimator._run_constant_suffix_state
+
+        def spy(self, state, adjacency, start_round):
+            suffixes.append((state, adjacency, start_round))
+            return original(self, state, adjacency, start_round)
+
+        monkeypatch.setattr(ValencyEstimator, "_run_constant_suffix_state", spy)
+        batched = ValencyEstimator(algorithm, model, suffix_rounds=40, threads=1)
+        reference = ValencyEstimator(algorithm, model, suffix_rounds=40, use_batch=False)
+        record = batched.certify_ensemble(ensemble)
+        assert suffixes
+        assert record_bytes(record) == record_bytes(reference.certify_ensemble(ensemble))
+        first = np.concatenate(
+            [
+                _first_fixpoint_rounds(algorithm, state, adjacency, start, 40)
+                for state, adjacency, start in suffixes
+            ]
+        )
+        assert (first == 1).any()
+        if row == "thm1":
+            # Futures that converge to an exact fixpoint late in the suffix.
+            assert (first > 3).any()
+
+    def test_checks_double_their_gap_until_one_retires(self, monkeypatch):
+        algorithm = MidpointAlgorithm()
+        n = 4
+        # Scenario 0 has agreed and retires at the first check; scenario 1
+        # never reaches an exact fixpoint in 12 rounds of the cycle.
+        values = np.stack([np.full((n, 1), 0.5), np.linspace(0.0, 1.0, n).reshape(n, 1)])
+        adjacency = np.stack([cycle_graph(n).adjacency] * 2)
+        checked = []
+        original = MidpointAlgorithm.batch_state_fixpoint
+
+        def spy(self, previous, new):
+            checked.append(np.shape(new)[0])
+            return original(self, previous, new)
+
+        monkeypatch.setattr(MidpointAlgorithm, "batch_state_fixpoint", spy)
+        estimator = ValencyEstimator(algorithm, deaf_model(n=n), suffix_rounds=12)
+        finals = estimator._run_constant_suffix_state(values, adjacency, 0)
+        # Checks after suffix rounds 1, 2, 4 and 8: the first retires
+        # scenario 0, so the gaps are 1, 2 and 4; the next would be round 16.
+        assert checked == [2, 1, 1, 1]
+        state = values
+        for t in range(1, 13):
+            state = algorithm.batch_transition(state, adjacency, t)
+        assert np.array_equal(finals, state)
+

@@ -288,7 +288,7 @@ def _packed_min_max(adjacency, values):
 def kernel_calls(monkeypatch):
     """Record which private kernel each public masked reduction ran."""
     calls = []
-    for name in ("dense", "chunked", "scan", "packed"):
+    for name in ("dense", "fold", "scan", "packed"):
         original = getattr(reductions, f"_masked_extremes_{name}")
 
         def spy(*args, _name=name, _original=original):
@@ -362,7 +362,9 @@ PATH_INPUTS = {
     # Exactly _AUTO_DENSE_ELEMENT_LIMIT elements: the largest dense input.
     "dense": ((4, 64, 64), (4, 64, 64), "dense"),
     "packed": ((70, 128, 128), (70, 128, 1), "packed"),
-    "chunked": ((90, 64, 64), (90, 64, 3), "chunked"),
+    "fold": ((90, 64, 64), (90, 64, 3), "fold"),
+    # A few agents over many scenarios: the valency suffix's shape.
+    "fold-small-n": ((400, 4, 4), (400, 4, 1), "fold"),
     "scan": ((4, 8, 8), (8, 2), "scan"),
 }
 
@@ -484,7 +486,7 @@ class TestFusedMaskResolutionCount:
 
     ``masked_min_max`` / ``masked_extreme_pair`` fuse the min and max
     reductions over a single :func:`receive_mask` call on every
-    kernel (dense, chunked, sort-and-scan, packed); the amortized
+    kernel (dense, fold, sort-and-scan, packed); the amortized
     midpoint's vectorized transition rides that kernel, so each round
     resolves its adjacency exactly once.  The ``path`` parameter picks an
     input the dispatcher sends down that kernel (see ``PATH_INPUTS``).

@@ -39,10 +39,10 @@ from pathlib import Path
 #: * Fast paths (``old_s``/``new_s``, ``loop_s``/``batched_s``) and the fused
 #:   masked-extreme kernel (which saves a mask resolution over two separate
 #:   reductions) must not lose by more than the slack ``--max-slowdown``.
-#:   The dense/fold/packed reduction timings are deliberately NOT gated:
-#:   folding and packing are memory-for-time tradeoffs measured at
-#:   millisecond scale, so a 2x wall-clock bound on a noisy CI runner would
-#:   flake without any code regression.
+#:   The dense/fold/sort-select reduction timings (``masked_reduction``) are
+#:   deliberately NOT gated: folding and sorting are memory-for-time
+#:   tradeoffs measured at millisecond scale, so a 2x wall-clock bound on a
+#:   noisy CI runner would flake without any code regression.
 #: * Ensemble-scale certification stacks all B scenarios' sampled futures
 #:   into single passes, and the faulted ensemble applies its (B, n, n) fault
 #:   masks to the whole stacked adjacency per round; silently degrading to the
@@ -94,8 +94,7 @@ _REQUIRED_BENCHMARKS = (
     "certify_ensemble",
     "contraction_trace",
     "alpha_classes",
-    "masked_reduction_memory",
-    "packed_masked_reduction",
+    "masked_reduction",
     "facade_overhead",
     "service_overhead",
     "remote_service",

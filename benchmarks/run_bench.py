@@ -7,11 +7,11 @@ evaluation against the per-graph reference loop, the batched adversarial
 ensemble runner, the certification engine (batched valency estimation,
 contraction traces and packed α-class computation against their per-sequence
 / per-pair reference loops, plus a tracemalloc assertion that the streamed
-prefix enumeration stays below the materialized pass), the peak memory of
-the sender-fold vs dense vs packed masked reductions (tracemalloc), and the
-asynchronous ``agreement_time`` sweep, then writes the results to
-``BENCH_engine.json`` so the performance trajectory is tracked from PR to
-PR.
+prefix enumeration stays below the materialized pass), the time and peak
+memory (tracemalloc) of the dense, sender-fold and sort-select masked
+reductions, and the asynchronous ``agreement_time`` sweep, then writes the
+results to ``BENCH_engine.json`` so the performance trajectory is tracked
+from PR to PR.
 
 Usage (from the repository root)::
 
@@ -39,8 +39,7 @@ from repro.algorithms import MeanAlgorithm, MidpointAlgorithm
 from repro.algorithms.base import (
     _masked_extremes_dense,
     _masked_extremes_fold,
-    _masked_extremes_packed,
-    _masked_extremes_scan,
+    _masked_extremes_sorted,
     _reduction_operands,
     masked_extreme_pair,
     masked_max,
@@ -347,12 +346,10 @@ def _kernel_call(impl: str, adjacency, min_values, max_values):
             return masked_min(adjacency, min_values)
         return masked_extreme_pair(adjacency, min_values, max_values)
     mask, min_arr, max_arr, lead = _reduction_operands(adjacency, min_values, max_values)
-    if impl == "dense":
-        return _masked_extremes_dense(mask, min_arr, max_arr)
-    if impl == "fold":
-        return _masked_extremes_fold(mask, min_arr, max_arr)
-    kernel = {"packed": _masked_extremes_packed, "scan": _masked_extremes_scan}[impl]
-    return kernel(mask, min_arr, max_arr, lead)
+    if impl == "sorted":
+        return _masked_extremes_sorted(mask, min_arr, max_arr, lead)
+    kernel = {"dense": _masked_extremes_dense, "fold": _masked_extremes_fold}[impl]
+    return kernel(mask, min_arr, max_arr)
 
 
 def bench_fused_reduction(grid, repeats: int) -> list:
@@ -595,50 +592,6 @@ def bench_adversarial_ensemble(grid, repeats: int) -> list:
     return results
 
 
-def bench_reduction_memory(batch_size: int, n: int, d: int) -> list:
-    """Peak memory of one midpoint round's masked min/max: dense vs sender-fold kernels.
-
-    Both kernels are called directly, so the entry isolates the effect of
-    folding one sender at a time, not of the packed-bit path (benchmarked
-    separately).
-    """
-    values = np.stack([_initial_values(n, d, seed=b) for b in range(batch_size)])
-    base = complete_graph(n)
-    adjacency = np.stack(
-        [deaf_variant(base, b % n).adjacency for b in range(batch_size)]
-    )
-
-    def dense_round():
-        _kernel_call("dense", adjacency, values, values)
-
-    def fold_round():
-        _kernel_call("fold", adjacency, values, values)
-
-    dense_peak = _peak_bytes(dense_round)
-    dense_s = _best_of(dense_round, 3)
-    fold_peak = _peak_bytes(fold_round)
-    fold_s = _best_of(fold_round, 3)
-    entry = {
-        "benchmark": "masked_reduction_memory",
-        "algorithm": MidpointAlgorithm().name,
-        "B": batch_size,
-        "n": n,
-        "d": d,
-        "dense_peak_bytes": dense_peak,
-        "fold_peak_bytes": fold_peak,
-        "memory_ratio": dense_peak / fold_peak if fold_peak else float("inf"),
-        "dense_s": dense_s,
-        "fold_s": fold_s,
-    }
-    print(
-        f"reduction-mem midpoint   B={batch_size:4d} n={n:4d} d={d} "
-        f"dense={dense_peak / 1e6:7.1f}MB fold={fold_peak / 1e6:7.1f}MB "
-        f"ratio={entry['memory_ratio']:5.1f}x (dense={dense_s * 1e3:.2f}ms, "
-        f"fold={fold_s * 1e3:.2f}ms)"
-    )
-    return [entry]
-
-
 def bench_valency(grid, repeats: int) -> list:
     """Batched valency estimation vs the per-sequence reference loop.
 
@@ -688,43 +641,50 @@ def bench_valency_memory(n: int, depth: int, suffix_rounds: int) -> list:
     Asserts (tracemalloc) that streaming the exhaustive ``|N|^depth`` prefix
     product in bounded chunks keeps peak allocation strictly below the
     single-pass run that stacks every future at once — the whole point of the
-    chunked enumeration.
+    chunked enumeration.  The assertion runs at ``depth`` and at
+    ``depth + 1``: at ``depth`` the two peaks are close enough that the
+    masked-reduction kernel each pass's size selects can decide the
+    comparison, while the ``|N|``-fold larger materialized pass at
+    ``depth + 1`` outweighs any kernel's intermediate.
     """
     algorithm = MidpointAlgorithm()
     model = deaf_model(n=n)
     configuration = initial_configuration(algorithm, np.linspace(0.0, 1.0, n))
-    futures = sum(len(model) ** d for d in range(depth + 1)) * len(model)
-    streamed = ValencyEstimator(
-        algorithm, model, suffix_rounds=suffix_rounds, exploration_depth=depth,
-        scenario_chunk=128,
-    )
-    materialized = ValencyEstimator(
-        algorithm, model, suffix_rounds=suffix_rounds, exploration_depth=depth,
-        scenario_chunk=max(futures, 128),
-    )
-    streamed_peak = _peak_bytes(lambda: streamed.limit_estimates(configuration))
-    materialized_peak = _peak_bytes(lambda: materialized.limit_estimates(configuration))
-    assert streamed_peak < materialized_peak, (
-        f"streamed prefix enumeration peaked at {streamed_peak} bytes, not below the "
-        f"materialized pass ({materialized_peak} bytes)"
-    )
-    entry = {
-        "benchmark": "valency_streaming_memory",
-        "algorithm": algorithm.name,
-        "n": n,
-        "depth": depth,
-        "suffix_rounds": suffix_rounds,
-        "futures": futures,
-        "streamed_peak_bytes": streamed_peak,
-        "materialized_peak_bytes": materialized_peak,
-        "memory_ratio": materialized_peak / streamed_peak if streamed_peak else float("inf"),
-    }
-    print(
-        f"valency-mem   {algorithm.name:10s} n={n:4d} depth={depth} K={futures:5d} "
-        f"streamed={streamed_peak / 1e6:7.2f}MB materialized={materialized_peak / 1e6:7.2f}MB "
-        f"ratio={entry['memory_ratio']:5.1f}x"
-    )
-    return [entry]
+    results = []
+    for case_depth in (depth, depth + 1):
+        futures = sum(len(model) ** level for level in range(case_depth + 1)) * len(model)
+        streamed = ValencyEstimator(
+            algorithm, model, suffix_rounds=suffix_rounds, exploration_depth=case_depth,
+            scenario_chunk=128,
+        )
+        materialized = ValencyEstimator(
+            algorithm, model, suffix_rounds=suffix_rounds, exploration_depth=case_depth,
+            scenario_chunk=max(futures, 128),
+        )
+        streamed_peak = _peak_bytes(lambda: streamed.limit_estimates(configuration))
+        materialized_peak = _peak_bytes(lambda: materialized.limit_estimates(configuration))
+        assert streamed_peak < materialized_peak, (
+            f"streamed prefix enumeration (depth {case_depth}) peaked at {streamed_peak} "
+            f"bytes, not below the materialized pass ({materialized_peak} bytes)"
+        )
+        entry = {
+            "benchmark": "valency_streaming_memory",
+            "algorithm": algorithm.name,
+            "n": n,
+            "depth": case_depth,
+            "suffix_rounds": suffix_rounds,
+            "futures": futures,
+            "streamed_peak_bytes": streamed_peak,
+            "materialized_peak_bytes": materialized_peak,
+            "memory_ratio": materialized_peak / streamed_peak if streamed_peak else float("inf"),
+        }
+        results.append(entry)
+        print(
+            f"valency-mem   {algorithm.name:10s} n={n:4d} depth={case_depth} K={futures:5d} "
+            f"streamed={streamed_peak / 1e6:7.2f}MB "
+            f"materialized={materialized_peak / 1e6:7.2f}MB ratio={entry['memory_ratio']:5.1f}x"
+        )
+    return results
 
 
 def bench_certify_ensemble(grid, repeats: int) -> list:
@@ -867,14 +827,15 @@ def bench_alpha_classes(grid, repeats: int) -> list:
     return results
 
 
-def bench_packed_reduction(batch_size: int, n: int, d: int, repeats: int) -> list:
-    """Packed-bit masked reductions vs dense and vs the sort-and-scan kernel.
+def bench_masked_reduction(batch_size: int, n: int, d: int, repeats: int) -> list:
+    """Time and peak memory of one midpoint round's masked min/max per kernel.
 
-    ``packed_s``/``dense_s`` time the general case (per-scenario values),
-    ``scan_s`` the shared-values case the sort-and-scan kernel covers; each
-    kernel is called directly.
-    tracemalloc peaks are recorded; the timings are deliberately not gated
-    (memory-for-time tradeoffs at millisecond scale flake on CI).
+    Each kernel (dense, sender-fold, sort-select) is called directly on
+    per-scenario values and deaf-variant masks, so the entry isolates the
+    kernels from the dispatcher; ``sorted_shared_values_s`` times
+    sort-select on one value matrix shared by the whole mask stack (the
+    adversaries' candidate evaluation).  The timings are deliberately not
+    gated: memory-for-time tradeoffs at millisecond scale flake on CI.
     """
     rng = np.random.default_rng(0)
     values = rng.uniform(-1.0, 1.0, size=(batch_size, n, d))
@@ -883,35 +844,23 @@ def bench_packed_reduction(batch_size: int, n: int, d: int, repeats: int) -> lis
         [deaf_variant(base, b % n).adjacency for b in range(batch_size)]
     )
     shared_values = values[:1]
+    entry = {"benchmark": "masked_reduction", "B": batch_size, "n": n, "d": d}
+    for impl in ("dense", "fold", "sorted"):
+        def round_():
+            _kernel_call(impl, adjacency, values, values)
 
-    def general(impl):
-        _kernel_call(impl, adjacency, values, values)
-
-    def scan():
-        _kernel_call("scan", adjacency, shared_values, shared_values)
-
-    dense_s = _best_of(lambda: general("dense"), repeats)
-    packed_s = _best_of(lambda: general("packed"), repeats)
-    scan_s = _best_of(scan, repeats)
-    dense_peak = _peak_bytes(lambda: general("dense"))
-    packed_peak = _peak_bytes(lambda: general("packed"))
-    entry = {
-        "benchmark": "packed_masked_reduction",
-        "B": batch_size,
-        "n": n,
-        "d": d,
-        "dense_s": dense_s,
-        "packed_s": packed_s,
-        "scan_shared_values_s": scan_s,
-        "dense_peak_bytes": dense_peak,
-        "packed_peak_bytes": packed_peak,
-        "memory_ratio": dense_peak / packed_peak if packed_peak else float("inf"),
-    }
+        entry[f"{impl}_s"] = _best_of(round_, repeats)
+        entry[f"{impl}_peak_bytes"] = _peak_bytes(round_)
+    entry["sorted_shared_values_s"] = _best_of(
+        lambda: _kernel_call("sorted", adjacency, shared_values, shared_values), repeats
+    )
     print(
-        f"packed-reduce midpoint   B={batch_size:4d} n={n:4d} d={d} "
-        f"dense={dense_s * 1e3:8.2f}ms packed={packed_s * 1e3:8.2f}ms "
-        f"scan(shared)={scan_s * 1e3:8.2f}ms mem {dense_peak / 1e6:6.1f}->"
-        f"{packed_peak / 1e6:6.1f}MB ({entry['memory_ratio']:.1f}x)"
+        f"masked-reduce midpoint   B={batch_size:4d} n={n:4d} d={d} "
+        + " ".join(
+            f"{impl}={entry[f'{impl}_s'] * 1e3:.2f}ms/{entry[f'{impl}_peak_bytes'] / 1e6:.1f}MB"
+            for impl in ("dense", "fold", "sorted")
+        )
+        + f" sorted(shared)={entry['sorted_shared_values_s'] * 1e3:.2f}ms"
     )
     return [entry]
 
@@ -1244,9 +1193,6 @@ def main() -> int:
         adversary_grid = [(8, 4, 5)]
         psi_grid = [(8, 12)]
         adversarial_ensemble_grid = [(4, 8, 4, 5)]
-        # Above the dense limit (24*256*256 > 2^20 elements), so the smoke
-        # run compares the dense kernel with the fold the dispatcher picks.
-        memory_case = (24, 256, 1)
         valency_grid = [(6, 1, 20)]
         valency_memory_case = (6, 2, 10)
         # n=8 depth-2, small model: the per-scenario loop runs narrow
@@ -1254,7 +1200,9 @@ def main() -> int:
         certify_ensemble_grid = [(48, 8, 2, 2, 20, 6, 6)]
         contraction_grid = [(5, 4, 15)]
         alpha_grid = [("psi", 16), ("deaf", 12)]
-        packed_reduction_case = (24, 256, 1)
+        # Above the dense limit (24*256*256 > 2^20 elements): per-scenario
+        # values there take sort-select, and d = 3 would take the fold.
+        masked_reduction_case = (24, 256, 1)
         async_grid = [(4, 1, 6.0)]
         # Facade dispatch is ~microseconds; size the workloads so the engine
         # call dominates and the 5% gate measures dispatch, not noise.
@@ -1276,7 +1224,7 @@ def main() -> int:
         parallel_grid = [(256, 16, 10, 4)]
         # (B, n, d, kernels, gated); the small point is the rooted ensemble's
         # per-round shape, where the dispatcher runs the dense kernel.
-        fused_grid = [(24, 256, 1, ("dense", "packed"), True), (24, 12, 1, ("auto",), False)]
+        fused_grid = [(24, 256, 1, ("dense", "sorted"), True), (24, 12, 1, ("auto",), False)]
         repeats = 1
     else:
         engine_grid = [(16, 100), (64, 100), (64, 500), (256, 100)]
@@ -1285,7 +1233,6 @@ def main() -> int:
         adversary_grid = [(64, 8, 10), (64, 16, 10), (128, 8, 5)]
         psi_grid = [(34, 64), (66, 64)]
         adversarial_ensemble_grid = [(16, 32, 8, 20), (64, 32, 8, 20)]
-        memory_case = (64, 256, 1)
         # The (8, 2, 60) case is the ISSUE 3 acceptance workload: n=8,
         # depth-2 exhaustive sampling, default suffix length.
         valency_grid = [(8, 2, 60), (16, 1, 60), (32, 0, 60)]
@@ -1297,7 +1244,7 @@ def main() -> int:
         contraction_grid = [(8, 12, 40), (16, 12, 40)]
         # crash(3, 1) has many distinct root sets; its reference takes ~0.5 s.
         alpha_grid = [("psi", 32), ("psi", 64), ("deaf", 32), ("deaf", 48), ("crash", 3)]
-        packed_reduction_case = (64, 256, 1)
+        masked_reduction_case = (64, 256, 1)
         async_grid = [(8, 2, 20.0), (16, 4, 12.0)]
         facade_single_grid = [(64, 100)]
         facade_ensemble_grid = [(16, 64, 100)]
@@ -1306,7 +1253,7 @@ def main() -> int:
         remote_grid = [(32, 64, 100, 4, 8)]
         campaign_grid = [(0, 16), (1, 32)]
         parallel_grid = [(256, 32, 50, 4), (256, 64, 20, 4)]
-        fused_grid = [(64, 256, 1, ("dense", "packed"), True), (24, 12, 1, ("auto",), False)]
+        fused_grid = [(64, 256, 1, ("dense", "sorted"), True), (24, 12, 1, ("auto",), False)]
         repeats = 3
 
     results = []
@@ -1325,8 +1272,7 @@ def main() -> int:
     results += bench_certify_ensemble(certify_ensemble_grid, repeats=repeats)
     results += bench_contraction_trace(contraction_grid, repeats=repeats)
     results += bench_alpha_classes(alpha_grid, repeats=repeats)
-    results += bench_reduction_memory(*memory_case)
-    results += bench_packed_reduction(*packed_reduction_case, repeats=repeats)
+    results += bench_masked_reduction(*masked_reduction_case, repeats=repeats)
     results += bench_facade(facade_single_grid, facade_ensemble_grid, repeats=facade_repeats)
     results += bench_service(service_grid, repeats=repeats)
     results += bench_remote_service(remote_grid, repeats=repeats)
@@ -1339,6 +1285,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
         "results": results,
     }
     out_path = Path(args.out)

@@ -22,22 +22,17 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import AlgorithmError, EnsembleShapeError
-from repro.types import (
-    as_value,
-    pack_bool_rows,
-    packed_first_last_true,
-    packed_first_true,
-    packed_last_true,
-)
+from repro.types import as_value
 
 #: Dense intermediates up to this many elements are reduced in one pass
 #: (1M float64 elements = 8 MiB); anything larger is folded one sender at a
-#: time, or taken by the packed-bit kernel.
+#: time, or taken by the sort-select kernel.
 _AUTO_DENSE_ELEMENT_LIMIT = 1 << 20
 
 
@@ -59,7 +54,7 @@ def masked_min(adjacency: np.ndarray, values: np.ndarray) -> np.ndarray:
     ``(..., n, d)`` tensor; row ``j`` of the result is the minimum over the
     values of ``j``'s in-neighbors.  This is the one authoritative masked
     reduction shared by the fast-path algorithms and the convexity validator.
-    Large inputs are folded one sender at a time (or taken by the packed-bit
+    Large inputs are folded one sender at a time (or taken by the sort-select
     kernel), so peak memory is ``O(B · n · d)`` instead of the full
     ``(B, n, n, d)`` dense intermediate once that would overflow
     ``_AUTO_DENSE_ELEMENT_LIMIT``.
@@ -78,7 +73,7 @@ def masked_min_max(adjacency: np.ndarray, values: np.ndarray) -> Tuple[np.ndarra
     """Both masked extremes in one pass.
 
     Equivalent to ``(masked_min(a, v), masked_max(a, v))`` but shares the
-    receive-mask, shape resolution and (on the sort-and-scan fast path) the
+    receive-mask, shape resolution and (on the sort-select kernel) the
     per-coordinate gather between the two reductions — use it whenever an
     update needs both bounds (midpoint-style rules, convexity checks).
     """
@@ -108,14 +103,6 @@ def masked_extreme_pair(
     return _masked_extremes_pair(adjacency, min_values, max_values)
 
 
-def _output_dtype(values: np.ndarray) -> np.dtype:
-    """The dense path's promotion: ``np.where(mask, values, inf)`` keeps a
-    floating values dtype and promotes anything else to float64."""
-    if np.issubdtype(values.dtype, np.floating):
-        return values.dtype
-    return np.result_type(values.dtype, float)
-
-
 def _masked_extremes_dense(
     mask: np.ndarray,
     min_values: Optional[np.ndarray],
@@ -124,8 +111,12 @@ def _masked_extremes_dense(
     """Reference kernel: one ``np.where`` over the full dense intermediate.
 
     Reduces the ``(..., n_receivers, n, d)`` tensor of masked values in a
-    single pass; the scan, packed and fold kernels must equal it bit for
-    bit, and the tests compare them against it directly.
+    single pass; the fold and sort-select kernels must equal it byte for
+    byte once zeros are made ``+0.0`` (the dispatcher's rule), and the
+    tests compare them against it directly.  Which sender wins a ``±0`` tie
+    follows numpy's reduction order: the later sender where it reduces the
+    sender axis in index order (measured on numpy 2.4: ``d > 1`` or
+    ``n <= 8``), otherwise whichever SIMD lane finishes last.
     """
     expanded_mask = mask[..., None]
     lo = (
@@ -153,11 +144,8 @@ def _masked_extremes_fold(
     ``np.maximum``, so peak memory is ``O(lead · R · d)`` instead of the
     dense ``(..., R, n, d)`` intermediate, and ``n - 1`` slab operations
     replace numpy's reduction over a short sender axis.  Equal to the dense
-    kernel bit for bit, NaN propagation included.  A ``±0`` tie resolves to
-    the later sender; the dense reduction does the same wherever numpy
-    reduces the sender axis in index order (measured on numpy 2.4: ``d > 1``
-    or ``n <= 8``), so the two can differ only in the sign of a zero tie on
-    inputs over the dense limit with ``d == 1`` and ``n > 8``.
+    kernel, NaN propagation included, up to the sign of a zero: a ``±0`` tie
+    resolves to the later sender, which the dispatcher's ``+ 0.0`` erases.
     """
 
     def _one_side(values, fill, fold):
@@ -172,126 +160,74 @@ def _masked_extremes_fold(
     return _one_side(min_values, np.inf, np.minimum), _one_side(max_values, -np.inf, np.maximum)
 
 
-def _masked_extremes_scan(
+def _masked_extremes_sorted(
     mask: np.ndarray,
     min_values: Optional[np.ndarray],
     max_values: Optional[np.ndarray],
     lead: tuple,
 ):
-    """Sort-and-scan masked extremes for values shared across the mask's batch.
+    """Sort-and-select masked extremes.
 
-    The value tensors carry only size-1 leading axes.  With the ``(n, d)``
-    values fixed, the masked minimum of receiver ``j`` is the *first* of
-    ``j``'s in-neighbors in ascending value order and the
-    masked maximum the *last*, so one boolean gather plus an ``argmax`` per
-    coordinate replaces the ``O(lead · n² · d)`` float64 ``np.where``
-    intermediate with a byte-sized one — both faster and leaner when many
-    candidate masks share one value matrix (the adversaries' stacked
-    candidate evaluation).  Exact: a set extreme does not depend on the
-    evaluation order.  When the two sides are the same object the sort and
-    the boolean gather are shared; distinct tensors still share the
-    has-neighbor vector (and the caller's single mask resolution).
+    With a scenario's ``(n, d)`` values sorted per coordinate, the masked
+    minimum of receiver ``j`` is the *first* of ``j``'s in-neighbours in
+    ascending value order and the maximum the *last*, so a boolean gather of
+    the receive mask into sorted order plus a bool ``argmax`` (plain and
+    reversed) per coordinate replaces the ``O(lead · n² · d)`` float64
+    ``np.where`` intermediate with a byte-sized one.  Exact: the selected
+    floats are elements of the values, and only the sign of a ``±0`` tie
+    depends on the order (the dispatcher's ``+ 0.0`` erases it).
+
+    Each value tensor is argsorted over its own leading axes, so values
+    shared by a stack of masks (the adversaries' candidate evaluation) are
+    sorted once and gathered with one ``mask[..., order]``; per-lead values
+    are gathered with one boolean fancy index per lead scenario — measured
+    2-4x faster than a broadcast ``take_along_axis`` or bit-level gathers
+    out of :attr:`CommunicationGraph.packed_receive_rows`.  When the two
+    sides are the same object the sort and the gather are shared.
     """
-    n_receivers, last_axis = mask.shape[-2], mask.shape[-1]
+    n_receivers, n = mask.shape[-2], mask.shape[-1]
     has_neighbor = mask.any(axis=-1)  # (..., n_receivers)
 
-    def _one_side(values: np.ndarray, want_min: bool, want_max: bool):
-        values = values.reshape(values.shape[-2:])
+    def _gathers(values: np.ndarray):
+        """Per coordinate: which receivers hear anyone, the mask gathered
+        into ascending value order, and the selector of sorted values."""
         d = values.shape[-1]
-        out_shape = lead + (n_receivers, d)
-        lo_columns, hi_columns = [], []
+        if values.size == n * d:  # one value matrix shared by the whole stack
+            values = values.reshape(n, d)
+            for coord in range(d):
+                column = values[:, coord]
+                order = np.argsort(column, kind="stable")
+                yield has_neighbor, mask[..., order], column[order].__getitem__
+            return
+        lead_count = math.prod(lead)
+        flat = lambda array: np.broadcast_to(  # noqa: E731
+            array, lead + array.shape[-2:]
+        ).reshape((lead_count,) + array.shape[-2:])
+        order = np.argsort(values, axis=-2, kind="stable")
+        sorted_values = flat(np.take_along_axis(values, order, axis=-2))
+        order, mask_flat = flat(order), flat(mask)
+        reached = flat(has_neighbor[..., None])[..., 0]
+        sorted_mask = np.empty((lead_count, n_receivers, n), dtype=bool)
         for coord in range(d):
-            column = values[:, coord]
-            order = np.argsort(column, kind="stable")
-            sorted_column = column[order]
-            sorted_mask = mask[..., order]
+            for scenario in range(lead_count):
+                sorted_mask[scenario] = mask_flat[scenario][:, order[scenario, :, coord]]
+            yield reached, sorted_mask, partial(
+                np.take_along_axis, sorted_values[..., coord], axis=-1
+            )
+
+    def _one_side(values: np.ndarray, want_min: bool, want_max: bool):
+        lo_columns, hi_columns = [], []
+        for reached, sorted_mask, select in _gathers(values):
             if want_min:
                 first_hit = sorted_mask.argmax(axis=-1)
-                lo_columns.append(np.where(has_neighbor, sorted_column[first_hit], np.inf))
+                lo_columns.append(np.where(reached, select(first_hit), np.inf))
             if want_max:
-                last_hit = last_axis - 1 - sorted_mask[..., ::-1].argmax(axis=-1)
-                hi_columns.append(np.where(has_neighbor, sorted_column[last_hit], -np.inf))
+                last_hit = n - 1 - sorted_mask[..., ::-1].argmax(axis=-1)
+                hi_columns.append(np.where(reached, select(last_hit), -np.inf))
+        out_shape = lead + (n_receivers, values.shape[-1])
         lo = np.stack(lo_columns, axis=-1).reshape(out_shape) if want_min else None
         hi = np.stack(hi_columns, axis=-1).reshape(out_shape) if want_max else None
         return lo, hi
-
-    if min_values is not None and min_values is max_values:
-        return _one_side(min_values, True, True)
-    lo = _one_side(min_values, True, False)[0] if min_values is not None else None
-    hi = _one_side(max_values, False, True)[1] if max_values is not None else None
-    return lo, hi
-
-
-def _masked_extremes_packed(
-    mask: np.ndarray,
-    min_values: Optional[np.ndarray],
-    max_values: Optional[np.ndarray],
-    lead: tuple,
-):
-    """Packed-bit masked extremes for the general (per-lead values) case.
-
-    Sorting each scenario's values once per coordinate turns the masked
-    extreme of every receiver into a first/last-set-bit query on the
-    receiver's mask row *permuted into sorted order*; packing those rows via
-    ``np.packbits`` answers all queries with one byte-level ``argmax`` and a
-    table lookup.  The largest intermediate is the permuted boolean mask —
-    an eighth of the dense path's float64 ``np.where`` tensor at ``d == 1``
-    before packing even starts — and the selected floats are actual elements
-    of ``values``, so the result is bit-for-bit equal to the dense path.
-
-    The column gather runs as one boolean fancy-index per lead scenario —
-    measured the fastest layout here: both a broadcast ``take_along_axis``
-    over the stacked boolean tensor and bit-level gathers out of the
-    bitset-resident :attr:`CommunicationGraph.packed_receive_rows` cache
-    (byte gather + shift + repack) clock 2-4x slower across every
-    ``(lead, n)`` regime on this stack, because the per-scenario gather is a
-    single contiguous fancy-index while the bit-level variant needs three
-    full passes over the mask bytes.  The graph bitset cache therefore
-    serves the *unpermuted* consumers (the α-relation kernels) instead.
-
-    The fused two-tensor case shares the flattened mask and the permuted-mask
-    scratch buffer between the sides; with identical value objects the sort,
-    the permuted pack and the first/last-bit queries (one fused
-    :func:`repro.types.packed_first_last_true` sweep) are shared too.
-    """
-    n_receivers, n = mask.shape[-2], mask.shape[-1]
-    lead_count = math.prod(lead) if lead else 1
-    mask_flat = np.broadcast_to(mask, lead + (n_receivers, n)).reshape(
-        lead_count, n_receivers, n
-    )
-    permuted = np.empty((lead_count, n_receivers, n), dtype=bool)
-    out_shape_of = lambda d: lead + (n_receivers, d)  # noqa: E731
-
-    def _one_side(values: np.ndarray, want_min: bool, want_max: bool):
-        d = values.shape[-1]
-        values_flat = np.broadcast_to(values, lead + (n, d)).reshape(lead_count, n, d)
-        out_dtype = _output_dtype(values)
-        lo = np.empty((lead_count, n_receivers, d), dtype=out_dtype) if want_min else None
-        hi = np.empty((lead_count, n_receivers, d), dtype=out_dtype) if want_max else None
-        order = np.argsort(values_flat, axis=-2, kind="stable")  # (L, n, d)
-        for coord in range(d):
-            column_order = order[..., coord]  # (L, n)
-            sorted_column = np.take_along_axis(values_flat[..., coord], column_order, axis=-1)
-            sorted_column = sorted_column.astype(out_dtype, copy=False)
-            for scenario in range(lead_count):
-                permuted[scenario] = mask_flat[scenario][:, column_order[scenario]]
-            packed = pack_bool_rows(permuted)  # (L, R, ceil(n/8))
-            if want_min and want_max:
-                first, last = packed_first_last_true(packed, n)
-            elif want_min:
-                first = packed_first_true(packed, n)  # (L, R); n = no neighbor
-            else:
-                last = packed_last_true(packed, n)  # (L, R); -1 = no neighbor
-            if want_min:
-                gathered = np.take_along_axis(sorted_column, np.minimum(first, n - 1), axis=-1)
-                lo[..., coord] = np.where(first < n, gathered, np.inf)
-            if want_max:
-                gathered = np.take_along_axis(sorted_column, np.maximum(last, 0), axis=-1)
-                hi[..., coord] = np.where(last >= 0, gathered, -np.inf)
-        return (
-            lo.reshape(out_shape_of(d)) if lo is not None else None,
-            hi.reshape(out_shape_of(d)) if hi is not None else None,
-        )
 
     if min_values is not None and min_values is max_values:
         return _one_side(min_values, True, True)
@@ -371,16 +307,31 @@ def _masked_extremes_pair(
     ``min_values`` feeds the minimum and ``max_values`` the maximum; either
     may be ``None`` (that side is skipped) and passing the same object for
     both recovers the shared-sort single-tensor behaviour of
-    :func:`masked_min_max`.  The kernel is chosen from the input alone:
+    :func:`masked_min_max`.  The kernel is chosen from the input alone, by
+    the first rule that holds:
 
-    * sort-and-scan when one value matrix (``d <= 8``) is shared by a stack
-      of masks;
-    * packed-bit when per-lead values with ``d <= 2`` and ``n >= 32``
-      overflow ``_AUTO_DENSE_ELEMENT_LIMIT``;
-    * sender-fold when the ``lead · R · n · d`` dense intermediate overflows
-      that limit, or when ``n <= 8`` and the output count ``lead · R · d``
-      is at least ``64 · n``;
+    * sender-fold when ``n <= 8`` and the output count ``lead · R · d`` is
+      at least ``64 · n``;
+    * sort-select when one value matrix (``d <= 8``) is shared by a stack
+      of masks whose ``lead · R · n · d`` dense intermediate has at least
+      6144 elements, or when per-lead values with ``d <= 2`` and
+      ``n >= 32`` overflow ``_AUTO_DENSE_ELEMENT_LIMIT``;
+    * sender-fold when the dense intermediate overflows that limit;
     * dense otherwise.
+
+    The shared-values threshold comes from a grid of fused min/max calls
+    over shared values (2 vCPUs, median of 9 interleaved medians, µs
+    sort-select / dense / fold at ``(lead, n, d)``).  Below 6144 dense
+    elements dense wins: ``(4, 4, 1)`` 21 / 8 / 19, ``(3, 5, 1)`` 21 / 8 /
+    24, ``(4, 24, 1)`` 28 / 20 / 115, ``(3, 34, 1)`` 28 / 22 / 158,
+    ``(16, 16, 1)`` 38 / 34 / 88, and in a second run ``(4, 32, 1)`` 46 /
+    41 and ``(2, 48, 1)`` 46 / 40.  At 6144 the two tie (``(6, 32, 1)``
+    56 / 57, ``(24, 16, 1)`` 73 / 78, ``(8, 16, 3)`` 102 / 124), and
+    above it sort-select wins: ``(8, 32, 1)`` 64 / 75 / 320, ``(3, 66,
+    1)`` 66 / 121 / 641, ``(64, 16, 1)`` 82 / 169 / 179, ``(8, 64, 1)``
+    71 / 271 / 533, ``(24, 64, 1)`` 177 / 877 / 1061, ``(8, 128, 1)`` 421
+    / 1110 / 1581, ``(128, 16, 3)`` 472 / 1227 / 1252.  ``(400, 4, 1)``
+    197 / 249 / 82 takes the small-n fold.
 
     The fold's small-n threshold comes from a dense-vs-fold grid of fused
     min/max calls (2 vCPUs, n in {2, 4, 8, 12, 16, 32}, lead in {4 .. 1000},
@@ -396,10 +347,14 @@ def _masked_extremes_pair(
     ``n >= 12`` the fold gains at most 1.36x and only far above the
     crossover, so those inputs stay dense until they overflow the limit.
 
-    NaN values skip the scan and packed kernels (they need the dense
-    propagation semantics).  Every kernel receives the one mask produced
-    here, so a caller needing both extremes pays for exactly one
-    :func:`receive_mask` resolution regardless of path.
+    NaN values skip the sort-select kernel (they need the dense propagation
+    semantics).  Every kernel receives the one mask produced here, so a
+    caller needing both extremes pays for exactly one :func:`receive_mask`
+    resolution regardless of path.  Zeros come out as ``+0.0`` whatever
+    kernel ran: one in-place ``+ 0.0`` on each output erases the sign of a
+    ``±0`` tie, which the kernels resolve differently (sort-select by stable
+    sort position, fold to the later sender, dense by numpy's reduction
+    order).
     """
     mask, min_arr, max_arr, lead = _reduction_operands(adjacency, min_values, max_values)
     sides = _distinct_sides(min_arr, max_arr)
@@ -408,28 +363,25 @@ def _masked_extremes_pair(
     lead_count = math.prod(lead) if lead else 1
     outputs = lead_count * n_receivers * d
     over_limit = outputs * n > _AUTO_DENSE_ELEMENT_LIMIT
-
-    def nan_free() -> bool:
-        return not any(np.isnan(values).any() for values in sides)
-
+    small_n = n <= 8 and outputs >= 64 * n
+    shared = lead_count > 1 and all(size == 1 for values in sides for size in values.shape[:-2])
     if (
-        lead_count > 1
-        and d <= 8
-        and all(size == 1 for values in sides for size in values.shape[:-2])
-        and nan_free()
+        not small_n
+        and (
+            (shared and d <= 8 and outputs * n >= 6144)
+            or (lead_count > 1 and d <= 2 and n >= 32 and over_limit)
+        )
+        and not any(np.isnan(values).any() for values in sides)
     ):
-        return _masked_extremes_scan(mask, min_arr, max_arr, lead)
-    if (
-        lead_count > 1
-        and d <= 2
-        and n >= 32
-        and over_limit
-        and nan_free()
-    ):
-        return _masked_extremes_packed(mask, min_arr, max_arr, lead)
-    if over_limit or (n <= 8 and outputs >= 64 * n):
-        return _masked_extremes_fold(mask, min_arr, max_arr)
-    return _masked_extremes_dense(mask, min_arr, max_arr)
+        lo, hi = _masked_extremes_sorted(mask, min_arr, max_arr, lead)
+    elif over_limit or small_n:
+        lo, hi = _masked_extremes_fold(mask, min_arr, max_arr)
+    else:
+        lo, hi = _masked_extremes_dense(mask, min_arr, max_arr)
+    for extreme in (lo, hi):
+        if extreme is not None:
+            extreme += 0.0
+    return lo, hi
 
 
 class Algorithm(ABC):

@@ -19,9 +19,11 @@ Sharding must be invisible in the results: for every route the merged record
 is bit-for-bit identical to the serial run.  Three properties make that hold:
 
 1. Every reduction of the batched engine is elementwise-independent across
-   the scenario axis (and the fold/packed/scan implementations are
-   bit-for-bit equal to the dense one), so slicing ``B`` then concatenating
-   commutes with every round update.
+   the scenario axis, and the three masked-extreme kernels (dense, fold,
+   sort-select) are byte-for-byte equal once every zero is made ``+0.0``,
+   which the dispatcher does on each output, so slicing ``B`` then
+   concatenating commutes with every round update even when a shard's size
+   selects a different kernel.
 2. Fault draws are counter-based: a shard covering global scenarios
    ``[start, stop)`` runs under ``replace(plan, scenario_base=plan.
    scenario_base + start)``, which makes its draws the exact slice of the

@@ -126,82 +126,20 @@ def pairwise_diameters(outputs: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 #
 # Boolean rows (in-neighborhoods, receive masks) packed into uint8 via
-# ``np.packbits`` are 8x denser than bool arrays, so row comparisons and
-# first/last-set-bit scans over whole graph or mask stacks touch an eighth of
-# the memory.  These kernels are shared by the bitset-packed graph layer
-# (:mod:`repro.graphs.packed`) and the packed masked-reduction path of
-# :mod:`repro.algorithms.base`.
-
-#: For a byte value, the index (0 = most significant bit, packbits order) of
-#: its first set bit; 8 for the zero byte.
-_FIRST_BIT_IN_BYTE = np.full(256, 8, dtype=np.int64)
-#: For a byte value, the index of its last set bit; -1 for the zero byte.
-_LAST_BIT_IN_BYTE = np.full(256, -1, dtype=np.int64)
-for _byte in range(1, 256):
-    _bits = [_i for _i in range(8) if _byte & (1 << (7 - _i))]
-    _FIRST_BIT_IN_BYTE[_byte] = _bits[0]
-    _LAST_BIT_IN_BYTE[_byte] = _bits[-1]
-del _byte, _bits
+# ``np.packbits`` are 8x denser than bool arrays, so row comparisons over
+# whole graph or mask stacks touch an eighth of the memory.  These kernels
+# serve the bitset-packed graph layer (:mod:`repro.graphs.packed`) and the
+# α-relation kernels of :mod:`repro.graphs.relations`.
 
 
 def pack_bool_rows(mask: np.ndarray) -> np.ndarray:
     """Pack a boolean ``(..., m)`` array into uint8 ``(..., ceil(m/8))`` rows.
 
     Element 0 of a row maps to the most significant bit of byte 0 (numpy's
-    ``packbits`` big-bit order), so lexicographic byte order preserves the
-    first/last-set-bit structure :func:`packed_first_true` and
-    :func:`packed_last_true` rely on.
+    ``packbits`` big-bit order), so lexicographic byte order is the
+    lexicographic order of the boolean rows.
     """
     return np.packbits(np.asarray(mask, dtype=bool), axis=-1)
-
-
-def packed_first_true(packed: np.ndarray, length: int) -> np.ndarray:
-    """Index of the first set bit along the last (packed) axis.
-
-    ``packed`` is a uint8 ``(..., nb)`` array produced by
-    :func:`pack_bool_rows` from rows of ``length`` booleans; rows with no set
-    bit map to the sentinel ``length``.  One byte-level ``argmax`` plus a
-    256-entry table lookup replaces a full boolean scan.
-    """
-    nonzero = packed != 0
-    has_bit = nonzero.any(axis=-1)
-    first_byte = nonzero.argmax(axis=-1)
-    byte_value = np.take_along_axis(packed, first_byte[..., None], axis=-1)[..., 0]
-    index = first_byte * 8 + _FIRST_BIT_IN_BYTE[byte_value]
-    return np.where(has_bit, index, length)
-
-
-def packed_last_true(packed: np.ndarray, length: int) -> np.ndarray:
-    """Index of the last set bit along the last (packed) axis (-1 if none set)."""
-    nonzero = packed != 0
-    has_bit = nonzero.any(axis=-1)
-    nb = packed.shape[-1]
-    last_byte = nb - 1 - nonzero[..., ::-1].argmax(axis=-1)
-    byte_value = np.take_along_axis(packed, last_byte[..., None], axis=-1)[..., 0]
-    index = last_byte * 8 + _LAST_BIT_IN_BYTE[byte_value]
-    return np.where(has_bit, index, -1)
-
-
-def packed_first_last_true(packed: np.ndarray, length: int):
-    """Both set-bit extremes in one sweep over the packed bytes.
-
-    Returns ``(packed_first_true(packed, length), packed_last_true(packed,
-    length))`` bit-for-bit, but computes the byte-nonzero map and the
-    has-any-bit reduction — the only full passes over the packed tensor —
-    once and shares them between the two queries.  Used by the fused masked
-    extreme pair, whose packed path needs the first *and* last in-neighbor
-    of every receiver per coordinate.
-    """
-    nonzero = packed != 0
-    has_bit = nonzero.any(axis=-1)
-    nb = packed.shape[-1]
-    first_byte = nonzero.argmax(axis=-1)
-    byte_value = np.take_along_axis(packed, first_byte[..., None], axis=-1)[..., 0]
-    first = np.where(has_bit, first_byte * 8 + _FIRST_BIT_IN_BYTE[byte_value], length)
-    last_byte = nb - 1 - nonzero[..., ::-1].argmax(axis=-1)
-    byte_value = np.take_along_axis(packed, last_byte[..., None], axis=-1)[..., 0]
-    last = np.where(has_bit, last_byte * 8 + _LAST_BIT_IN_BYTE[byte_value], -1)
-    return first, last
 
 
 def packed_row_ids(packed: np.ndarray) -> np.ndarray:

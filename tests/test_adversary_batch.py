@@ -7,11 +7,13 @@ Three properties are enforced:
   generic greedy/lookahead runs), on both execution paths;
 * :func:`repro.execution.run_adversarial_ensemble` commits the same graph
   sequences and outputs as independent per-scenario runs;
-* the sender-fold masked reductions are bit-for-bit equal to the dense ones
-  (NaN positions and the signs of zeros included) on every leading-axis
-  layout, and the dispatcher picks them from ``n`` and the output count.
+* the sender-fold masked reductions are byte-for-byte equal to the dense
+  ones once zeros are ``+0.0`` (NaN positions included) on every
+  leading-axis layout, and the dispatcher picks among the dense, fold and
+  sort-select kernels from ``n``, the output count and value sharing.
 """
 
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -33,6 +35,7 @@ from repro.algorithms.base import (
     _masked_extremes_dense,
     _masked_extremes_fold,
     _reduction_operands,
+    masked_extreme_pair,
     masked_max,
     masked_min,
     masked_min_max,
@@ -52,6 +55,7 @@ from repro.execution.schedule import round_adjacency as _round_adjacency
 from repro.graphs.families import complete_graph, cycle_graph, psi_graph
 from repro.models.standard import deaf_model, two_agent_model
 from repro.types import pairwise_diameters, running_argmax
+from tests.kernel_bytes import assert_no_negative_zero, assert_same_bytes
 
 
 class _SlowMidpoint(ConvexCombinationAlgorithm):
@@ -477,17 +481,6 @@ def _dense_and_fold(adjacency, min_values, max_values):
     )
 
 
-def _assert_same_bits(got, want):
-    """Equal values, NaN positions and zero signs (``None`` sides included)."""
-    assert (got is None) == (want is None)
-    if want is None:
-        return
-    assert got.dtype == want.dtype and got.shape == want.shape
-    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
 class TestFoldReductions:
     #: (adjacency lead, values lead): the leading-axis layouts callers use.
     LAYOUTS = {
@@ -511,11 +504,11 @@ class TestFoldReductions:
         max_values = rng.normal(size=values_lead + (n, d)) if sides != "min" else None
         dense, fold = _dense_and_fold(adjacency, min_values, max_values)
         for got, want in zip(fold, dense):
-            _assert_same_bits(got, want)
+            assert_same_bytes(got, want)
         if min_values is not None:
-            _assert_same_bits(masked_min(adjacency, min_values), dense[0])
+            assert_same_bytes(masked_min(adjacency, min_values), dense[0])
         if max_values is not None:
-            _assert_same_bits(masked_max(adjacency, max_values), dense[1])
+            assert_same_bytes(masked_max(adjacency, max_values), dense[1])
 
     def test_shared_tensor_equals_separate_sides(self):
         rng = np.random.default_rng(1)
@@ -558,25 +551,43 @@ class TestFoldReductions:
         np.testing.assert_array_equal(folded, halves)
 
 
+def _expected_kernel(lead_count, n, d, shared):
+    """The dispatch rule of ``_masked_extremes_pair``, restated."""
+    outputs = lead_count * n * d
+    over_limit = outputs * n > _AUTO_DENSE_ELEMENT_LIMIT
+    small_n = n <= 8 and outputs >= 64 * n
+    if not small_n and lead_count > 1 and (
+        (shared and d <= 8 and outputs * n >= 6144)
+        or (d <= 2 and n >= 32 and over_limit)
+    ):
+        return "sorted"
+    return "fold" if over_limit or small_n else "dense"
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     lead=st.lists(st.integers(1, 24), max_size=2).map(tuple),
-    n=st.integers(1, 12),
+    n=st.integers(1, 40),
     d=st.integers(1, 3),
+    shared=st.booleans(),
 )
-def test_dispatch_rule_depends_on_n_and_output_count(lead, n, d):
-    # Per-lead values keep the scan kernel out and n < 32 the packed one:
-    # fold runs iff n <= 8 and lead · R · d >= 64 n, or over the dense limit.
+def test_dispatch_rule_depends_on_n_and_output_count(lead, n, d, shared):
+    # Fold runs for n <= 8 with lead · R · d >= 64 n; sort-select for values
+    # shared by a stack with >= 6144 dense elements (and per-lead values
+    # over the dense limit, out of reach here); dense otherwise.
     rng = np.random.default_rng(n)
     adjacency = rng.random(lead + (n, n)) < 0.5
-    values = rng.normal(size=lead + (n, d))
-    outputs = int(np.prod(lead)) * n * d
-    with mock.patch.object(
-        base_module, "_masked_extremes_fold", wraps=base_module._masked_extremes_fold
-    ) as fold:
+    values = rng.normal(size=(n, d) if shared else lead + (n, d))
+    spies = {}
+    with ExitStack() as stack:
+        for name in ("dense", "fold", "sorted"):
+            kernel = f"_masked_extremes_{name}"
+            spies[name] = stack.enter_context(
+                mock.patch.object(base_module, kernel, wraps=getattr(base_module, kernel))
+            )
         masked_min_max(adjacency, values)
-    expected = (n <= 8 and outputs >= 64 * n) or outputs * n > _AUTO_DENSE_ELEMENT_LIMIT
-    assert fold.called == expected
+    ran = [name for name, spy in spies.items() if spy.called]
+    assert ran == [_expected_kernel(int(np.prod(lead)), n, d, shared)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -597,7 +608,7 @@ def test_fold_kernel_equals_dense(seed, lead, shared_graph, n, d, density):
     values = rng.normal(size=lead + (n, d))
     dense, fold = _dense_and_fold(adjacency, values, values)
     for got, want in zip(fold, dense):
-        _assert_same_bits(got, want)
+        assert_same_bytes(got, want)
 
 
 _SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
@@ -612,16 +623,20 @@ _SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
     shared=st.booleans(),
 )
 def test_fold_matches_dense_on_signed_zeros_and_nan(data, lead, n, d, shared):
-    # Ties between +0.0 and -0.0 resolve by sender order, so the fold must
-    # visit senders in ascending order, as the dense reduction does.  Masks
-    # are unconstrained: rows may hear nobody, not even themselves.
+    # Ties between +0.0 and -0.0 resolve by sender order and are made +0.0
+    # by the dispatcher, so the fold and the public pair must equal dense
+    # byte for byte under that rule.  Masks are unconstrained: rows may hear
+    # nobody, not even themselves.
     values = arrays(np.float64, lead + (n, d), elements=st.sampled_from(_SPECIAL_VALUES))
     adjacency = data.draw(arrays(np.bool_, lead + (n, n)))
     min_values = data.draw(values)
     max_values = min_values if shared else data.draw(values)
     dense, fold = _dense_and_fold(adjacency, min_values, max_values)
-    for got, want in zip(fold, dense):
-        _assert_same_bits(got, want)
+    public = masked_extreme_pair(adjacency, min_values, max_values)
+    for got_fold, got_public, want in zip(fold, public, dense):
+        assert_same_bytes(got_fold, want)
+        assert_same_bytes(got_public, want)
+        assert_no_negative_zero(got_public)
 
 
 # --------------------------------------------------------------------------- #

@@ -12,7 +12,9 @@ from a registry — and differentially checks
   ``use_batch`` on/off, plus per-scenario state snapshots),
 * **adversarial batch vs loop** (``run_adversarial_ensemble`` vs per-scenario
   adversary runs, choices and outputs),
-* **packed vs dense** masked-reduction kernels, called directly,
+* **sorted vs dense** masked extremes: the sort-select and fold kernels,
+  called directly, and every public masked extreme, byte for byte under
+  the ``+0.0`` rule, on ±0, ±1, ±inf and NaN values with deaf rows,
 * **facade vs direct** (``Study`` vs the engine call it compiles to),
 * **faulted batch vs loop** (the vectorized fault-mask path vs the
   per-scenario reference loop under randomized ``FaultPlan``s, including
@@ -24,7 +26,8 @@ from a registry — and differentially checks
   shards the B axis without changing a single byte, faulted runs included),
 * **fused vs separate reductions** (``masked_extreme_pair`` /
   ``masked_min_max`` against independent ``masked_min`` + ``masked_max``
-  calls through the dispatcher and through the dense and packed kernels),
+  calls through the dispatcher and through the dense and sort-select
+  kernels),
 
 each over ``CASES_PER_PAIR`` (200+) generated cases under one fixed master
 seed.  Everything is deterministic — cases derive from
@@ -43,7 +46,8 @@ import pytest
 
 from repro.algorithms.base import (
     _masked_extremes_dense,
-    _masked_extremes_packed,
+    _masked_extremes_fold,
+    _masked_extremes_sorted,
     _reduction_operands,
     masked_extreme_pair,
     masked_max,
@@ -67,6 +71,7 @@ from repro.faults import CrashSpec, FaultMaskingPattern, FaultPlan, FaultSpec, J
 from repro.graphs.generators import random_graph, random_strongly_connected_graph
 from repro.models.network_model import NetworkModel
 from repro.models.patterns import PeriodicPattern, SequencePattern
+from tests.kernel_bytes import assert_no_negative_zero, assert_same_bytes
 
 MASTER_SEED = 20260728
 CASES_PER_PAIR = 200
@@ -270,31 +275,64 @@ def _case_adversarial_batch_vs_loop(case_seed):
         )
 
 
-def _case_packed_vs_dense(case_seed):
+_SPECIAL_VALUES = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+def _case_sorted_vs_dense(case_seed):
+    """Both other kernels and every public masked extreme vs dense, byte for byte."""
     rng = _case_rng(case_seed)
     n = int(rng.integers(2, 48))
     d = int(rng.integers(1, 4))
     lead = int(rng.integers(1, 7))
-    values = rng.uniform(-3.0, 3.0, size=(lead, n, d))
+    shared = bool(rng.random() < 0.3)
+    value_shape = (n, d) if shared else (lead, n, d)
+    if rng.random() < 0.5:
+        pool = _SPECIAL_VALUES if rng.random() < 0.5 else _SPECIAL_VALUES[:-1]
+        draw = lambda: rng.choice(pool, size=value_shape)  # noqa: E731
+    else:
+        draw = lambda: rng.uniform(-3.0, 3.0, size=value_shape)  # noqa: E731
+    min_values = draw()
+    max_values = min_values if rng.random() < 0.4 else draw()
     if rng.random() < 0.3:
         # Shared registered graph adjacency broadcast over the value ensemble
         # (exercises the bitset-resident CommunicationGraph cache).
         adjacency = random_graph(n, rng, float(rng.uniform(0.1, 0.9))).adjacency
     else:
-        adjacency = rng.random((lead, n, n)) < rng.uniform(0.1, 0.9)
-        adjacency = adjacency.copy()
+        adjacency = (rng.random((lead, n, n)) < rng.uniform(0.1, 0.9)).copy()
         for i in range(n):
             adjacency[..., i, i] = bool(rng.random() < 0.9)
-    mask, lo_values, hi_values, lead_shape = _reduction_operands(adjacency, values, values)
-    lo_dense, hi_dense = _masked_extremes_dense(mask, lo_values, hi_values)
-    lo_packed, hi_packed = _masked_extremes_packed(mask, lo_values, hi_values, lead_shape)
-    for label, got, want in (
-        ("masked min", lo_packed, lo_dense),
-        ("masked max", hi_packed, hi_dense),
-    ):
-        assert np.array_equal(got, want), (
-            f"{label} differs between packed and dense reductions "
-            f"(n={n}, d={d}, lead={lead})" + _repro_snippet("packed_vs_dense", case_seed)
+        if rng.random() < 0.3:
+            adjacency[..., :, int(rng.integers(n))] = False  # a deaf receiver
+    sides = ("min", "max", "both")[int(rng.integers(3))]
+    lo_side = min_values if sides != "max" else None
+    hi_side = max_values if sides != "min" else None
+    mask, lo_arr, hi_arr, lead_shape = _reduction_operands(adjacency, lo_side, hi_side)
+    want = _masked_extremes_dense(mask, lo_arr, hi_arr)
+    public = masked_extreme_pair(adjacency, lo_side, hi_side)
+    results = {
+        "fold": _masked_extremes_fold(mask, lo_arr, hi_arr),
+        "masked_extreme_pair": public,
+        "masked_min/masked_max": (
+            masked_min(adjacency, lo_side) if lo_side is not None else None,
+            masked_max(adjacency, hi_side) if hi_side is not None else None,
+        ),
+    }
+    if lo_side is not None and lo_side is hi_side:
+        results["masked_min_max"] = masked_min_max(adjacency, lo_side)
+    if not np.isnan(min_values).any() and not np.isnan(max_values).any():
+        results["sorted"] = _masked_extremes_sorted(mask, lo_arr, hi_arr, lead_shape)
+    detail = f"(n={n}, d={d}, lead={lead}, shared={shared}, sides={sides})"
+    for label, pair in results.items():
+        for side, got, expected in zip(("min", "max"), pair, want):
+            assert_same_bytes(
+                got, expected,
+                f"{label} {side} differs from the dense kernel {detail}"
+                + _repro_snippet("sorted_vs_dense", case_seed),
+            )
+    for extreme in public:
+        assert_no_negative_zero(
+            extreme, f"a public masked extreme returned -0.0 {detail}"
+            + _repro_snippet("sorted_vs_dense", case_seed),
         )
 
 
@@ -606,7 +644,7 @@ def _case_fused_vs_separate_reduction(case_seed):
         adjacency = (rng.random((lead, n, n)) < rng.uniform(0.1, 0.9)).copy()
         for i in range(n):
             adjacency[..., i, i] = bool(rng.random() < 0.9)
-    impl = ("auto", "dense", "packed")[int(rng.integers(3))]
+    impl = ("auto", "dense", "sorted")[int(rng.integers(3))]
     if impl == "auto":
         fused_min, fused_max = masked_extreme_pair(adjacency, min_values, max_values)
         separate_min = masked_min(adjacency, min_values)
@@ -621,7 +659,7 @@ def _case_fused_vs_separate_reduction(case_seed):
             mask, lo_arr, hi_arr, lead_shape = _reduction_operands(adjacency, lo_side, hi_side)
             if impl == "dense":
                 return _masked_extremes_dense(mask, lo_arr, hi_arr)
-            return _masked_extremes_packed(mask, lo_arr, hi_arr, lead_shape)
+            return _masked_extremes_sorted(mask, lo_arr, hi_arr, lead_shape)
 
         fused_min, fused_max = kernel(min_values, max_values)
         separate_min = kernel(min_values, None)[0]
@@ -633,10 +671,11 @@ def _case_fused_vs_separate_reduction(case_seed):
         ("min_max min", pair_min, separate_min),
         ("min_max max", pair_max, separate_max),
     ):
-        assert np.array_equal(got, want), (
+        assert_same_bytes(
+            got, want,
             f"{label} differs between the fused and separate reductions "
             f"(impl={impl}, shared={shared}, n={n}, d={d}, lead={lead})"
-            + _repro_snippet("fused_vs_separate_reduction", case_seed)
+            + _repro_snippet("fused_vs_separate_reduction", case_seed),
         )
 
 
@@ -644,7 +683,7 @@ _PAIRS = {
     "fast_vs_reference": _case_fast_vs_reference,
     "batch_vs_loop": _case_batch_vs_loop,
     "adversarial_batch_vs_loop": _case_adversarial_batch_vs_loop,
-    "packed_vs_dense": _case_packed_vs_dense,
+    "sorted_vs_dense": _case_sorted_vs_dense,
     "facade_vs_direct": _case_facade_vs_direct,
     "faulted_batch_vs_loop": _case_faulted_batch_vs_loop,
     "zero_fault_vs_none": _case_zero_fault_vs_none,

@@ -4,7 +4,7 @@ Every packed/stacked kernel must agree exactly with its per-graph reference:
 products over random graph stacks, reachability/roots/rootedness/non-split
 over stacks, the bucketed α step graph, α/β classes, α-diameter and
 exact-consensus solvability against the per-pair reference path, and the
-packed masked reductions against the dense path bit-for-bit.
+sort-select masked reductions against the dense path byte for byte.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from repro.algorithms import base as reductions
 from repro.algorithms.base import (
     _masked_extremes_dense,
-    _masked_extremes_packed,
+    _masked_extremes_sorted,
     _reduction_operands,
+    masked_extreme_pair,
+    masked_max,
     masked_min,
     masked_min_max,
 )
@@ -56,7 +58,8 @@ from repro.graphs.relations import (
 )
 from repro.graphs.solvability import exact_consensus_solvable
 from repro.models.standard import all_rooted_model, crash_model
-from repro.types import pack_bool_rows, packed_first_true, packed_last_true, packed_row_ids
+from repro.types import pack_bool_rows, packed_row_ids
+from tests.kernel_bytes import assert_no_negative_zero, assert_same_bytes
 
 
 def _random_stack(n, count, seed, probability=0.4):
@@ -67,21 +70,6 @@ def _random_stack(n, count, seed, probability=0.4):
 # --------------------------------------------------------------------------- #
 # Bit kernels in types.py
 # --------------------------------------------------------------------------- #
-
-@pytest.mark.parametrize("length", [1, 7, 8, 9, 31, 64, 65])
-def test_packed_first_last_true_match_dense_scan(length):
-    rng = np.random.default_rng(length)
-    rows = rng.random((40, length)) < 0.2
-    rows[0] = False  # an all-false row exercises the sentinels
-    rows[1] = True
-    packed = pack_bool_rows(rows)
-    first = packed_first_true(packed, length)
-    last = packed_last_true(packed, length)
-    for row, f, l in zip(rows, first, last):
-        hits = np.nonzero(row)[0]
-        assert f == (hits[0] if hits.size else length)
-        assert l == (hits[-1] if hits.size else -1)
-
 
 def test_packed_row_ids_group_equal_rows():
     rows = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1], [0, 0, 0]], dtype=bool)
@@ -269,7 +257,7 @@ def test_alpha_classes_psi32_vectorized_matches_reference():
 
 
 # --------------------------------------------------------------------------- #
-# Packed masked reductions vs dense, bit-for-bit
+# Sort-select masked reductions vs dense, byte for byte
 # --------------------------------------------------------------------------- #
 
 
@@ -279,16 +267,21 @@ def _dense_min_max(adjacency, values):
     return _masked_extremes_dense(mask, lo_values, hi_values)
 
 
-def _packed_min_max(adjacency, values):
-    """The packed-bit kernel, called directly whatever the input size."""
-    return _masked_extremes_packed(*_reduction_operands(adjacency, values, values))
+def _sorted_min_max(adjacency, values):
+    """The sort-select kernel, called directly whatever the input size."""
+    return _masked_extremes_sorted(*_reduction_operands(adjacency, values, values))
+
+
+def _assert_pairs_equal(got, want):
+    for got_side, want_side in zip(got, want):
+        assert_same_bytes(got_side, want_side)
 
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
     """Record which private kernel each public masked reduction ran."""
     calls = []
-    for name in ("dense", "fold", "scan", "packed"):
+    for name in ("dense", "fold", "sorted"):
         original = getattr(reductions, f"_masked_extremes_{name}")
 
         def spy(*args, _name=name, _original=original):
@@ -307,10 +300,7 @@ def test_packed_masked_reduction_matches_dense(shape):
     adjacency = rng.random((*lead, n, n)) < 0.3
     diag = np.arange(n)
     adjacency[..., diag, diag] = True
-    lo_dense, hi_dense = _dense_min_max(adjacency, values)
-    lo_packed, hi_packed = _packed_min_max(adjacency, values)
-    assert np.array_equal(lo_dense, lo_packed)
-    assert np.array_equal(hi_dense, hi_packed)
+    _assert_pairs_equal(_sorted_min_max(adjacency, values), _dense_min_max(adjacency, values))
 
 
 def test_packed_masked_reduction_handles_empty_in_neighborhoods():
@@ -318,15 +308,12 @@ def test_packed_masked_reduction_handles_empty_in_neighborhoods():
     adjacency = np.zeros((4, 10, 10), dtype=bool)
     adjacency[:, 2, :] = True  # only agent 2 sends; most receivers hear one sender
     values = rng.normal(size=(4, 10, 1))
-    lo_dense, hi_dense = _dense_min_max(adjacency, values)
-    lo_packed, hi_packed = _packed_min_max(adjacency, values)
-    assert np.array_equal(lo_dense, lo_packed)
-    assert np.array_equal(hi_dense, hi_packed)
+    _assert_pairs_equal(_sorted_min_max(adjacency, values), _dense_min_max(adjacency, values))
 
 
 def test_packed_masked_reduction_nan_values_fall_back_to_dense(kernel_calls):
-    # The second input is a stack the packed kernel would take, but NaNs
-    # need the dense propagation semantics: the dispatcher must skip it.
+    # The second input is a stack sort-select would take, but NaNs need the
+    # dense propagation semantics: the dispatcher must skip it.
     rng = np.random.default_rng(9)
     large = rng.normal(size=(70, 128, 1))
     large[3, 5, 0] = np.nan
@@ -335,24 +322,22 @@ def test_packed_masked_reduction_nan_values_fall_back_to_dense(kernel_calls):
         (large, rng.random((70, 128, 128)) < 0.1),
     ):
         lo = masked_min(adjacency, values)
-        lo_dense, _hi = _dense_min_max(adjacency, values)
-        assert np.array_equal(lo, lo_dense, equal_nan=True)
+        assert_same_bytes(lo, _dense_min_max(adjacency, values)[0])
         assert np.isnan(lo).any()
-    assert "packed" not in kernel_calls
+    assert "sorted" not in kernel_calls
 
 
 def test_packed_masked_reduction_auto_fires_on_large_stacks(kernel_calls):
-    # Above the automatic threshold the packed path must still be bit-for-bit.
+    # Above the automatic threshold the per-lead sort-select path must still
+    # be byte for byte.
     rng = np.random.default_rng(8)
     values = rng.normal(size=(48, 160, 1))
     adjacency = rng.random((48, 160, 160)) < 0.1
     diag = np.arange(160)
     adjacency[:, diag, diag] = True
-    lo_auto, hi_auto = masked_min_max(adjacency, values)
-    assert kernel_calls == ["packed"]
-    lo_dense, hi_dense = _dense_min_max(adjacency, values)
-    assert np.array_equal(lo_auto, lo_dense)
-    assert np.array_equal(hi_auto, hi_dense)
+    auto = masked_min_max(adjacency, values)
+    assert kernel_calls == ["sorted"]
+    _assert_pairs_equal(auto, _dense_min_max(adjacency, values))
 
 
 #: Inputs that drive the dispatcher down each kernel: (adjacency shape,
@@ -361,11 +346,13 @@ PATH_INPUTS = {
     "auto": ((3, 8, 8), (3, 8, 2), "dense"),
     # Exactly _AUTO_DENSE_ELEMENT_LIMIT elements: the largest dense input.
     "dense": ((4, 64, 64), (4, 64, 64), "dense"),
-    "packed": ((70, 128, 128), (70, 128, 1), "packed"),
+    "per-lead-over-limit": ((70, 128, 128), (70, 128, 1), "sorted"),
     "fold": ((90, 64, 64), (90, 64, 3), "fold"),
     # A few agents over many scenarios: the valency suffix's shape.
     "fold-small-n": ((400, 4, 4), (400, 4, 1), "fold"),
-    "scan": ((4, 8, 8), (8, 2), "scan"),
+    # Shared values under 6144 dense elements stay dense; from 6144 they sort.
+    "shared-small": ((4, 8, 8), (8, 2), "dense"),
+    "shared": ((6, 32, 32), (32, 1), "sorted"),
 }
 
 
@@ -375,11 +362,55 @@ def test_dispatcher_selects_kernel_from_input(kernel_calls, path):
     rng = np.random.default_rng(7)
     adjacency = rng.random(adjacency_shape) < 0.3
     values = rng.normal(size=values_shape)
-    lo, hi = masked_min_max(adjacency, values)
+    auto = masked_min_max(adjacency, values)
     assert kernel_calls == [expected]
-    lo_dense, hi_dense = _dense_min_max(adjacency, values)
-    assert np.array_equal(lo, lo_dense)
-    assert np.array_equal(hi, hi_dense)
+    _assert_pairs_equal(auto, _dense_min_max(adjacency, values))
+
+
+#: Signed-zero inputs on both sides of every dispatch threshold:
+#: (adjacency lead, n, d, values shared by the stack, kernel picked).
+SIGNED_ZERO_INPUTS = [
+    ((4,), 4, 1, True, "dense"),
+    ((3,), 34, 1, True, "dense"),  # d = 1, n >= 9: dense reduces in SIMD lanes
+    ((5,), 32, 1, True, "dense"),  # 5120 dense elements
+    ((6,), 32, 1, True, "sorted"),  # 6144 dense elements
+    ((16,), 16, 3, True, "sorted"),
+    ((63,), 8, 1, True, "dense"),  # 504 outputs < 64 n
+    ((64,), 8, 1, True, "fold"),
+    ((63,), 8, 1, False, "dense"),
+    ((64,), 8, 2, False, "fold"),
+    ((5,), 12, 1, False, "dense"),
+    ((64,), 128, 1, False, "dense"),  # exactly the dense limit
+    ((65,), 128, 1, False, "sorted"),
+    ((22,), 128, 3, False, "fold"),  # over the limit at d = 3
+]
+
+
+@pytest.mark.parametrize("lead,n,d,shared,kernel", SIGNED_ZERO_INPUTS)
+def test_masked_extremes_return_positive_zero(kernel_calls, lead, n, d, shared, kernel):
+    # Every receiver hears every sender, and senders alternate 0.0 / -0.0:
+    # each kernel resolves that tie its own way, and every public masked
+    # extreme must still return +0.0.
+    adjacency = np.ones(lead + (n, n), dtype=bool)
+    value_lead = () if shared else lead
+    signs = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)[:, None]
+    evens_negative = np.broadcast_to(signs * 0.0, value_lead + (n, d)).copy()
+    odds_negative = -evens_negative
+    for values in (evens_negative, odds_negative):
+        other = odds_negative if values is evens_negative else evens_negative
+        results = [
+            masked_min(adjacency, values),
+            masked_max(adjacency, values),
+            *masked_min_max(adjacency, values),
+            *masked_extreme_pair(adjacency, values, other),
+            *masked_extreme_pair(adjacency, values, None),
+            *masked_extreme_pair(adjacency, None, other),
+        ]
+        for extreme in results:
+            if extreme is not None:
+                assert_no_negative_zero(extreme)
+                assert not extreme.any()
+    assert set(kernel_calls) == {kernel}
 
 
 # --------------------------------------------------------------------------- #
@@ -440,8 +471,8 @@ def test_alpha_machinery_uses_graph_bitset_caches():
 
 
 def test_packed_gather_on_graph_adjacency_bit_for_bit():
-    # Regression for the packed column gather: a single-graph adjacency
-    # broadcast over a value ensemble must equal the dense path exactly.
+    # Regression for the per-scenario column gather: a single-graph
+    # adjacency broadcast over a value ensemble must equal the dense path.
     rng = np.random.default_rng(14)
     for trial in range(20):
         n = int(rng.integers(2, 40))
@@ -449,10 +480,9 @@ def test_packed_gather_on_graph_adjacency_bit_for_bit():
         lead = int(rng.integers(2, 8))
         graph = random_graph(n, rng, float(rng.uniform(0.1, 0.9)))
         values = rng.uniform(-4.0, 4.0, size=(lead, n, d))
-        lo_dense, hi_dense = _dense_min_max(graph.adjacency, values)
-        lo_packed, hi_packed = _packed_min_max(graph.adjacency, values)
-        assert np.array_equal(lo_dense, lo_packed), trial
-        assert np.array_equal(hi_dense, hi_packed), trial
+        _assert_pairs_equal(
+            _sorted_min_max(graph.adjacency, values), _dense_min_max(graph.adjacency, values)
+        )
 
 
 def test_packed_gather_on_memoized_stacks_matches_dense():
@@ -462,10 +492,7 @@ def test_packed_gather_on_memoized_stacks_matches_dense():
     graphs = tuple(random_graph(24, rng, 0.3) for _ in range(5))
     stacked = _AdjacencyCache().stacked(graphs)
     values = rng.uniform(-1.0, 1.0, size=(5, 24, 2))
-    lo_dense, hi_dense = _dense_min_max(stacked, values)
-    lo_packed, hi_packed = _packed_min_max(stacked, values)
-    assert np.array_equal(lo_dense, lo_packed)
-    assert np.array_equal(hi_dense, hi_packed)
+    _assert_pairs_equal(_sorted_min_max(stacked, values), _dense_min_max(stacked, values))
 
 
 def test_packed_gather_handles_isolated_receivers():
@@ -474,11 +501,9 @@ def test_packed_gather_handles_isolated_receivers():
     values = np.array([[[0.5], [1.5], [-2.0]], [[3.0], [0.0], [1.0]]])
     adjacency = np.zeros((2, 3, 3), dtype=bool)
     adjacency[0, 0, 1] = True  # 1 hears 0 in scenario 0; everyone else deaf
-    lo_packed, hi_packed = _packed_min_max(adjacency, values)
-    lo_dense, hi_dense = _dense_min_max(adjacency, values)
-    assert np.array_equal(lo_dense, lo_packed)
-    assert np.array_equal(hi_dense, hi_packed)
-    assert lo_packed[0, 0, 0] == np.inf and hi_packed[0, 0, 0] == -np.inf
+    lo_sorted, hi_sorted = _sorted_min_max(adjacency, values)
+    _assert_pairs_equal((lo_sorted, hi_sorted), _dense_min_max(adjacency, values))
+    assert lo_sorted[0, 0, 0] == np.inf and hi_sorted[0, 0, 0] == -np.inf
 
 
 class TestFusedMaskResolutionCount:
@@ -486,7 +511,7 @@ class TestFusedMaskResolutionCount:
 
     ``masked_min_max`` / ``masked_extreme_pair`` fuse the min and max
     reductions over a single :func:`receive_mask` call on every
-    kernel (dense, fold, sort-and-scan, packed); the amortized
+    kernel (dense, fold, sort-select); the amortized
     midpoint's vectorized transition rides that kernel, so each round
     resolves its adjacency exactly once.  The ``path`` parameter picks an
     input the dispatcher sends down that kernel (see ``PATH_INPUTS``).
@@ -515,18 +540,14 @@ class TestFusedMaskResolutionCount:
         lo, hi = masked_min_max(adjacency, values)
         assert count_mask_resolutions["calls"] == 1
         # Sanity: still equal to two separate (twice-resolving) reductions.
-        assert np.array_equal(lo, masked_min(adjacency, values))
-        from repro.algorithms.base import masked_max
-
-        assert np.array_equal(hi, masked_max(adjacency, values))
+        assert_same_bytes(lo, masked_min(adjacency, values))
+        assert_same_bytes(hi, masked_max(adjacency, values))
         assert count_mask_resolutions["calls"] == 3
 
     @pytest.mark.parametrize("path", sorted(PATH_INPUTS))
     def test_extreme_pair_on_distinct_tensors_resolves_once(
         self, count_mask_resolutions, path
     ):
-        from repro.algorithms.base import masked_extreme_pair
-
         adjacency_shape, values_shape, _kernel = PATH_INPUTS[path]
         rng = np.random.default_rng(41)
         mins = rng.uniform(-1.0, 1.0, size=values_shape)

@@ -30,7 +30,8 @@ from pathlib import Path
 #: * ``speedup`` — ``baseline / candidate >= limit``, enforced only where the
 #:   entry's ``cpu_count`` and ``threads`` reach ``min CPUs``; below that, a
 #:   speedup above ``--max-slowdown`` is flagged as implausible;
-#: * ``budget`` — ``candidate <= baseline * limit + allowance`` seconds.
+#: * ``budget`` — ``candidate <= baseline * limit + allowance`` seconds;
+#: * ``below`` — ``candidate < baseline * limit`` (any unit).
 #:
 #: A string limit names the command-line option that sets it.
 #:
@@ -39,10 +40,11 @@ from pathlib import Path
 #: * Fast paths (``old_s``/``new_s``, ``loop_s``/``batched_s``) and the fused
 #:   masked-extreme kernel (which saves a mask resolution over two separate
 #:   reductions) must not lose by more than the slack ``--max-slowdown``.
-#:   The dense/fold/sort-select reduction timings (``masked_reduction``) are
-#:   deliberately NOT gated: folding and sorting are memory-for-time
-#:   tradeoffs measured at millisecond scale, so a 2x wall-clock bound on a
-#:   noisy CI runner would flake without any code regression.
+#:   The per-kernel timings of the over-limit ``masked_reduction`` entry
+#:   (dense, fold, sort-select, gather) are deliberately NOT gated: they
+#:   are memory-for-time tradeoffs measured at millisecond scale, so a 2x
+#:   wall-clock bound on a noisy CI runner would flake without any code
+#:   regression.
 #: * Ensemble-scale certification stacks all B scenarios' sampled futures
 #:   into single passes, and the faulted ensemble applies its (B, n, n) fault
 #:   masks to the whole stacked adjacency per round; silently degrading to the
@@ -61,6 +63,16 @@ from pathlib import Path
 #:   Their allowance absorbs the constant cost that dominates a tiny smoke
 #:   workload, while the relative limit still catches a merge, dispatch or
 #:   campaign loop that starts recomputing shards or cases.
+#: * The valency suffixes' masked extremes gather in-neighbours from a
+#:   per-model-graph plan; at the suffix shapes (``masked_reduction``
+#:   entries with ``planned_s``) the plan must beat the kernel the
+#:   dispatcher would otherwise pick by 1.2x (measured ~3.7x on deaf(K_4)
+#:   against the fold, ~8.7x on Ψ(12) against dense), or it is not worth
+#:   its code.
+#: * Streaming the exhaustive prefixes must keep the estimator's peak memory
+#:   strictly below one materialized pass (``valency_streaming_memory``,
+#:   also asserted by the bench itself at two depths); the plan's element
+#:   cap exists to keep this so.
 #: * The repro.api facade must compile to a direct engine call plus
 #:   negligible dispatch, so it gets a tight 5% bound by default.
 _GATES = (
@@ -73,6 +85,11 @@ _GATES = (
     ("service_overhead", "direct_s", "service_s", "budget", 4.0, 5.0, 0),
     ("remote_service", "mp_service_s", "remote_s", "budget", 4.0, 5.0, 0),
     ("campaign_round", "harness_s", "campaign_s", "budget", 3.0, 1.0, 0),
+    ("masked_reduction", "unplanned_s", "planned_s", "speedup", 1.2, 0.0, 0),
+    (
+        "valency_streaming_memory", "materialized_peak_bytes", "streamed_peak_bytes",
+        "below", 1.0, 0.0, 0,
+    ),
     ("facade_overhead", "direct_s", "facade_s", "overhead", "--facade-max-slowdown", 0.0, 0),
 )
 
@@ -108,8 +125,8 @@ def _entry_detail(entry: dict) -> str:
     return ", ".join(
         f"{key}={entry[key]}"
         for key in (
-            "route", "algorithm", "impl", "n", "B", "rounds", "model_size",
-            "d", "seed", "budget", "threads", "cpu_count",
+            "route", "algorithm", "model", "impl", "n", "B", "F", "rounds", "model_size",
+            "d", "depth", "seed", "budget", "threads", "cpu_count",
         )
         if key in entry
     )
@@ -141,6 +158,13 @@ def _violation(gate: tuple, entry: dict, limits: dict, max_slowdown: float):
         return (
             f"{head} is {ratio:.2f}x slower than {baseline_key}={baseline:.6f}s "
             f"(limit {limit:.2f}x)"
+        )
+    if kind == "below":
+        if candidate < baseline * limit:
+            return None
+        return (
+            f"{entry.get('benchmark', '?')} ({_entry_detail(entry)}): {candidate_key}="
+            f"{candidate} is not below {baseline_key}={baseline} * {limit}"
         )
     if kind == "budget":
         budget = baseline * limit + allowance

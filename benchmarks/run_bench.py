@@ -8,8 +8,9 @@ ensemble runner, the certification engine (batched valency estimation,
 contraction traces and packed α-class computation against their per-sequence
 / per-pair reference loops, plus a tracemalloc assertion that the streamed
 prefix enumeration stays below the materialized pass), the time and peak
-memory (tracemalloc) of the dense, sender-fold and sort-select masked
-reductions, and the asynchronous ``agreement_time`` sweep, then writes the
+memory (tracemalloc) of the dense, sender-fold, sort-select and gather
+masked reductions, the planned gather against the unplanned dispatch at the
+valency suffixes' shapes, and the asynchronous ``agreement_time`` sweep, then writes the
 results to ``BENCH_engine.json`` so the performance trajectory is tracked
 from PR to PR.
 
@@ -37,8 +38,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import MeanAlgorithm, MidpointAlgorithm
 from repro.algorithms.base import (
+    GatherPlan,
     _masked_extremes_dense,
     _masked_extremes_fold,
+    _masked_extremes_gather,
     _masked_extremes_sorted,
     _reduction_operands,
     masked_extreme_pair,
@@ -67,7 +70,7 @@ from repro.graphs.families import (
 from repro.graphs.relations import alpha_classes, alpha_diameter, beta_classes
 from repro.models.network_model import NetworkModel
 from repro.models.patterns import PeriodicPattern
-from repro.models.standard import crash_model, deaf_model
+from repro.models.standard import crash_model, deaf_model, psi_model
 
 
 def _best_of(callable_, repeats: int) -> float:
@@ -337,7 +340,8 @@ def _kernel_call(impl: str, adjacency, min_values, max_values):
     """One masked reduction through the named kernel on validated operands.
 
     ``"auto"`` is the public dispatcher (the kernel the input selects); the
-    other names call that private kernel directly, whatever the input size.
+    other names call that private kernel directly, whatever the input size
+    (``"gather"`` needs a planned stack, see :class:`GatherPlan`).
     """
     if impl == "auto":
         if min_values is None:
@@ -345,6 +349,8 @@ def _kernel_call(impl: str, adjacency, min_values, max_values):
         if max_values is None:
             return masked_min(adjacency, min_values)
         return masked_extreme_pair(adjacency, min_values, max_values)
+    if impl == "gather":
+        return _masked_extremes_gather(adjacency.plan, min_values, max_values)
     mask, min_arr, max_arr, lead = _reduction_operands(adjacency, min_values, max_values)
     if impl == "sorted":
         return _masked_extremes_sorted(mask, min_arr, max_arr, lead)
@@ -830,12 +836,15 @@ def bench_alpha_classes(grid, repeats: int) -> list:
 def bench_masked_reduction(batch_size: int, n: int, d: int, repeats: int) -> list:
     """Time and peak memory of one midpoint round's masked min/max per kernel.
 
-    Each kernel (dense, sender-fold, sort-select) is called directly on
-    per-scenario values and deaf-variant masks, so the entry isolates the
+    Each kernel (dense, sender-fold, sort-select, gather) is called directly
+    on per-scenario values and deaf-variant masks, so the entry isolates the
     kernels from the dispatcher; ``sorted_shared_values_s`` times
     sort-select on one value matrix shared by the whole mask stack (the
-    adversaries' candidate evaluation).  The timings are deliberately not
-    gated: memory-for-time tradeoffs at millisecond scale flake on CI.
+    adversaries' candidate evaluation).  The gather's peak shows why the
+    dispatcher caps it at ``_AUTO_DENSE_ELEMENT_LIMIT``: at ``n = 256``
+    nearly every receiver hears all senders, so its ``(k, B · n, d)`` rows
+    are as large as the dense intermediate.  The timings are deliberately
+    not gated: memory-for-time tradeoffs at millisecond scale flake on CI.
     """
     rng = np.random.default_rng(0)
     values = rng.uniform(-1.0, 1.0, size=(batch_size, n, d))
@@ -843,9 +852,10 @@ def bench_masked_reduction(batch_size: int, n: int, d: int, repeats: int) -> lis
     adjacency = np.stack(
         [deaf_variant(base, b % n).adjacency for b in range(batch_size)]
     )
+    adjacency = GatherPlan(adjacency).stack(np.arange(batch_size))
     shared_values = values[:1]
     entry = {"benchmark": "masked_reduction", "B": batch_size, "n": n, "d": d}
-    for impl in ("dense", "fold", "sorted"):
+    for impl in ("dense", "fold", "sorted", "gather"):
         def round_():
             _kernel_call(impl, adjacency, values, values)
 
@@ -858,11 +868,59 @@ def bench_masked_reduction(batch_size: int, n: int, d: int, repeats: int) -> lis
         f"masked-reduce midpoint   B={batch_size:4d} n={n:4d} d={d} "
         + " ".join(
             f"{impl}={entry[f'{impl}_s'] * 1e3:.2f}ms/{entry[f'{impl}_peak_bytes'] / 1e6:.1f}MB"
-            for impl in ("dense", "fold", "sorted")
+            for impl in ("dense", "fold", "sorted", "gather")
         )
         + f" sorted(shared)={entry['sorted_shared_values_s'] * 1e3:.2f}ms"
     )
     return [entry]
+
+
+def bench_planned_reduction(cases, repeats: int) -> list:
+    """The planned gather vs the unplanned dispatch at valency-suffix shapes.
+
+    Each case is one constant-suffix round of a Table 1 row: the stack of
+    ``F`` model graphs that :class:`~repro.core.valency.ValencyEstimator`
+    builds (the ``|N|`` graphs tiled over the stacked configurations) and
+    the algorithm's call on it, the amortized midpoint's two tensors on
+    Ψ(n), the midpoint's one on deaf(K_n).  ``planned_s`` is the public
+    masked extreme on the planned stack, ``unplanned_s`` on the same stack
+    as a plain array, where the dispatcher picks dense, fold or sort-select.
+    Microsecond calls, so the pair is the median of ``repeats`` interleaved
+    pairs (:func:`_median_pair`); ``check_bench.py`` requires the plan to
+    win by 1.2x.
+    """
+    results = []
+    for name, model, futures, two_tensors in cases:
+        rng = np.random.default_rng(1)
+        graphs = np.stack([graph.adjacency for graph in model])
+        planned = GatherPlan(graphs).stack(np.arange(futures) % len(graphs))
+        plain = np.asarray(planned)
+        n = plain.shape[-1]
+        mins = rng.uniform(-1.0, 1.0, size=(futures, n, 1))
+        maxs = rng.uniform(-1.0, 1.0, size=(futures, n, 1)) if two_tensors else mins
+        unplanned_s, planned_s = _median_pair(
+            lambda: _kernel_call("auto", plain, mins, maxs),
+            lambda: _kernel_call("auto", planned, mins, maxs),
+            repeats,
+        )
+        entry = {
+            "benchmark": "masked_reduction",
+            "model": name,
+            "F": futures,
+            "n": n,
+            "d": 1,
+            "k": planned.plan.shape[0],
+            "unplanned_s": unplanned_s,
+            "planned_s": planned_s,
+            "speedup": unplanned_s / planned_s if planned_s > 0 else float("inf"),
+        }
+        results.append(entry)
+        print(
+            f"masked-reduce {name:10s} F={futures:4d} n={n:4d} k={entry['k']} "
+            f"unplanned={unplanned_s * 1e6:7.1f}us planned={planned_s * 1e6:7.1f}us "
+            f"speedup={entry['speedup']:5.2f}x"
+        )
+    return results
 
 
 def bench_facade(single_grid, ensemble_grid, repeats: int) -> list:
@@ -1203,6 +1261,11 @@ def main() -> int:
         # Above the dense limit (24*256*256 > 2^20 elements): per-scenario
         # values there take sort-select, and d = 3 would take the fold.
         masked_reduction_case = (24, 256, 1)
+        # Suffix rounds of the Table 1 rows: (name, model, F, two tensors).
+        planned_cases = [
+            ("psi(12)", psi_model(12), 504, True),
+            ("deaf(K_4)", deaf_model(n=4), 400, False),
+        ]
         async_grid = [(4, 1, 6.0)]
         # Facade dispatch is ~microseconds; size the workloads so the engine
         # call dominates and the 5% gate measures dispatch, not noise.
@@ -1245,6 +1308,11 @@ def main() -> int:
         # crash(3, 1) has many distinct root sets; its reference takes ~0.5 s.
         alpha_grid = [("psi", 32), ("psi", 64), ("deaf", 32), ("deaf", 48), ("crash", 3)]
         masked_reduction_case = (64, 256, 1)
+        planned_cases = [
+            ("psi(12)", psi_model(12), 504, True),
+            ("psi(12)", psi_model(12), 144, True),
+            ("deaf(K_4)", deaf_model(n=4), 400, False),
+        ]
         async_grid = [(8, 2, 20.0), (16, 4, 12.0)]
         facade_single_grid = [(64, 100)]
         facade_ensemble_grid = [(16, 64, 100)]
@@ -1273,6 +1341,7 @@ def main() -> int:
     results += bench_contraction_trace(contraction_grid, repeats=repeats)
     results += bench_alpha_classes(alpha_grid, repeats=repeats)
     results += bench_masked_reduction(*masked_reduction_case, repeats=repeats)
+    results += bench_planned_reduction(planned_cases, repeats=41)
     results += bench_facade(facade_single_grid, facade_ensemble_grid, repeats=facade_repeats)
     results += bench_service(service_grid, repeats=repeats)
     results += bench_remote_service(remote_grid, repeats=repeats)

@@ -41,16 +41,23 @@ from repro.faults import (
 )
 from repro.service import (
     CheckpointJournal,
-    JobQueueServer,
     PartialStudyResult,
-    RemoteConfig,
-    ResultCache,
     RetryPolicy,
     ShardFailure,
     ShardRecord,
     run_certification_sweep_service,
     run_study_service,
 )
+
+
+def __getattr__(name: str):
+    # The remote route's names resolve on first use (see repro.service).
+    if name in ("JobQueueServer", "RemoteConfig", "ResultCache"):
+        import repro.service
+
+        return getattr(repro.service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CertifySpec",

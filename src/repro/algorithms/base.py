@@ -103,6 +103,118 @@ def masked_extreme_pair(
     return _masked_extremes_pair(adjacency, min_values, max_values)
 
 
+class PlannedStack(np.ndarray):
+    """A bool ``(F, n, n)`` adjacency stack carrying its in-neighbour gather plan.
+
+    ``plan`` is an int ``(k, F · n)`` array whose column ``f · n + j``
+    holds the rows ``f · n + i`` of the senders ``i`` that receiver ``j`` of
+    entry ``f`` hears, in a ``(F · n, d)`` view of the values, padded to
+    the stack's largest in-degree ``k`` by repeating a real in-neighbour
+    (which changes no minimum or maximum).  The array itself is the dense
+    stack, so ``np.asarray`` and :func:`receive_mask` see plain bools and
+    algorithms need not know about the plan.  Any array derived from it (a
+    slice, arithmetic, a view) has ``plan = None`` and takes the ordinary
+    dispatch.  Built by :meth:`GatherPlan.stack`.
+    """
+
+    plan: Optional[np.ndarray] = None
+    #: ``(GatherPlan, graph ids)`` the plan was built from, for :meth:`keep`.
+    _source: Optional[tuple] = None
+
+    def keep(self, rows: np.ndarray) -> np.ndarray:
+        """``self[rows]`` for a bool ``rows`` over the stack, with its plan."""
+        if self.plan is None:
+            return self[rows]
+        gather_plan, graph_ids = self._source
+        return gather_plan.stack(graph_ids[rows])
+
+
+class GatherPlan:
+    """In-neighbour lists of ``M`` fixed graphs, for planned stacks of them.
+
+    Built once from an ``(M, n, n)`` adjacency stack: ``senders[:, m, j]``
+    lists the senders receiver ``j`` of graph ``m`` hears in ascending order,
+    padded by repeating the first one.  :meth:`stack` then plans any stack
+    of these graphs with one index add, instead of masking all ``n²``
+    sender/receiver pairs every round.  When some receiver hears nobody
+    there is no plan (``senders is None``) and stacks come out plain.
+    """
+
+    def __init__(self, adjacency: np.ndarray) -> None:
+        self.adjacency = np.asarray(adjacency, dtype=bool)
+        mask = receive_mask(self.adjacency)
+        degree = mask.sum(axis=-1)  # (M, n)
+        self.max_degree = degree.max(axis=-1, initial=0)  # (M,)
+        self.senders = None
+        if degree.size and degree.min() > 0:
+            k = int(self.max_degree.max())
+            first = np.argsort(~mask, axis=-1, kind="stable")[..., :k]
+            padded = np.where(np.arange(k) < degree[..., None], first, first[..., :1])
+            self.senders = np.ascontiguousarray(np.moveaxis(padded, -1, 0))  # (k, M, n)
+
+    def stack(self, graph_ids: np.ndarray) -> np.ndarray:
+        """The ``(F, n, n)`` stack ``adjacency[graph_ids]``, planned when possible."""
+        graph_ids = np.asarray(graph_ids, dtype=np.intp)
+        stack = self.adjacency.take(graph_ids, axis=0)
+        if self.senders is None or graph_ids.size == 0:
+            return stack
+        n = stack.shape[-1]
+        k = int(self.max_degree.take(graph_ids).max())
+        rows = self.senders[:k].take(graph_ids, axis=1)  # (k, F, n)
+        rows += (np.arange(graph_ids.size) * n)[:, None]
+        planned = stack.view(PlannedStack)
+        planned.plan = rows.reshape(k, -1)
+        planned._source = (self, graph_ids)
+        return planned
+
+
+def _masked_extremes_gather(
+    plan: np.ndarray,
+    min_values: Optional[np.ndarray],
+    max_values: Optional[np.ndarray],
+):
+    """Masked extremes of a :class:`PlannedStack` by in-neighbour gather.
+
+    One gather of the ``(F · n, d)`` value rows at ``plan`` (shared by both
+    sides when they are the same object) and a ``np.minimum`` /
+    ``np.maximum`` reduction over its ``k`` padded in-neighbour rows;
+    ``O(k · F · n · d)`` work and memory instead of the dense
+    ``O(F · n² · d)``.  ``np.take`` gathers the rows ~3x faster than a
+    fancy index (20 vs 67 µs at ``plan`` ``(4, 6048)``, ``d = 1``).  Equal
+    to the dense kernel, NaN propagation included, up to the sign of a
+    ``±0`` tie.
+    """
+
+    def _gather(values):
+        return np.take(values.reshape(-1, values.shape[-1]), plan, axis=0)
+
+    lo = hi = None
+    if min_values is not None:
+        lo_rows = _gather(min_values)
+        lo = np.minimum.reduce(lo_rows, axis=0).reshape(min_values.shape)
+    if max_values is not None:
+        hi_rows = lo_rows if max_values is min_values else _gather(max_values)
+        hi = np.maximum.reduce(hi_rows, axis=0).reshape(max_values.shape)
+    return lo, hi
+
+
+def _plan_applies(adjacency, min_values, max_values) -> bool:
+    """Whether a call can take :func:`_masked_extremes_gather` (see the dispatcher)."""
+    if not isinstance(adjacency, PlannedStack) or adjacency.plan is None:
+        return False
+    sides = _distinct_sides(min_values, max_values)
+    return (
+        all(
+            type(values) is np.ndarray
+            and values.dtype == np.float64
+            and values.shape[:-1] == adjacency.shape[:-1]
+            and values.shape[-1] == sides[0].shape[-1]
+            for values in sides
+        )
+        and adjacency.plan.size * sides[0].shape[-1] <= _AUTO_DENSE_ELEMENT_LIMIT
+    )
+
+
 def _masked_extremes_dense(
     mask: np.ndarray,
     min_values: Optional[np.ndarray],
@@ -310,6 +422,11 @@ def _masked_extremes_pair(
     :func:`masked_min_max`.  The kernel is chosen from the input alone, by
     the first rule that holds:
 
+    * in-neighbour gather when ``adjacency`` is a :class:`PlannedStack`
+      whose plan survives (not a slice, arithmetic or other derived array)
+      and the values are float64 ``(F, n, d)`` tensors over its leading
+      axis, unless the gathered ``k · F · n · d`` rows would overflow
+      ``_AUTO_DENSE_ELEMENT_LIMIT``;
     * sender-fold when ``n <= 8`` and the output count ``lead · R · d`` is
       at least ``64 · n``;
     * sort-select when one value matrix (``d <= 8``) is shared by a stack
@@ -347,15 +464,37 @@ def _masked_extremes_pair(
     ``n >= 12`` the fold gains at most 1.36x and only far above the
     crossover, so those inputs stay dense until they overflow the limit.
 
+    The plan is the valency suffixes' kernel: their stacks are the model
+    graphs tiled over the stacked futures, so one plan per call lists each
+    receiver's in-neighbours once instead of masking all ``n²`` pairs every
+    round.  It wins at every measured shape (2 vCPUs, median of 41
+    interleaved pairs, µs, the kernel the dispatcher otherwise picks /
+    plan): the amortized midpoint's two tensors on Ψ(12) ``F = 504`` 580
+    / 66 and ``F = 144`` 177 / 27 (dense), on Ψ(4) ``F = 192`` 52 / 21
+    (fold); the midpoint's one on deaf(K_4) ``F = 400`` 71 / 19 (fold);
+    and tiny stacks of ``F = 3``-``4`` graphs 13-18 / 9-13.
+
     NaN values skip the sort-select kernel (they need the dense propagation
-    semantics).  Every kernel receives the one mask produced here, so a
-    caller needing both extremes pays for exactly one :func:`receive_mask`
-    resolution regardless of path.  Zeros come out as ``+0.0`` whatever
-    kernel ran: one in-place ``+ 0.0`` on each output erases the sign of a
-    ``±0`` tie, which the kernels resolve differently (sort-select by stable
-    sort position, fold to the later sender, dense by numpy's reduction
-    order).
+    semantics).  Every other kernel receives the one mask produced here, so
+    a caller needing both extremes pays for at most one
+    :func:`receive_mask` resolution regardless of path.  Zeros come out as
+    ``+0.0`` whatever kernel ran: one in-place ``+ 0.0`` on each output
+    erases the sign of a ``±0`` tie, which the kernels resolve differently
+    (sort-select by stable sort position, fold to the later sender, gather
+    and dense by numpy's reduction order).
     """
+    if _plan_applies(adjacency, min_values, max_values):
+        lo, hi = _masked_extremes_gather(adjacency.plan, min_values, max_values)
+    else:
+        lo, hi = _masked_extremes_unplanned(adjacency, min_values, max_values)
+    for extreme in (lo, hi):
+        if extreme is not None:
+            extreme += 0.0
+    return lo, hi
+
+
+def _masked_extremes_unplanned(adjacency, min_values, max_values):
+    """The dense, fold or sort-select kernel, by the dispatcher's rules 2-5."""
     mask, min_arr, max_arr, lead = _reduction_operands(adjacency, min_values, max_values)
     sides = _distinct_sides(min_arr, max_arr)
     n_receivers, n = mask.shape[-2], mask.shape[-1]
@@ -373,15 +512,10 @@ def _masked_extremes_pair(
         )
         and not any(np.isnan(values).any() for values in sides)
     ):
-        lo, hi = _masked_extremes_sorted(mask, min_arr, max_arr, lead)
-    elif over_limit or small_n:
-        lo, hi = _masked_extremes_fold(mask, min_arr, max_arr)
-    else:
-        lo, hi = _masked_extremes_dense(mask, min_arr, max_arr)
-    for extreme in (lo, hi):
-        if extreme is not None:
-            extreme += 0.0
-    return lo, hi
+        return _masked_extremes_sorted(mask, min_arr, max_arr, lead)
+    if over_limit or small_n:
+        return _masked_extremes_fold(mask, min_arr, max_arr)
+    return _masked_extremes_dense(mask, min_arr, max_arr)
 
 
 class Algorithm(ABC):

@@ -55,7 +55,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm
+from repro.algorithms.base import Algorithm, GatherPlan, PlannedStack
 from repro.config import resolve_scenario_chunk, resolve_threads, resolve_use_batch
 from repro.exceptions import EnsembleShapeError, ExecutionError
 from repro.execution.batch import EnsembleExecution, RecordedStates
@@ -448,19 +448,19 @@ class ValencyEstimator:
 
     def _prefix_chunks(
         self, depth: int, chunk_size: int
-    ) -> Iterator[List[Tuple[CommunicationGraph, ...]]]:
+    ) -> Iterator[List[Tuple[int, ...]]]:
         """Stream the depth-``depth`` prefixes in chunks of at most ``chunk_size``.
 
-        The ``itertools.product`` iterator is consumed lazily, so the full
+        A prefix is a tuple of model-graph indices.  The
+        ``itertools.product`` iterator is consumed lazily, so the full
         ``|N|^depth`` candidate list is never materialized — peak memory is
         one chunk of prefix tuples plus its stacked adjacency tensors.
         """
         if depth == 0:
             yield [()]
             return
-        graphs = list(self._model)
-        chunk: List[Tuple[CommunicationGraph, ...]] = []
-        for combo in iter_product(graphs, repeat=depth):
+        chunk: List[Tuple[int, ...]] = []
+        for combo in iter_product(range(len(self._model)), repeat=depth):
             chunk.append(combo)
             if len(chunk) >= chunk_size:
                 yield chunk
@@ -483,6 +483,13 @@ class ValencyEstimator:
         prefixes, model suffix graphs innermost), and every scenario runs the
         same elementwise operations as its reference future, so the result
         is bit-for-bit equal to the per-future reference loop.
+
+        Every stack here (each prefix round's and the suffix's) is a
+        selection of the model graphs, so one :class:`GatherPlan` built per
+        call from the ``M`` graphs plans them all: the masked extremes of the
+        algorithms' transitions gather each receiver's in-neighbours instead
+        of masking all ``n²`` pairs (see
+        :func:`~repro.algorithms.base._masked_extremes_pair`).
         """
         if len(set(round_numbers)) != 1 and not self._algorithm.round_invariant():
             raise ExecutionError(
@@ -492,8 +499,8 @@ class ValencyEstimator:
         config_count = len(round_numbers)
         base_round = round_numbers[0]
         algorithm = self._algorithm
-        model_graphs = list(self._model)
-        model_count = len(model_graphs)
+        model_count = len(self._model)
+        gather_plan = GatherPlan(np.stack([graph.adjacency for graph in self._model]))
         prefix_chunk_size = max(
             1, self._scenario_chunk // max(1, config_count * model_count)
         )
@@ -510,10 +517,8 @@ class ValencyEstimator:
                     ),
                 )
                 for offset in range(depth):
-                    stack = np.stack(
-                        [prefix[offset].adjacency for prefix in prefix_chunk]
-                    )  # (P, n, n)
-                    adjacency = np.tile(stack, (config_count, 1, 1))
+                    graph_ids = [prefix[offset] for prefix in prefix_chunk]  # (P,)
+                    adjacency = gather_plan.stack(np.tile(graph_ids, config_count))
                     state = algorithm.batch_transition(
                         state, adjacency, base_round + 1 + offset
                     )
@@ -522,9 +527,8 @@ class ValencyEstimator:
                     state,
                     lambda leaf, _count=model_count: np.repeat(leaf, _count, axis=0),
                 )
-                suffix_stack = np.tile(
-                    np.stack([graph.adjacency for graph in model_graphs]),
-                    (config_count * prefix_count, 1, 1),
+                suffix_stack = gather_plan.stack(
+                    np.tile(np.arange(model_count), config_count * prefix_count)
                 )
                 finals = self._run_constant_suffix_state(
                     state, suffix_stack, base_round + depth
@@ -553,6 +557,10 @@ class ValencyEstimator:
         which rounds are checked, so the checks back off: a check that
         retires nothing doubles the gap to the next one, and a check that
         retires something resets the gap to one round.
+
+        A :class:`~repro.algorithms.base.PlannedStack` keeps its gather plan
+        through retirement: the kept rows are re-planned from the model
+        graphs, not masked dense for the rest of the suffix.
         """
         algorithm = self._algorithm
         outputs = np.asarray(algorithm.batch_outputs(state), dtype=float)
@@ -580,7 +588,11 @@ class ValencyEstimator:
                     new_state = algorithm.batch_map(
                         new_state, lambda leaf, _keep=keep: leaf[_keep]
                     )
-                    adjacency = adjacency[keep]
+                    adjacency = (
+                        adjacency.keep(keep)
+                        if isinstance(adjacency, PlannedStack)
+                        else adjacency[keep]
+                    )
                     if alive.size == 0:
                         return finals
             state = new_state

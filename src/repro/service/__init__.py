@@ -41,8 +41,20 @@ from repro.service.orchestrator import (
     run_certification_sweep_service,
     run_study_service,
 )
-from repro.service.remote import JobQueueServer, RemoteConfig, ResultCache, run_worker
 from repro.service.retry import RetryPolicy, is_transient_failure
+
+#: Names of the remote route, imported on first use: the route pulls in
+#: ``http.server`` and ``http.client``, which a local study never needs.
+_REMOTE_NAMES = frozenset({"JobQueueServer", "RemoteConfig", "ResultCache", "run_worker"})
+
+
+def __getattr__(name: str):
+    if name in _REMOTE_NAMES:
+        from repro.service import remote
+
+        return getattr(remote, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CheckpointJournal",

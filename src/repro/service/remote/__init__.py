@@ -23,33 +23,34 @@ All wire records are versioned canonical-JSON (see
 ``version`` headers are rejected loudly.
 """
 
-from repro.service.remote.cache import ResultCache
-from repro.service.remote.client import RemoteDispatch, run_remote
-from repro.service.remote.protocol import (
-    CacheHitRecord,
-    JobRecord,
-    LeaseRecord,
-    RemoteConfig,
-    TelemetryRecord,
-    as_remote_config,
-)
-from repro.service.remote.server import JobQueueServer
-from repro.service.remote.telemetry import TelemetryLog, iter_sse_events, sse_encode
-from repro.service.remote.worker import run_worker
+import importlib
 
-__all__ = [
-    "CacheHitRecord",
-    "JobQueueServer",
-    "JobRecord",
-    "LeaseRecord",
-    "RemoteConfig",
-    "RemoteDispatch",
-    "ResultCache",
-    "TelemetryLog",
-    "TelemetryRecord",
-    "as_remote_config",
-    "iter_sse_events",
-    "run_remote",
-    "run_worker",
-    "sse_encode",
-]
+#: Where each public name lives.  Names resolve on first use, so importing
+#: one submodule (the job queue needs the cache, protocol and telemetry)
+#: does not import the HTTP server and client modules.
+_SUBMODULES = {
+    "CacheHitRecord": "protocol",
+    "JobQueueServer": "server",
+    "JobRecord": "protocol",
+    "LeaseRecord": "protocol",
+    "RemoteConfig": "protocol",
+    "RemoteDispatch": "client",
+    "ResultCache": "cache",
+    "TelemetryLog": "telemetry",
+    "TelemetryRecord": "protocol",
+    "as_remote_config": "protocol",
+    "iter_sse_events": "telemetry",
+    "run_remote": "client",
+    "run_worker": "worker",
+    "sse_encode": "telemetry",
+}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        module = importlib.import_module(f"{__name__}.{_SUBMODULES[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(_SUBMODULES)

@@ -417,3 +417,56 @@ def test_memory_only_cache_has_no_journal(tmp_path):
     assert cache.lookup("k") == ({"v": 2}, "memory")
     assert len(cache) == 1
     cache.close()
+
+
+def _fresh_interpreter(code):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return completed.stdout.split()
+
+
+def test_import_repro_does_not_load_the_remote_route():
+    loaded = _fresh_interpreter(
+        """
+        import sys
+        import repro
+        for name in sys.modules:
+            if name in ("http.server", "http.client") or name.startswith("repro.service.remote"):
+                print(name)
+        """
+    )
+    assert loaded == []
+
+
+def test_remote_names_resolve_on_first_use():
+    resolved = _fresh_interpreter(
+        """
+        import repro, repro.service, repro.service.remote
+        from repro import JobQueueServer, RemoteConfig, ResultCache
+        from repro.service import run_worker
+        for module in (repro, repro.service, repro.service.remote):
+            for name in module.__all__:
+                getattr(module, name)
+        print(JobQueueServer.__module__, RemoteConfig.__module__)
+        print(ResultCache.__module__, run_worker.__module__)
+        """
+    )
+    assert resolved == [
+        "repro.service.remote.server",
+        "repro.service.remote.protocol",
+        "repro.service.remote.cache",
+        "repro.service.remote.worker",
+    ]
+    with pytest.raises(AttributeError):
+        import repro
+
+        repro.NoSuchName  # noqa: B018

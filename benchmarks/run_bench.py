@@ -2,17 +2,16 @@
 
 Times the synchronous engine's two execution paths on an ``(n, rounds)``
 grid, the batched ensemble runner against an equivalent loop of single
-executions on a ``(B, n, rounds)`` grid, the adversaries' batched candidate
-evaluation against the per-graph reference loop, the batched adversarial
-ensemble runner, the certification engine (batched valency estimation,
-contraction traces and packed α-class computation against their per-sequence
-/ per-pair reference loops, plus a tracemalloc assertion that the streamed
-prefix enumeration stays below the materialized pass), the time and peak
-memory (tracemalloc) of the dense, sender-fold, sort-select and gather
-masked reductions, the planned gather against the unplanned dispatch at the
-valency suffixes' shapes, and the asynchronous ``agreement_time`` sweep, then writes the
-results to ``BENCH_engine.json`` so the performance trajectory is tracked
-from PR to PR.
+executions on a ``(B, n, rounds)`` grid, whole adversarial runs on the
+batched route against the per-candidate reference loop, the batched
+adversarial ensemble runner, the certification engine (batched valency
+estimation, contraction traces and packed α-class computation against their
+per-sequence / per-pair reference loops, plus a tracemalloc assertion that
+the streamed prefix enumeration stays below the materialized pass), the time
+and peak memory (tracemalloc) of the dense, sender-fold, sort-select and
+gather masked reductions and the planned gather against the unplanned
+dispatch at the valency suffixes' shapes, then writes the results to
+``BENCH_engine.json`` so the performance trajectory is tracked across changes.
 
 Usage (from the repository root)::
 
@@ -49,7 +48,6 @@ from repro.algorithms.base import (
     masked_min,
 )
 from repro.api import Study
-from repro.asynchrony import AsynchronousSimulator, RoundBasedAsyncAlgorithm
 from repro.core.adversary import GreedyDiameterAdversary
 from repro.core.contraction import valency_contraction_trace
 from repro.core.valency import ValencyEstimator
@@ -414,78 +412,42 @@ def _deaf_submodel(n: int, model_size: int) -> NetworkModel:
     )
 
 
-class _TimedPattern:
-    """Wrap a communication pattern, accumulating wall-clock time in graph_at.
+def _timed_run(algorithm, values, adversary, rounds, reference: bool, repeats) -> float:
+    """Best-of-``repeats`` seconds of one whole adversarial ``run_execution``.
 
-    The adversaries do all candidate evaluation inside ``choose`` (called by
-    ``graph_at``), so this isolates candidate-evaluation time from the
-    engine's committed transitions.
-    """
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.seconds = 0.0
-
-    def reset(self) -> None:
-        self._inner.reset()
-
-    def graph_at(self, round_number, context=None):
-        start = time.perf_counter()
-        graph = self._inner.graph_at(round_number, context)
-        self.seconds += time.perf_counter() - start
-        return graph
-
-
-def _timed_choose(
-    algorithm, values, adversary, rounds, use_fast_path, use_batch, repeats
-) -> float:
-    """Best-of-``repeats`` seconds spent in the adversary's choose() calls.
-
-    ``use_batch=False`` selects the per-candidate reference loop through
-    ``EngineConfig``; ``True`` the stacked candidate pass.
+    ``reference=True`` runs under ``EngineConfig(use_batch=False)``: the
+    round loop, whose ``AdversarialPattern.choose`` replays one candidate at
+    a time.  ``False`` runs under the default config, where ``run_execution``
+    hands the plan adversary to a one-scenario ``run_adversarial_ensemble``.
     """
     from repro.config import EngineConfig
 
-    best = float("inf")
-    for _ in range(repeats):
-        timed = _TimedPattern(adversary)
-        with EngineConfig(use_batch=use_batch):
-            run_execution(algorithm, values, timed, rounds, use_fast_path=use_fast_path)
-        best = min(best, timed.seconds)
-    return best
+    def run():
+        if reference:
+            with EngineConfig(use_batch=False):
+                run_execution(algorithm, values, adversary, rounds)
+        else:
+            run_execution(algorithm, values, adversary, rounds)
+
+    return _best_of(run, repeats)
 
 
 def bench_adversary(grid, repeats: int) -> list:
-    """Batched vs per-graph candidate evaluation of the greedy adversary.
+    """Batched vs per-candidate runs of the greedy adversary.
 
-    Three candidate-evaluation regimes are timed (seconds spent inside the
-    adversary's ``choose`` calls; all three make identical graph choices):
-
-    * ``old_s`` — the per-candidate reference loop (``EngineConfig(
-      use_batch=False)``) on the per-agent path (per-agent dict rounds), the
-      pre-vectorization baseline;
-    * ``fastpath_loop_s`` — the same per-candidate loop with vectorized
-      single-candidate simulations;
-    * ``new_s`` — all ``|N|`` candidates evaluated as one stacked
-      ``(C, n, n)`` adjacency pass through the batch hooks.
+    Both time a whole ``run_execution`` on the fast path and make identical
+    graph choices: ``old_s`` is the per-candidate reference loop
+    (``EngineConfig(use_batch=False)``), ``new_s`` the default route, which
+    evaluates all ``|N|`` candidates of a decision as one stacked
+    ``(C, n, n)`` adjacency pass.
     """
     results = []
     algorithm = MidpointAlgorithm()
     for n, model_size, rounds in grid:
-        model = _deaf_submodel(n, model_size)
+        adversary = GreedyDiameterAdversary(_deaf_submodel(n, model_size))
         values = _initial_values(n, 1)
-        old_s = _timed_choose(
-            algorithm, values, GreedyDiameterAdversary(model),
-            rounds, False, False, repeats,
-        )
-        fastpath_loop_s = _timed_choose(
-            algorithm, values, GreedyDiameterAdversary(model),
-            rounds, True, False, repeats,
-        )
-        new_s = _timed_choose(
-            algorithm, values, GreedyDiameterAdversary(model),
-            rounds, True, True, repeats,
-        )
+        old_s = _timed_run(algorithm, values, adversary, rounds, True, repeats)
+        new_s = _timed_run(algorithm, values, adversary, rounds, False, repeats)
         entry = {
             "benchmark": "greedy_adversary",
             "algorithm": algorithm.name,
@@ -494,31 +456,25 @@ def bench_adversary(grid, repeats: int) -> list:
             "rounds": rounds,
             "d": 1,
             "old_s": old_s,
-            "fastpath_loop_s": fastpath_loop_s,
             "new_s": new_s,
             "speedup": old_s / new_s if new_s > 0 else float("inf"),
-            "speedup_vs_fastpath_loop": (
-                fastpath_loop_s / new_s if new_s > 0 else float("inf")
-            ),
         }
         results.append(entry)
         print(
             f"greedy-adv    {algorithm.name:10s} n={n:4d} |N|={model_size:3d} rounds={rounds:4d} "
-            f"old={old_s * 1e3:9.2f}ms loop={fastpath_loop_s * 1e3:8.2f}ms "
-            f"new={new_s * 1e3:8.2f}ms speedup={entry['speedup']:7.1f}x "
-            f"(vs fast loop {entry['speedup_vs_fastpath_loop']:.1f}x)"
+            f"old={old_s * 1e3:9.2f}ms new={new_s * 1e3:8.2f}ms speedup={entry['speedup']:7.1f}x"
         )
     return results
 
 
 def bench_psi_adversary(grid, repeats: int) -> list:
-    """Batched vs per-sequence block evaluation of the Theorem 3 adversary.
+    """Batched vs per-sequence runs of the Theorem 3 adversary.
 
     The amortized midpoint carries state beyond its outputs, so the
-    per-sequence reference loop replays each candidate ``σ`` block through
-    ``run_from_configuration`` on the per-agent path — the pre-batching
-    behaviour — while the batched adversary rolls all three blocks forward as
-    stacked adjacency passes.
+    reference loop (``old_s``) replays each candidate ``σ`` block through
+    ``run_from_configuration`` on the per-agent path, while the default
+    route (``new_s``) rolls all three blocks forward as stacked adjacency
+    passes.  Both time a whole ``run_execution``.
     """
     from repro.algorithms import AmortizedMidpointAlgorithm
     from repro.core.adversary import PsiBlockAdversary
@@ -526,15 +482,10 @@ def bench_psi_adversary(grid, repeats: int) -> list:
     results = []
     for n, rounds in grid:
         algorithm = AmortizedMidpointAlgorithm()
+        adversary = PsiBlockAdversary(n)
         values = _initial_values(n, 1)
-        old_s = _timed_choose(
-            algorithm, values, PsiBlockAdversary(n),
-            rounds, None, False, repeats,
-        )
-        new_s = _timed_choose(
-            algorithm, values, PsiBlockAdversary(n),
-            rounds, None, True, repeats,
-        )
+        old_s = _timed_run(algorithm, values, adversary, rounds, True, repeats)
+        new_s = _timed_run(algorithm, values, adversary, rounds, False, repeats)
         entry = {
             "benchmark": "psi_adversary",
             "algorithm": algorithm.name,
@@ -1203,39 +1154,6 @@ def bench_campaign(grid, repeats: int) -> list:
     return results
 
 
-def bench_async(grid, repeats: int) -> list:
-    """End-to-end async simulation + single-sweep agreement_time timings."""
-    results = []
-    for n, f, max_time in grid:
-        values = _initial_values(n, 1).ravel()
-
-        def run_once():
-            simulator = AsynchronousSimulator(
-                RoundBasedAsyncAlgorithm(MidpointAlgorithm()), values, f=f, max_time=max_time
-            )
-            execution = simulator.run()
-            execution.agreement_time(1e-9)
-            return execution
-
-        total_s = _best_of(run_once, repeats)
-        execution = run_once()
-        entry = {
-            "benchmark": "async_round_based",
-            "n": n,
-            "f": f,
-            "max_time": max_time,
-            "total_s": total_s,
-            "samples": len(execution.samples),
-            "delivered_messages": execution.delivered_messages,
-        }
-        results.append(entry)
-        print(
-            f"async         midpoint   n={n:4d} f={f} horizon={max_time:5.1f} "
-            f"sim+agreement={total_s * 1e3:9.2f}ms samples={entry['samples']}"
-        )
-    return results
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="tiny grid for CI smoke runs")
@@ -1266,7 +1184,6 @@ def main() -> int:
             ("psi(12)", psi_model(12), 504, True),
             ("deaf(K_4)", deaf_model(n=4), 400, False),
         ]
-        async_grid = [(4, 1, 6.0)]
         # Facade dispatch is ~microseconds; size the workloads so the engine
         # call dominates and the 5% gate measures dispatch, not noise.
         facade_single_grid = [(48, 120)]
@@ -1313,7 +1230,6 @@ def main() -> int:
             ("psi(12)", psi_model(12), 144, True),
             ("deaf(K_4)", deaf_model(n=4), 400, False),
         ]
-        async_grid = [(8, 2, 20.0), (16, 4, 12.0)]
         facade_single_grid = [(64, 100)]
         facade_ensemble_grid = [(16, 64, 100)]
         facade_repeats = 31
@@ -1346,7 +1262,6 @@ def main() -> int:
     results += bench_service(service_grid, repeats=repeats)
     results += bench_remote_service(remote_grid, repeats=repeats)
     results += bench_campaign(campaign_grid, repeats=repeats)
-    results += bench_async(async_grid, repeats=repeats)
 
     payload = {
         "schema": "bench-engine/v1",

@@ -17,21 +17,22 @@ executable counterparts:
 
 Each adversary only declares its plan — the candidate graph sequences of a
 decision and how many rounds of the winner to commit
-(:class:`~repro.models.patterns.EnsemblePlan`).  The choice itself is derived
-once, by :meth:`~repro.models.patterns.AdversarialPattern.choose` for
-:func:`repro.execution.run_execution` and by
-:func:`repro.execution.batch.run_adversarial_ensemble` for whole scenario
-ensembles: the first candidate with the largest successor output diameter
-wins.  Candidates are evaluated as one stacked ``(C, n, n)`` adjacency pass
-on the fast path; ``with EngineConfig(use_batch=False)`` selects the
-per-candidate reference loop (used by the benchmarks and equivalence tests),
-which makes identical choices.
+(:class:`~repro.models.patterns.EnsemblePlan`).  An adversary whose plan is
+fixed builds it once, so its candidate adjacency stacks are built once too.
+The choice is derived by one rule, the first candidate with the largest
+successor output diameter wins, on one batched route:
+:func:`repro.execution.batch.run_adversarial_ensemble`, to which
+:func:`repro.execution.run_execution` hands single-scenario runs on the fast
+path.  ``with EngineConfig(use_batch=False)`` selects the per-candidate
+reference loop, :meth:`~repro.models.patterns.AdversarialPattern.choose`
+(used by the benchmarks and equivalence tests), which makes identical
+choices.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import ExecutionError
 from repro.graphs.digraph import CommunicationGraph
@@ -56,30 +57,36 @@ class GreedyDiameterAdversary(AdversarialPattern):
     def __init__(self, model: NetworkModel, avoid_repeat: bool = False) -> None:
         self._model = model
         self._avoid_repeat = avoid_repeat
+        self._plan = EnsemblePlan(
+            candidates=tuple((graph,) for graph in model), commit_rounds=1
+        )
+        # avoid_repeat: model-graph index -> the plan without that graph.
+        self._plans_after: Dict[int, EnsemblePlan] = {}
 
     @property
     def model(self) -> NetworkModel:
         """The network model the adversary draws graphs from."""
         return self._model
 
-    def _candidate_graphs(
-        self, history: Sequence[CommunicationGraph]
-    ) -> List[CommunicationGraph]:
-        graphs = list(self._model)
-        if self._avoid_repeat and history:
-            last = history[-1]
-            filtered = [graph for graph in graphs if graph is not last]
-            if filtered:
-                return filtered
-        return graphs
+    def _plan_after(self, history: Sequence[CommunicationGraph]) -> EnsemblePlan:
+        """The plan without the model graph ``history`` ends in, built once per graph."""
+        graphs = self._model.graphs
+        last = history[-1] if history else None
+        index = next((i for i, graph in enumerate(graphs) if graph is last), None)
+        if index is None or len(graphs) == 1:
+            return self._plan
+        if index not in self._plans_after:
+            self._plans_after[index] = EnsemblePlan(
+                candidates=tuple((graph,) for graph in graphs if graph is not last),
+                commit_rounds=1,
+            )
+        return self._plans_after[index]
 
     def ensemble_plan(self, round_number: int, n: int) -> Optional[EnsemblePlan]:
         if self._avoid_repeat:
             # History-dependent: ensemble_plans serves the per-scenario sets.
             return None
-        return EnsemblePlan(
-            candidates=tuple((graph,) for graph in self._model), commit_rounds=1
-        )
+        return self._plan
 
     def ensemble_plans(
         self,
@@ -93,15 +100,7 @@ class GreedyDiameterAdversary(AdversarialPattern):
         # commit.  Candidate counts stay uniform across scenarios: |N| in
         # round 1 (all histories empty), |N| - 1 afterwards (every history
         # ends in a model graph), so the stacked (B, C, n, n) pass is square.
-        return tuple(
-            EnsemblePlan(
-                candidates=tuple(
-                    (graph,) for graph in self._candidate_graphs(history)
-                ),
-                commit_rounds=1,
-            )
-            for history in histories
-        )
+        return tuple(self._plan_after(history) for history in histories)
 
     def __repr__(self) -> str:
         if self._avoid_repeat:
@@ -122,12 +121,12 @@ class LookaheadDiameterAdversary(AdversarialPattern):
             raise ExecutionError(f"lookahead must be >= 1, got {lookahead}")
         self._model = model
         self._lookahead = lookahead
+        self._plan = EnsemblePlan(
+            candidates=tuple(iter_product(list(model), repeat=lookahead)), commit_rounds=1
+        )
 
     def ensemble_plan(self, round_number: int, n: int) -> EnsemblePlan:
-        return EnsemblePlan(
-            candidates=tuple(iter_product(list(self._model), repeat=self._lookahead)),
-            commit_rounds=1,
-        )
+        return self._plan
 
     def __repr__(self) -> str:
         return f"LookaheadDiameterAdversary({self._model!r}, lookahead={self._lookahead})"
@@ -143,14 +142,14 @@ class TwoAgentAdversary(AdversarialPattern):
     """
 
     def __init__(self) -> None:
-        self._graphs = list(two_agent_graphs())
+        self._plan = EnsemblePlan(
+            candidates=tuple((graph,) for graph in two_agent_graphs()), commit_rounds=1
+        )
 
     def ensemble_plan(self, round_number: int, n: int) -> EnsemblePlan:
         if n != 2:
             raise ExecutionError("TwoAgentAdversary only applies to systems of 2 agents")
-        return EnsemblePlan(
-            candidates=tuple((graph,) for graph in self._graphs), commit_rounds=1
-        )
+        return self._plan
 
     def __repr__(self) -> str:
         return "TwoAgentAdversary()"
@@ -171,20 +170,18 @@ class PsiBlockAdversary(AdversarialPattern):
         if n < 4:
             raise ExecutionError("PsiBlockAdversary requires n >= 4 agents")
         self._n = n
-        self._block_length = n - 2
-        self._psi = {i: psi_graph(n, i) for i in (0, 1, 2)}
+        block_length = n - 2
+        self._plan = EnsemblePlan(
+            candidates=tuple((psi_graph(n, choice),) * block_length for choice in (0, 1, 2)),
+            commit_rounds=block_length,
+        )
 
     def ensemble_plan(self, round_number: int, n: int) -> EnsemblePlan:
         if n != self._n:
             raise ExecutionError(
                 f"PsiBlockAdversary was built for n={self._n} agents, the system has n={n}"
             )
-        return EnsemblePlan(
-            candidates=tuple(
-                (self._psi[choice],) * self._block_length for choice in (0, 1, 2)
-            ),
-            commit_rounds=self._block_length,
-        )
+        return self._plan
 
     def __repr__(self) -> str:
         return f"PsiBlockAdversary(n={self._n})"

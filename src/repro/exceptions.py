@@ -78,10 +78,11 @@ class ConfigError(ReproError):
 
 
 class NonFiniteValueError(ConfigError):
-    """Raised when a :class:`~repro.api.Study` gets NaN or infinite initial values.
+    """Raised when a :class:`~repro.api.Study` or an engine entry point gets
+    NaN or infinite initial values (:func:`repro.types.check_finite`).
 
     One non-finite agent would spread to every output within a few rounds,
-    so the facade rejects it at the boundary.
+    so it is rejected at the boundary.
 
     Attributes
     ----------

@@ -24,8 +24,10 @@ Entry points
 
 Algorithms without batch hooks fall back to scenario-by-scenario execution
 — through :func:`repro.execution.engine.apply_graph` on the graphs route and
-:func:`repro.execution.engine.run_execution` on the adversarial route — so
-the API is total.
+the round loop of :func:`repro.execution.engine.run_execution` on the
+adversarial route — so the API is total.  :func:`run_adversarial_ensemble` is
+the one batched evaluator of adversary plans: ``run_execution`` hands it
+single-scenario plan adversaries on the fast path.
 """
 
 from __future__ import annotations
@@ -39,12 +41,7 @@ import numpy as np
 from repro.algorithms.base import Algorithm, combine_batch_leaves
 from repro.config import resolve_threads, resolve_use_batch
 from repro.exceptions import ConfigError, EnsembleShapeError, ExecutionError
-from repro.execution.engine import (
-    _AdjacencyCache,
-    apply_graph,
-    initial_configuration,
-    run_execution,
-)
+from repro.execution.engine import _run_execution, apply_graph, initial_configuration
 from repro.execution.parallel import parallel_map, shard_bounds
 from repro.execution.schedule import (
     RoundGraphs,
@@ -58,7 +55,13 @@ from repro.faults import FaultPlan, FaultSpec, as_fault_plan
 from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
 from repro.models.patterns import AdversarialPattern, CommunicationPattern, check_plans
-from repro.types import ValuesLike, as_value_matrix, pairwise_diameters, running_argmax
+from repro.types import (
+    ValuesLike,
+    as_value_matrix,
+    check_finite,
+    pairwise_diameters,
+    running_argmax,
+)
 
 
 @dataclass(frozen=True)
@@ -361,6 +364,7 @@ def _ensemble_inputs(
             f"ensemble initial values need B >= 1, n >= 1 and d >= 1, got "
             f"(B, n, d) = {values.shape}"
         )
+    check_finite(values)
     labels = list(scenario_labels) if scenario_labels is not None else None
     if labels is not None and len(labels) != batch_size:
         raise ExecutionError(f"need {batch_size} scenario labels, got {len(labels)}")
@@ -467,7 +471,7 @@ def run_ensemble(
                 if plan is not None
                 else None
             )
-            shard_rounds = slice_schedule(graph_rounds, start, stop, batch_size, n)
+            shard_rounds = slice_schedule(graph_rounds, start, stop)
             return lambda: run_ensemble(
                 algorithm,
                 shard_values,
@@ -490,9 +494,8 @@ def run_ensemble(
     recorded_rounds = [0]
     recorded = [np.array(algorithm.batch_outputs(batch_state), dtype=float)]
     recorded_batch_states = [batch_state] if record_states else None
-    adjacency_cache = _AdjacencyCache()
     for t, round_graphs in enumerate(graph_rounds, start=1):
-        adjacency = round_adjacency(round_graphs, cache=adjacency_cache)
+        adjacency = round_adjacency(round_graphs)
         if plan is not None:
             # One vectorized mask application per round (instead of B
             # per-scenario Python loops), with the N_A invariant check.
@@ -650,9 +653,11 @@ def run_adversarial_ensemble(
     resolved only when a round runs, so ``rounds=0`` returns the initial
     configurations for any adversary.
 
-    Falls back to scenario-by-scenario :func:`repro.execution.run_execution`
-    when the algorithm has no batch hooks, the adversary declares no plan
-    for round 1, or ``use_batch`` resolves to ``False``.
+    Falls back to the scenario-by-scenario round loop of
+    :func:`repro.execution.run_execution` (which calls the adversary's
+    :meth:`~repro.models.patterns.AdversarialPattern.choose`) when the
+    algorithm has no batch hooks, the adversary declares no plan for round 1,
+    or ``use_batch`` resolves to ``False``.
 
     Fault injection is not supported on the adversarial route (a non-zero
     ``fault_plan`` raises :class:`~repro.exceptions.ConfigError`): the
@@ -720,10 +725,14 @@ def run_adversarial_ensemble(
         type(adversary).ensemble_plans is not AdversarialPattern.ensemble_plans
     )
     histories: List[List[CommunicationGraph]] = [[] for _ in range(batch_size)]
-    cache = _AdjacencyCache()
 
     def decision_at(t: int):
-        """Round ``t``'s plan: (per-scenario candidates, C, horizon, commit, adjacency_at)."""
+        """Round ``t``'s plan: (per-scenario candidates, C, horizon, commit, stacks).
+
+        ``stacks[offset]`` is the candidates' adjacency at that offset:
+        ``(C, n, n)`` from a shared plan, which every scenario broadcasts
+        against, or ``(B, C, n, n)`` from per-scenario plans.
+        """
         scenario_plans = (
             adversary.ensemble_plans(t, n, [list(history) for history in histories])
             if history_dependent
@@ -732,28 +741,17 @@ def run_adversarial_ensemble(
         if scenario_plans is not None:
             scenario_plans = list(scenario_plans)
             count, horizon, commit_rounds = check_plans(scenario_plans, batch_size, n)
+            stacks = [
+                np.stack(column)
+                for column in zip(*(plan.adjacency_stacks for plan in scenario_plans))
+            ]
             candidate_lists = [plan.candidates for plan in scenario_plans]
-
-            def adjacency_at(offset: int) -> np.ndarray:
-                # (B, C, n, n): one stacked candidate pass per scenario.
-                return np.stack(
-                    [
-                        cache.stacked(tuple(candidate[offset] for candidate in candidates))
-                        for candidates in candidate_lists
-                    ]
-                )
-
-            return candidate_lists, count, horizon, commit_rounds, adjacency_at
+            return candidate_lists, count, horizon, commit_rounds, stacks
         plan = adversary.ensemble_plan(t, n)
         if plan is None:
             return None
         count, horizon, commit_rounds = check_plans([plan], 1, n)
-
-        def shared_adjacency_at(offset: int) -> np.ndarray:
-            # (C, n, n), shared by every scenario.
-            return cache.stacked(tuple(candidate[offset] for candidate in plan.candidates))
-
-        return [plan.candidates] * batch_size, count, horizon, commit_rounds, shared_adjacency_at
+        return [plan.candidates] * batch_size, count, horizon, commit_rounds, plan.adjacency_stacks
 
     first_decision = decision_at(1) if batchable and rounds > 0 else None
     # Structured states without the batch_map hook take the per-scenario
@@ -761,10 +759,10 @@ def run_adversarial_ensemble(
     planned = batchable and (rounds == 0 or first_decision is not None)
     batch_state = algorithm.batch_initial(values) if planned else None
     if not planned or not _supports_batch_map(algorithm, batch_state):
-        # Per-scenario fallback through run_execution: also the reference the
-        # batched commits are checked against.
+        # Per-scenario fallback through the round loop: also the reference
+        # the batched commits are checked against.
         executions = [
-            run_execution(algorithm, scenario_values, adversary, rounds, record_every=record_every)
+            _run_execution(algorithm, scenario_values, adversary, rounds, record_every)
             for scenario_values in values
         ]
         return AdversarialEnsembleExecution(
@@ -786,7 +784,7 @@ def run_adversarial_ensemble(
             raise ExecutionError(
                 f"{type(adversary).__name__}.ensemble_plan returned None mid-run"
             )
-        candidate_lists, count, horizon, commit_rounds, adjacency_at = decision
+        candidate_lists, count, horizon, commit_rounds, stacks = decision
 
         # Evaluate all candidates against all scenarios at once: insert a
         # candidate axis into the batch state and let the stacked candidate
@@ -797,7 +795,7 @@ def run_adversarial_ensemble(
         kept_states = []
         for offset in range(horizon):
             candidate_state = algorithm.batch_transition(
-                candidate_state, adjacency_at(offset), t + offset
+                candidate_state, stacks[offset], t + offset
             )
             if offset < commit:
                 kept_states.append(candidate_state)

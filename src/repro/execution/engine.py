@@ -24,7 +24,9 @@ per-agent path (used by the equivalence tests and benchmarks) and ``True``
 requires the fast path.  Adaptive patterns keep working on the fast path:
 the :class:`~repro.models.patterns.RoundContext` exposes the same outputs and
 (lazily materialized) states, and ``simulate_outputs`` routes through the
-same dispatch.
+same dispatch.  Adversaries that decide by plans run there as a one-scenario
+:func:`~repro.execution.batch.run_adversarial_ensemble`, the one batched
+evaluator of candidate plans.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from repro.exceptions import ExecutionError
 from repro.execution.execution import Execution
 from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
-from repro.models.patterns import CommunicationPattern, RoundContext
-from repro.types import ValuesLike, as_value_matrix
+from repro.models.patterns import AdversarialPattern, CommunicationPattern, RoundContext
+from repro.types import ValuesLike, as_value_matrix, check_finite
 
 
 def _fast_path_enabled(algorithm: Algorithm, use_fast_path: Optional[bool]) -> bool:
@@ -86,86 +88,6 @@ class _LazyStates(Sequence):
 
     def __iter__(self):
         return iter(self._materialize())
-
-
-class _AdjacencyCache:
-    """Memoizes stacked ``(C, n, n)`` adjacency tensors across rounds.
-
-    Candidate graph lists frequently repeat from decision to decision (a
-    greedy adversary re-evaluates the same model every round, Ψ-block
-    adversaries replay the committed block graph, constant suffixes repeat one
-    list for a whole suffix); re-stacking the adjacency matrices every round
-    is pure waste then.  Keys are the identities of the graph objects in the
-    list — the cached tuple keeps them alive, so identity keys stay valid.
-    """
-
-    MAX_ENTRIES = 64
-    MAX_BYTES = 16 << 20
-
-    __slots__ = ("_store", "_bytes")
-
-    def __init__(self) -> None:
-        self._store: dict = {}
-        self._bytes = 0
-
-    def stacked(self, graphs: Tuple[CommunicationGraph, ...]) -> np.ndarray:
-        key = tuple(map(id, graphs))
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit[1]
-        stacked = np.stack([graph.adjacency for graph in graphs])
-        stacked.setflags(write=False)
-        # Bounded in entries *and* bytes: memoization must never pin more
-        # memory than the reductions it is saving (large churning per-scenario
-        # stacks simply go uncached).
-        if (
-            len(self._store) < self.MAX_ENTRIES
-            and self._bytes + stacked.nbytes <= self.MAX_BYTES
-        ):
-            self._store[key] = (graphs, stacked)
-            self._bytes += stacked.nbytes
-        return stacked
-
-
-def _make_batch_rollout(
-    algorithm: Algorithm,
-    batch_state: Any,
-    round_number: int,
-    n: int,
-    cache: _AdjacencyCache,
-):
-    """A ``RoundContext.batch_rollout`` evaluating candidate graph sequences.
-
-    Each round of the rollout stacks the candidates' adjacency matrices into a
-    ``(C, n, n)`` tensor and runs one ``batch_transition`` on it; the
-    unbatched ``(n, d)``-shaped state broadcasts against the candidate axis,
-    so ``C`` candidate simulations cost one vectorized pass per round instead
-    of ``C`` Python-level simulations.
-    """
-
-    def rollout(sequences: Sequence[Sequence[CommunicationGraph]]) -> np.ndarray:
-        # RoundContext.simulate_sequences_batch has checked that the
-        # candidates share one non-zero length.
-        candidate_sequences = [list(sequence) for sequence in sequences]
-        for sequence in candidate_sequences:
-            for graph in sequence:
-                if graph.n != n:
-                    raise ExecutionError(
-                        f"candidate graph has {graph.n} agents but the configuration has {n}"
-                    )
-        state = batch_state
-        for offset in range(len(candidate_sequences[0])):
-            adjacency = cache.stacked(tuple(sequence[offset] for sequence in candidate_sequences))
-            state = algorithm.batch_transition(state, adjacency, round_number + offset)
-        outputs = np.asarray(algorithm.batch_outputs(state), dtype=float)
-        # Outputs that did not change during the rollout (e.g. mid-phase
-        # amortized midpoint) never grow the candidate axis; broadcast to the
-        # full (C, n, d) shape so callers always see one row per candidate.
-        return np.broadcast_to(
-            outputs, (len(candidate_sequences), n, outputs.shape[-1])
-        ).copy()
-
-    return rollout
 
 
 def initial_configuration(
@@ -255,6 +177,13 @@ def run_execution(
 ) -> Execution:
     """Run ``algorithm`` for ``rounds`` rounds against ``pattern``.
 
+    On the fast path (and unless the active :class:`~repro.config.EngineConfig`
+    sets ``use_batch=False``), an adversary that decides by plans — one that
+    keeps :meth:`AdversarialPattern.choose` — runs as the one scenario of
+    :func:`~repro.execution.batch.run_adversarial_ensemble`, which evaluates
+    each decision's candidates as one stacked pass.  Every other case, the
+    reference candidate loop included, runs round by round.
+
     Parameters
     ----------
     algorithm:
@@ -284,7 +213,47 @@ def run_execution(
         raise ExecutionError(f"rounds must be non-negative, got {rounds}")
     if record_every < 1:
         raise ExecutionError(f"record_every must be >= 1, got {record_every}")
+    check_finite(initial_values)
+    if (
+        isinstance(pattern, AdversarialPattern)
+        and type(pattern).choose is AdversarialPattern.choose
+        and _fast_path_enabled(algorithm, use_fast_path)
+        and resolve_use_batch()
+    ):
+        from repro.execution.batch import run_adversarial_ensemble  # avoids a cycle
 
+        pattern.reset()
+        ensemble = run_adversarial_ensemble(
+            algorithm,
+            as_value_matrix(initial_values)[None],
+            pattern,
+            rounds,
+            record_every=record_every,
+            record_states=True,
+            threads=1,
+        )
+        return Execution(
+            algorithm_name=algorithm.name,
+            configurations=ensemble.scenario_configurations(0),
+            graphs=ensemble.scenario_graphs(0),
+        )
+    return _run_execution(algorithm, initial_values, pattern, rounds, record_every, use_fast_path)
+
+
+def _run_execution(
+    algorithm: Algorithm,
+    initial_values: ValuesLike,
+    pattern: CommunicationPattern,
+    rounds: int,
+    record_every: int,
+    use_fast_path: Optional[bool] = None,
+) -> Execution:
+    """The round-by-round loop behind :func:`run_execution`.
+
+    The per-scenario fallback of
+    :func:`~repro.execution.batch.run_adversarial_ensemble` calls it
+    directly, so the two never hand a run back and forth.
+    """
     pattern.reset()
     if _fast_path_enabled(algorithm, use_fast_path):
         return _run_execution_fast(algorithm, initial_values, pattern, rounds, record_every)
@@ -336,10 +305,6 @@ def _run_execution_fast(
         graphs=[],
     )
     history: List[CommunicationGraph] = []
-    rollout_cache = _AdjacencyCache()
-    # Under EngineConfig(use_batch=False) adaptive patterns get no stacked
-    # rollout and simulate_sequences_batch replays one candidate at a time.
-    stacked_rollouts = resolve_use_batch()
 
     for t in range(1, rounds + 1):
         context = RoundContext(
@@ -352,11 +317,6 @@ def _run_execution_fast(
                 dtype=float,
             ),
             history=history,
-            batch_rollout=_make_batch_rollout(
-                algorithm, batch_state, t, values.shape[0], cache=rollout_cache
-            )
-            if stacked_rollouts
-            else None,
         )
         graph = pattern.graph_at(t, context)
         if graph.n != values.shape[0]:

@@ -12,12 +12,11 @@ they are not part of graph identity.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
 from repro.exceptions import EnsembleShapeError, SerializationError
-from repro.execution.engine import _AdjacencyCache
 from repro.graphs.digraph import CommunicationGraph
 
 #: One round of ensemble communication: a single graph shared by every
@@ -67,9 +66,7 @@ def validate_schedule(schedule: Sequence[RoundGraphs], batch_size: int, n: int) 
     return tuple(rounds)
 
 
-def round_adjacency(
-    round_graphs: RoundGraphs, cache: Optional[_AdjacencyCache] = None
-) -> np.ndarray:
+def round_adjacency(round_graphs: RoundGraphs) -> np.ndarray:
     """The adjacency tensor of one ensemble round: ``(n, n)`` shared or ``(B, n, n)``.
 
     The round must already be checked against the ensemble shape: the
@@ -83,8 +80,6 @@ def round_adjacency(
         # A uniform per-scenario list broadcasts like a shared graph; skip the
         # (B, n, n) stack entirely.
         return first.adjacency
-    if cache is not None:
-        return cache.stacked(round_graphs)
     return np.stack([graph.adjacency for graph in round_graphs])
 
 
@@ -93,17 +88,16 @@ def scenario_graphs(schedule: Sequence[RoundGraphs], scenario: int) -> List[Comm
     return [graphs if is_shared(graphs) else graphs[scenario] for graphs in schedule]
 
 
-def slice_schedule(
-    schedule: Sequence[RoundGraphs], start: int, stop: int, batch_size: int, n: int
-) -> List[RoundGraphs]:
+def slice_schedule(schedule: Sequence[RoundGraphs], start: int, stop: int) -> List[RoundGraphs]:
     """The schedule of scenarios ``[start, stop)``; shared rounds pass through.
 
-    The whole schedule is validated against ``(batch_size, n)`` first, so a
-    malformed one raises the error the unsliced run would raise.
+    The schedule must already be validated against the full ensemble shape
+    (:func:`validate_schedule`), so a malformed one has raised the error the
+    unsliced run would raise before any shard is cut.
     """
     return [
         round_graphs if is_shared(round_graphs) else list(round_graphs[start:stop])
-        for round_graphs in validate_schedule(schedule, batch_size, n)
+        for round_graphs in schedule
     ]
 
 

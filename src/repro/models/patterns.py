@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,16 +49,6 @@ class RoundContext:
         this round.  The call has no side effects on the running execution.
     history:
         The list of graphs applied in earlier rounds.
-    batch_rollout:
-        Optional callable mapping ``C`` candidate graph *sequences* (all of
-        the same length ``L``) to the ``(C, n, d)`` output tensor obtained by
-        applying each sequence from the current configuration.  The fast
-        execution path supplies one that routes all candidates through the
-        algorithm's ``batch_*`` hooks as a single stacked ``(C, n, n)``
-        adjacency pass per round, unless the active
-        :class:`~repro.config.EngineConfig` sets ``use_batch=False``; when
-        absent, :meth:`simulate_sequences_batch` replays one candidate at a
-        time.
     use_fast_path:
         The engine path of the running execution (``False`` on the per-agent
         path), which the per-candidate replay takes as well.
@@ -69,9 +60,6 @@ class RoundContext:
     algorithm: Any
     simulate_outputs: Callable[[CommunicationGraph], np.ndarray]
     history: List[CommunicationGraph] = field(default_factory=list)
-    batch_rollout: Optional[
-        Callable[[Sequence[Sequence[CommunicationGraph]]], np.ndarray]
-    ] = None
     use_fast_path: Optional[bool] = None
 
     def simulate_sequences_batch(
@@ -79,11 +67,12 @@ class RoundContext:
     ) -> np.ndarray:
         """The ``(C, n, d)`` outputs after applying each candidate graph sequence.
 
-        All sequences must have the same length.  With a :attr:`batch_rollout`
-        the candidates are evaluated in one stacked pass; otherwise this is the
-        reference loop, replaying each sequence from the current configuration
-        through :func:`~repro.execution.engine.run_from_configuration` on the
-        run's engine path.  Both give bit-for-bit identical outputs.
+        All sequences must have the same length.  Each sequence is replayed
+        from the current configuration through
+        :func:`~repro.execution.engine.run_from_configuration` on the run's
+        engine path: the per-candidate reference that
+        :func:`~repro.execution.batch.run_adversarial_ensemble`'s stacked
+        candidate pass must match bit for bit.
         """
         candidate_sequences = [list(sequence) for sequence in sequences]
         if not candidate_sequences:
@@ -93,8 +82,6 @@ class RoundContext:
             raise ExecutionError(
                 f"candidate sequences must share one non-zero length, got lengths {sorted(lengths)}"
             )
-        if self.batch_rollout is not None:
-            return self.batch_rollout(candidate_sequences)
         from repro.execution.engine import run_from_configuration  # local import avoids a cycle
         from repro.execution.state import Configuration
 
@@ -289,6 +276,25 @@ class EnsemblePlan:
         """Length ``L`` of every candidate sequence."""
         return len(self.candidates[0])
 
+    @cached_property
+    def adjacency_stacks(self) -> Tuple[np.ndarray, ...]:
+        """Per offset ``0 .. L-1``, the candidates' read-only ``(C, n, n)`` adjacency stack.
+
+        Built on first use and kept with the plan, so an adversary that
+        returns the same plan every decision stacks its candidates once.
+        An offset whose graphs are those of the offset before it (a Ψ-block
+        repeats one graph per candidate) shares that offset's stack.
+        """
+        stacks = []
+        previous = None
+        for column in zip(*self.candidates):
+            if previous is None or any(a is not b for a, b in zip(column, previous)):
+                stack = np.stack([graph.adjacency for graph in column])
+                stack.setflags(write=False)
+            stacks.append(stack)
+            previous = column
+        return tuple(stacks)
+
 
 def check_plans(
     plans: Sequence[EnsemblePlan], batch_size: int, n: int
@@ -338,11 +344,13 @@ class AdversarialPattern(CommunicationPattern):
     An adversary declares its decisions as plans: :meth:`ensemble_plan`
     (candidates that depend only on the round number) or
     :meth:`ensemble_plans` (per-scenario candidates that depend on the
-    committed history).  :meth:`choose` is derived from them, and so is every
-    choice of :func:`repro.execution.batch.run_adversarial_ensemble`, so the
-    single-scenario and ensemble routes commit the same graphs.  Adversaries
-    whose decision is not a plan override :meth:`choose` instead; the
-    ensemble runner then drives them scenario by scenario.
+    committed history).  Every choice of
+    :func:`repro.execution.batch.run_adversarial_ensemble`, which
+    :func:`repro.execution.run_execution` hands plan adversaries to on the
+    fast path, is derived from them, and so is :meth:`choose`, the
+    per-candidate reference.  Adversaries whose decision is not a plan
+    override :meth:`choose` instead; both engines then call it round by
+    round, scenario by scenario.
     :meth:`graph_at` enforces that a context is available (adaptive patterns
     cannot be evaluated obliviously).
     """

@@ -737,6 +737,7 @@ def run_study_service(
     """
     from repro.api import Study, StudyResult
     from repro.config import EngineConfig, current_engine_config
+    from repro.execution.schedule import validate_schedule
     from repro.faults import as_fault_plan
     from repro.service.serialization import (
         encode_algorithm,
@@ -781,8 +782,11 @@ def run_study_service(
     if not spec.is_ensemble():
         bounds = [(0, 1)]
     else:
-        batch = int(np.asarray(spec.initial_values, dtype=float).shape[0])
+        batch, n = np.asarray(spec.initial_values, dtype=float).shape[:2]
         bounds = _shard_bounds(batch, workers, shard_size)
+        if spec.graphs is not None:
+            # Checked once against the full ensemble shape; shards only slice.
+            spec = replace(spec, graphs=validate_schedule(spec.graphs, batch, n))
 
     entries = []
     for start, stop in bounds:
@@ -828,7 +832,7 @@ def run_study_service(
 
 
 def _slice_scenario(spec, start: int, stop: int):
-    """The ``[start, stop)`` scenario slice of an ensemble spec."""
+    """The ``[start, stop)`` scenario slice of an ensemble spec with a validated schedule."""
     from repro.api import ScenarioSpec
     from repro.execution.schedule import slice_schedule
     from repro.models.patterns import CommunicationPattern
@@ -847,7 +851,7 @@ def _slice_scenario(spec, start: int, stop: int):
         pattern = list(pattern)[start:stop]
     graphs = None
     if spec.graphs is not None:
-        graphs = slice_schedule(spec.graphs, start, stop, *full.shape[:2])
+        graphs = slice_schedule(spec.graphs, start, stop)
     return ScenarioSpec(
         initial_values=values,
         rounds=spec.rounds if graphs is None else None,

@@ -30,8 +30,6 @@ client helper every remote component uses (stdlib ``urllib`` only).
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, ClassVar, Dict, Optional
 
@@ -200,6 +198,11 @@ def http_json(
     failures, non-2xx statuses, and non-JSON responses, carrying the HTTP
     status when one was received.
     """
+    # Imported here: the local pipe route imports this module for its
+    # records, and urllib.request would load http.client for it.
+    import urllib.error
+    import urllib.request
+
     data = None
     headers = {"Accept": "application/json"}
     if payload is not None:

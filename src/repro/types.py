@@ -16,6 +16,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from repro.exceptions import NonFiniteValueError
+
 #: An agent identifier (0-based).
 AgentId = int
 
@@ -69,6 +71,35 @@ def as_value_matrix(values: ValuesLike) -> np.ndarray:
                 f"inconsistent value dimensions: agent 0 has d={dim}, agent {i} has d={row.shape[0]}"
             )
     return np.vstack(rows)
+
+
+def check_finite(initial_values) -> None:
+    """Reject NaN/inf initial values, naming the first (scenario, agent, coordinate).
+
+    One non-finite agent would spread to every output within a few rounds,
+    so ``Study`` and every engine entry point call this at their boundary.
+    ``(B, n, d)`` values name a scenario; one scenario's ``(n,)`` or
+    ``(n, d)`` values do not.
+    """
+    try:
+        values = np.asarray(initial_values, dtype=float)
+    except (TypeError, ValueError):
+        return  # ragged or non-numeric: the shape checks report it
+    if values.ndim not in (1, 2, 3) or np.isfinite(values).all():
+        return
+    index = [int(i) for i in np.argwhere(~np.isfinite(values))[0]]
+    if values.ndim == 1:
+        index.append(0)
+    scenario = index[0] if values.ndim == 3 else None
+    agent, coordinate = index[-2:]
+    where = "" if scenario is None else f"scenario {scenario}, "
+    raise NonFiniteValueError(
+        f"initial values must be finite: {where}agent {agent}, coordinate "
+        f"{coordinate} is {values[tuple(index[: values.ndim])]}",
+        scenario=scenario,
+        agent=agent,
+        coordinate=coordinate,
+    )
 
 
 def diameter(points: Iterable[np.ndarray] | np.ndarray) -> float:

@@ -49,9 +49,10 @@ from repro.core.adversary import (
 from repro.config import EngineConfig
 from repro.exceptions import ExecutionError
 from repro.execution import run_adversarial_ensemble, run_execution
+import repro.execution.batch as batch_module
 from repro.execution.batch import _batch_diameters
-from repro.execution.engine import _AdjacencyCache
 from repro.execution.schedule import round_adjacency as _round_adjacency
+from repro.execution.state import _states_equal
 from repro.graphs.families import complete_graph, cycle_graph, psi_graph
 from repro.models.standard import deaf_model, two_agent_model
 from repro.types import pairwise_diameters, running_argmax
@@ -70,6 +71,14 @@ def _record_outputs_bytes(ensemble):
     """The recorded rounds and the raw bytes of the recorded outputs."""
     outputs = np.ascontiguousarray(ensemble.recorded_outputs)
     return ensemble.recorded_rounds, outputs.dtype.str, outputs.shape, outputs.tobytes()
+
+
+def _configuration_bytes(configurations):
+    """Each configuration's round and the raw bytes of its outputs."""
+    return [
+        (c.round_number, c.outputs.dtype.str, c.outputs.shape, c.outputs.tobytes())
+        for c in configurations
+    ]
 
 
 def _values(batch, n, d=1, seed=0):
@@ -113,6 +122,59 @@ class TestBatchedAdversaryChoices:
         assert batched.graphs == reference.graphs
         for lhs, rhs in zip(batched.configurations, reference.configurations):
             np.testing.assert_array_equal(lhs.outputs, rhs.outputs)
+
+    @pytest.mark.parametrize("case_index", range(len(CASES)))
+    def test_run_execution_is_scenario_zero_of_the_ensemble(self, case_index):
+        # The fast path hands plan adversaries to the one-scenario ensemble;
+        # graphs and configuration bytes equal that scenario and the
+        # per-candidate reference loop, at every recorded round.
+        make_adversary, make_algorithm, n, rounds = self.CASES[case_index]
+        values = np.linspace(0.0, 1.0, n)[:, None] + (np.arange(n) % 3)[:, None]
+        with mock.patch.object(
+            batch_module, "run_adversarial_ensemble", wraps=run_adversarial_ensemble
+        ) as handed_off:
+            single = run_execution(
+                make_algorithm(), values, make_adversary(), rounds, record_every=2
+            )
+        handed_off.assert_called_once()
+        ensemble = run_adversarial_ensemble(
+            make_algorithm(), values[None], make_adversary(), rounds,
+            record_every=2, record_states=True,
+        )
+        with EngineConfig(use_batch=False):
+            reference = run_execution(
+                make_algorithm(), values, make_adversary(), rounds, record_every=2
+            )
+        for graphs, configurations in (
+            (ensemble.scenario_graphs(0), ensemble.scenario_configurations(0)),
+            (reference.graphs, reference.configurations),
+        ):
+            assert single.graphs == graphs
+            assert _configuration_bytes(single.configurations) == _configuration_bytes(
+                configurations
+            )
+            for mine, theirs in zip(single.configurations, configurations):
+                assert all(map(_states_equal, mine.states, theirs.states))
+
+    def test_choose_override_keeps_the_round_loop(self):
+        # An adversary that overrides choose is not a plan: the fast path
+        # still asks it every round.
+        rounds_asked = []
+
+        class Probe(GreedyDiameterAdversary):
+            def choose(self, context):
+                rounds_asked.append(context.round_number)
+                return super().choose(context)
+
+        values = [0.0, 1.0, 2.0, 3.0]
+        probed = run_execution(
+            MidpointAlgorithm(), values, Probe(deaf_model(n=4)), 5, use_fast_path=True
+        )
+        assert rounds_asked == [1, 2, 3, 4, 5]
+        planned = run_execution(
+            MidpointAlgorithm(), values, GreedyDiameterAdversary(deaf_model(n=4)), 5
+        )
+        assert probed.graphs == planned.graphs
 
     def test_theorem_1_reference_execution(self):
         # The Theorem 1 adversary must still realize contraction rate 1/3
@@ -682,34 +744,39 @@ class TestSelectionHelpers:
 
 
 # --------------------------------------------------------------------------- #
-# Adjacency caching
+# Round adjacency
 # --------------------------------------------------------------------------- #
 
 
-class TestAdjacencyCache:
-    def test_repeated_graph_lists_reuse_the_stacked_tensor(self):
-        cache = _AdjacencyCache()
-        graphs = (complete_graph(4), cycle_graph(4), complete_graph(4))
-        first = cache.stacked(graphs)
-        second = cache.stacked(graphs)
-        assert first is second
-        np.testing.assert_array_equal(
-            first, np.stack([graph.adjacency for graph in graphs])
-        )
-
+class TestRoundAdjacency:
     def test_uniform_round_broadcasts_without_stacking(self):
         graph = complete_graph(3)
         adjacency = _round_adjacency([graph, graph, graph])
         assert adjacency.shape == (3, 3)
         assert adjacency is graph.adjacency
 
-    def test_cache_bounded(self, monkeypatch):
-        monkeypatch.setattr(_AdjacencyCache, "MAX_ENTRIES", 1)
-        cache = _AdjacencyCache()
-        graphs = (complete_graph(3), cycle_graph(3))
-        first = cache.stacked(graphs)
-        # A different list does not evict the first entry (insert-only cap)
-        # and, past the cap, is not cached itself.
-        other = (cycle_graph(3), complete_graph(3))
-        assert cache.stacked(other) is not cache.stacked(other)
-        assert cache.stacked(graphs) is first
+    def test_plans_own_their_candidate_stacks(self):
+        # A fixed plan is built once, its stacks once per plan, and a Ψ-block
+        # plan's offsets (one graph per candidate) share one stack.
+        adversary = PsiBlockAdversary(5)
+        plan = adversary.ensemble_plan(1, 5)
+        assert adversary.ensemble_plan(4, 5) is plan
+        stacks = plan.adjacency_stacks
+        assert plan.adjacency_stacks is stacks
+        assert len(stacks) == plan.horizon
+        assert all(stack is stacks[0] for stack in stacks)
+        lookahead = LookaheadDiameterAdversary(deaf_model(n=3), 2).ensemble_plan(1, 3)
+        for offset, stack in enumerate(lookahead.adjacency_stacks):
+            assert not stack.flags.writeable
+            np.testing.assert_array_equal(
+                stack, np.stack([c[offset].adjacency for c in lookahead.candidates])
+            )
+        assert lookahead.adjacency_stacks[0] is not lookahead.adjacency_stacks[1]
+        # avoid_repeat keeps one plan per excluded model graph.
+        greedy = GreedyDiameterAdversary(deaf_model(n=4), avoid_repeat=True)
+        graphs = greedy.model.graphs
+        plans = greedy.ensemble_plans(2, 4, [[graphs[1]], [graphs[0], graphs[1]], []])
+        assert plans[0] is plans[1]
+        assert [c for (c,) in plans[0].candidates] == [g for g in graphs if g is not graphs[1]]
+        assert [c for (c,) in plans[2].candidates] == list(graphs)
+        assert greedy.ensemble_plans(5, 4, [[graphs[1]]])[0] is plans[0]

@@ -539,6 +539,31 @@ class TestNonFiniteInitialValues:
             Study(algorithm=MidpointAlgorithm(), scenario=spec)
         assert excinfo.value.scenario == 0
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["run_execution", "run_ensemble", "run_pattern_ensemble", "run_adversarial_ensemble"],
+    )
+    def test_engine_entry_points_reject_before_running(self, entry):
+        values = _ensemble_values(3, 4, d=2)
+        values[2, 1, 1] = np.inf
+        algorithm, adversary = MidpointAlgorithm(), GreedyDiameterAdversary(deaf_model(n=4))
+        calls = {
+            # One scenario names no scenario index.
+            "run_execution": lambda: run_execution(algorithm, values[2], adversary, 3),
+            "run_ensemble": lambda: run_ensemble(algorithm, values, [complete_graph(4)] * 3),
+            "run_pattern_ensemble": lambda: run_pattern_ensemble(
+                algorithm, values, _pattern(4), 3
+            ),
+            "run_adversarial_ensemble": lambda: run_adversarial_ensemble(
+                algorithm, values, adversary, 3
+            ),
+        }
+        with pytest.raises(NonFiniteValueError) as excinfo:
+            calls[entry]()
+        error = excinfo.value
+        scenario = None if entry == "run_execution" else 2
+        assert (error.scenario, error.agent, error.coordinate) == (scenario, 1, 1)
+
     def test_service_rejects_before_spawning_a_worker(self, monkeypatch, tmp_path):
         from repro.service import orchestrator, run_study_service
 

@@ -486,11 +486,11 @@ def test_packed_gather_on_graph_adjacency_bit_for_bit():
 
 
 def test_packed_gather_on_memoized_stacks_matches_dense():
-    from repro.execution.engine import _AdjacencyCache
-
     rng = np.random.default_rng(15)
     graphs = tuple(random_graph(24, rng, 0.3) for _ in range(5))
-    stacked = _AdjacencyCache().stacked(graphs)
+    # Read-only, like the candidate stacks an EnsemblePlan keeps.
+    stacked = np.stack([graph.adjacency for graph in graphs])
+    stacked.setflags(write=False)
     values = rng.uniform(-1.0, 1.0, size=(5, 24, 2))
     _assert_pairs_equal(_sorted_min_max(stacked, values), _dense_min_max(stacked, values))
 

@@ -33,6 +33,7 @@ from repro.execution.schedule import (
     is_shared,
     scenario_graphs,
     slice_schedule,
+    validate_schedule,
 )
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.generators import random_graph, random_rooted_graph
@@ -76,7 +77,7 @@ def test_wire_round_trip_keeps_every_round(case):
 def test_shard_slices_reassemble_every_scenario(case, parts):
     batch, n, schedule = case
     reassembled = [
-        scenario_graphs(slice_schedule(schedule, start, stop, batch, n), local)
+        scenario_graphs(slice_schedule(validate_schedule(schedule, batch, n), start, stop), local)
         for start, stop in shard_bounds(batch, parts)
         for local in range(stop - start)
     ]

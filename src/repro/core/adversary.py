@@ -17,8 +17,10 @@ executable counterparts:
 
 Each adversary only declares its plan — the candidate graph sequences of a
 decision and how many rounds of the winner to commit
-(:class:`~repro.models.patterns.EnsemblePlan`).  An adversary whose plan is
-fixed builds it once, so its candidate adjacency stacks are built once too.
+(:class:`~repro.models.patterns.EnsemblePlan`).  The greedy, two-agent and
+Ψ-block adversaries build their fixed plan once, so its candidate adjacency
+stacks are built once too; the lookahead adversary builds its ``|N|^k``
+candidates per decision, so their stacks are freed with the plan.
 The choice is derived by one rule, the first candidate with the largest
 successor output diameter wins, on one batched route:
 :func:`repro.execution.batch.run_adversarial_ensemble`, to which
@@ -32,7 +34,7 @@ choices.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ExecutionError
 from repro.graphs.digraph import CommunicationGraph
@@ -60,27 +62,22 @@ class GreedyDiameterAdversary(AdversarialPattern):
         self._plan = EnsemblePlan(
             candidates=tuple((graph,) for graph in model), commit_rounds=1
         )
-        # avoid_repeat: model-graph index -> the plan without that graph.
-        self._plans_after: Dict[int, EnsemblePlan] = {}
 
     @property
     def model(self) -> NetworkModel:
         """The network model the adversary draws graphs from."""
         return self._model
 
-    def _plan_after(self, history: Sequence[CommunicationGraph]) -> EnsemblePlan:
-        """The plan without the model graph ``history`` ends in, built once per graph."""
-        graphs = self._model.graphs
-        last = history[-1] if history else None
-        index = next((i for i, graph in enumerate(graphs) if graph is last), None)
-        if index is None or len(graphs) == 1:
-            return self._plan
-        if index not in self._plans_after:
-            self._plans_after[index] = EnsemblePlan(
-                candidates=tuple((graph,) for graph in graphs if graph is not last),
-                commit_rounds=1,
-            )
-        return self._plans_after[index]
+    def _candidate_graphs(
+        self, history: Sequence[CommunicationGraph]
+    ) -> List[CommunicationGraph]:
+        graphs = list(self._model)
+        if self._avoid_repeat and history:
+            last = history[-1]
+            filtered = [graph for graph in graphs if graph is not last]
+            if filtered:
+                return filtered
+        return graphs
 
     def ensemble_plan(self, round_number: int, n: int) -> Optional[EnsemblePlan]:
         if self._avoid_repeat:
@@ -100,7 +97,15 @@ class GreedyDiameterAdversary(AdversarialPattern):
         # commit.  Candidate counts stay uniform across scenarios: |N| in
         # round 1 (all histories empty), |N| - 1 afterwards (every history
         # ends in a model graph), so the stacked (B, C, n, n) pass is square.
-        return tuple(self._plan_after(history) for history in histories)
+        return tuple(
+            EnsemblePlan(
+                candidates=tuple(
+                    (graph,) for graph in self._candidate_graphs(history)
+                ),
+                commit_rounds=1,
+            )
+            for history in histories
+        )
 
     def __repr__(self) -> str:
         if self._avoid_repeat:
@@ -121,12 +126,14 @@ class LookaheadDiameterAdversary(AdversarialPattern):
             raise ExecutionError(f"lookahead must be >= 1, got {lookahead}")
         self._model = model
         self._lookahead = lookahead
-        self._plan = EnsemblePlan(
-            candidates=tuple(iter_product(list(model), repeat=lookahead)), commit_rounds=1
-        )
 
     def ensemble_plan(self, round_number: int, n: int) -> EnsemblePlan:
-        return self._plan
+        # Built per decision, unlike the small fixed plans: |N|^k candidates'
+        # stacks would otherwise stay pinned on the adversary between runs.
+        return EnsemblePlan(
+            candidates=tuple(iter_product(list(self._model), repeat=self._lookahead)),
+            commit_rounds=1,
+        )
 
     def __repr__(self) -> str:
         return f"LookaheadDiameterAdversary({self._model!r}, lookahead={self._lookahead})"

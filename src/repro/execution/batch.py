@@ -741,9 +741,17 @@ def run_adversarial_ensemble(
         if scenario_plans is not None:
             scenario_plans = list(scenario_plans)
             count, horizon, commit_rounds = check_plans(scenario_plans, batch_size, n)
+            # Per-scenario plans are built per decision: copy their graphs
+            # straight into (B, C, n, n) rather than through each short-lived
+            # plan's own (C, n, n) stacks.
             stacks = [
-                np.stack(column)
-                for column in zip(*(plan.adjacency_stacks for plan in scenario_plans))
+                np.array(
+                    [
+                        [candidate[offset].adjacency for candidate in plan.candidates]
+                        for plan in scenario_plans
+                    ]
+                )
+                for offset in range(horizon)
             ]
             candidate_lists = [plan.candidates for plan in scenario_plans]
             return candidate_lists, count, horizon, commit_rounds, stacks
@@ -778,8 +786,8 @@ def run_adversarial_ensemble(
     rows = np.arange(batch_size)
 
     t = 1
+    decision, first_decision = first_decision, None
     while t <= rounds:
-        decision = first_decision if t == 1 else decision_at(t)
         if decision is None:
             raise ExecutionError(
                 f"{type(adversary).__name__}.ensemble_plan returned None mid-run"
@@ -823,6 +831,9 @@ def run_adversarial_ensemble(
                 if recorded_batch_states is not None:
                     recorded_batch_states.append(batch_state)
             t += 1
+        # Free this decision's stacks before the next decision builds its own.
+        del decision, stacks
+        decision = decision_at(t) if t <= rounds else None
 
     return AdversarialEnsembleExecution(
         algorithm_name=algorithm.name,

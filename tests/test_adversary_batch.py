@@ -757,7 +757,8 @@ class TestRoundAdjacency:
 
     def test_plans_own_their_candidate_stacks(self):
         # A fixed plan is built once, its stacks once per plan, and a Ψ-block
-        # plan's offsets (one graph per candidate) share one stack.
+        # plan's offsets (one graph per candidate) share one stack; the
+        # lookahead plan is built per decision, so its stacks go with it.
         adversary = PsiBlockAdversary(5)
         plan = adversary.ensemble_plan(1, 5)
         assert adversary.ensemble_plan(4, 5) is plan
@@ -765,18 +766,17 @@ class TestRoundAdjacency:
         assert plan.adjacency_stacks is stacks
         assert len(stacks) == plan.horizon
         assert all(stack is stacks[0] for stack in stacks)
-        lookahead = LookaheadDiameterAdversary(deaf_model(n=3), 2).ensemble_plan(1, 3)
+        lookahead_adversary = LookaheadDiameterAdversary(deaf_model(n=3), 2)
+        lookahead = lookahead_adversary.ensemble_plan(1, 3)
+        assert lookahead_adversary.ensemble_plan(2, 3) is not lookahead
         for offset, stack in enumerate(lookahead.adjacency_stacks):
             assert not stack.flags.writeable
             np.testing.assert_array_equal(
                 stack, np.stack([c[offset].adjacency for c in lookahead.candidates])
             )
-        assert lookahead.adjacency_stacks[0] is not lookahead.adjacency_stacks[1]
-        # avoid_repeat keeps one plan per excluded model graph.
+        # avoid_repeat builds each scenario's plan without its last commit.
         greedy = GreedyDiameterAdversary(deaf_model(n=4), avoid_repeat=True)
         graphs = greedy.model.graphs
-        plans = greedy.ensemble_plans(2, 4, [[graphs[1]], [graphs[0], graphs[1]], []])
-        assert plans[0] is plans[1]
+        plans = greedy.ensemble_plans(2, 4, [[graphs[1]], []])
         assert [c for (c,) in plans[0].candidates] == [g for g in graphs if g is not graphs[1]]
-        assert [c for (c,) in plans[2].candidates] == list(graphs)
-        assert greedy.ensemble_plans(5, 4, [[graphs[1]]])[0] is plans[0]
+        assert [c for (c,) in plans[1].candidates] == list(graphs)

@@ -68,7 +68,9 @@ from pathlib import Path
 #:   entries with ``planned_s``) the plan must beat the kernel the
 #:   dispatcher would otherwise pick by 1.2x (measured ~3.7x on deaf(K_4)
 #:   against the fold, ~8.7x on Ψ(12) against dense), or it is not worth
-#:   its code.
+#:   its code.  The same gate holds the adversaries' memoized candidate
+#:   stacks (``layout`` ``candidates``) to 1.2x over the plain-array
+#:   dispatch (measured ~1.4x on deaf(K_4)).
 #: * Streaming the exhaustive prefixes must keep the estimator's peak memory
 #:   strictly below one materialized pass (``valency_streaming_memory``,
 #:   also asserted by the bench itself at two depths); the plan's element
@@ -125,7 +127,8 @@ def _entry_detail(entry: dict) -> str:
     return ", ".join(
         f"{key}={entry[key]}"
         for key in (
-            "route", "algorithm", "model", "impl", "n", "B", "F", "rounds", "model_size",
+            "route", "algorithm", "model", "layout", "impl", "n", "B", "F", "rounds",
+            "model_size",
             "d", "depth", "seed", "budget", "threads", "cpu_count",
         )
         if key in entry

@@ -827,28 +827,37 @@ def bench_masked_reduction(batch_size: int, n: int, d: int, repeats: int) -> lis
 
 
 def bench_planned_reduction(cases, repeats: int) -> list:
-    """The planned gather vs the unplanned dispatch at valency-suffix shapes.
+    """Reused stacks vs the plain-array dispatch at valency-suffix and candidate shapes.
 
-    Each case is one constant-suffix round of a Table 1 row: the stack of
-    ``F`` model graphs that :class:`~repro.core.valency.ValencyEstimator`
+    A ``"suffix"`` case is one constant-suffix round of a Table 1 row: the
+    stack of ``F`` model graphs that :class:`~repro.core.valency.ValencyEstimator`
     builds (the ``|N|`` graphs tiled over the stacked configurations) and
     the algorithm's call on it, the amortized midpoint's two tensors on
     Ψ(n), the midpoint's one on deaf(K_n).  ``planned_s`` is the public
-    masked extreme on the planned stack, ``unplanned_s`` on the same stack
-    as a plain array, where the dispatcher picks dense, fold or sort-select.
-    Microsecond calls, so the pair is the median of ``repeats`` interleaved
-    pairs (:func:`_median_pair`); ``check_bench.py`` requires the plan to
-    win by 1.2x.
+    masked extreme on the planned stack (gather plan and kernel memo).  A
+    ``"candidates"`` case is one candidate pass of an adversarial decision:
+    the greedy adversary's memoized ``(C, n, n)`` plan stack against
+    ``(B, 1, n, 1)`` scenario values, where the memo skips the dispatch.
+    ``unplanned_s`` is the same call on the stack as a plain array, where
+    the dispatcher validates and picks dense, fold or sort-select on every
+    call.  Microsecond calls, so the pair is the median of ``repeats``
+    interleaved pairs (:func:`_median_pair`); ``check_bench.py`` requires
+    the reused stack to win by 1.2x.
     """
     results = []
-    for name, model, futures, two_tensors in cases:
+    for name, model, layout, size, two_tensors in cases:
         rng = np.random.default_rng(1)
-        graphs = np.stack([graph.adjacency for graph in model])
-        planned = GatherPlan(graphs).stack(np.arange(futures) % len(graphs))
+        if layout == "suffix":
+            graphs = np.stack([graph.adjacency for graph in model])
+            planned = GatherPlan(graphs).stack(np.arange(size) % len(graphs))
+            value_shape = (size, model.n, 1)
+        else:
+            plan = GreedyDiameterAdversary(model).ensemble_plan(1, model.n)
+            (planned,) = plan.adjacency_stacks
+            value_shape = (size, 1, model.n, 1)
         plain = np.asarray(planned)
-        n = plain.shape[-1]
-        mins = rng.uniform(-1.0, 1.0, size=(futures, n, 1))
-        maxs = rng.uniform(-1.0, 1.0, size=(futures, n, 1)) if two_tensors else mins
+        mins = rng.uniform(-1.0, 1.0, size=value_shape)
+        maxs = rng.uniform(-1.0, 1.0, size=value_shape) if two_tensors else mins
         unplanned_s, planned_s = _median_pair(
             lambda: _kernel_call("auto", plain, mins, maxs),
             lambda: _kernel_call("auto", planned, mins, maxs),
@@ -857,17 +866,21 @@ def bench_planned_reduction(cases, repeats: int) -> list:
         entry = {
             "benchmark": "masked_reduction",
             "model": name,
-            "F": futures,
-            "n": n,
+            "layout": layout,
+            "F": plain.shape[0],
+            "n": model.n,
             "d": 1,
-            "k": planned.plan.shape[0],
             "unplanned_s": unplanned_s,
             "planned_s": planned_s,
             "speedup": unplanned_s / planned_s if planned_s > 0 else float("inf"),
         }
+        if layout == "suffix":
+            entry["k"] = planned.plan.shape[0]
+        else:
+            entry["B"] = size
         results.append(entry)
         print(
-            f"masked-reduce {name:10s} F={futures:4d} n={n:4d} k={entry['k']} "
+            f"masked-reduce {name:10s} {layout:10s} F={entry['F']:4d} n={model.n:4d} "
             f"unplanned={unplanned_s * 1e6:7.1f}us planned={planned_s * 1e6:7.1f}us "
             f"speedup={entry['speedup']:5.2f}x"
         )
@@ -1179,10 +1192,12 @@ def main() -> int:
         # Above the dense limit (24*256*256 > 2^20 elements): per-scenario
         # values there take sort-select, and d = 3 would take the fold.
         masked_reduction_case = (24, 256, 1)
-        # Suffix rounds of the Table 1 rows: (name, model, F, two tensors).
+        # Suffix rounds of the Table 1 rows, (name, model, "suffix", F, two
+        # tensors), and the Theorem 2 row's candidate pass, (..., B, ...).
         planned_cases = [
-            ("psi(12)", psi_model(12), 504, True),
-            ("deaf(K_4)", deaf_model(n=4), 400, False),
+            ("psi(12)", psi_model(12), "suffix", 504, True),
+            ("deaf(K_4)", deaf_model(n=4), "suffix", 400, False),
+            ("deaf(K_4)", deaf_model(n=4), "candidates", 4, False),
         ]
         # Facade dispatch is ~microseconds; size the workloads so the engine
         # call dominates and the 5% gate measures dispatch, not noise.
@@ -1226,9 +1241,10 @@ def main() -> int:
         alpha_grid = [("psi", 32), ("psi", 64), ("deaf", 32), ("deaf", 48), ("crash", 3)]
         masked_reduction_case = (64, 256, 1)
         planned_cases = [
-            ("psi(12)", psi_model(12), 504, True),
-            ("psi(12)", psi_model(12), 144, True),
-            ("deaf(K_4)", deaf_model(n=4), 400, False),
+            ("psi(12)", psi_model(12), "suffix", 504, True),
+            ("psi(12)", psi_model(12), "suffix", 144, True),
+            ("deaf(K_4)", deaf_model(n=4), "suffix", 400, False),
+            ("deaf(K_4)", deaf_model(n=4), "candidates", 4, False),
         ]
         facade_single_grid = [(64, 100)]
         facade_ensemble_grid = [(16, 64, 100)]

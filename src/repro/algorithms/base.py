@@ -104,22 +104,44 @@ def masked_extreme_pair(
 
 
 class PlannedStack(np.ndarray):
-    """A bool ``(F, n, n)`` adjacency stack carrying its in-neighbour gather plan.
+    """A bool ``(F, n, n)`` adjacency stack that is reused across rounds.
 
-    ``plan`` is an int ``(k, F · n)`` array whose column ``f · n + j``
-    holds the rows ``f · n + i`` of the senders ``i`` that receiver ``j`` of
-    entry ``f`` hears, in a ``(F · n, d)`` view of the values, padded to
-    the stack's largest in-degree ``k`` by repeating a real in-neighbour
-    (which changes no minimum or maximum).  The array itself is the dense
-    stack, so ``np.asarray`` and :func:`receive_mask` see plain bools and
-    algorithms need not know about the plan.  Any array derived from it (a
-    slice, arithmetic, a view) has ``plan = None`` and takes the ordinary
-    dispatch.  Built by :meth:`GatherPlan.stack`.
+    The array itself is the dense stack, so ``np.asarray`` and
+    :func:`receive_mask` see plain bools and algorithms need not know what
+    it carries:
+
+    * ``plan``, when set, is an int ``(k, F · n)`` array whose column
+      ``f · n + j`` holds the rows ``f · n + i`` of the senders ``i`` that
+      receiver ``j`` of entry ``f`` hears, in a ``(F · n, d)`` view of the
+      values, padded to the stack's largest in-degree ``k`` by repeating a
+      real in-neighbour (which changes no minimum or maximum).  Built by
+      :meth:`GatherPlan.stack`.
+    * ``_kernels`` memoizes the dispatcher's choice per value signature
+      (see :func:`_masked_extremes_pair`), so a stack that sees the same
+      value shapes every round resolves its kernel once.
+
+    Any array derived from it (a slice, arithmetic, a view, a deep copy)
+    has neither and takes the ordinary dispatch.  Build one with
+    :meth:`of`.
     """
 
     plan: Optional[np.ndarray] = None
     #: ``(GatherPlan, graph ids)`` the plan was built from, for :meth:`keep`.
     _source: Optional[tuple] = None
+    #: Value signature -> ``(kernel, operand)`` resolved on this stack.
+    _kernels: Optional[dict] = None
+
+    @classmethod
+    def of(
+        cls,
+        stack: np.ndarray,
+        plan: Optional[np.ndarray] = None,
+        source: Optional[tuple] = None,
+    ) -> "PlannedStack":
+        """``stack`` as a carrier with an empty kernel memo (and ``plan``, if given)."""
+        carrier = stack.view(cls)
+        carrier.plan, carrier._source, carrier._kernels = plan, source, {}
+        return carrier
 
     def keep(self, rows: np.ndarray) -> np.ndarray:
         """``self[rows]`` for a bool ``rows`` over the stack, with its plan."""
@@ -162,10 +184,7 @@ class GatherPlan:
         k = int(self.max_degree.take(graph_ids).max())
         rows = self.senders[:k].take(graph_ids, axis=1)  # (k, F, n)
         rows += (np.arange(graph_ids.size) * n)[:, None]
-        planned = stack.view(PlannedStack)
-        planned.plan = rows.reshape(k, -1)
-        planned._source = (self, graph_ids)
-        return planned
+        return PlannedStack.of(stack, rows.reshape(k, -1), (self, graph_ids))
 
 
 def _masked_extremes_gather(
@@ -482,19 +501,60 @@ def _masked_extremes_pair(
     erases the sign of a ``±0`` tie, which the kernels resolve differently
     (sort-select by stable sort position, fold to the later sender, gather
     and dense by numpy's reduction order).
+
+    A :class:`PlannedStack` memoizes the choice.  Its key is the value
+    signature: per side ``None`` or the shape and dtype of an exact
+    ``np.ndarray`` (other types are never memoized), whether both sides
+    are one object, and ``_AUTO_DENSE_ELEMENT_LIMIT``.  The first call with
+    a signature validates and resolves as above; later calls go straight
+    to the kernel with the memoized mask or plan, so an adversary's
+    candidate stacks and a valency suffix stack pay the dispatch once, not
+    every round.  Every rule reads only the signature except sort-select's
+    NaN rule, so an input the sort-select rule covers is never memoized,
+    whichever kernel its values then take.  A malformed value tensor has a
+    signature no valid call stored, so it is validated and raises as on a
+    plain array.
     """
-    if _plan_applies(adjacency, min_values, max_values):
-        lo, hi = _masked_extremes_gather(adjacency.plan, min_values, max_values)
+    memo = adjacency._kernels if isinstance(adjacency, PlannedStack) else None
+    key = None if memo is None else _value_signature(min_values, max_values)
+    resolved = None if key is None else memo.get(key)
+    if resolved is None:
+        kernel, operand, min_values, max_values, reusable = _resolve_kernel(
+            adjacency, min_values, max_values
+        )
+        if key is not None and reusable:
+            memo[key] = (kernel, operand)
     else:
-        lo, hi = _masked_extremes_unplanned(adjacency, min_values, max_values)
+        kernel, operand = resolved
+    lo, hi = kernel(operand, min_values, max_values)
     for extreme in (lo, hi):
         if extreme is not None:
             extreme += 0.0
     return lo, hi
 
 
-def _masked_extremes_unplanned(adjacency, min_values, max_values):
-    """The dense, fold or sort-select kernel, by the dispatcher's rules 2-5."""
+def _value_signature(min_values, max_values) -> Optional[tuple]:
+    """A :class:`PlannedStack` memo key (see the dispatcher), or ``None``."""
+    sides = []
+    for values in (min_values, max_values):
+        if values is None:
+            sides.append(None)
+        elif type(values) is np.ndarray:
+            sides.append((values.shape, values.dtype))
+        else:
+            return None
+    return sides[0], sides[1], min_values is max_values, _AUTO_DENSE_ELEMENT_LIMIT
+
+
+def _resolve_kernel(adjacency, min_values, max_values):
+    """The dispatcher's rules: ``(kernel, operand, min_arr, max_arr, reusable)``.
+
+    ``kernel(operand, min_arr, max_arr)`` computes the extremes; ``operand``
+    is the gather plan or the receive mask.  ``reusable`` is false when the
+    sort-select rule covers the input, because its NaN test reads the values.
+    """
+    if _plan_applies(adjacency, min_values, max_values):
+        return _masked_extremes_gather, adjacency.plan, min_values, max_values, True
     mask, min_arr, max_arr, lead = _reduction_operands(adjacency, min_values, max_values)
     sides = _distinct_sides(min_arr, max_arr)
     n_receivers, n = mask.shape[-2], mask.shape[-1]
@@ -504,18 +564,17 @@ def _masked_extremes_unplanned(adjacency, min_values, max_values):
     over_limit = outputs * n > _AUTO_DENSE_ELEMENT_LIMIT
     small_n = n <= 8 and outputs >= 64 * n
     shared = lead_count > 1 and all(size == 1 for values in sides for size in values.shape[:-2])
-    if (
-        not small_n
-        and (
-            (shared and d <= 8 and outputs * n >= 6144)
-            or (lead_count > 1 and d <= 2 and n >= 32 and over_limit)
+    sortable = not small_n and (
+        (shared and d <= 8 and outputs * n >= 6144)
+        or (lead_count > 1 and d <= 2 and n >= 32 and over_limit)
+    )
+    if sortable and not any(np.isnan(values).any() for values in sides):
+        return (
+            lambda operand, lo, hi: _masked_extremes_sorted(operand, lo, hi, lead),
+            mask, min_arr, max_arr, False,
         )
-        and not any(np.isnan(values).any() for values in sides)
-    ):
-        return _masked_extremes_sorted(mask, min_arr, max_arr, lead)
-    if over_limit or small_n:
-        return _masked_extremes_fold(mask, min_arr, max_arr)
-    return _masked_extremes_dense(mask, min_arr, max_arr)
+    kernel = _masked_extremes_fold if over_limit or small_n else _masked_extremes_dense
+    return kernel, mask, min_arr, max_arr, not sortable
 
 
 class Algorithm(ABC):

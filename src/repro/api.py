@@ -255,8 +255,11 @@ class StudyCertificates:
         Fitted geometric decay of the output diameter (upper rate estimate;
         ``nan`` when the execution is too short to fit).
     rate_interval:
-        ``(lower, upper)`` certified contraction-rate interval: the fitted
-        valency-trace decay and the output rate.
+        ``(lower, upper)`` certified contraction-rate estimates: the fitted
+        valency-trace decay and the output rate.  They are fitted over
+        different spans (see
+        :func:`~repro.core.contraction.certified_rate_interval`), so the
+        lower end may exceed the upper.
     """
 
     estimate: ValencyEstimate

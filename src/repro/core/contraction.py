@@ -197,10 +197,16 @@ def certified_rate_interval(
     measurement: ContractionMeasurement,
     valency_trace: List[float],
 ) -> tuple:
-    """A (lower, upper) interval for the algorithm's contraction rate on this execution.
+    """A (lower, upper) pair of contraction-rate estimates for this execution.
 
     The lower end fits the valency-diameter trace (which under-approximates
     ``δ_N(C_t)``), the upper end is the output-diameter rate (which
-    over-approximates it for convex-combination algorithms).
+    over-approximates it for convex-combination algorithms).  They are two
+    separate estimates over different spans, not a well-ordered interval:
+    :func:`fit_trace_rate` spans the trace's first to last positive entry,
+    the output rate the output diameters from the first recorded round to
+    the last, so it includes the first round's drop.  The lower end can
+    exceed the upper: midpoint under the greedy adversary on
+    ``crash_model(4, 1)`` gives ``(0.500, 0.483)``.
     """
     return (fit_trace_rate(valency_trace), measurement.output_rate)

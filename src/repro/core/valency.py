@@ -553,13 +553,18 @@ class ValencyEstimator:
         dropped early, bit-for-bit equal to running their remaining rounds.
         Algorithms answering ``None`` run every scenario for the full suffix.
 
-        Because retirement is exact, the final states do not depend on
-        which rounds are checked, so the checks back off: a check that
-        retires nothing doubles the gap to the next one, and a check that
-        retires something resets the gap to one round.
+        Retirement compacts in bulk: a check compacts the state and the
+        stack only when at least half of the alive scenarios are fixed, and
+        then writes the finals of every fixed one.  A fixed scenario left
+        alive reproduces its outputs every round (the hook's contract), so
+        the final ``finals[alive]`` write gives it the same limit, and the
+        finals do not depend on when, or whether, it is compacted away.
+        Nor do they depend on which rounds are checked, so the checks back
+        off: a check that compacts resets the gap to the next one to one
+        round, and any other check doubles it.
 
         A :class:`~repro.algorithms.base.PlannedStack` keeps its gather plan
-        through retirement: the kept rows are re-planned from the model
+        through compaction: the kept rows are re-planned from the model
         graphs, not masked dense for the rest of the suffix.
         """
         algorithm = self._algorithm
@@ -574,7 +579,7 @@ class ValencyEstimator:
             )
             if offset == next_check and offset < self._suffix_rounds - 1:
                 fixed = algorithm.batch_state_fixpoint(state, new_state)
-                retiring = fixed is not None and fixed.any()
+                retiring = fixed is not None and 2 * np.count_nonzero(fixed) >= alive.size
                 gap = 1 if retiring else 2 * gap
                 next_check = offset + gap
                 if retiring:

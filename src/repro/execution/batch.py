@@ -33,6 +33,7 @@ single-scenario plan adversaries on the fast path.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
@@ -725,6 +726,10 @@ def run_adversarial_ensemble(
         type(adversary).ensemble_plans is not AdversarialPattern.ensemble_plans
     )
     histories: List[List[CommunicationGraph]] = [[] for _ in range(batch_size)]
+    # The last shared plan check_plans passed, and its (C, horizon, commit):
+    # a fixed plan is checked once per run, not at every decision.  A weak
+    # reference, so a plan built per decision is freed with its stacks.
+    checked_plan, checked_shape = None, None
 
     def decision_at(t: int):
         """Round ``t``'s plan: (per-scenario candidates, C, horizon, commit, stacks).
@@ -758,7 +763,11 @@ def run_adversarial_ensemble(
         plan = adversary.ensemble_plan(t, n)
         if plan is None:
             return None
-        count, horizon, commit_rounds = check_plans([plan], 1, n)
+        nonlocal checked_plan, checked_shape
+        if checked_plan is None or checked_plan() is not plan:
+            checked_shape = check_plans([plan], 1, n)
+            checked_plan = weakref.ref(plan)
+        count, horizon, commit_rounds = checked_shape
         return [plan.candidates] * batch_size, count, horizon, commit_rounds, plan.adjacency_stacks
 
     first_decision = decision_at(1) if batchable and rounds > 0 else None
@@ -808,7 +817,9 @@ def run_adversarial_ensemble(
             if offset < commit:
                 kept_states.append(candidate_state)
         outputs = np.asarray(algorithm.batch_outputs(candidate_state), dtype=float)
-        outputs = np.broadcast_to(outputs, (batch_size, count, n, outputs.shape[-1]))
+        if outputs.shape[:2] != (batch_size, count):
+            # Outputs no candidate changed (mid-phase) keep the size-1 axis.
+            outputs = np.broadcast_to(outputs, (batch_size, count, n, outputs.shape[-1]))
         choices = running_argmax(pairwise_diameters(outputs))  # (B,) from (B, C)
 
         def winners(leaf):

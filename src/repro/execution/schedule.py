@@ -29,6 +29,22 @@ def is_shared(round_graphs: RoundGraphs) -> bool:
     return isinstance(round_graphs, CommunicationGraph)
 
 
+class _CheckedRound(tuple):
+    """A per-scenario round that passed :func:`validate_schedule` for ``n`` agents.
+
+    Tuples and graphs are immutable, so a checked round of the expected
+    length and agent count needs no second pass over its graphs: a sharded
+    study validates its schedule once, and encoding its shard slices
+    re-checks only their lengths.  The count is not called ``n``, which
+    would make the round look like a graph to code that duck-types on it.
+    """
+
+    def __new__(cls, graphs, n: int) -> "_CheckedRound":
+        checked = super().__new__(cls, graphs)
+        checked._agent_count = n
+        return checked
+
+
 def validate_schedule(schedule: Sequence[RoundGraphs], batch_size: int, n: int) -> tuple:
     """Check every round against the *full* ensemble shape ``(batch_size, n)``.
 
@@ -38,6 +54,13 @@ def validate_schedule(schedule: Sequence[RoundGraphs], batch_size: int, n: int) 
     """
     rounds = []
     for round_graphs in schedule:
+        if (
+            type(round_graphs) is _CheckedRound
+            and round_graphs._agent_count == n
+            and len(round_graphs) == batch_size
+        ):
+            rounds.append(round_graphs)
+            continue
         if is_shared(round_graphs):
             graphs = (round_graphs,)
         else:
@@ -62,7 +85,7 @@ def validate_schedule(schedule: Sequence[RoundGraphs], batch_size: int, n: int) 
                 )
             if graph.n != n:
                 raise EnsembleShapeError(f"graph has {graph.n} agents, scenarios have {n}")
-        rounds.append(round_graphs if is_shared(round_graphs) else graphs)
+        rounds.append(round_graphs if is_shared(round_graphs) else _CheckedRound(graphs, n))
     return tuple(rounds)
 
 
@@ -96,7 +119,9 @@ def slice_schedule(schedule: Sequence[RoundGraphs], start: int, stop: int) -> Li
     unsliced run would raise before any shard is cut.
     """
     return [
-        round_graphs if is_shared(round_graphs) else list(round_graphs[start:stop])
+        round_graphs
+        if is_shared(round_graphs)
+        else _CheckedRound(round_graphs[start:stop], round_graphs._agent_count)
         for round_graphs in schedule
     ]
 

@@ -23,6 +23,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.algorithms.base import PlannedStack
 from repro.exceptions import EnsembleShapeError, ExecutionError
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.families import psi_graph
@@ -282,14 +283,17 @@ class EnsemblePlan:
 
         Built on first use and kept with the plan, so an adversary that
         returns the same plan every decision stacks its candidates once.
-        An offset whose graphs are those of the offset before it (a Ψ-block
-        repeats one graph per candidate) shares that offset's stack.
+        Each stack is a :class:`~repro.algorithms.base.PlannedStack` without
+        a gather plan: it memoizes the masked-extreme kernel its candidate
+        passes resolve, so later decisions skip the dispatch.  An offset
+        whose graphs are those of the offset before it (a Ψ-block repeats
+        one graph per candidate) shares that offset's stack.
         """
         stacks = []
         previous = None
         for column in zip(*self.candidates):
             if previous is None or any(a is not b for a, b in zip(column, previous)):
-                stack = np.stack([graph.adjacency for graph in column])
+                stack = PlannedStack.of(np.stack([graph.adjacency for graph in column]))
                 stack.setflags(write=False)
             stacks.append(stack)
             previous = column

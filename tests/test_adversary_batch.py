@@ -517,6 +517,67 @@ class TestHistoryDependentAdversary:
             )
 
 
+class TestSharedPlanChecks:
+    """``check_plans`` runs once per shared plan object per batched run."""
+
+    @pytest.fixture()
+    def checks(self):
+        with mock.patch.object(
+            batch_module, "check_plans", wraps=batch_module.check_plans
+        ) as spy:
+            yield spy
+
+    @pytest.mark.parametrize(
+        "make_adversary,algorithm,n,rounds,expected",
+        [
+            # Fixed plans, built once per adversary: one check per run.
+            (lambda: GreedyDiameterAdversary(deaf_model(n=4)), MidpointAlgorithm, 4, 8, 1),
+            (TwoAgentAdversary, TwoAgentThirdsAlgorithm, 2, 8, 1),
+            (lambda: PsiBlockAdversary(5), AmortizedMidpointAlgorithm, 5, 9, 1),
+            # A plan built per decision is a new object every decision.
+            (lambda: LookaheadDiameterAdversary(deaf_model(n=3), 2), MidpointAlgorithm, 3, 5, 5),
+            # Per-scenario plans are checked at every decision.
+            (
+                lambda: GreedyDiameterAdversary(deaf_model(n=4), avoid_repeat=True),
+                MidpointAlgorithm, 4, 6, 6,
+            ),
+        ],
+    )
+    def test_checks_per_plan_object(self, checks, make_adversary, algorithm, n, rounds, expected):
+        adversary = make_adversary()
+        for _ in range(2):  # every run checks afresh
+            checks.reset_mock()
+            run_adversarial_ensemble(algorithm(), _values(3, n), adversary, rounds, threads=1)
+            assert checks.call_count == expected
+
+    def test_malformed_plans_still_raise(self):
+        from repro.exceptions import EnsembleShapeError
+        from repro.models.patterns import AdversarialPattern, EnsemblePlan
+
+        good = EnsemblePlan(candidates=tuple((graph,) for graph in deaf_model(n=4)), commit_rounds=1)
+        wrong_n = EnsemblePlan(candidates=((complete_graph(5),),), commit_rounds=1)
+
+        class _Switching(AdversarialPattern):
+            """A fixed good plan until ``bad_from``, then a malformed one."""
+
+            def __init__(self, bad_from, bad):
+                self.bad_from, self.bad = bad_from, bad
+
+            def ensemble_plan(self, round_number, n):
+                return self.bad if round_number >= self.bad_from else good
+
+        for bad in (wrong_n, "not a plan"):
+            with pytest.raises(EnsembleShapeError):
+                run_adversarial_ensemble(
+                    MidpointAlgorithm(), _values(2, 4), _Switching(1, bad), 1, threads=1
+                )
+            # A new plan object mid-run is checked at its first decision.
+            with pytest.raises(EnsembleShapeError):
+                run_adversarial_ensemble(
+                    MidpointAlgorithm(), _values(2, 4), _Switching(4, bad), 6, threads=1
+                )
+
+
 # --------------------------------------------------------------------------- #
 # Sender-fold masked reductions
 # --------------------------------------------------------------------------- #
@@ -729,6 +790,34 @@ class TestSelectionHelpers:
         assert running_argmax([0.0, 0.0, 0.5]) == 2
         # improvements below the tolerance do not move the pick
         assert running_argmax([1.0, 1.0 + 5e-16]) == 0
+
+    @pytest.mark.parametrize(
+        "shape",
+        # At most _ROW_SCAN_CELLS = 128 cells scan by row, larger by column.
+        [(4, 3), (4, 4), (16, 4), (16, 8), (32, 4), (1, 128), (64, 4), (64, 8), (128, 8)],
+    )
+    def test_running_argmax_table_scans_agree_with_the_column_scan(self, shape):
+        def column_scan(values, tolerance=1e-15):
+            best = np.full(values.shape[:-1], -np.inf)
+            choices = np.zeros(values.shape[:-1], dtype=int)
+            for index in range(values.shape[-1]):
+                improved = values[..., index] > best + tolerance
+                best = np.where(improved, values[..., index], best)
+                choices = np.where(improved, index, choices)
+            return choices
+
+        rng = np.random.default_rng(int(np.prod(shape)))
+        # Ties and near-ties within the 1e-15 tolerance, NaN and -inf.
+        pool = np.array([0.5, 0.5 + 4e-16, 0.5 + 2e-15, 0.25, 1.0, np.nan, -np.inf, np.inf])
+        tables = [rng.choice(pool, size=shape), rng.normal(size=shape)]
+        tables.append(np.where(rng.random(shape) < 0.3, np.nan, tables[1]))
+        for table in tables:
+            got = running_argmax(table)
+            want = column_scan(table)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            rows = [running_argmax(row) for row in table.reshape(-1, shape[-1])]
+            np.testing.assert_array_equal(got.ravel(), rows)
 
     def test_batch_diameters_d1_and_pruned(self):
         rng = np.random.default_rng(6)

@@ -587,6 +587,49 @@ class TestSuffixBackoff:
             # Futures that converge to an exact fixpoint late in the suffix.
             assert (first > 3).any()
 
+    @pytest.mark.parametrize("agreed", [2, 4])
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_bulk_retirement_equals_running_every_future(self, monkeypatch, row, agreed):
+        # Compaction waits until half of the alive futures are fixed; the
+        # finals must equal a suffix that never retires anything.
+        make_algorithm, make_model, make_adversary, n = self.ROWS[row]
+        algorithm, model = make_algorithm(), make_model()
+        values = _values(6, n, seed=11)
+        values[:agreed] = 0.5  # agreed scenarios: fixed futures from suffix round 1
+        ensemble = run_adversarial_ensemble(
+            algorithm, values, make_adversary(), 8, record_states=True
+        )
+        suffixes = []
+        original = ValencyEstimator._run_constant_suffix_state
+
+        def spy(self, state, adjacency, start_round):
+            suffixes.append((state, adjacency, start_round))
+            return original(self, state, adjacency, start_round)
+
+        monkeypatch.setattr(ValencyEstimator, "_run_constant_suffix_state", spy)
+        estimator = ValencyEstimator(algorithm, model, suffix_rounds=40, threads=1)
+        estimator.certify_ensemble(ensemble)
+        monkeypatch.setattr(ValencyEstimator, "_run_constant_suffix_state", original)
+        fixed_shares = []
+        hook = type(algorithm).batch_state_fixpoint
+
+        def counting(self, previous, new):
+            fixed = hook(self, previous, new)
+            fixed_shares.append((int(np.count_nonzero(fixed)), fixed.size))
+            return fixed
+
+        monkeypatch.setattr(type(algorithm), "batch_state_fixpoint", counting)
+        bulk = [estimator._run_constant_suffix_state(*suffix) for suffix in suffixes]
+        monkeypatch.setattr(type(algorithm), "batch_state_fixpoint", lambda *_: None)
+        full = [estimator._run_constant_suffix_state(*suffix) for suffix in suffixes]
+        for got, want in zip(bulk, full):
+            assert got.tobytes() == want.tobytes()
+        if agreed == 2:
+            # A third of the futures are fixed: left alive, not compacted.
+            assert any(0 < fixed < size / 2 for fixed, size in fixed_shares)
+        else:
+            assert any(2 * fixed >= size for fixed, size in fixed_shares)
+
     def test_checks_double_their_gap_until_one_retires(self, monkeypatch):
         algorithm = MidpointAlgorithm()
         n = 4
@@ -612,3 +655,33 @@ class TestSuffixBackoff:
             state = algorithm.batch_transition(state, adjacency, t)
         assert np.array_equal(finals, state)
 
+
+
+def test_rate_interval_is_two_separate_estimates():
+    # The lower end fits the valency trace from its first to its last
+    # positive entry, the upper end the output diameters from round 0,
+    # first round's drop included.  Over these different spans the lower
+    # end exceeds the upper for midpoint under the greedy adversary on
+    # crash_model(4, 1): the interval is documented as two estimates, and
+    # this pins that choice.
+    from repro.core.contraction import fit_trace_rate
+    from repro.execution.metrics import rate_from_diameters
+    from repro.models.standard import crash_model
+
+    model = crash_model(4, 1)
+    values = np.random.default_rng(0).uniform(0.0, 1.0, size=(4, 4, 1))
+    result = Study(
+        algorithm=MidpointAlgorithm(),
+        initial_values=values,
+        adversary=GreedyDiameterAdversary(model),
+        rounds=10,
+        model=model,
+        certify=CertifySpec(suffix_rounds=40, exploration_depth=0),
+    ).run()
+    diameters = result.execution.diameters()
+    for scenario, certificate in enumerate(result.certificates):
+        lower, upper = certificate.rate_interval
+        assert lower == fit_trace_rate(certificate.valency_trace)
+        assert upper == certificate.output_rate == rate_from_diameters(diameters[:, scenario])
+        assert lower > upper
+    assert tuple(round(end, 3) for end in result.certificates[2].rate_interval) == (0.5, 0.483)

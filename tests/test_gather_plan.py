@@ -6,10 +6,16 @@ take it before every other kernel, and must return the dense kernel's bytes
 (``±0`` made ``+0.0``, NaN propagated); any array derived from the carrier
 must fall back to the ordinary dispatch.  The valency engine plans its
 prefix, suffix and retirement stacks, and its records must stay byte-equal
-to the per-future reference loop.
+to the per-future reference loop.  Every such stack, and every adversary
+plan's candidate stack, memoizes the kernel it resolves: memoized calls
+must equal the plain array's dispatch byte for byte, validate once per
+value signature, still reject malformed values, and never memoize
+sort-select; derived stacks dispatch afresh.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -26,7 +32,14 @@ from repro.algorithms.base import (
     masked_min_max,
     receive_mask,
 )
+from repro.core.adversary import (
+    GreedyDiameterAdversary,
+    LookaheadDiameterAdversary,
+    PsiBlockAdversary,
+    TwoAgentAdversary,
+)
 from repro.core.valency import ValencyEstimator
+from repro.exceptions import EnsembleShapeError
 from repro.execution.engine import initial_configuration, run_execution
 from repro.models.patterns import SequencePattern
 from repro.models.standard import crash_model, deaf_model, psi_model, two_agent_model
@@ -250,3 +263,148 @@ def test_valency_records_match_reference(plan_hits, case, depth):
     record = batched.trace(configurations)
     assert plan_hits
     assert record_bytes(record) == record_bytes(reference.trace(configurations))
+
+
+# --------------------------------------------------------------------------- #
+# Kernel memo of reused stacks
+# --------------------------------------------------------------------------- #
+
+#: Every shipped adversary with its agent count.
+ADVERSARIES = {
+    "greedy-deaf4": (lambda: GreedyDiameterAdversary(deaf_model(n=4)), 4),
+    "lookahead-deaf3": (lambda: LookaheadDiameterAdversary(deaf_model(n=3), 2), 3),
+    "two-agent": (TwoAgentAdversary, 2),
+    "psi-block5": (lambda: PsiBlockAdversary(5), 5),
+}
+
+#: ``label -> (fresh stacks, value shape without d)``: every adversary's
+#: candidate stacks against ``(B, 1, n)`` scenario values, and a planned
+#: suffix stack of every model against ``(F, n)`` values.
+MEMO_CASES = {
+    **{
+        f"{name}-candidates": (
+            lambda make=make, n=n: make().ensemble_plan(1, n).adjacency_stacks,
+            (3, 1, n),
+        )
+        for name, (make, n) in ADVERSARIES.items()
+    },
+    **{
+        f"{name}-suffix": (
+            lambda name=name: (_planned(name, 24, seed=4)[0],),
+            (24, MODELS[name]().n),
+        )
+        for name in MODELS
+    },
+}
+
+
+def _memo_case(label):
+    make_stacks, shape = MEMO_CASES[label]
+    return make_stacks(), shape
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_memoized_stack_equals_plain_dispatch(case, d):
+    # Each call twice: the first resolves and memoizes, the second reads
+    # the memo; both must equal the plain array's dispatch byte for byte.
+    stacks, shape = _memo_case(case)
+    rng = np.random.default_rng(d)
+    values = rng.choice(SPECIAL, size=shape + (d,))
+    other = rng.choice(SPECIAL, size=shape + (d,))
+    # A Ψ-block plan's offsets share one stack: check each distinct one.
+    for stack in {id(stack): stack for stack in stacks}.values():
+        assert isinstance(stack, PlannedStack) and stack._kernels == {}
+        plain = np.asarray(stack)
+        for _ in range(2):
+            got_calls = _all_calls(stack, values, other)
+            for got, want in zip(got_calls, _all_calls(plain, values, other)):
+                for got_side, want_side in zip(got[0], want[0]):
+                    assert_same_bytes(got_side, want_side)
+                    assert_no_negative_zero(got_side)
+        assert stack._kernels
+
+
+@pytest.fixture()
+def resolutions(monkeypatch):
+    """Count the dispatcher's kernel resolutions (validation and rules)."""
+    calls = []
+    original = reductions._resolve_kernel
+
+    def spy(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(reductions, "_resolve_kernel", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["greedy-deaf4-candidates", "deaf4-suffix"])
+def test_memoized_stack_validates_once_per_signature(resolutions, case):
+    (stack, *_), shape = _memo_case(case)
+    rng = np.random.default_rng(0)
+    narrow = rng.normal(size=shape + (1,))
+    wide = rng.normal(size=shape + (2,))
+    for _ in range(3):
+        masked_min_max(stack, narrow)
+    assert len(resolutions) == 1
+    masked_min_max(stack, wide)
+    masked_extreme_pair(stack, narrow, narrow.copy())  # two objects: a new signature
+    masked_min(stack, narrow)  # one side: a new signature
+    assert len(resolutions) == 4
+    for values in (narrow, wide):
+        masked_min_max(stack, rng.normal(size=values.shape))
+    masked_extreme_pair(stack, narrow, narrow.copy())
+    masked_min(stack, narrow)
+    assert len(resolutions) == 4
+    # Values that are not exact ndarrays are never memoized.
+    masked_min_max(stack, narrow.tolist())
+    masked_min_max(stack, narrow.tolist())
+    assert len(resolutions) == 6
+
+
+@pytest.mark.parametrize("case", ["greedy-deaf4-candidates", "deaf4-suffix"])
+def test_memoized_stack_still_rejects_malformed_values(case):
+    (stack, *_), shape = _memo_case(case)
+    rng = np.random.default_rng(1)
+    masked_min_max(stack, rng.normal(size=shape + (1,)))
+    n = stack.shape[-1]
+    with pytest.raises(EnsembleShapeError, match="disagree on the number of agents"):
+        masked_min_max(stack, rng.normal(size=shape[:-1] + (n + 1, 1)))
+    with pytest.raises(EnsembleShapeError, match="coordinate dimension"):
+        masked_extreme_pair(stack, rng.normal(size=shape + (1,)), rng.normal(size=shape + (2,)))
+    with pytest.raises(EnsembleShapeError, match="incompatible leading"):
+        masked_min_max(stack, rng.normal(size=(7, n, 1)))
+    with pytest.raises(EnsembleShapeError, match=r"\(\.\.\., n, d\)"):
+        masked_min_max(stack, np.zeros(n))
+
+
+@pytest.mark.parametrize("derive", ["slice", "deep-copy"])
+def test_derived_stacks_dispatch_afresh(resolutions, kernel_calls, derive):
+    (stack,), shape = _memo_case("deaf4-suffix")
+    values = np.random.default_rng(2).normal(size=shape + (1,))
+    masked_min_max(stack, values)
+    derived = stack[:] if derive == "slice" else copy.deepcopy(stack)
+    assert isinstance(derived, PlannedStack) and derived._kernels is None
+    resolutions.clear()
+    for _ in range(2):
+        got = masked_min_max(derived, values)
+    assert len(resolutions) == 2
+    for got_side, want_side in zip(got, masked_min_max(stack, values)):
+        assert_same_bytes(got_side, want_side)
+
+
+def test_sort_select_is_never_memoized(resolutions, kernel_calls):
+    # Values shared by a (24, 16, 16) stack take sort-select unless a value
+    # is NaN; neither choice may be memoized, as the next call's NaN decides.
+    rng = np.random.default_rng(3)
+    stack = PlannedStack.of(rng.random((24, 16, 16)) < 0.3)
+    values = rng.normal(size=(16, 1))
+    with_nan = values.copy()
+    with_nan[5] = np.nan
+    for current in (values, with_nan, values, with_nan):
+        got = masked_min_max(stack, current)
+        for got_side, want_side in zip(got, _dense(stack, current, current)):
+            assert_same_bytes(got_side, want_side)
+    assert kernel_calls == ["sorted", "dense", "sorted", "dense"]
+    assert len(resolutions) == 4 and stack._kernels == {}

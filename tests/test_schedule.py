@@ -25,7 +25,7 @@ from repro.algorithms import MidpointAlgorithm
 from repro.api import ScenarioSpec
 from repro.campaign.targets import CaseSpec, build_case
 from repro.config import EngineConfig
-from repro.exceptions import CampaignError, SerializationError
+from repro.exceptions import CampaignError, EnsembleShapeError, SerializationError
 from repro.execution.parallel import shard_bounds
 from repro.execution.schedule import (
     decode_schedule,
@@ -82,6 +82,60 @@ def test_shard_slices_reassemble_every_scenario(case, parts):
         for local in range(stop - start)
     ]
     assert reassembled == [scenario_graphs(schedule, b) for b in range(batch)]
+
+
+def test_checked_rounds_are_not_walked_again(monkeypatch):
+    # A sharded study validates its schedule once; encoding each shard's
+    # slice then checks only round lengths, not every graph again.
+    rng = np.random.default_rng(2)
+    batch, n = 6, 4
+    schedule = [random_graph(n, rng, 0.5)] + [
+        [random_graph(n, rng, 0.5) for _ in range(batch)] for _ in range(3)
+    ]
+    checked = validate_schedule(schedule, batch, n)
+    walked = []
+    original_n = CommunicationGraph.n
+    monkeypatch.setattr(
+        CommunicationGraph, "n", property(lambda graph: walked.append(graph) or original_n.fget(graph))
+    )
+    again = validate_schedule(checked, batch, n)
+    assert all(a is b for a, b in zip(again, checked)) and len(walked) == 1  # the shared round
+    for start, stop in shard_bounds(batch, 2):
+        shard = slice_schedule(checked, start, stop)
+        walked.clear()
+        payload = encode_schedule(shard, stop - start, n)
+        assert len(walked) == 1  # the shared round's graph only
+        # The same bytes as encoding the shard as plain lists.
+        plain = [graphs if is_shared(graphs) else list(graphs) for graphs in shard]
+        assert canonical_json(payload) == canonical_json(encode_schedule(plain, stop - start, n))
+    monkeypatch.undo()
+    # A checked round still fails a check against another shape.
+    with pytest.raises(EnsembleShapeError, match="needs 5 graphs, got 6"):
+        validate_schedule(checked, 5, n)
+    with pytest.raises(EnsembleShapeError, match="4 agents, scenarios have 3"):
+        validate_schedule(checked, batch, 3)
+
+
+@pytest.mark.parametrize("defect", ["short-round", "wrong-n", "not-a-graph"])
+def test_malformed_schedule_raises_alike_in_process_and_sharded(defect):
+    from repro.api import Study
+    from repro.service import run_study_service
+
+    rng = np.random.default_rng(3)
+    batch, n = 4, 4
+    graphs = [[random_graph(n, rng, 0.5) for _ in range(batch)] for _ in range(3)]
+    graphs[1] = {
+        "short-round": graphs[1][:3],
+        "wrong-n": graphs[1][:3] + [random_graph(n + 1, rng, 0.5)],
+        "not-a-graph": graphs[1][:3] + [np.ones((n, n), dtype=bool)],
+    }[defect]
+    fields = dict(initial_values=rng.uniform(0, 1, (batch, n, 1)), graphs=graphs)
+    with pytest.raises(EnsembleShapeError) as in_process:
+        Study(algorithm=MidpointAlgorithm(), **fields).run()
+    # Raised while the shards are cut, before any worker starts.
+    with pytest.raises(EnsembleShapeError) as sharded:
+        run_study_service(MidpointAlgorithm(), workers=2, shard_size=2, **fields)
+    assert str(sharded.value) == str(in_process.value)
 
 
 def test_rooted_study_spec_packs_one_array_per_round():

@@ -309,7 +309,7 @@ def _certify_single_row(
         exploration_depth=descriptor["exploration_depth"],
         use_batch=descriptor["use_batch"],
     )
-    trace = estimator.trace(measurement.execution.configurations).lower_diameter.tolist()
+    trace = estimator.certify_ensemble(measurement.execution.record).lower_diameter[:, 0].tolist()
     lower_rate, upper_rate = certified_rate_interval(measurement, trace)
     row = {
         "name": name,

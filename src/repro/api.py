@@ -6,7 +6,11 @@ The library grew three batched engines — single executions
 layer (:mod:`repro.core.valency`) — each with its own entry points and
 knobs.  :class:`Study` is the declarative builder in front of all of them:
 
->>> from repro.api import Study, EngineConfig, CertifySpec
+>>> import numpy as np
+>>> from repro.algorithms import MidpointAlgorithm
+>>> from repro.api import Study
+>>> from repro.core.adversary import GreedyDiameterAdversary
+>>> from repro.models import deaf_model
 >>> result = Study(
 ...     algorithm=MidpointAlgorithm(),
 ...     model=deaf_model(n=8),
@@ -67,7 +71,7 @@ from repro.execution.engine import run_execution
 from repro.execution.execution import Execution
 from repro.execution.schedule import scenario_graphs, validate_schedule
 from repro.faults import FaultMaskingPattern, FaultPlan, FaultSpec, as_fault_plan
-from repro.execution.metrics import convergence_round, rate_from_diameters
+from repro.execution.metrics import rate_from_diameters
 from repro.graphs.digraph import CommunicationGraph
 from repro.models.network_model import NetworkModel
 from repro.models.patterns import (
@@ -269,21 +273,21 @@ class StudyCertificates:
 
     @classmethod
     def from_record(
-        cls, estimate: ValencyEstimate, diameters: np.ndarray
+        cls, estimate: ValencyEstimate, diameters: np.ndarray, recorded_rounds: Sequence[int]
     ) -> "StudyCertificates":
-        """Certificates of one scenario's ``(R,)`` record and output diameters."""
+        """Certificates of one scenario's ``(R,)`` record, diameters and recorded rounds."""
         trace = estimate.lower_diameter.tolist()
         try:
             # Single-scenario and ensemble studies fit the same per-round
             # diameters, so their rates agree bit-for-bit.
-            output_rate = rate_from_diameters(diameters)
+            output_rate = rate_from_diameters(diameters, recorded_rounds=recorded_rounds)
         except ValueError:
             output_rate = float("nan")
         return cls(
             estimate=estimate,
             valency_trace=trace,
             output_rate=output_rate,
-            rate_interval=(fit_trace_rate(trace), output_rate),
+            rate_interval=(fit_trace_rate(trace, recorded_rounds), output_rate),
         )
 
 
@@ -293,9 +297,9 @@ class StudyResult:
 
     Wraps the underlying engine record (an
     :class:`~repro.execution.execution.Execution` for single scenarios, an
-    :class:`~repro.execution.batch.EnsembleExecution` for ensembles) behind
-    scale-agnostic accessors, so downstream analysis code does not care which
-    engine ran.  ``valency`` is the certified study's one
+    :class:`~repro.execution.execution.EnsembleExecution` for ensembles)
+    behind scale-agnostic accessors that read one columnar record (a single
+    scenario's drops its scenario axis).  ``valency`` is the certified study's one
     :class:`~repro.core.valency.ValencyEstimate` record, with axes ``(R,)``
     for a single scenario and ``(R, B)`` for an ensemble; ``None`` when the
     study was not certified.
@@ -316,18 +320,28 @@ class StudyResult:
         """
         if self.valency is None:
             return None
+        record = self._record
+        diameters = pairwise_diameters(record.recorded_outputs)
+        rounds = record.recorded_rounds
         if not self.is_ensemble:
-            outputs = np.stack([c.outputs for c in self.execution.configurations])
-            return StudyCertificates.from_record(self.valency, pairwise_diameters(outputs))
-        diameters = pairwise_diameters(self.execution.recorded_outputs)
+            return StudyCertificates.from_record(self.valency, diameters[:, 0], rounds)
         return [
-            StudyCertificates.from_record(self.valency[:, scenario], diameters[:, scenario])
-            for scenario in range(diameters.shape[1])
+            StudyCertificates.from_record(self.valency[:, b], diameters[:, b], rounds)
+            for b in range(record.batch_size)
         ]
 
     @property
     def is_ensemble(self) -> bool:
         return isinstance(self.execution, EnsembleExecution)
+
+    @property
+    def _record(self) -> EnsembleExecution:
+        """The columnar record; a single scenario's has one scenario."""
+        return self.execution if self.is_ensemble else self.execution.record
+
+    def _squeeze(self, values: np.ndarray) -> np.ndarray:
+        """Per-scenario ``values`` with a single scenario's axis dropped."""
+        return values if self.is_ensemble else values[0, ...]
 
     @property
     def rounds(self) -> int:
@@ -337,9 +351,7 @@ class StudyResult:
     @property
     def final_outputs(self) -> np.ndarray:
         """Final output tensor: ``(n, d)`` single scenario, ``(B, n, d)`` ensemble."""
-        if self.is_ensemble:
-            return self.execution.final_outputs
-        return self.execution.outputs()
+        return self._squeeze(self._record.final_outputs)
 
     def diameters(self) -> np.ndarray:
         """Recorded output diameters: ``(R,)`` single scenario, ``(R, B)`` ensemble."""
@@ -347,9 +359,7 @@ class StudyResult:
 
     def final_diameters(self) -> np.ndarray:
         """Final diameters: a scalar array single scenario, ``(B,)`` ensemble."""
-        if self.is_ensemble:
-            return self.execution.final_diameters()
-        return np.asarray(self.execution.final_diameter())
+        return self._squeeze(self._record.final_diameters())
 
     def decision_rounds(self, tolerance: float) -> np.ndarray:
         """First recorded round within ``tolerance`` agreement (-1 if never).
@@ -358,10 +368,7 @@ class StudyResult:
         a scalar array for single scenarios, ``(B,)`` per-scenario rounds
         for ensembles.
         """
-        if self.is_ensemble:
-            return self.execution.convergence_rounds(tolerance)
-        hit = convergence_round(self.execution, tolerance)
-        return np.asarray(-1 if hit is None else hit)
+        return self._squeeze(self._record.convergence_rounds(tolerance))
 
     def round_choices(self) -> List[List[CommunicationGraph]]:
         """The adversary's committed per-round graph choices (adversarial ensembles)."""
@@ -552,6 +559,8 @@ class Study:
         # study realizes the same faults as a direct engine call inside the
         # same ``with config:`` block.
         plan = as_fault_plan(self._faults)
+        resolved = resolve_use_fast_path(None)
+        fast_path = bool(self._algorithm.supports_batch() if resolved is None else resolved)
         if not spec.is_ensemble():
             pattern = spec.adversary or spec.pattern
             if pattern is None:
@@ -575,11 +584,9 @@ class Study:
                 spec.rounds,
                 record_every=spec.record_every,
             )
-            resolved = resolve_use_fast_path(None)
-            fast_path = self._algorithm.supports_batch() if resolved is None else resolved
             return execution, StudyProvenance(
                 route="run_execution",
-                fast_path=bool(fast_path),
+                fast_path=fast_path,
                 batched=None,
                 config=merged,
                 faulted=plan is not None,
@@ -622,11 +629,9 @@ class Study:
                 fault_plan=plan,
             )
             route = "run_ensemble"
-        resolved = resolve_use_fast_path(None)
-        fast_path = self._algorithm.supports_batch() if resolved is None else resolved
         return result, StudyProvenance(
             route=route,
-            fast_path=bool(fast_path),
+            fast_path=fast_path,
             batched=result.batched,
             config=merged,
             faulted=plan is not None,
@@ -650,13 +655,13 @@ class Study:
     def _run_certification(
         self, execution: Union[Execution, EnsembleExecution]
     ) -> ValencyEstimate:
+        # All scenarios' sampled futures run as stacked ensemble passes into
+        # one (R, B) record; scenario b's slice is bit-for-bit what a
+        # single-scenario study produces, and a single scenario is B = 1.
         estimator = self._certification_estimator()
         if isinstance(execution, EnsembleExecution):
-            # Ensemble-scale certification: all scenarios' sampled futures run
-            # as stacked ensemble passes into one (R, B) record — scenario b's
-            # slice is bit-for-bit what a single-scenario study produces.
             return estimator.certify_ensemble(execution)
-        return estimator.trace(execution.configurations)
+        return estimator.certify_ensemble(execution.record)[:, 0]
 
     def __repr__(self) -> str:
         spec = self._spec

@@ -317,12 +317,8 @@ class Target:
 
 def _execution_payload(execution) -> Dict[str, np.ndarray]:
     return {
-        "recorded_rounds": np.asarray(
-            [c.round_number for c in execution.configurations], dtype=float
-        ),
-        "outputs": np.stack(
-            [np.asarray(c.outputs, dtype=float) for c in execution.configurations]
-        ),
+        "recorded_rounds": np.asarray(execution.recorded_rounds, dtype=float),
+        "outputs": execution.output_history(),
         "diameters": np.asarray(execution.diameters(), dtype=float),
     }
 
@@ -409,9 +405,7 @@ def _side_round_based(spec: CaseSpec, algorithm: Algorithm):
         spec.rounds,
         record_every=1,
     )
-    outputs = np.stack(
-        [np.asarray(c.outputs, dtype=float) for c in execution.configurations]
-    )
+    outputs = execution.output_history()
     return {"outputs": outputs, "final": outputs[-1]}
 
 

@@ -130,7 +130,7 @@ def valency_contraction_trace(
         exploration_depth=exploration_depth,
         use_batch=use_batch,
     )
-    return estimator.trace(execution.configurations).lower_diameter.tolist()
+    return estimator.certify_ensemble(execution.record).lower_diameter[:, 0].tolist()
 
 
 def valency_contraction_trace_ensemble(
@@ -175,21 +175,26 @@ def valency_contraction_trace_ensemble(
     return np.ascontiguousarray(estimator.certify_ensemble(ensemble).lower_diameter.T)
 
 
-def fit_trace_rate(valency_trace: List[float]) -> float:
+def fit_trace_rate(
+    valency_trace: List[float], recorded_rounds: Optional[Sequence[int]] = None
+) -> float:
     """Geometric decay rate fitted to a valency-diameter trace.
 
     Fits ``(trace[last] / trace[first]) ** (1 / span)`` over the positive
     span of the trace — the certified *lower* estimate of the contraction
-    rate, since the trace under-approximates ``δ_N(C_t)``.  Returns 0.0 when
-    fewer than two positive entries exist.
+    rate, since the trace under-approximates ``δ_N(C_t)``.  The span counts
+    rounds: ``recorded_rounds`` are the entries' round numbers (default
+    ``0, 1, 2, ...``).  Returns 0.0 when fewer than two positive entries
+    exist.
     """
     trace = np.asarray(valency_trace, dtype=float)
     positive = trace > 0
     if positive.sum() < 2:
         return 0.0
+    rounds = np.arange(len(trace)) if recorded_rounds is None else np.asarray(recorded_rounds)
     first = int(np.argmax(positive))
     last = int(len(trace) - 1 - np.argmax(positive[::-1]))
-    span = last - first
+    span = int(rounds[last] - rounds[first])
     return float((trace[last] / trace[first]) ** (1.0 / span)) if span > 0 else 0.0
 
 
@@ -209,4 +214,5 @@ def certified_rate_interval(
     exceed the upper: midpoint under the greedy adversary on
     ``crash_model(4, 1)`` gives ``(0.500, 0.483)``.
     """
-    return (fit_trace_rate(valency_trace), measurement.output_rate)
+    rounds = measurement.execution.recorded_rounds
+    return (fit_trace_rate(valency_trace, rounds), measurement.output_rate)

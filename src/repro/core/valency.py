@@ -32,9 +32,11 @@ Two evaluation paths are available, mirroring the adversary API:
   prefixes are *streamed* in bounded chunks (never materializing the full
   ``|N|^depth`` product), and an active-set drops scenarios that reached an
   exact fixpoint from the constant-suffix loop early (as certified by the
-  algorithm's ``batch_state_fixpoint`` hook).  Ensembles are certified
-  from their recorded batch states, sliced and stacked leaf by leaf; single
-  configurations are restored through
+  algorithm's ``batch_state_fixpoint`` hook).  Every record — an
+  ensemble's, or a single execution's one-scenario record — is certified
+  from its recorded batch states, sliced and stacked leaf by leaf.  Only
+  per-agent configurations (a reference run's, or the list handed to
+  :meth:`ValencyEstimator.trace`) are restored through
   :meth:`~repro.algorithms.base.Algorithm.batch_state_from_states` —
   convex-combination algorithms get it from their outputs, stateful ones
   (e.g. the amortized midpoint) implement it.  Round-invariant algorithms
@@ -49,7 +51,7 @@ Both paths produce bit-for-bit identical estimates (enforced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -58,7 +60,7 @@ import numpy as np
 from repro.algorithms.base import Algorithm, GatherPlan, PlannedStack
 from repro.config import resolve_scenario_chunk, resolve_threads, resolve_use_batch
 from repro.exceptions import EnsembleShapeError, ExecutionError
-from repro.execution.batch import EnsembleExecution, RecordedStates
+from repro.execution.execution import EnsembleExecution, RecordedStates, _per_scenario_fields
 from repro.execution.engine import run_from_configuration
 from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
@@ -132,8 +134,8 @@ class ValencyEstimator:
         Evaluate all sampled futures as stacked scenario ensembles through
         the algorithm's batch hooks.  ``None`` (the default) resolves through
         the active :class:`~repro.config.EngineConfig` (batched unless
-        configured off).  The batched path stacks the recorded batch states
-        of an ensemble as they are, restores single configurations through
+        configured off).  The batched path stacks recorded batch states as
+        they are, restores per-agent configurations through
         :meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`,
         and stacks configurations — of all rounds for
         :meth:`~repro.algorithms.base.Algorithm.round_invariant` algorithms,
@@ -189,11 +191,11 @@ class ValencyEstimator:
 
     def limit_estimates(self, configuration: Configuration) -> np.ndarray:
         """Estimated reachable limits from ``configuration`` (one row per sampled future)."""
-        return self._limit_estimates([configuration])[0]
+        return self.trace([configuration]).limits[0]
 
     def estimate(self, configuration: Configuration) -> ValencyEstimate:
         """Full estimate (limits plus certified lower/upper diameter bounds), no leading axis."""
-        return self._record(configuration.outputs, self.limit_estimates(configuration))
+        return self.trace([configuration])[0]
 
     def valency_diameter(self, configuration: Configuration) -> float:
         """Lower estimate of ``δ_N(C)`` (diameter of the sampled reachable limits)."""
@@ -212,7 +214,11 @@ class ValencyEstimator:
         establishes the intersection.
         """
         if self._batchable():
-            limits_a, limits_b = self._batched_limits([config_a, config_b], max_depth=0)
+            # The pair as one scenario's two recorded rounds, at depth 0.
+            fields = _per_scenario_fields(self._algorithm, [[config_a, config_b]], None, True)
+            limits_a, limits_b = self._stacked_limits(
+                fields["recorded_states"], fields["recorded_rounds"], 1, max_depth=0
+            )
             return any(
                 float(np.linalg.norm(limits_a[index] - limits_b[index])) <= tolerance
                 for index in range(limits_a.shape[0])
@@ -227,18 +233,19 @@ class ValencyEstimator:
     def trace(self, configurations: Sequence[Configuration]) -> ValencyEstimate:
         """Valency estimates along ``R`` configurations (e.g. an execution), axis ``(R,)``.
 
-        On the batched path the configurations share stacked passes as
-        :meth:`certify_ensemble`'s do: round-invariant algorithms stack
+        The list is certified as a one-scenario record through
+        :meth:`certify_ensemble`: round-invariant algorithms stack
         configurations of any rounds, others only those of one round, and
-        no pass stacks more than ``scenario_chunk`` suffix futures.
+        no pass stacks more than ``scenario_chunk`` suffix futures.  A
+        recorded execution certifies as
+        ``certify_ensemble(execution.record)[:, 0]`` without building its
+        configurations.
         """
         configurations = list(configurations)
         if not configurations:
             raise ExecutionError("a valency trace needs at least one configuration")
-        return self._record(
-            np.stack([configuration.outputs for configuration in configurations]),
-            self._limit_estimates(configurations),
-        )
+        fields = _per_scenario_fields(self._algorithm, [configurations], None, True)
+        return self.certify_ensemble(EnsembleExecution(**fields))[:, 0]
 
     def certify_ensemble(self, ensemble: EnsembleExecution) -> ValencyEstimate:
         """Valency estimates at every recorded round of an ensemble, axes ``(R, B)``.
@@ -284,6 +291,9 @@ class ValencyEstimator:
                 "rerun the ensemble with record_states=True (Study(certify=...) does "
                 "this automatically)"
             )
+        if recorded.algorithm is None:
+            # A decoded single execution names its algorithm but does not carry it.
+            recorded = replace(recorded, algorithm=self._algorithm)
         n = ensemble.n
         for graph in self._model:
             if graph.n != n:
@@ -320,18 +330,17 @@ class ValencyEstimator:
         batch_size = outputs.shape[1]
         if not self._batchable():
             per_scenario = [
-                self._limit_estimates(recorded.scenario_configurations(b, rounds, outputs))
+                np.stack(
+                    [
+                        self._limit_estimates_reference(configuration)
+                        for configuration in recorded.scenario_configurations(b, rounds, outputs)
+                    ]
+                )
                 for b in range(batch_size)
             ]
             return np.stack(per_scenario, axis=1)
         limits = self._stacked_limits(recorded, rounds, batch_size, self._exploration_depth)
         return limits.reshape((len(rounds), batch_size) + limits.shape[1:])
-
-    def _limit_estimates(self, configurations: Sequence[Configuration]) -> np.ndarray:
-        """``(R, F, d)`` limit estimates of ``R`` configurations, batched or reference."""
-        if self._batchable():
-            return self._batched_limits(configurations, self._exploration_depth)
-        return np.stack([self._limit_estimates_reference(c) for c in configurations])
 
     # ------------------------------------------------------------------ #
     # Reference path
@@ -409,16 +418,6 @@ class ValencyEstimator:
             ):
                 yield start, index
                 start = index
-
-    def _batched_limits(
-        self, configurations: Sequence[Configuration], max_depth: int
-    ) -> np.ndarray:
-        """Stacked ``(R, F, d)`` limit estimates of ``R`` configurations, in input order."""
-        recorded = RecordedStates(
-            self._algorithm, per_agent=tuple((c.states,) for c in configurations)
-        )
-        rounds = [configuration.round_number for configuration in configurations]
-        return self._stacked_limits(recorded, rounds, 1, max_depth)
 
     def _stacked_limits(
         self,

@@ -1,9 +1,11 @@
 """Round-based execution engine for the dynamic system model.
 
 The engine turns an algorithm, a vector of initial values and a communication
-pattern into an :class:`~repro.execution.execution.Execution` record holding
-the full history of configurations (Section 2): the per-round graphs, per-
-round outputs ``y(t)`` and (optionally) the opaque agent states.
+pattern into an :class:`~repro.execution.execution.Execution` holding the
+recorded history of configurations (Section 2): the per-round graphs, the
+outputs ``y(t)`` and the agent states of the recorded rounds.  Every run keeps
+one columnar record, :class:`~repro.execution.execution.EnsembleExecution`;
+a single execution is its one-scenario view.
 
 Two execution paths are provided: the per-agent reference path and a
 vectorized fast path (see :mod:`repro.execution.engine`), plus a batched

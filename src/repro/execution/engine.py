@@ -2,7 +2,8 @@
 
 ``run_execution`` drives an :class:`~repro.algorithms.base.Algorithm` for a
 given number of rounds against a communication pattern, producing an
-:class:`~repro.execution.execution.Execution` record.  ``apply_graph`` (the
+:class:`~repro.execution.execution.Execution`: the one-scenario view of an
+:class:`~repro.execution.execution.EnsembleExecution` record.  ``apply_graph`` (the
 ``G.C`` operation of Section 2) performs a single round and is also used by
 the valency estimator and by adaptive adversaries to evaluate candidate
 successor configurations without committing to them.
@@ -16,8 +17,9 @@ Two execution paths are available and produce equivalent executions:
   implements the ``batch_*`` hooks of :class:`~repro.algorithms.base.Algorithm`
   (all convex-combination algorithms with a ``combine_all``, plus the
   amortized midpoint algorithm).  Whole rounds are computed as masked NumPy
-  reductions over the graph's adjacency matrix, and per-agent states are only
-  materialized for recorded configurations.
+  reductions over the graph's adjacency matrix.  The recorded batch states
+  are kept as they are, so per-agent states are only built when an adaptive
+  pattern reads them or ``Execution.configurations`` is read.
 
 ``use_fast_path=None`` (the default) auto-selects; ``False`` forces the
 per-agent path (used by the equivalence tests and benchmarks) and ``True``
@@ -26,7 +28,7 @@ the :class:`~repro.models.patterns.RoundContext` exposes the same outputs and
 (lazily materialized) states, and ``simulate_outputs`` routes through the
 same dispatch.  Adversaries that decide by plans run there as a one-scenario
 :func:`~repro.execution.batch.run_adversarial_ensemble`, the one batched
-evaluator of candidate plans.
+evaluator of candidate plans, whose record the execution wraps unchanged.
 """
 
 from __future__ import annotations
@@ -38,7 +40,13 @@ import numpy as np
 from repro.algorithms.base import Algorithm, ConvexCombinationAlgorithm
 from repro.config import resolve_use_batch, resolve_use_fast_path
 from repro.exceptions import ExecutionError
-from repro.execution.execution import Execution
+from repro.execution.execution import (
+    EnsembleExecution,
+    Execution,
+    RecordedStates,
+    _per_scenario_fields,
+    _supports_batch_map,
+)
 from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
 from repro.models.patterns import AdversarialPattern, CommunicationPattern, RoundContext
@@ -197,8 +205,9 @@ def run_execution(
         Number of rounds ``T`` to execute (``T >= 0``).
     record_every:
         Keep every ``record_every``-th configuration in addition to the
-        initial and final ones (1 keeps everything).  The graphs list always
-        has one entry per executed round.
+        initial and final ones (1 keeps everything).  The accessors of the
+        result take round numbers and name only recorded rounds.  The graphs
+        list always has one entry per executed round.
     use_fast_path:
         ``None`` auto-selects the vectorized fast path when the algorithm
         supports it; ``False`` forces the per-agent reference path; ``True``
@@ -232,11 +241,7 @@ def run_execution(
             record_states=True,
             threads=1,
         )
-        return Execution(
-            algorithm_name=algorithm.name,
-            configurations=ensemble.scenario_configurations(0),
-            graphs=ensemble.scenario_graphs(0),
-        )
+        return Execution(record=ensemble, graphs=ensemble.scenario_graphs(0))
     return _run_execution(algorithm, initial_values, pattern, rounds, record_every, use_fast_path)
 
 
@@ -259,8 +264,8 @@ def _run_execution(
         return _run_execution_fast(algorithm, initial_values, pattern, rounds, record_every)
 
     configuration = initial_configuration(algorithm, initial_values)
-    execution = Execution(algorithm_name=algorithm.name, configurations=[configuration], graphs=[])
-    history: List[CommunicationGraph] = []
+    configurations = [configuration]
+    graphs: List[CommunicationGraph] = []
 
     for t in range(1, rounds + 1):
         context = RoundContext(
@@ -271,17 +276,17 @@ def _run_execution(
             simulate_outputs=lambda g, _c=configuration: successor_outputs(
                 algorithm, _c, g, use_fast_path=False
             ),
-            history=history,
+            history=graphs,
             use_fast_path=False,
         )
         graph = pattern.graph_at(t, context)
         configuration = apply_graph(algorithm, configuration, graph, use_fast_path=False)
-        history.append(graph)
-        execution.graphs.append(graph)
+        graphs.append(graph)
         if t % record_every == 0 or t == rounds:
-            execution.configurations.append(configuration)
+            configurations.append(configuration)
 
-    return execution
+    record = EnsembleExecution(**_per_scenario_fields(algorithm, [configurations], None, True))
+    return Execution(record=record, graphs=graphs)
 
 
 def _run_execution_fast(
@@ -291,20 +296,19 @@ def _run_execution_fast(
     rounds: int,
     record_every: int,
 ) -> Execution:
-    """The vectorized drive loop behind :func:`run_execution`."""
+    """The vectorized drive loop behind :func:`run_execution`.
+
+    Like :func:`~repro.execution.batch.run_ensemble` it keeps each recorded
+    batch state as it is, with a one-scenario leading axis; per-agent
+    states are split off only where ``batch_map`` cannot add that axis.
+    """
     values = as_value_matrix(initial_values)
     if values.shape[0] < 1:
         raise ExecutionError("at least one agent is required")
     batch_state = algorithm.batch_initial(values)
     outputs = np.asarray(algorithm.batch_outputs(batch_state), dtype=float)
-    execution = Execution(
-        algorithm_name=algorithm.name,
-        configurations=[
-            Configuration(states=algorithm.batch_states(batch_state), outputs=outputs, round_number=0)
-        ],
-        graphs=[],
-    )
-    history: List[CommunicationGraph] = []
+    recorded_rounds, recorded, recorded_states = [0], [outputs], [batch_state]
+    graphs: List[CommunicationGraph] = []
 
     for t in range(1, rounds + 1):
         context = RoundContext(
@@ -316,7 +320,7 @@ def _run_execution_fast(
                 algorithm.batch_outputs(algorithm.batch_transition(_bs, g.adjacency, _t)),
                 dtype=float,
             ),
-            history=history,
+            history=graphs,
         )
         graph = pattern.graph_at(t, context)
         if graph.n != values.shape[0]:
@@ -325,16 +329,28 @@ def _run_execution_fast(
             )
         batch_state = algorithm.batch_transition(batch_state, graph.adjacency, t)
         outputs = np.asarray(algorithm.batch_outputs(batch_state), dtype=float)
-        history.append(graph)
-        execution.graphs.append(graph)
+        graphs.append(graph)
         if t % record_every == 0 or t == rounds:
-            execution.configurations.append(
-                Configuration(
-                    states=algorithm.batch_states(batch_state), outputs=outputs, round_number=t
-                )
-            )
+            recorded_rounds.append(t)
+            recorded.append(outputs)
+            recorded_states.append(batch_state)
 
-    return execution
+    if _supports_batch_map(algorithm, batch_state):
+        stacked = tuple(algorithm.batch_map(s, lambda leaf: leaf[None]) for s in recorded_states)
+        record = EnsembleExecution(
+            algorithm_name=algorithm.name,
+            recorded_rounds=recorded_rounds,
+            recorded_outputs=np.stack(recorded)[:, None],
+            batched=True,
+            recorded_states=RecordedStates(algorithm, stacked=stacked),
+        )
+    else:
+        configurations = [
+            Configuration(algorithm.batch_states(state), snapshot, t)
+            for state, snapshot, t in zip(recorded_states, recorded, recorded_rounds)
+        ]
+        record = EnsembleExecution(**_per_scenario_fields(algorithm, [configurations], None, True))
+    return Execution(record=record, graphs=graphs)
 
 
 def run_from_configuration(

@@ -34,41 +34,40 @@ def empirical_contraction_rate(
 ) -> float:
     """Geometric contraction rate fitted from the execution's diameter history.
 
-    Returns ``(Δ(y(T)) / Δ(y(s)))^(1/(T - s))`` where ``s = skip_rounds``;
-    this equals the exact per-round factor when the decay is geometric (as it
-    is for the optimal algorithms under the proof adversaries) and is the
-    natural estimator of ``limsup_t (δ(C_t))^(1/t)`` otherwise.
+    Returns ``(Δ(y(T)) / Δ(y(s)))^(1/(T - s))`` where ``s`` is the first
+    recorded round at or after ``skip_rounds``; this equals the exact
+    per-round factor when the decay is geometric (as it is for the optimal
+    algorithms under the proof adversaries) and is the natural estimator of
+    ``limsup_t (δ(C_t))^(1/t)`` otherwise.
 
     Returns 0.0 when the final diameter is (numerically) zero, matching the
     convention that exact agreement corresponds to contraction rate 0.
     """
-    return rate_from_diameters(execution.diameters(), skip_rounds, floor)
+    return rate_from_diameters(
+        execution.diameters(), skip_rounds, floor, recorded_rounds=execution.recorded_rounds
+    )
 
 
 def rate_from_diameters(
-    diameters: Sequence[float], skip_rounds: int = 0, floor: float = 1e-300
+    diameters: Sequence[float],
+    skip_rounds: int = 0,
+    floor: float = 1e-300,
+    recorded_rounds: Optional[Sequence[int]] = None,
 ) -> float:
-    """:func:`empirical_contraction_rate` of a recorded diameter history."""
-    if len(diameters) <= skip_rounds + 1:
+    """:func:`empirical_contraction_rate` of a recorded diameter history.
+
+    ``recorded_rounds`` are the entries' round numbers (default ``0, 1, 2,
+    ...``).  The exponent is one over the rounds spanned, not the entries,
+    so a record kept every ``k`` rounds fits the same per-round rate.
+    """
+    rounds = np.arange(len(diameters)) if recorded_rounds is None else np.asarray(recorded_rounds)
+    first = int(np.searchsorted(rounds, skip_rounds))
+    if len(diameters) <= first + 1:
         raise ValueError("execution is too short to estimate a contraction rate")
-    start = float(diameters[skip_rounds])
-    end = float(diameters[-1])
-    horizon = len(diameters) - 1 - skip_rounds
-    if start <= floor:
+    start, end = float(diameters[first]), float(diameters[-1])
+    if start <= floor or end <= floor:
         return 0.0
-    if end <= floor:
-        return 0.0
-    return float((end / start) ** (1.0 / horizon))
-
-
-def per_round_contraction_factors(execution: Execution) -> np.ndarray:
-    """The round-by-round factors ``Δ(y(t)) / Δ(y(t-1))`` (NaN where undefined)."""
-    diameters = execution.diameters()
-    factors = np.full(len(diameters) - 1, np.nan)
-    for t in range(1, len(diameters)):
-        if diameters[t - 1] > 0:
-            factors[t - 1] = diameters[t] / diameters[t - 1]
-    return factors
+    return float((end / start) ** (1.0 / int(rounds[-1] - rounds[first])))
 
 
 def convergence_round(execution: Execution, tolerance: float) -> Optional[int]:
@@ -79,17 +78,10 @@ def convergence_round(execution: Execution, tolerance: float) -> Optional[int]:
     outputs), i.e. the decision time of the induced approximate consensus
     algorithm.
     """
-    for config in execution.configurations:
-        if config.output_diameter() <= tolerance:
-            return config.round_number
-    return None
+    hit = int(execution.record.convergence_rounds(tolerance)[0])
+    return None if hit < 0 else hit
 
 
 def is_valid_execution(execution: Execution, tol: float = 1e-9) -> bool:
     """Whether all outputs stay within the bounding box of the initial values."""
     return execution.validity_holds(tol=tol)
-
-
-def agreement_error(execution: Execution) -> float:
-    """The final output diameter (how far from agreement the execution ended)."""
-    return execution.final_diameter()

@@ -689,8 +689,11 @@ ENSEMBLE_VERSION = 2
 
 
 def encode_execution(execution) -> dict:
-    from repro.execution.batch import AdversarialEnsembleExecution, EnsembleExecution
-    from repro.execution.execution import Execution
+    from repro.execution.execution import (
+        AdversarialEnsembleExecution,
+        EnsembleExecution,
+        Execution,
+    )
 
     if isinstance(execution, EnsembleExecution):
         payload = {
@@ -738,24 +741,24 @@ def encode_execution(execution) -> dict:
 
 @_names_malformed
 def decode_execution(payload: dict):
-    from repro.execution.batch import (
+    from repro.execution.execution import (
         AdversarialEnsembleExecution,
         EnsembleExecution,
+        Execution,
         RecordedStates,
+        _per_scenario_fields,
     )
-    from repro.execution.execution import Execution
     from repro.faults import FaultPlan
 
     kind = payload.get("__type__") if isinstance(payload, dict) else None
     if kind == "Execution":
         _check_header(payload, "Execution")
-        return Execution(
-            algorithm_name=payload["algorithm_name"],
-            configurations=[
-                _decode_configuration(c) for c in payload["configurations"]
-            ],
-            graphs=[decode_graph(graph) for graph in payload["graphs"]],
-        )
+        # The payload names its algorithm but does not carry it.
+        configurations = [_decode_configuration(c) for c in payload["configurations"]]
+        fields = _per_scenario_fields(None, [configurations], None, True)
+        fields["algorithm_name"] = payload["algorithm_name"]
+        graphs = [decode_graph(graph) for graph in payload["graphs"]]
+        return Execution(record=EnsembleExecution(**fields), graphs=graphs)
     if kind in ("EnsembleExecution", "AdversarialEnsembleExecution"):
         _check_header(payload, kind, ENSEMBLE_VERSION, min_version=ENSEMBLE_VERSION)
         labels = payload["scenario_labels"]
@@ -866,11 +869,7 @@ def decode_study_result(payload: dict):
     if valency is not None:
         # The record's leading axes must be the execution's (R,) or (R, B).
         execution = result.execution
-        axes = (
-            execution.recorded_outputs.shape[:2]
-            if result.is_ensemble
-            else (len(execution.configurations),)
-        )
+        axes = execution.recorded_outputs.shape[: 2 if result.is_ensemble else 1]
         shapes = {valency.limits.shape[:-2], valency.lower_diameter.shape}
         if valency.upper_diameter is not None:
             shapes.add(valency.upper_diameter.shape)

@@ -10,8 +10,10 @@ per-sequence / per-pair reference loops, plus a tracemalloc assertion that
 the streamed prefix enumeration stays below the materialized pass), the time
 and peak memory (tracemalloc) of the dense, sender-fold, sort-select and
 gather masked reductions and the planned gather against the unplanned
-dispatch at the valency suffixes' shapes, then writes the results to
-``BENCH_engine.json`` so the performance trajectory is tracked across changes.
+dispatch at the valency suffixes' shapes, and the per-call cost of building
+random graph schedules (generator, constructor, round stacking), then writes
+the results to ``BENCH_engine.json`` so the performance trajectory is
+tracked across changes.
 
 Usage (from the repository root)::
 
@@ -58,6 +60,8 @@ from repro.execution import (
 )
 from repro.faults import CrashSpec, FaultPlan
 from repro.execution.engine import initial_configuration
+from repro.execution.schedule import round_adjacency
+from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.families import (
     complete_graph,
     cycle_graph,
@@ -65,6 +69,7 @@ from repro.graphs.families import (
     directed_star_graph,
     psi_family,
 )
+from repro.graphs.generators import random_rooted_graph
 from repro.graphs.relations import alpha_classes, alpha_diameter, beta_classes
 from repro.models.network_model import NetworkModel
 from repro.models.patterns import PeriodicPattern
@@ -400,6 +405,48 @@ def bench_fused_reduction(grid, repeats: int) -> list:
                 f"separate={separate_s * 1e3:9.2f}ms fused={fused_s * 1e3:9.2f}ms "
                 f"speedup={entry['speedup']:5.2f}x"
             )
+    return results
+
+
+def bench_scenario_build(sizes, round_shape, calls: int, repeats: int) -> list:
+    """Microseconds per call of the graph-schedule build layer.
+
+    Times ``random_rooted_graph(n, rng, 0.1)`` and
+    ``CommunicationGraph(n, adjacency=...)`` at each ``n`` of ``sizes``, and
+    ``round_adjacency`` of one per-scenario round of ``round_shape = (B, n)``
+    distinct rooted graphs: the per-graph and per-round work every
+    random-schedule study pays before its first transition.  Each figure is
+    the best of ``repeats`` loops of ``calls`` calls.  Not gated: a
+    microsecond figure on a shared runner moves with the machine, not the code.
+    """
+
+    def per_call_us(call) -> float:
+        return _best_of(lambda: [call() for _ in range(calls)], repeats) / calls * 1e6
+
+    rng = np.random.default_rng(7)
+    cases = []
+    for n in sizes:
+        adjacency = rng.random((n, n)) < 0.1
+        cases += [
+            ({"call": "random_rooted_graph", "n": n}, lambda n=n: random_rooted_graph(n, rng, 0.1)),
+            (
+                {"call": "CommunicationGraph", "n": n},
+                lambda n=n, adjacency=adjacency: CommunicationGraph(n, adjacency=adjacency),
+            ),
+        ]
+    batch_size, n = round_shape
+    round_graphs = [random_rooted_graph(n, rng, 0.1) for _ in range(batch_size)]
+    cases.append(
+        ({"call": "round_adjacency", "B": batch_size, "n": n}, lambda: round_adjacency(round_graphs))
+    )
+    results = []
+    for fields, run in cases:
+        entry = {
+            "benchmark": "scenario_build", **fields, "per_call_us": per_call_us(run), "gated": False
+        }
+        results.append(entry)
+        shape = " ".join(f"{key}={fields[key]}" for key in ("B", "n") if key in fields)
+        print(f"scenario-build {fields['call']:20s} {shape:12s} {entry['per_call_us']:8.2f}us/call")
     return results
 
 
@@ -1220,6 +1267,8 @@ def main() -> int:
         # (B, n, d, kernels, gated); the small point is the rooted ensemble's
         # per-round shape, where the dispatcher runs the dense kernel.
         fused_grid = [(24, 256, 1, ("dense", "sorted"), True), (24, 12, 1, ("auto",), False)]
+        # (calls per loop, loops): ~40 ms in all.
+        scenario_build_timing = (200, 3)
         repeats = 1
     else:
         engine_grid = [(16, 100), (64, 100), (64, 500), (256, 100)]
@@ -1254,6 +1303,7 @@ def main() -> int:
         campaign_grid = [(0, 16), (1, 32)]
         parallel_grid = [(256, 32, 50, 4), (256, 64, 20, 4)]
         fused_grid = [(64, 256, 1, ("dense", "sorted"), True), (24, 12, 1, ("auto",), False)]
+        scenario_build_timing = (2000, 5)
         repeats = 3
 
     results = []
@@ -1264,6 +1314,8 @@ def main() -> int:
     results += bench_faulted_ensemble(faulted_ensemble_grid, d=1, repeats=repeats)
     results += bench_parallel_ensemble(parallel_grid, d=1, repeats=repeats)
     results += bench_fused_reduction(fused_grid, repeats=repeats)
+    # The rooted_ensemble benchmark's graphs: n = 12, rounds of B = 24.
+    results += bench_scenario_build((12, 64), (24, 12), *scenario_build_timing)
     results += bench_adversary(adversary_grid, repeats=repeats)
     results += bench_psi_adversary(psi_grid, repeats=repeats)
     results += bench_adversarial_ensemble(adversarial_ensemble_grid, repeats=repeats)

@@ -52,8 +52,9 @@ class TwoAgentThirdsAlgorithm(ConvexCombinationAlgorithm):
             raise AlgorithmError(
                 f"TwoAgentThirdsAlgorithm is only defined for n = 2 agents, got n = {values.shape[-2]}"
             )
-        mask = receive_mask(adjacency)
-        heard_other = mask.sum(axis=-1) > 1
+        # At n = 2 a receiver heard the other agent iff its mask row is all
+        # true (a fault-masked row may have lost its own self-loop).
+        heard_other = receive_mask(adjacency).all(axis=-1)
         other_values = values[..., ::-1, :]  # at n = 2, the other agent's value
         moved = values / 3.0 + 2.0 * other_values / 3.0
         return np.where(heard_other[..., None], moved, values)

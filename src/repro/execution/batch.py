@@ -477,14 +477,23 @@ def run_adversarial_ensemble(
     batch_state = algorithm.batch_initial(values) if planned else None
     if not planned or not _supports_batch_map(algorithm, batch_state):
         # Per-scenario fallback through the round loop: also the reference
-        # the batched commits are checked against.
+        # the batched commits are checked against.  Each run's one-scenario
+        # record is joined along the scenario axis as it is.
         executions = [
             _run_execution(algorithm, scenario_values, adversary, rounds, record_every)
             for scenario_values in values
         ]
+        records = [execution.record for execution in executions]
         return AdversarialEnsembleExecution(
-            **_per_scenario_fields(
-                algorithm, [e.configurations for e in executions], labels, record_states
+            algorithm_name=algorithm.name,
+            recorded_rounds=records[0].recorded_rounds,
+            recorded_outputs=np.concatenate([r.recorded_outputs for r in records], axis=1),
+            scenario_labels=labels,
+            batched=False,
+            recorded_states=(
+                RecordedStates.concatenate([r.recorded_states for r in records])
+                if record_states
+                else None
             ),
             round_choices=schedule_from_scenarios([e.graphs for e in executions]),
         )

@@ -103,7 +103,16 @@ def round_adjacency(round_graphs: RoundGraphs) -> np.ndarray:
         # A uniform per-scenario list broadcasts like a shared graph; skip the
         # (B, n, n) stack entirely.
         return first.adjacency
-    return np.stack([graph.adjacency for graph in round_graphs])
+    return _stack_adjacency(round_graphs)
+
+
+def _stack_adjacency(round_graphs: Sequence[CommunicationGraph]) -> np.ndarray:
+    """The ``(B, n, n)`` bool stack of a per-scenario round's adjacencies.
+
+    Checked rounds hold graphs of one shape, so one ``np.array`` call builds
+    the bytes ``np.stack`` would, at half its per-round cost.
+    """
+    return np.array([graph.adjacency for graph in round_graphs])
 
 
 def scenario_graphs(schedule: Sequence[RoundGraphs], scenario: int) -> List[CommunicationGraph]:
@@ -145,9 +154,7 @@ def encode_schedule(schedule: Sequence[RoundGraphs], batch_size: int, n: int) ->
 
     return [
         encode_array(
-            round_graphs.adjacency
-            if is_shared(round_graphs)
-            else np.stack([graph.adjacency for graph in round_graphs])
+            round_graphs.adjacency if is_shared(round_graphs) else _stack_adjacency(round_graphs)
         )
         for round_graphs in validate_schedule(schedule, batch_size, n)
     ]

@@ -41,6 +41,10 @@ class CommunicationGraph:
         Optional human-readable name (e.g. ``"H1"`` or ``"Psi_2"``), used in
         ``repr`` and reports; it does not participate in equality or hashing.
 
+    The adjacency is copied once on construction and is read-only; the
+    hash is computed on the first ``hash()`` call and then kept.  Copies
+    and pickles are rebuilt through the constructor.
+
     Examples
     --------
     >>> g = CommunicationGraph(2, edges=[(0, 1)], name="H1")
@@ -65,12 +69,13 @@ class CommunicationGraph:
             raise GraphError("pass either edges or adjacency, not both")
 
         if adjacency is not None:
-            adj = np.asarray(adjacency, dtype=bool)
+            # One C-ordered copy: the graph never shares the caller's buffer,
+            # and the flat diagonal stride below needs C order.
+            adj = np.array(adjacency, dtype=bool, order="C")
             if adj.shape != (n, n):
                 raise GraphError(
                     f"adjacency must have shape ({n}, {n}), got {adj.shape}"
                 )
-            adj = adj.copy()
         else:
             adj = np.zeros((n, n), dtype=bool)
             for edge in edges or ():
@@ -84,12 +89,14 @@ class CommunicationGraph:
                     )
                 adj[i, j] = True
 
-        np.fill_diagonal(adj, True)
+        adj.ravel()[:: n + 1] = True
         adj.setflags(write=False)
         self._n = n
         self._adj = adj
         self._name = name
-        self._hash = hash((n, adj.tobytes()))
+        # Computed on the first __hash__ call: most graphs of a random
+        # schedule are never hashed.
+        self._hash: Optional[int] = None
         # Lazily built per-agent neighborhood caches.  The graph is immutable,
         # so the frozensets are computed once and shared by every caller
         # (in_neighbors/out_neighbors are hit per agent per round in the
@@ -258,7 +265,14 @@ class CommunicationGraph:
         return self._n == other._n and bool(np.array_equal(self._adj, other._adj))
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._n, self._adj.tobytes()))
         return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: the copy gets a read-only
+        # adjacency and computes its hash in the process that uses it.
+        return (CommunicationGraph, (self._n, None, self._adj, self._name))
 
     def __len__(self) -> int:
         return self._n

@@ -53,21 +53,26 @@ def random_rooted_graph(
         raise GraphError("need at least one agent")
     _check_edge_probability(edge_probability)
     root = int(rng.integers(n))
-    # A random order of the agents, root first.  A shuffle never reads the
-    # values it moves, so shuffling 0..n-2 and then skipping over the root
-    # draws what shuffling the non-root agents themselves would.
-    rest = rng.permutation(n - 1)
-    order = np.concatenate(([root], rest + (rest >= root)))
+    # A random order of the agents, root first: the other agents ascending,
+    # shuffled in place.  A shuffle never reads the values it moves, so this
+    # draws what ``rng.permutation(n - 1)`` draws and moves them alike.
+    order = np.arange(n)
+    order[1 : root + 1] -= 1
+    order[0] = root
+    rng.shuffle(order[1:])
     adj = rng.random((n, n)) < edge_probability
     # Plant a random arborescence: the agent at position idx receives from
     # the agent at position integers(idx) < idx, i.e. from an earlier one.
     # One array draw makes the same draws as n - 1 scalar integers(idx) calls.
-    parents, children = order[rng.integers(np.arange(1, n))], order[1:]
-    adj[parents, children] = True
+    # ``planted`` holds the flat indices ``parent * n + child`` of its edges.
+    planted = order[rng.integers(np.arange(1, n))]
+    planted *= n
+    planted += order[1:]
+    adj.ravel()[planted] = True
     graph = CommunicationGraph(n, adjacency=adj, name="random-rooted")
     # Every parent precedes its child in ``order``, so these edges alone
     # make the graph rooted at ``root``; check they survived construction.
-    if not graph.adjacency[parents, children].all():
+    if np.count_nonzero(graph.adjacency.ravel()[planted]) != n - 1:
         raise GraphError("random_rooted_graph lost its planted arborescence")
     return graph
 
@@ -89,7 +94,7 @@ def random_nonsplit_graph(
     broadcaster = int(rng.integers(n))
     adj[broadcaster, :] = True
     graph = CommunicationGraph(n, adjacency=adj, name="random-nonsplit")
-    if not graph.adjacency[broadcaster].all():
+    if np.count_nonzero(graph.adjacency[broadcaster]) != n:
         raise GraphError("random_nonsplit_graph lost its planted broadcaster")
     return graph
 
@@ -101,7 +106,11 @@ def random_strongly_connected_graph(
     _check_edge_probability(edge_probability)
     adjacency = rng.random((n, n)) < edge_probability
     cycle = rng.permutation(n)
-    adjacency[cycle, np.roll(cycle, -1)] = True
+    # Each agent sends to the next one in ``cycle``; the last to the first.
+    successors = np.empty_like(cycle)
+    successors[:-1] = cycle[1:]
+    successors[-1:] = cycle[:1]
+    adjacency[cycle, successors] = True
     return CommunicationGraph(n, adjacency=adjacency)
 
 

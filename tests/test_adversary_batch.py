@@ -24,6 +24,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.algorithms import (
     AmortizedMidpointAlgorithm,
+    DecidingAlgorithm,
     MeanAlgorithm,
     MidpointAlgorithm,
     TwoAgentThirdsAlgorithm,
@@ -50,8 +51,13 @@ from repro.config import EngineConfig
 from repro.exceptions import ExecutionError
 from repro.execution import run_adversarial_ensemble, run_execution
 import repro.execution.batch as batch_module
-from repro.execution.batch import _batch_diameters
+from repro.execution.batch import (
+    AdversarialEnsembleExecution,
+    _batch_diameters,
+    _per_scenario_fields,
+)
 from repro.execution.schedule import round_adjacency as _round_adjacency
+from repro.execution.schedule import schedule_from_scenarios
 from repro.execution.state import _states_equal
 from repro.graphs.families import complete_graph, cycle_graph, psi_graph
 from repro.models.standard import deaf_model, two_agent_model
@@ -339,6 +345,62 @@ class TestRunAdversarialEnsemble:
         assert ensemble.batched and not fallback.batched
         assert ensemble.round_choices == fallback.round_choices
         assert _record_outputs_bytes(ensemble) == _record_outputs_bytes(fallback)
+
+    @pytest.mark.parametrize("record_states", [True, False])
+    @pytest.mark.parametrize(
+        "make_algorithm,make_adversary,n,use_batch",
+        [
+            (
+                lambda: DecidingAlgorithm(MidpointAlgorithm(), decision_round=4),
+                lambda: GreedyDiameterAdversary(deaf_model(n=8)),
+                8,
+                False,
+            ),
+            (AmortizedMidpointAlgorithm, lambda: PsiBlockAdversary(5), 5, False),
+            (_SlowMidpoint, lambda: GreedyDiameterAdversary(deaf_model(n=4)), 4, None),
+        ],
+        ids=["deciding-greedy", "amortized-psi-block", "no-batch-hooks"],
+    )
+    def test_fallback_joins_the_scenario_records(
+        self, monkeypatch, make_algorithm, make_adversary, n, use_batch, record_states
+    ):
+        # The per-scenario fallback joins each scenario's one-scenario record;
+        # it must equal assembling the runs' configurations one by one.
+        batch, rounds, record_every = 3, 7, 2
+        values = _values(batch, n, seed=17)
+        labels = ["a", "b", "c"]
+        runs = []
+        original = batch_module._run_execution
+
+        def spy(*args):
+            runs.append(original(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(batch_module, "_run_execution", spy)
+        joined = run_adversarial_ensemble(
+            make_algorithm(), values, make_adversary(), rounds, record_every=record_every,
+            scenario_labels=labels, use_batch=use_batch, record_states=record_states,
+            threads=1,
+        )
+        assert len(runs) == batch
+        reference = AdversarialEnsembleExecution(
+            **_per_scenario_fields(
+                make_algorithm(), [run.configurations for run in runs], labels, record_states
+            ),
+            round_choices=schedule_from_scenarios([run.graphs for run in runs]),
+        )
+        assert _record_outputs_bytes(joined) == _record_outputs_bytes(reference)
+        assert joined.algorithm_name == reference.algorithm_name
+        assert joined.scenario_labels == labels and joined.batched is False
+        assert joined.round_choices == reference.round_choices
+        if not record_states:
+            assert joined.recorded_states is None
+            return
+        for scenario in range(batch):
+            got = joined.scenario_configurations(scenario)
+            expected = reference.scenario_configurations(scenario)
+            assert _configuration_bytes(got) == _configuration_bytes(expected)
+            assert all(_states_equal(a.states, b.states) for a, b in zip(got, expected))
 
     def test_multidimensional_values(self):
         batch, n, rounds = 3, 4, 6

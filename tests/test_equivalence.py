@@ -167,3 +167,16 @@ def test_batched_ensemble_transition_matches_per_scenario():
         for b in range(batch):
             single = algorithm.combine_all(graphs[b].adjacency, values[b], 1)
             np.testing.assert_array_equal(batched[b], single)
+
+
+def test_two_agent_thirds_moves_exactly_where_both_senders_are_heard():
+    """All 16 bool 2x2 masks, cleared self-loops included: bytes of the sum rule."""
+    masks = np.array(
+        [[[k & 8, k & 4], [k & 2, k & 1]] for k in range(16)], dtype=bool
+    )
+    values = np.random.default_rng(4).uniform(-1.0, 1.0, size=(16, 2, 3))
+    moved = values / 3.0 + 2.0 * values[..., ::-1, :] / 3.0
+    heard_other = receive_mask(masks).sum(axis=-1) > 1
+    expected = np.where(heard_other[..., None], moved, values)
+    batched = TwoAgentThirdsAlgorithm().combine_all(masks, values, 1)
+    assert batched.dtype == expected.dtype and batched.tobytes() == expected.tobytes()

@@ -1,6 +1,8 @@
 """Unit tests for communication graphs: construction, accessors, memoization."""
 
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -28,11 +30,33 @@ from repro.graphs.generators import (
 from repro.graphs.properties import is_nonsplit, is_rooted, is_strongly_connected, roots
 
 
+def _read_only(rows):
+    array = np.array(rows, dtype=bool)
+    array.setflags(write=False)
+    return array
+
+
+# The graph 0 -> 1 on three agents, without its self-loops, in every form the
+# constructor takes; each call builds a fresh input.
+_EDGE_0_1 = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+_EDGE_0_1_SOURCES = {
+    "edges": lambda: dict(edges=[(0, 1)]),
+    "bool": lambda: dict(adjacency=np.array(_EDGE_0_1, dtype=bool)),
+    "list": lambda: dict(adjacency=_EDGE_0_1),
+    "int": lambda: dict(adjacency=np.array(_EDGE_0_1)),
+    "transposed": lambda: dict(adjacency=np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]], dtype=bool).T),
+    "read-only": lambda: dict(adjacency=_read_only(_EDGE_0_1)),
+}
+
+
 class TestConstruction:
     def test_self_loops_are_forced(self):
-        g = CommunicationGraph(3, edges=[(0, 1)])
-        for i in range(3):
-            assert g.has_edge(i, i)
+        for source in _EDGE_0_1_SOURCES.values():
+            g = CommunicationGraph(3, **source())
+            for i in range(3):
+                assert g.has_edge(i, i)
+            assert g.adjacency.astype(int).tolist() == [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+            assert g.adjacency.dtype == bool and g.adjacency.flags.c_contiguous
 
     def test_edges_and_adjacency_are_mutually_exclusive(self):
         with pytest.raises(GraphError):
@@ -54,6 +78,28 @@ class TestConstruction:
         g = complete_graph(3)
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = False
+        # The graph owns a copy: mutating the source afterwards changes nothing.
+        for source in (np.zeros((3, 3), dtype=bool), np.zeros((3, 3), dtype=bool).T):
+            g = CommunicationGraph(3, adjacency=source)
+            source[0, 1] = True
+            source[1, 1] = False
+            assert g == CommunicationGraph(3) and not g.adjacency.flags.writeable
+
+    def test_copies_keep_equality_hash_and_read_only_adjacency(self):
+        rebuilds = {
+            "pickle": lambda g: pickle.loads(pickle.dumps(g)),
+            "deepcopy": copy.deepcopy,
+            "copy": copy.copy,
+        }
+        for rebuild in rebuilds.values():
+            for hashed_first in (False, True):
+                g = CommunicationGraph(4, edges=[(0, 1), (3, 2)], name="g")
+                if hashed_first:
+                    hash(g)
+                h = rebuild(g)
+                assert h == g and hash(h) == hash(g) and h.name == "g"
+                assert not h.adjacency.flags.writeable
+                assert h.adjacency.tobytes() == g.adjacency.tobytes()
 
 
 class TestNeighborhoods:
@@ -110,6 +156,12 @@ class TestDerivedGraphs:
         a = complete_graph(3)
         b = a.with_name("other")
         assert a == b and hash(a) == hash(b)
+        # The hash is the (n, adjacency bytes) tuple's, however the graph was built.
+        from_edges = CommunicationGraph(3, edges=[(0, 1)])
+        from_adjacency = CommunicationGraph(3, adjacency=np.array(_EDGE_0_1))
+        for g in (a, b, from_edges, from_adjacency):
+            assert hash(g) == hash((g.n, g.adjacency.tobytes()))
+        assert from_edges == from_adjacency and hash(from_edges) == hash(from_adjacency)
 
 
 class TestFamilies:

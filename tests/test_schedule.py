@@ -31,6 +31,7 @@ from repro.execution.schedule import (
     decode_schedule,
     encode_schedule,
     is_shared,
+    round_adjacency,
     scenario_graphs,
     slice_schedule,
     validate_schedule,
@@ -38,7 +39,12 @@ from repro.execution.schedule import (
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.generators import random_graph, random_rooted_graph
 from repro.service import RetryPolicy
-from repro.service.serialization import canonical_json, encode_algorithm, encode_array
+from repro.service.serialization import (
+    canonical_json,
+    decode_array,
+    encode_algorithm,
+    encode_array,
+)
 from repro.service.worker import _run_job, error_from_descriptor
 
 
@@ -64,12 +70,24 @@ def schedules(draw):
 @given(schedules())
 def test_wire_round_trip_keeps_every_round(case):
     batch, n, schedule = case
-    wire = json.loads(canonical_json(encode_schedule(schedule, batch, n)))
+    payload = encode_schedule(schedule, batch, n)
+    wire = json.loads(canonical_json(payload))
     decoded = decode_schedule(wire, batch, n)
     assert len(decoded) == len(schedule)
-    for original, back in zip(schedule, decoded):
+    for original, back, entry in zip(schedule, decoded, payload):
         assert is_shared(back) == is_shared(original)
         assert back == original if is_shared(back) else list(back) == list(original)
+        if is_shared(original):
+            continue
+        # Per-scenario rounds pack and run as the bytes np.stack gives.
+        stacked = np.stack([graph.adjacency for graph in original])
+        adjacency = round_adjacency(original)
+        if adjacency.ndim == 3:
+            assert adjacency.dtype == bool and adjacency.flags.c_contiguous
+            assert adjacency.tobytes() == stacked.tobytes()
+        packed = decode_array(entry)
+        assert packed.dtype == bool and packed.shape == stacked.shape
+        assert packed.tobytes() == stacked.tobytes()
 
 
 @settings(max_examples=60)
